@@ -17,15 +17,6 @@ import os
 import sys
 
 import chaingap as cg
-from chaingap.experiments import ExperimentRow
-
-
-def rows_from_closed_form(family, digest, pairs):
-    return [
-        ExperimentRow(family, digest, n, g, math.inf if g <= 0 else 1.0 / g,
-                      "closed_form", 0.0)
-        for n, g in pairs
-    ]
 
 
 def run_circle(out_dir):
@@ -41,11 +32,8 @@ def run_circle(out_dir):
 def run_torus(out_dir):
     sizes = [64, 128, 256, 512, 1024]
     for label, alpha in (("half", 0.5), ("irr", 1.0 / math.sqrt(2.0))):
-        pairs = [
-            (n, cg.torus_gap_closed_form(n, 2, cg.up_right_probs(alpha))[0])
-            for n in sizes
-        ]
-        rows = rows_from_closed_form("torus", label, pairs)
+        template = cg.ChainSpec(family="torus", N=4, d=2, probs=cg.up_right_probs(alpha))
+        rows = cg.scan(template, sizes)
         fit = cg.fit_scaling(rows)
         cg.emit_report(rows, os.path.join(out_dir, f"torus_{label}.csv"))
         expect = "2" if label == "half" else "4/3"
@@ -54,14 +42,7 @@ def run_torus(out_dir):
 
 def run_doubling(out_dir):
     primes = [101, 211, 401, 809, 1601]
-    pairs = []
-    for n in primes:
-        spec = cg.weighted_singular_spectrum(cg.cdg_chain(n))
-        pairs.append((n, spec.gap))
-    rows = [
-        ExperimentRow("cdg", "std", n, g, 1.0 / g, "weighted_svd", 0.0)
-        for n, g in pairs
-    ]
+    rows = cg.scan(cg.ChainSpec(family="cdg", N=3), primes)
     cg.emit_report(rows, os.path.join(out_dir, "doubling.csv"))
     ratios = [r.tau / math.log(r.N) for r in rows]
     print(
@@ -72,15 +53,10 @@ def run_doubling(out_dir):
 
 def run_card(out_dir, extended):
     sizes = [3, 4, 5, 6] + ([7] if extended else [])
-    rows = []
-    for n in sizes:
-        spec = cg.weighted_singular_spectrum(cg.card_chain(n))
-        rows.append(
-            ExperimentRow("cardshuffle", "std", n, spec.gap, spec.relaxation,
-                          "weighted_svd", 0.0)
-        )
-        ok = "ok" if spec.relaxation <= 41 * n**3 else "VIOLATED"
-        print(f"card N={n}: tau {spec.relaxation:.2f} <= 41N^3 = {41 * n ** 3} {ok}")
+    rows = cg.scan(cg.ChainSpec(family="cardshuffle", N=3), sizes)
+    for r in rows:
+        ok = "ok" if r.tau <= 41 * r.N**3 else "VIOLATED"
+        print(f"card N={r.N}: tau {r.tau:.2f} <= 41N^3 = {41 * r.N ** 3} {ok}")
     fit = cg.fit_scaling(rows[:4])
     cg.emit_report(rows, os.path.join(out_dir, "card.csv"))
     print(f"card shuffle: slope {fit.slope:.4f} (expected ~3)")

@@ -23,7 +23,6 @@ from .chains import (
     adjoint,
     build_chain,
     lazy,
-    matrix_power,
     mu_inner,
     mu_norm,
     period,
@@ -73,7 +72,9 @@ from .families import (
 from .spectral import (
     PseudoGapBound,
     SingularSpectrum,
+    gap_spectrum,
     normal_gap,
+    relaxation_time,
     pseudo_spectral_gap,
     self_adjoint_gap,
     spectral_gap,

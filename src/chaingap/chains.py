@@ -28,7 +28,6 @@ __all__ = [
     "adjoint",
     "reversibilize",
     "lazy",
-    "matrix_power",
     "structure_flags",
     "mu_inner",
     "mu_norm",
@@ -90,10 +89,6 @@ class FiniteChain:
     @property
     def size(self) -> int:
         return self.transition.shape[0]
-
-    def generator(self) -> np.ndarray:
-        """L = I - P."""
-        return np.eye(self.size) - self.transition
 
     def edge_measure(self) -> np.ndarray:
         """Q(x, y) = mu(x) P(x, y), the joint law of one stationary step."""
@@ -355,13 +350,6 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     # Self-loops change neither connectivity, detailed balance, normality,
     # nor the kernel of the generator.
     return replace(chain, transition=_freeze(P))
-
-
-def matrix_power(chain: FiniteChain, n: int) -> np.ndarray:
-    """P^n by repeated squaring."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    return np.linalg.matrix_power(chain.transition, n)
 
 
 def structure_flags(chain: FiniteChain) -> StructureFlags:

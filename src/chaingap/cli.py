@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .bounds import cheeger_exact, cheeger_search, inequality_audit, path_bound
 from .empirical import DeltaCurve, DeltaPoint, delta_curve, delta_monte_carlo, delta_bounds_audit
 from .experiments import emit_report, random_steps_ensemble, render_report, scan
 from .families import ChainSpec
-from .spectral import normal_gap, weighted_singular_spectrum
+from .spectral import gap_spectrum
 from . import tolerances as tol
 
 
@@ -48,15 +47,13 @@ def cmd_gap(args) -> int:
     spec = _load_spec(args.spec)
     _check_extended(spec, args)
     chain = spec.build()
-    spectrum = normal_gap(chain) if chain.normal else weighted_singular_spectrum(chain)
-    payload = spectrum.to_json()
+    payload = gap_spectrum(chain).to_json()
     closed = spec.closed_form_gap()
     if closed is not None:
         payload["closed_form_gap"] = closed
     _print_json(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        emit_report(payload, args.out, "json")
     return 0
 
 
@@ -125,8 +122,8 @@ def cmd_audit(args) -> int:
 def cmd_scan(args) -> int:
     template = _load_spec(args.spec)
     sizes = _parse_ints(args.n_list)
-    if template.family == "cardshuffle" and any(n >= 7 for n in sizes) and not args.extended:
-        raise SystemExit("cardshuffle with N >= 7 needs --extended (5040-state SVD)")
+    for n in sizes:
+        _check_extended(template.with_size(n), args)
     rows = scan(template, sizes)
     sys.stdout.write(render_report(rows, "csv"))
     _maybe_emit(args, rows)

@@ -24,7 +24,7 @@ import numpy as np
 from . import tolerances as tol
 from .audit import BoundAudit, make_check, skipped_check
 from .chains import FiniteChain, mu_inner, mu_norm
-from .errors import BadTestFunction, DegenerateKernel, NotIrreducible
+from .errors import BadTestFunction, DegenerateKernel
 from .spectral import _require_spectral, spectral_gap
 
 __all__ = [

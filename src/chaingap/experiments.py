@@ -1,7 +1,7 @@
 """Scaling scans, ensemble tails, least-squares fits, and report files.
 
 The scan runs one family template over a grid of sizes, preferring the
-closed-form gap where the family has one and dense SVD otherwise; the
+closed-form gap where the family has one and gap_spectrum otherwise; the
 fit quantifies power-law growth of the relaxation time. Reports are
 bit-stable: fixed header order, LF line endings, 17-significant-digit
 floats, JSON with sorted keys.
@@ -19,8 +19,8 @@ import numpy as np
 from .audit import BoundAudit
 from .empirical import DeltaCurve
 from .errors import InsufficientData, NotPrime
-from .families import ChainSpec, circulant_eigenvalues
-from .spectral import weighted_singular_spectrum
+from .families import ChainSpec, circulant_tau
+from .spectral import gap_spectrum
 from . import tolerances as tol
 
 __all__ = [
@@ -63,22 +63,20 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     """One row of (gamma, tau, timing) per size, sorted by N.
 
     Uses the family's closed form where available (circulant, torus) and
-    the dense weighted SVD otherwise. Values are deterministic; only the
+    gap_spectrum otherwise. Values are deterministic; only the
     wall-clock column varies between runs.
     """
     rows = []
     for N in sorted(int(n) for n in N_list):
         spec = template.with_size(N)
         start = time.perf_counter()
-        gap = spec.closed_form_gap()
-        if gap is None:
-            gap = weighted_singular_spectrum(spec.build()).gap
-            method = "weighted_svd"
+        closed = spec.closed_form()
+        if closed is None:
+            spectrum = gap_spectrum(spec.build())
+            gap, tau, method = spectrum.gap, spectrum.relaxation, spectrum.method
         else:
-            method = "closed_form"
+            (gap, tau), method = closed, "closed_form"
         wall_ms = 1000.0 * (time.perf_counter() - start)
-        threshold = tol.ZERO_SV
-        tau = math.inf if gap <= threshold else 1.0 / gap
         rows.append(
             ExperimentRow(
                 family=spec.family,
@@ -158,18 +156,12 @@ def random_steps_ensemble(
         raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     taus = np.empty(trials)
-    freq = np.arange(1, N)
     for t in range(trials):
         while True:
             steps = rng.integers(0, N, size=k)
             if len(set(steps.tolist())) == k:
                 break
-        lam = np.zeros(N - 1, dtype=complex)
-        for a, pr in zip(steps, p):
-            lam += pr * np.exp(2j * np.pi * freq * int(a) / N)
-        moduli = np.abs(1.0 - lam)
-        low = float(moduli.min())
-        taus[t] = math.inf if low <= tol.ZERO_SV * max(1.0, moduli.max()) else 1.0 / low
+        taus[t] = circulant_tau(N, zip(steps.tolist(), p.tolist()))
     scale = N ** (2.0 / (k + 1.0))
     return [
         EnsembleRow(L=float(L), fraction=float(np.mean(taus > float(L) * scale)))

@@ -14,16 +14,16 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
 
 import numpy as np
 
 from . import tolerances as tol
 from .chains import FiniteChain, build_chain
 from .errors import InvalidSteps, TooLarge
+from .spectral import relaxation_time
 
 __all__ = [
     "ChainSpec",
@@ -107,10 +107,7 @@ def circulant_tau(N: int, steps) -> float:
     (the walk is trapped in a proper subgroup).
     """
     moduli = np.abs(1.0 - circulant_eigenvalues(N, steps)[1:])
-    low = float(moduli.min())
-    if low <= tol.ZERO_SV * max(1.0, float(moduli.max())):
-        return math.inf
-    return 1.0 / low
+    return relaxation_time(float(moduli.min()), float(moduli.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +203,14 @@ def torus_gap_closed_form(
     the scan covers only half the frequency grid (conjugate frequencies
     share |1 - lambda|).
     """
+    gap, freq, _ = _torus_scan(N, d, probs, chunk)
+    return gap, freq
+
+
+def _torus_scan(
+    N: int, d: int, probs: TorusProbs, chunk: int = 1 << 22
+) -> tuple[float, tuple[int, ...], float]:
+    """torus_gap_closed_form plus sigma_max, the largest |1 - lambda_m|."""
     if N < 2 or d < 1:
         raise ValueError("need N >= 2 and d >= 1")
     if probs.d != d:
@@ -216,12 +221,6 @@ def torus_gap_closed_form(
         probs.plus[j] * unit + probs.minus[j] * np.conj(unit) for j in range(d)
     ]
 
-    if d == 1:
-        vals = np.abs(1.0 - (probs.hold + axis_terms[0]))
-        vals[0] = np.inf
-        best = int(np.argmin(vals))
-        return float(vals[best]), (best,)
-
     if d == 2:
         first_range = np.arange(N // 2 + 1)
     else:
@@ -229,6 +228,7 @@ def torus_gap_closed_form(
 
     best_val = np.inf
     best_freq: tuple[int, ...] = ()
+    sigma_max = 0.0
     tail_shape = (N,) * (d - 1)
     tail_size = N ** (d - 1)
     rows_per_block = max(1, chunk // tail_size)
@@ -243,6 +243,7 @@ def torus_gap_closed_form(
         rows = first_range[start : start + rows_per_block]
         lam = (probs.hold + axis_terms[0][rows])[:, None] + tail_flat[None, :]
         vals = np.abs(1.0 - lam)
+        sigma_max = max(sigma_max, float(vals.max()))
         if rows[0] == 0:
             vals[0, 0] = np.inf
         flat = int(np.argmin(vals))
@@ -253,7 +254,7 @@ def torus_gap_closed_form(
             best_freq = (int(rows[r]),) + tuple(
                 int(x) for x in np.unravel_index(c, tail_shape)
             )
-    return best_val, best_freq
+    return best_val, best_freq, sigma_max
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +458,21 @@ class ChainSpec:
             return cdg_chain(self.N)
         return card_chain(self.N)
 
-    def closed_form_gap(self) -> float | None:
-        """Exact gap without a dense matrix, where the family admits one."""
+    def closed_form(self) -> tuple[float, float] | None:
+        """(gap, tau) without a dense matrix, where the family admits one."""
         if self.family == "circulant":
-            t = circulant_tau(self.N, self.steps)
-            return 0.0 if math.isinf(t) else 1.0 / t
-        if self.family == "torus":
-            return torus_gap_closed_form(self.N, self.d, self.probs)[0]
-        return None
+            moduli = np.abs(1.0 - circulant_eigenvalues(self.N, self.steps)[1:])
+            sigma_max = float(moduli.max())
+            # 1/tau rather than the minimum modulus: the two can differ in
+            # the last bit, and reports have always carried 1/tau.
+            gap = 1.0 / relaxation_time(float(moduli.min()), sigma_max)
+        elif self.family == "torus":
+            gap, _, sigma_max = _torus_scan(self.N, self.d, self.probs)
+        else:
+            return None
+        return gap, relaxation_time(gap, sigma_max)
+
+    def closed_form_gap(self) -> float | None:
+        """The gap of closed_form(), or None."""
+        closed = self.closed_form()
+        return None if closed is None else closed[0]

@@ -24,6 +24,8 @@ __all__ = [
     "SingularSpectrum",
     "PseudoGapBound",
     "weighted_singular_spectrum",
+    "gap_spectrum",
+    "relaxation_time",
     "spectral_gap",
     "self_adjoint_gap",
     "normal_gap",
@@ -36,7 +38,7 @@ class SingularSpectrum:
     """Singular values of the weighted generator, sorted ascending.
 
     ``relaxation`` is ``inf`` when the gap falls below the zero threshold
-    (the kernel of L is numerically degenerate). ``eigenvalues`` is only
+    of ``relaxation_time``. ``eigenvalues`` is only
     populated on the normal-chain route, sorted by |1 - lambda|.
     ``mu_min`` records the conditioning of the diagonal similarity.
     """
@@ -88,8 +90,17 @@ def _conjugated(matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return d[:, None] * matrix / d[None, :]
 
 
-def _zero_threshold(values: np.ndarray) -> float:
-    return tol.ZERO_SV * max(1.0, float(values.max(initial=0.0)))
+def relaxation_time(gap: float, sigma_max: float) -> float:
+    """tau = 1/gap, or inf when gap <= ZERO_SV * max(1, sigma_max).
+
+    The one rule for "is this gap zero?": every route (dense, normal
+    eigen, closed form, ensemble) turns its gap into tau here. The floor
+    is a resolution limit, so an irreducible chain whose gap sits below
+    it also gets inf.
+    """
+    if gap <= tol.ZERO_SV * max(1.0, sigma_max):
+        return np.inf
+    return 1.0 / gap
 
 
 def _spectrum_from_values(
@@ -97,12 +108,11 @@ def _spectrum_from_values(
 ) -> SingularSpectrum:
     values = np.sort(values)
     gap = float(values[1])
-    relaxation = np.inf if gap <= _zero_threshold(values) else 1.0 / gap
     values.setflags(write=False)
     return SingularSpectrum(
         values=values,
         gap=gap,
-        relaxation=relaxation,
+        relaxation=relaxation_time(gap, float(values[-1])),
         method=method,
         mu_min=mu_min,
         eigenvalues=eigenvalues,
@@ -148,22 +158,19 @@ def normal_gap(chain: FiniteChain) -> SingularSpectrum:
     )
 
 
-def spectral_gap(chain: FiniteChain, *, cross_check: bool = False) -> tuple[float, float]:
-    """(gamma, tau) for the chain; tau is inf on a degenerate kernel.
+def gap_spectrum(chain: FiniteChain) -> SingularSpectrum:
+    """Singular spectrum by the route the chain admits.
 
-    Dispatches to the eigenvalue route when the chain is normal; with
-    ``cross_check`` the SVD route is computed as well and the two must
-    agree to 1e-9 relative.
+    Normal chains take the eigenvalue route, all others the weighted
+    SVD; this is the only place that chooses between them.
     """
-    spec = normal_gap(chain) if chain.normal else weighted_singular_spectrum(chain)
-    if cross_check and chain.normal:
-        other = weighted_singular_spectrum(chain)
-        scale = max(abs(spec.gap), abs(other.gap), 1e-300)
-        if abs(spec.gap - other.gap) / scale > 1e-9:
-            raise AssertionError(
-                f"normal-eigen gap {spec.gap!r} disagrees with SVD {other.gap!r}"
-            )
-    return spec.gap, spec.relaxation
+    return normal_gap(chain) if chain.normal else weighted_singular_spectrum(chain)
+
+
+def spectral_gap(chain: FiniteChain) -> tuple[float, float]:
+    """(gamma, tau) for the chain; tau is inf on a degenerate kernel."""
+    spectrum = gap_spectrum(chain)
+    return spectrum.gap, spectrum.relaxation
 
 
 def self_adjoint_gap(chain: FiniteChain) -> float:

@@ -16,7 +16,8 @@ DETAILED_BALANCE = 1e-12
 # Commutator test for normality, relative to 1 + max|P|.
 NORMALITY = 1e-10
 
-# A singular value sigma counts as zero when sigma <= ZERO_SV * max(1, sigma_max).
+# A singular value sigma counts as zero when sigma <= ZERO_SV * max(1, sigma_max);
+# spectral.relaxation_time is the only place that applies it.
 ZERO_SV = 1e-8
 
 # Slack granted to every inequality check in the audits.

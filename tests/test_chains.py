@@ -103,13 +103,6 @@ def test_lazy_examples(flip):
         cg.lazy(flip, 1.0)
 
 
-def test_matrix_power(flip, uniform5):
-    assert np.allclose(cg.matrix_power(flip, 0), np.eye(2))
-    assert np.allclose(cg.matrix_power(flip, 2), np.eye(2))
-    for n in (1, 3, 7):
-        assert np.allclose(cg.matrix_power(uniform5, n), uniform5.transition)
-
-
 def test_structure_flags_examples():
     shift5 = cg.circulant_chain(5, [(1, 1.0)])
     flags = cg.structure_flags(shift5)

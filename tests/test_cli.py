@@ -29,6 +29,18 @@ def test_gap_command(walk_spec, capsys):
     assert payload["closed_form_gap"] == pytest.approx(payload["gap"], rel=1e-9)
 
 
+def test_gap_command_without_closed_form(tmp_path, capsys):
+    spec = tmp_path / "cdg.json"
+    spec.write_text(json.dumps({"family": "cdg", "N": 7}))
+    out = tmp_path / "gap.json"
+    assert main(["gap", "--spec", str(spec), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
+    assert payload["method"] == "weighted_svd"
+    assert "closed_form_gap" not in payload
+    assert out.read_text() == printed
+
+
 def test_delta_command(flip_spec, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(

@@ -61,6 +61,16 @@ def test_scan_closed_form_agrees_with_dense_svd():
             assert row.gamma == pytest.approx(dense, rel=1e-9)
 
 
+def test_zero_rule_is_the_same_on_every_route():
+    # gap ~1.06e-8 sits between ZERO_SV and ZERO_SV * sigma_max (~2e-8)
+    probs = cg.up_right_probs(1.0 - 7.5e-9)
+    template = cg.ChainSpec(family="torus", N=4, d=2, probs=probs)
+    (row,) = cg.scan(template, [4])
+    gamma, tau = cg.spectral_gap(cg.torus_chain(4, 2, probs))
+    assert row.gamma == pytest.approx(gamma, rel=1e-6)
+    assert row.tau == tau == math.inf
+
+
 def test_scan_dense_families_use_svd():
     rows = cg.scan(cg.ChainSpec.from_json({"family": "cdg", "N": 5}), [5, 11])
     assert all(r.method == "weighted_svd" for r in rows)
