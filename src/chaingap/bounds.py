@@ -89,37 +89,39 @@ def _require_irreducible(chain: FiniteChain) -> None:
 
 
 def _subset_values(chain: FiniteChain, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu(A), Q(A,A^c)/mu(A)) for an array of bitmask subsets."""
-    n = chain.size
-    member = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(float)
+    """(masks, Q(A,A^c)/mu(A)) for the bitmask subsets with 0 < mu(A) <= 1/2.
+
+    Only those subsets can attain the minimum, and A or its complement
+    always qualifies, so about half the masks pay for Q(A, A).
+    """
+    octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+    member = np.unpackbits(octets, axis=1, count=chain.size, bitorder="little").astype(float)
     mu_a = member @ chain.stationary
+    ok = (mu_a > 0) & (mu_a <= 0.5 + tol.ROW_SUM)
+    member, mu_a = member[ok], mu_a[ok]
     q_inside = ((member @ chain.edge_measure()) * member).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = 1.0 - q_inside / mu_a  # Q(A, A^c) = mu(A) - Q(A, A)
-    return mu_a, ratio
+    return masks[ok], 1.0 - q_inside / mu_a  # Q(A, A^c) = mu(A) - Q(A, A)
 
 
-def cheeger_exact(chain: FiniteChain, limit: int = tol.CHEEGER_ENUM_LIMIT) -> CheegerResult:
+def cheeger_exact(chain: FiniteChain) -> CheegerResult:
     """Exact bottleneck ratio by enumeration of all 2^size subsets.
 
     Ties are broken by the lexicographically smallest sorted state tuple.
-    Refuses chains beyond ``limit`` states (the default keeps enumeration
-    around a million subsets).
+    Refuses chains beyond tol.CHEEGER_ENUM_LIMIT states (about a million
+    subsets).
     """
     _require_irreducible(chain)
-    n = chain.size
+    n, limit = chain.size, tol.CHEEGER_ENUM_LIMIT
     if n > limit:
         raise TooLargeForEnumeration(f"{n} states exceeds enumeration limit {limit}")
     best_val = np.inf
     best_sets: list[tuple[int, ...]] = []
     chunk = 1 << 16
     for start in range(1, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
-        mu_a, ratio = _subset_values(chain, masks)
-        ok = (mu_a > 0) & (mu_a <= 0.5 + tol.ROW_SUM)
-        if not ok.any():
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        masks, ratio = _subset_values(chain, masks)
+        if not len(ratio):
             continue
-        ratio = np.where(ok, ratio, np.inf)
         lo = float(ratio.min())
         tie = 1e-15 * max(1.0, abs(best_val if best_val < lo else lo))
         if lo < best_val - tie:
@@ -364,7 +366,6 @@ def inequality_audit(
     chain: FiniteChain,
     eps: float = 1.0 / 6.0,
     k_max: int = 10,
-    cheeger_limit: int = tol.CHEEGER_ENUM_LIMIT,
     group_walk: bool = False,
 ) -> BoundAudit:
     """Evaluate every applicable two-sided bound on gamma for one chain.
@@ -430,8 +431,8 @@ def inequality_audit(
         bound = 1.0 + 12.0 * tau * tau * math.log(1.0 / (2.0 * eps * mu_min))
         checks.append(make_check("mixing_vs_relaxation", tmix, bound, "<="))
 
-    if chain.size <= cheeger_limit:
-        xi = cheeger_exact(chain, limit=cheeger_limit).xi
+    if chain.size <= tol.CHEEGER_ENUM_LIMIT:
+        xi = cheeger_exact(chain).xi
         checks.append(make_check("cheeger_lower", xi * xi / 16.0, gamma, "<="))
         checks.append(make_check("cheeger_upper", gamma, 32.0 * xi, "<="))
     else:

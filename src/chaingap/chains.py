@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -75,7 +74,8 @@ class FiniteChain:
         irreducible: positive-entry digraph is strongly connected.
         reversible: detailed balance w.r.t. mu holds entrywise.
         normal: P commutes with its mu-adjoint.
-        unique_stationary: kernel of (P^T - I) is one-dimensional.
+        unique_stationary: exactly one communicating class is closed, so
+            the kernel of (P^T - I) is one-dimensional.
     """
 
     transition: np.ndarray
@@ -124,10 +124,13 @@ def _check_stochastic(matrix: np.ndarray) -> None:
         raise NotStochastic(f"row sums deviate from 1 by {worst:.3e}")
 
 
+def _classes(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Communicating classes: strong components of the positive-entry digraph."""
+    return connected_components(csr_matrix(matrix > 0), directed=True, connection="strong")
+
+
 def _is_strongly_connected(matrix: np.ndarray) -> bool:
-    graph = csr_matrix(matrix > 0)
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return n_comp == 1
+    return _classes(matrix)[0] == 1
 
 
 def period(chain: FiniteChain) -> int:
@@ -154,55 +157,63 @@ def period(chain: FiniteChain) -> int:
     return abs(g) if g != 0 else 1
 
 
-def _closed_class_stationary(matrix: np.ndarray) -> np.ndarray:
-    """A stationary distribution of a reducible chain: uniform mixture of the
-    stationary laws of its closed communicating classes."""
-    graph = csr_matrix(matrix > 0)
-    n_comp, member = connected_components(graph, directed=True, connection="strong")
-    closed = []
-    for c in range(n_comp):
-        idx = np.nonzero(member == c)[0]
-        if np.all(matrix[np.ix_(idx, np.setdiff1d(np.arange(len(matrix)), idx))] == 0):
-            closed.append(idx)
-    if not closed:
-        raise ChainError("no closed communicating class found")
-    mu = np.zeros(len(matrix))
-    for idx in closed:
-        sub = matrix[np.ix_(idx, idx)]
-        mu[idx] = _solve_stationary(sub)[0] / len(closed)
-    return mu
+# States eliminated per block in _gth, and the back-substitution's rescaling point.
+_GTH_BLOCK = 64
+_GTH_RESCALE = 2.0**256
 
 
-def _solve_stationary(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Stationary vector via dense null-space solve of (P^T - I).
+def _gth(matrix: np.ndarray) -> np.ndarray:
+    """Stationary law of an irreducible stochastic matrix by GTH elimination.
 
-    Returns (mu, unique). Falls back to averaged power iteration if the
-    SVD-based solve degenerates, and to the closed-class construction when
-    the kernel has dimension > 1.
+    Grassmann, Taksar & Heyman (Oper. Res. 33, 1985): censor the chain
+    to states 0..k-1 one state at a time, taking each pivot as the row
+    sum of the entries below the diagonal instead of 1 - P(k, k). No
+    subtraction ever occurs, so every entry of mu comes out to high
+    relative accuracy however small it is (O'Cinneide, Numer. Math. 65,
+    1993). States are eliminated in blocks of _GTH_BLOCK: each
+    elimination updates at once only the rows and columns of its own
+    block, and the states left below the block take the block's combined
+    update afterwards as one product of two nonnegative panels.
     """
-    n = matrix.shape[0]
-    kernel = null_space(matrix.T - np.eye(n))
-    dim = kernel.shape[1]
-    if dim == 1:
-        v = kernel[:, 0]
-        if v.sum() < 0:
-            v = -v
-        v = np.clip(v, 0.0, None)
-        s = v.sum()
-        if s <= 0:
-            raise ChainError("degenerate stationary solve")
-        return v / s, True
-    if dim > 1:
-        return _closed_class_stationary(matrix), False
-    # dim == 0 should not happen (1 is always an eigenvalue); power-iterate.
-    mu = np.full(n, 1.0 / n)
-    acc = mu.copy()
-    for k in range(2, 100_000):
-        mu = mu @ matrix
-        acc += (mu - acc) / k
-        if np.abs(acc @ matrix - acc).max() < tol.ROW_SUM:
-            return acc / acc.sum(), True
-    raise ChainError("stationary distribution did not converge")
+    A = np.array(matrix, dtype=float)
+    n = len(A)
+    for end in range(n, 1, -_GTH_BLOCK):
+        begin = max(end - _GTH_BLOCK, 0)
+        for k in range(end - 1, max(begin, 1) - 1, -1):
+            row = A[k, :k]
+            col = A[:k, k] / row.sum()
+            A[:k, k] = col
+            A[begin:k, :k] += np.outer(col[begin:], row)
+            A[:begin, begin:k] += np.outer(col[:begin], row[begin:])
+        A[:begin, :begin] += A[:begin, begin:end] @ A[begin:end, :begin]
+    # Back-substitution; rescale by powers of two (exact) before the
+    # running values can overflow, so a mu spanning more than the double
+    # range underflows at its small end instead of turning into NaN.
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+        if pi[k] > _GTH_RESCALE:
+            pi[: k + 1] = np.ldexp(pi[: k + 1], -np.frexp(pi[k])[1])
+    return pi / pi.sum()
+
+
+def _solve_stationary(matrix: np.ndarray) -> tuple[np.ndarray, bool, bool]:
+    """(mu, irreducible, unique) from the communicating classes of P.
+
+    A class is closed when no positive entry leaves it. The chain is
+    irreducible when it is one class, and mu is unique when exactly one
+    class is closed; mu is the uniform mixture of the GTH laws of the
+    closed classes, and zero on transient states.
+    """
+    n_comp, member = _classes(matrix)
+    leaves = ((matrix > 0) & (member[:, None] != member[None, :])).any(axis=1)
+    closed = np.setdiff1d(np.arange(n_comp), member[leaves])
+    mu = np.zeros(len(matrix))
+    for c in closed:
+        idx = np.nonzero(member == c)[0]
+        mu[idx] = _gth(matrix[np.ix_(idx, idx)]) / len(closed)
+    return mu, n_comp == 1, len(closed) == 1
 
 
 def _mu_adjoint(matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -239,9 +250,11 @@ def build_chain(
 ) -> FiniteChain:
     """Validate a transition matrix and assemble a FiniteChain.
 
-    The stationary distribution is found by a dense null-space solve of
-    (P^T - I) normalized to sum 1; irreducibility is strong connectivity
-    of the positive-entry digraph. Reducible inputs are representable
+    The communicating classes (strong components of the positive-entry
+    digraph) decide the flags: irreducible is one class, and mu is unique
+    when exactly one class is closed. mu is the GTH law of each closed
+    class, mixed uniformly when there are several, so its entries are
+    relatively accurate however small. Reducible inputs are representable
     (the flag is set false, and a valid stationary law is still attached)
     but spectral operations will refuse them.
 
@@ -250,6 +263,8 @@ def build_chain(
 
     Raises:
         NotStochastic: negative entries or row sums off 1 beyond tolerance.
+        ChainError: the stationarity residual exceeds tolerance, or an
+            irreducible chain's mu underflows to zero somewhere.
     """
     P = np.array(matrix, dtype=float)
     _check_stochastic(P)
@@ -261,16 +276,17 @@ def build_chain(
 
     assume = dict(assume or {})
     irreducible = assume.get("irreducible")
-    if irreducible is None:
-        irreducible = _is_strongly_connected(P)
-
-    if stationary is not None:
-        mu = Distribution(stationary).weights.copy()
-        unique = bool(irreducible)
+    if stationary is None:
+        mu, connected, unique = _solve_stationary(P)
+        if irreducible is None:
+            irreducible = connected
     else:
-        mu, unique = _solve_stationary(P)
+        mu = Distribution(stationary).weights.copy()
+        if irreducible is None:
+            irreducible = _is_strongly_connected(P)
+        unique = bool(irreducible)
     resid = float(np.abs(mu @ P - mu).max())
-    if resid > tol.STATIONARY:
+    if not resid <= tol.STATIONARY:  # also refuses a NaN residual
         raise ChainError(f"stationarity residual {resid:.3e} exceeds tolerance")
     if irreducible and mu.min() <= 0:
         raise ChainError("irreducible chain produced a zero stationary mass")

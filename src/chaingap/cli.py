@@ -2,9 +2,12 @@
 
 Subcommands: gap, delta, cheeger, path-bound, audit, scan, ensemble.
 Chains come in as JSON chain-spec files (see families.ChainSpec);
-results go to stdout and optionally to --out as CSV or JSON. The audit
-exits nonzero if any applicable check fails. Every randomized command
-takes --seed and is bit-reproducible.
+results go to stdout and optionally to --out as CSV or JSON. Every
+randomized command takes --seed and is bit-reproducible.
+
+Exit codes: 0 on success; 1 when an audit check fails; 2 when the input
+is refused (a bad spec, file or option, or a chain the computation does
+not apply to), with one line "chaingap: <Type>: <message>" on stderr.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .bounds import cheeger_exact, cheeger_search, inequality_audit, path_bound
+from .chains import FiniteChain
 from .empirical import DeltaCurve, DeltaPoint, delta_curve, delta_monte_carlo, delta_bounds_audit
+from .errors import ChainError
 from .experiments import emit_report, random_steps_ensemble, render_report, scan
 from .families import ChainSpec
 from .spectral import gap_spectrum
@@ -24,6 +30,13 @@ from . import tolerances as tol
 def _load_spec(path: str) -> ChainSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return ChainSpec.from_json(json.load(fh))
+
+
+def _chain(args) -> tuple[ChainSpec, FiniteChain]:
+    """The --spec file's spec and its built chain, after the --extended gate."""
+    spec = _load_spec(args.spec)
+    _check_extended(spec, args)
+    return spec, spec.build()
 
 
 def _print_json(payload: dict) -> None:
@@ -44,9 +57,7 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def cmd_gap(args) -> int:
-    spec = _load_spec(args.spec)
-    _check_extended(spec, args)
-    chain = spec.build()
+    spec, chain = _chain(args)
     payload = gap_spectrum(chain).to_json()
     closed = spec.closed_form_gap()
     if closed is not None:
@@ -58,13 +69,11 @@ def cmd_gap(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    spec = _load_spec(args.spec)
-    _check_extended(spec, args)
-    chain = spec.build()
+    _, chain = _chain(args)
     curve = delta_curve(chain, range(1, args.n_max + 1))
     if args.trials:
         if args.seed is None:
-            raise SystemExit("--trials draws trajectories; give an explicit --seed")
+            _usage("--trials draws trajectories; give an explicit --seed")
         entries = []
         for e in curve.entries:
             est, se = delta_monte_carlo(chain, e.maximizer, e.n, args.trials, args.seed)
@@ -78,14 +87,12 @@ def cmd_delta(args) -> int:
 
 
 def cmd_cheeger(args) -> int:
-    spec = _load_spec(args.spec)
-    _check_extended(spec, args)
-    chain = spec.build()
+    _, chain = _chain(args)
     if chain.size <= tol.CHEEGER_ENUM_LIMIT:
         result = cheeger_exact(chain)
     else:
         if args.seed is None:
-            raise SystemExit("search beyond 20 states is randomized; give --seed")
+            _usage("search beyond 20 states is randomized; give --seed")
         result = cheeger_search(chain, iters=args.trials or 50, seed=args.seed)
     _print_json(
         {"xi": result.xi, "argmin_set": list(result.argmin_set), "exact": result.exact}
@@ -94,18 +101,14 @@ def cmd_cheeger(args) -> int:
 
 
 def cmd_path_bound(args) -> int:
-    spec = _load_spec(args.spec)
-    _check_extended(spec, args)
-    chain = spec.build()
+    _, chain = _chain(args)
     congestion, gap_lower, _ = path_bound(chain)
     _print_json({"congestion": congestion, "gap_lower": gap_lower})
     return 0
 
 
 def cmd_audit(args) -> int:
-    spec = _load_spec(args.spec)
-    _check_extended(spec, args)
-    chain = spec.build()
+    spec, chain = _chain(args)
     audit = inequality_audit(
         chain,
         eps=args.eps,
@@ -132,7 +135,7 @@ def cmd_scan(args) -> int:
 
 def cmd_ensemble(args) -> int:
     if args.seed is None:
-        raise SystemExit("ensemble sampling is randomized; give --seed")
+        _usage("ensemble sampling is randomized; give --seed")
     k = args.k
     p = _parse_floats(args.p) if args.p else [1.0 / k] * k
     rows = random_steps_ensemble(
@@ -155,7 +158,13 @@ def _check_extended(spec: ChainSpec, args) -> None:
         and spec.N >= 7
         and not getattr(args, "extended", False)
     ):
-        raise SystemExit("cardshuffle with N >= 7 needs --extended (5040-state SVD)")
+        _usage("cardshuffle with N >= 7 needs --extended (5040-state SVD)")
+
+
+def _usage(message: str) -> NoReturn:
+    """Refuse an option combination the way argparse does: exit status 2."""
+    print(f"chaingap: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ChainError, ValueError, OSError) as exc:
+        print(f"chaingap: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ class NotIrreducible(ChainError):
 
 
 class MultipleInvariantMeasures(ChainError):
-    """The kernel of (P^T - I) has dimension > 1; spectral quantities are ill-posed."""
+    """More than one closed class, so (P^T - I) has a kernel of dimension > 1;
+    spectral quantities are ill-posed."""
 
 
 class NotReversible(ChainError):

@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+def _dense_zeros(states: int) -> np.ndarray:
+    """The states x states zero matrix, refused before allocation past the cap."""
+    if states > tol.DENSE_LIMIT:
+        raise TooLarge(f"{states} states exceeds dense limit {tol.DENSE_LIMIT}")
+    return np.zeros((states, states))
+
+
 # ---------------------------------------------------------------------------
 # Circulant walks on Z/NZ
 
@@ -74,7 +81,7 @@ def circulant_chain(N: int, steps) -> FiniteChain:
     exactly when gcd of the steps with N is 1.
     """
     steps = _normalize_steps(N, steps)
-    P = np.zeros((N, N))
+    P = _dense_zeros(N)
     x = np.arange(N)
     for a, p in steps:
         P[x, (x + a) % N] = p
@@ -151,21 +158,17 @@ def up_right_probs(alpha: float) -> TorusProbs:
     return TorusProbs(hold=0.0, plus=(float(alpha), 1.0 - float(alpha)), minus=(0.0, 0.0))
 
 
-def torus_chain(
-    N: int, d: int, probs: TorusProbs, dense_limit: int = tol.TORUS_DENSE_LIMIT
-) -> FiniteChain:
+def torus_chain(N: int, d: int, probs: TorusProbs) -> FiniteChain:
     """Explicit N^d-state walk taking +-e_i steps; row-major state order."""
     if N < 2 or d < 1:
         raise ValueError("need N >= 2 and d >= 1")
     if probs.d != d:
         raise ValueError(f"probs describe {probs.d} axes, chain has {d}")
     states = N**d
-    if states > dense_limit:
-        raise TooLarge(f"{states} states exceeds dense limit {dense_limit}")
+    P = _dense_zeros(states)
     if not probs.movable():
         warnings.warn("some axis has p(+i) + p(-i) = 0; the chain is not irreducible")
 
-    P = np.zeros((states, states))
     idx = np.arange(states)
     coords = np.stack(np.unravel_index(idx, (N,) * d))
     if probs.hold > 0:
@@ -192,7 +195,7 @@ def torus_chain(
 
 
 def torus_gap_closed_form(
-    N: int, d: int, probs: TorusProbs, chunk: int = 1 << 22
+    N: int, d: int, probs: TorusProbs
 ) -> tuple[float, tuple[int, ...]]:
     """Exact gap of the torus walk from its character sums; O(d N^d) work.
 
@@ -203,14 +206,15 @@ def torus_gap_closed_form(
     the scan covers only half the frequency grid (conjugate frequencies
     share |1 - lambda|).
     """
-    gap, freq, _ = _torus_scan(N, d, probs, chunk)
+    gap, freq, _ = _torus_scan(N, d, probs)
     return gap, freq
 
 
-def _torus_scan(
-    N: int, d: int, probs: TorusProbs, chunk: int = 1 << 22
-) -> tuple[float, tuple[int, ...], float]:
-    """torus_gap_closed_form plus sigma_max, the largest |1 - lambda_m|."""
+def _torus_scan(N: int, d: int, probs: TorusProbs) -> tuple[float, tuple[int, ...], float]:
+    """torus_gap_closed_form plus sigma_max, the largest |1 - lambda_m|.
+
+    Frequencies are evaluated in blocks of about 2^22 at a time.
+    """
     if N < 2 or d < 1:
         raise ValueError("need N >= 2 and d >= 1")
     if probs.d != d:
@@ -231,7 +235,7 @@ def _torus_scan(
     sigma_max = 0.0
     tail_shape = (N,) * (d - 1)
     tail_size = N ** (d - 1)
-    rows_per_block = max(1, chunk // tail_size)
+    rows_per_block = max(1, (1 << 22) // tail_size)
     tail = np.zeros(tail_shape, dtype=complex)
     for j in range(1, d):
         shape = [1] * (d - 1)
@@ -270,7 +274,7 @@ def cdg_chain(N: int) -> FiniteChain:
     """
     if N < 3 or N % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {N}")
-    P = np.zeros((N, N))
+    P = _dense_zeros(N)
     x = np.arange(N)
     for e in (-1, 0, 1):
         P[x, (2 * x + e) % N] += 1.0 / 3.0

@@ -79,7 +79,7 @@ def _require_spectral(chain: FiniteChain) -> None:
         raise ValueError("spectral gap needs at least two states")
     if not chain.unique_stationary:
         raise MultipleInvariantMeasures(
-            "kernel of (P^T - I) has dimension > 1; gap is ill-posed"
+            "more than one closed communicating class; gap is ill-posed"
         )
     if not chain.irreducible:
         raise NotIrreducible("spectral operations require an irreducible chain")

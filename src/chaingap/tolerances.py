@@ -31,5 +31,6 @@ DELTA_SQ_FLOOR = 1e-13
 # Cap on subset size for exact Cheeger enumeration (2**20 subsets).
 CHEEGER_ENUM_LIMIT = 20
 
-# Dense state-space cap for explicit torus construction.
-TORUS_DENSE_LIMIT = 6000
+# State-count cap for the family constructors that allocate a dense N x N
+# matrix (circulant, torus, doubling); card_chain caps its deck size instead.
+DENSE_LIMIT = 6000

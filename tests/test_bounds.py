@@ -59,7 +59,7 @@ def test_cheeger_matches_oracle_on_assorted_chains(battery):
 
 def test_cheeger_refuses_large_chains():
     with pytest.raises(TooLargeForEnumeration):
-        cg.cheeger_exact(cg.card_chain(4), limit=20)
+        cg.cheeger_exact(cg.card_chain(4))
 
 
 def test_cheeger_search_bounds_exact(flip):

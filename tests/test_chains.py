@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaingap as cg
-from chaingap.errors import NotIrreducible, NotStochastic
+from chaingap.chains import _gth
+from chaingap.errors import ChainError, NotIrreducible, NotStochastic
 
-from conftest import stochastic_matrices
+from conftest import birth_death_chains, birth_death_law, birth_death_matrix, stochastic_matrices
 
 
 def test_flip_chain_basics(flip):
@@ -40,6 +41,80 @@ def test_reducible_chain_with_unique_stationary():
     assert np.allclose(chain.stationary, [1.0, 0.0])
     with pytest.raises(NotIrreducible):
         cg.weighted_singular_spectrum(chain)
+
+
+def _scalar_gth(P):
+    """Reference GTH, one state at a time with no blocking."""
+    A = np.array(P, dtype=float)
+    n = len(A)
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 65, 66, 130, 200])
+def test_blocked_gth_matches_scalar_gth(n):
+    rng = np.random.default_rng(n)
+    P = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.3)
+    P[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a cycle keeps it irreducible
+    P /= P.sum(axis=1, keepdims=True)
+    got, want = _gth(P), _scalar_gth(P)
+    if n <= 65:  # one block: the same operations in the same order
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(birth_death_chains())
+def test_skewed_stationary_law_is_relatively_accurate(case):
+    n, up = case
+    chain = cg.build_chain(birth_death_matrix(n, up))
+    want = birth_death_law(n, up)
+    assert chain.irreducible and chain.unique_stationary
+    assert np.max(np.abs(chain.stationary - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_drift_nine_tenths_is_accepted(n):
+    # mu_min is 9^-(n-1): 6.6e-19 at 20 states, far below an absolute 1e-16 error
+    chain = cg.build_chain(birth_death_matrix(n, 0.9))
+    want = birth_death_law(n, 0.9)
+    assert np.max(np.abs(chain.stationary - want) / want) <= 1e-12
+    gamma, _ = cg.spectral_gap(chain)
+    assert gamma == pytest.approx(0.4, abs=0.01)
+
+
+def test_drift_nine_tenths_underflow_is_refused():
+    # 9^-399 is below the double range: a typed refusal, never a NaN mu
+    with pytest.raises(ChainError, match="zero stationary mass"):
+        cg.build_chain(birth_death_matrix(400, 0.9))
+
+
+def test_near_reducible_chain_is_irreducible():
+    # two uniform 3-blocks coupled by 1e-15: one class, so mu is unique
+    P = np.zeros((6, 6))
+    P[:3, :3] = P[3:, 3:] = 1.0 / 3.0
+    P[2, 2] -= 1e-15
+    P[2, 3] = 1e-15
+    P[5, 5] -= 1e-15
+    P[5, 0] = 1e-15
+    chain = cg.build_chain(P)
+    assert chain.irreducible and chain.unique_stationary
+    assert np.all(chain.stationary > 0)
+    assert cg.spectral_gap(chain)[1] == np.inf
+
+
+def test_two_absorbing_states_mix_uniformly():
+    chain = cg.build_chain([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
+    assert not chain.irreducible
+    assert not chain.unique_stationary
+    assert np.array_equal(chain.stationary, [0.5, 0.5, 0.0])
 
 
 def test_not_stochastic_rejected():

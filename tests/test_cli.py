@@ -117,3 +117,19 @@ def test_audit_exit_code_on_failure(monkeypatch, walk_spec):
     failing = BoundAudit((make_check("synthetic", 2.0, 1.0, "<="),))
     monkeypatch.setattr(cli, "inequality_audit", lambda *a, **k: failing)
     assert main(["audit", "--spec", walk_spec]) == 1
+
+
+def test_refused_chain_exits_two_with_one_line(tmp_path, capsys):
+    spec = tmp_path / "identity.json"
+    spec.write_text(json.dumps({"family": "explicit", "matrix": [[1, 0], [0, 1]]}))
+    assert main(["gap", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: MultipleInvariantMeasures: ")
+
+
+def test_scan_refuses_explicit_spec(flip_spec, capsys):
+    assert main(["scan", "--spec", flip_spec, "--n-list", "2,3"]) == 2
+    assert capsys.readouterr().err.startswith("chaingap: ValueError: ")

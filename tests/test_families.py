@@ -103,6 +103,13 @@ def test_torus_too_large():
         cg.torus_chain(100, 2, cg.up_right_probs(0.5))
 
 
+def test_dense_constructors_share_one_cap():
+    with pytest.raises(TooLarge):
+        cg.circulant_chain(6001, [(1, 0.5), (-1, 0.5)])
+    with pytest.raises(TooLarge):
+        cg.cdg_chain(6001)
+
+
 def test_torus_closed_form_examples():
     gamma, freq = cg.torus_gap_closed_form(2, 2, cg.up_right_probs(0.5))
     assert gamma == pytest.approx(1.0, abs=1e-12)
