@@ -222,8 +222,14 @@ def _mu_adjoint(matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _is_reversible(matrix: np.ndarray, mu: np.ndarray) -> bool:
+    # Relative to each edge, so a one-way cycle among low-mass states is not
+    # hidden by its small measure; below the smallest normal double mu has
+    # no relative accuracy left, so the scale stops shrinking there.
     q = mu[:, None] * matrix
-    return float(np.abs(q - q.T).max()) <= tol.DETAILED_BALANCE
+    diff = np.abs(q - q.T)
+    if diff.max() > tol.DETAILED_BALANCE:  # Q <= 1: already fails relative to Q
+        return False
+    return bool(np.all(diff <= tol.DETAILED_BALANCE * np.maximum(q, np.finfo(float).tiny)))
 
 
 def _is_normal(matrix: np.ndarray, mu: np.ndarray) -> bool:
@@ -296,7 +302,9 @@ def build_chain(
         reversible = _is_reversible(P, mu)
     normal = assume.get("normal")
     if normal is None:
-        normal = irreducible and _is_normal(P, mu)
+        # detailed balance makes P self-adjoint in the mu inner product, so
+        # the commutator test, which a subnormal mu can defeat, is not needed
+        normal = irreducible and (reversible or _is_normal(P, mu))
 
     return FiniteChain(
         transition=_freeze(P),
@@ -372,9 +380,11 @@ def structure_flags(chain: FiniteChain) -> StructureFlags:
     """Recompute flags from scratch, plus the minimum holding probability."""
     P = chain.transition
     mu = chain.stationary
+    irreducible = _is_strongly_connected(P)
+    reversible = _is_reversible(P, mu)
     return StructureFlags(
-        irreducible=_is_strongly_connected(P),
-        reversible=_is_reversible(P, mu),
-        normal=bool(np.all(mu > 0)) and _is_normal(P, mu),
+        irreducible=irreducible,
+        reversible=reversible,
+        normal=irreducible and (reversible or _is_normal(P, mu)),
         laziness=float(P.diagonal().min()),
     )

@@ -40,6 +40,11 @@ __all__ = [
 # tables above this state count (reps * n draws dominate MC runtime).
 ALIAS_THRESHOLD = 64
 
+# Monte Carlo replicates advance in blocks sized so that no draw buffer,
+# and on the inverse-CDF route no gathered block of CDF rows, holds more
+# than this many entries (512 KiB of float64).
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class DeltaPoint:
@@ -152,13 +157,6 @@ def delta_curve(chain: FiniteChain, n_list) -> DeltaCurve:
     return DeltaCurve(entries=tuple(pts))
 
 
-def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    # Counter-based Philox keyed per (seed, replicate): reproducible and
-    # embarrassingly parallel across replicates.
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(rep)])
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _build_alias(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker alias table for one probability row."""
     n = len(prob)
@@ -188,6 +186,11 @@ def delta_monte_carlo(
     the estimate is sqrt(mean((mu_n g)^2)) with a delta-method standard
     error. Deterministic given the seed: replicate r uses its own Philox
     stream keyed (seed, r), so results do not depend on scheduling.
+    Replicates advance in lockstep, one numpy step for a whole block of
+    them, in blocks small enough that no buffer holds more than 2^16
+    entries (a single replicate's n - 1 draws excepted). Each replicate
+    draws and sums in the same order as a one-at-a-time walk, so neither
+    the lockstep nor the block size moves a bit of the result.
 
     Raises:
         BadTestFunction: g is not mean-zero with unit mu-norm (to 1e-10).
@@ -203,40 +206,67 @@ def delta_monte_carlo(
         raise ValueError("n and reps must be >= 1")
 
     size = chain.size
+    steps = n - 1
     P = chain.transition
     mu_cdf = np.cumsum(mu)
     use_alias = size > ALIAS_THRESHOLD
     if use_alias:
-        tables = [_build_alias(P[x]) for x in range(size)]
+        accept, alias = (np.array(t) for t in zip(*(_build_alias(row) for row in P)))
+        width = steps
     else:
         row_cdf = np.cumsum(P, axis=1)
+        width = max(steps, size)  # the (block, size) gather of row_cdf[x]
+    block = max(1, _BLOCK_ENTRIES // max(width, 1))
+
+    # One Philox re-keyed per replicate: the stream a fresh
+    # Philox(key=(seed, rep)) would give, without building a generator each time.
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
 
     squares = np.empty(reps)
-    for rep in range(reps):
-        rng = _replicate_rng(seed, rep)
-        x = min(int(np.searchsorted(mu_cdf, rng.random(), side="right")), size - 1)
-        acc = g[x]
+    for first in range(0, reps, block):
+        count = min(block, reps - first)
+        u0 = np.empty(count)
+        coin = np.empty((count, steps))
         if use_alias:
-            bucket = rng.integers(0, size, size=n - 1)
-            coin = rng.random(n - 1)
-            for i in range(n - 1):
-                accept, alias = tables[x]
-                b = int(bucket[i])
-                x = b if coin[i] < accept[b] else int(alias[b])
-                acc += g[x]
-        else:
-            u = rng.random(n - 1)
-            for i in range(n - 1):
-                x = min(int(np.searchsorted(row_cdf[x], u[i], side="right")), size - 1)
-                acc += g[x]
-        squares[rep] = (acc / n) ** 2
+            bucket = np.empty((count, steps), dtype=np.int64)
+        for r in range(count):
+            key[1] = first + r
+            bitgen.state = fresh
+            u0[r] = rng.random()
+            if use_alias:
+                bucket[r] = rng.integers(0, size, size=steps)
+            rng.random(out=coin[r])
+
+        x = np.minimum(np.searchsorted(mu_cdf, u0, side="right"), size - 1)
+        acc = g[x]
+        for i in range(steps):
+            if use_alias:
+                b = bucket[:, i]
+                x = np.where(coin[:, i] < accept[x, b], b, alias[x, b])
+            else:
+                # rows of row_cdf are nondecreasing: the count is searchsorted(side="right")
+                x = np.minimum((row_cdf[x] <= coin[:, i, None]).sum(axis=1), size - 1)
+            acc = acc + g[x]
+        # float_power calls libm pow like a scalar ``** 2``; an array ``** 2``
+        # squares instead, which differs in the last bit about once in a thousand.
+        squares[first : first + count] = np.float_power(acc / n, 2.0)
 
     mean_sq = float(squares.mean())  # fixed summation order: reduction-order independent
     if mean_sq <= 0.0:
         return 0.0, 0.0
     se_mean = float(squares.std(ddof=1)) / np.sqrt(reps)
     estimate = float(np.sqrt(mean_sq))
-    return estimate, se_mean / (2.0 * estimate)
+    return estimate, float(se_mean / (2.0 * estimate))
 
 
 def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:

@@ -10,7 +10,8 @@ ROW_SUM = 1e-12
 # Stationarity residual max|mu P - mu|.
 STATIONARY = 1e-10
 
-# Detailed balance, entrywise on the edge measure Q(x, y) = mu(x) P(x, y).
+# Detailed balance on the edge measure Q(x, y) = mu(x) P(x, y), relative to
+# the smaller of Q(x, y) and Q(y, x), floored at the smallest normal double.
 DETAILED_BALANCE = 1e-12
 
 # Commutator test for normality, relative to 1 + max|P|.

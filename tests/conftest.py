@@ -52,6 +52,57 @@ def birth_death_chains(draw, min_size=2, max_size=60):
     return n, up
 
 
+def cyclic_classes_matrix(d, m, weights):
+    """Walk on Z_d x Z_m stepping (1, s), s drawn from ``weights`` on Z_m.
+
+    Every step advances the first coordinate, so the chain has period d.
+    It is a random walk on an abelian group, hence doubly stochastic and
+    normal; positive weights on s = 0 and s = 1 make it irreducible, and
+    m = 1 is the plain d-cycle.
+    """
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    states = d * m
+    P = np.zeros((states, states))
+    for a in range(d):
+        for b in range(m):
+            for s in range(m):
+                P[a * m + b, ((a + 1) % d) * m + (b + s) % m] += w[s]
+    return P
+
+
+def bipartite_walk_matrix(weights):
+    """Random walk on the complete bipartite graph with edge weights ``weights``.
+
+    ``weights`` is an a x b positive array; the walk crosses between the two
+    sides at every step (period 2) and is reversible with mu proportional
+    to the weighted degrees, so skewed weights give a skewed mu.
+    """
+    W = np.asarray(weights, dtype=float)
+    a, b = W.shape
+    A = np.zeros((a + b, a + b))
+    A[:a, a:] = W
+    A[a:, :a] = W.T
+    return A / A.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def periodic_matrices(draw):
+    """Irreducible normal chains with period >= 2: cyclic classes or bipartite."""
+    weight = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 5))
+        m = draw(st.integers(1, 6))
+        return cyclic_classes_matrix(d, m, draw(st.lists(weight, min_size=m, max_size=m)))
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 6))
+    scale = draw(st.floats(1.0, 1e4, allow_nan=False, allow_infinity=False))
+    rows = draw(st.lists(st.lists(weight, min_size=b, max_size=b), min_size=a, max_size=a))
+    W = np.array(rows)
+    W[0] *= scale  # one heavy vertex skews mu
+    return bipartite_walk_matrix(W)
+
+
 @pytest.fixture(scope="session")
 def flip():
     return cg.build_chain([[0.0, 1.0], [1.0, 0.0]])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,36 @@ def test_drift_nine_tenths_is_accepted(n):
     assert np.max(np.abs(chain.stationary - want) / want) <= 1e-12
     gamma, _ = cg.spectral_gap(chain)
     assert gamma == pytest.approx(0.4, abs=0.01)
+
+
+def test_subnormal_mu_reversible_chain_is_normal():
+    # mu_min is 1.4e-317: too coarse for the commutator test, but detailed
+    # balance alone makes the chain self-adjoint in the mu inner product
+    chain = cg.build_chain(birth_death_matrix(333, 0.9))
+    assert chain.stationary.min() < np.finfo(float).tiny
+    assert chain.reversible and chain.normal
+    assert cg.structure_flags(chain).normal
+    spectrum = cg.gap_spectrum(chain)
+    assert spectrum.method == "normal_eigen"
+    svd = cg.weighted_singular_spectrum(replace(chain, normal=False))
+    assert spectrum.gap == pytest.approx(svd.gap, rel=1e-12)
+
+
+def test_one_way_cycle_at_low_mass_is_not_reversible():
+    # a 3-cycle among the lightest states of a drift-0.9 walk: its edge
+    # measures (~1e-36) are far below any absolute detailed-balance tolerance
+    P = birth_death_matrix(40, 0.9)
+    P[0] = 0.0
+    P[0, 1] = 1.0
+    P[1] = 0.0
+    P[1, 2] = 1.0
+    P[2] = 0.0
+    P[2, 0] = P[2, 3] = 0.5
+    chain = cg.build_chain(P)
+    assert chain.stationary.min() < 1e-30
+    assert not chain.reversible and not chain.normal
+    assert not cg.structure_flags(chain).reversible
+    assert cg.gap_spectrum(chain).method == "weighted_svd"
 
 
 def test_drift_nine_tenths_underflow_is_refused():

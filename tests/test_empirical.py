@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from scipy.linalg import null_space
 
 import chaingap as cg
+from chaingap.empirical import _BLOCK_ENTRIES, ALIAS_THRESHOLD, _build_alias
 from chaingap.errors import BadTestFunction
 
-from conftest import stochastic_matrices
+from conftest import birth_death_matrix, stochastic_matrices
 
 
 def trajectory_gram(chain, n):
@@ -179,6 +180,120 @@ def test_monte_carlo_alias_route_matches_exact():
     value, g = cg.delta_exact(chain, 3)
     estimate, stderr = cg.delta_monte_carlo(chain, g, n=3, reps=3000, seed=5)
     assert abs(estimate - value) <= 4 * stderr
+
+
+def _replicate_rng(seed, rep):
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(rep)])
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def scalar_delta_monte_carlo(chain, g, n, reps, seed):
+    """Reference sampler: one replicate at a time, one Python step per draw."""
+    size = chain.size
+    P = chain.transition
+    mu_cdf = np.cumsum(chain.stationary)
+    use_alias = size > ALIAS_THRESHOLD
+    if use_alias:
+        tables = [_build_alias(P[x]) for x in range(size)]
+    else:
+        row_cdf = np.cumsum(P, axis=1)
+    squares = np.empty(reps)
+    for rep in range(reps):
+        rng = _replicate_rng(seed, rep)
+        x = min(int(np.searchsorted(mu_cdf, rng.random(), side="right")), size - 1)
+        acc = g[x]
+        if use_alias:
+            bucket = rng.integers(0, size, size=n - 1)
+            coin = rng.random(n - 1)
+            for i in range(n - 1):
+                accept, alias = tables[x]
+                b = int(bucket[i])
+                x = b if coin[i] < accept[b] else int(alias[b])
+                acc += g[x]
+        else:
+            u = rng.random(n - 1)
+            for i in range(n - 1):
+                x = min(int(np.searchsorted(row_cdf[x], u[i], side="right")), size - 1)
+                acc += g[x]
+        squares[rep] = (acc / n) ** 2
+    mean_sq = float(squares.mean())
+    if mean_sq <= 0.0:
+        return 0.0, 0.0
+    se_mean = float(squares.std(ddof=1)) / np.sqrt(reps)
+    estimate = float(np.sqrt(mean_sq))
+    return estimate, se_mean / (2.0 * estimate)
+
+
+def _skewed_chain(size):
+    # nonuniform mu, so the start draw exercises the whole mu CDF
+    P = birth_death_matrix(size, 0.6)
+    P[:, 0] += 0.1
+    return cg.build_chain(P / P.sum(axis=1, keepdims=True))
+
+
+MC_CHAINS = {
+    "circulant-32": lambda: cg.circulant_chain(32, [(1, 0.5), (5, 0.3), (-3, 0.2)]),
+    "skewed-40": lambda: _skewed_chain(40),
+    "circulant-96": lambda: cg.circulant_chain(96, [(0, 0.2), (1, 0.5), (17, 0.3)]),
+    "skewed-70": lambda: _skewed_chain(70),
+}
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(MC_CHAINS))
+def test_lockstep_sampler_matches_scalar_walk(name):
+    chain = MC_CHAINS[name]()
+    for n in (1, 2, 9):
+        _, g = cg.delta_exact(chain, n)
+        for seed in (0, 7, -5, 2**64 + 3):
+            for reps in (1, 3, 40):
+                got = cg.delta_monte_carlo(chain, g, n, reps, seed)
+                want = scalar_delta_monte_carlo(chain, g, n, reps, seed)
+                # reps = 1 leaves the standard error nan on both sides
+                assert np.array_equal(got, want, equal_nan=True), (n, seed, reps)
+                assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize(
+    "name, n, reps",
+    [("circulant-32", 3, 4500), ("circulant-96", 100, 1400)],
+)
+def test_lockstep_sampler_matches_scalar_walk_across_blocks(name, n, reps):
+    chain = MC_CHAINS[name]()
+    width = max(n - 1, chain.size if chain.size <= ALIAS_THRESHOLD else 1)
+    assert reps > 2 * (_BLOCK_ENTRIES // width)  # at least three blocks
+    _, g = cg.delta_exact(chain, n)
+    got = cg.delta_monte_carlo(chain, g, n, reps, seed=-11)
+    assert got == scalar_delta_monte_carlo(chain, g, n, reps, seed=-11)
+
+
+def test_lockstep_sampler_squares_like_a_scalar_walk():
+    # at this seed a scalar ``** 2`` (libm pow) and an array ``** 2`` (x * x)
+    # round one replicate's square differently, and the estimate shows it
+    chain = MC_CHAINS["circulant-96"]()
+    _, g = cg.delta_exact(chain, 3)
+    got = cg.delta_monte_carlo(chain, g, 3, 2, seed=515)
+    assert got == scalar_delta_monte_carlo(chain, g, 3, 2, seed=515)
+
+
+def test_reset_philox_state_equals_fresh_stream():
+    key = np.array([2**64 - 5, 12], dtype=np.uint64)
+    bitgen = np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    rng.integers(0, 128, size=3)  # leaves half a 64-bit draw buffered
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    assert rng.random() == fresh.random()
+    assert np.array_equal(rng.integers(0, 128, size=7), fresh.integers(0, 128, size=7))
+    assert np.array_equal(rng.random(7), fresh.random(7))
 
 
 def test_monte_carlo_rejects_bad_test_function(flip):

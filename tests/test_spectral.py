@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 import chaingap as cg
 from chaingap.errors import NotNormal, NotReversible
 
-from conftest import stochastic_matrices
+from conftest import (
+    bipartite_walk_matrix,
+    birth_death_chains,
+    birth_death_matrix,
+    periodic_matrices,
+    stochastic_matrices,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -103,6 +110,42 @@ def test_normal_and_svd_routes_agree(battery):
         gamma, _ = cg.spectral_gap(item.chain)
         svd_gamma = cg.weighted_singular_spectrum(item.chain).gap
         assert gamma == pytest.approx(svd_gamma, rel=1e-9)
+
+
+def _assert_routes_agree(chain):
+    """normal_eigen against weighted_svd forced on the same chain."""
+    assert chain.normal
+    eigen = cg.gap_spectrum(chain)
+    svd = cg.gap_spectrum(replace(chain, normal=False))
+    assert (eigen.method, svd.method) == ("normal_eigen", "weighted_svd")
+    assert eigen.gap == pytest.approx(svd.gap, rel=1e-9)
+    assert np.allclose(eigen.values, svd.values, rtol=0.0, atol=1e-9 * svd.values[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(birth_death_chains())
+def test_routes_agree_on_skewed_birth_death(case):
+    n, up = case
+    _assert_routes_agree(cg.build_chain(birth_death_matrix(n, up)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_matrices())
+def test_routes_agree_on_periodic_chains(matrix):
+    chain = cg.build_chain(matrix)
+    assert chain.irreducible
+    # period >= 2 puts a second eigenvalue on the unit circle
+    assert np.sum(np.isclose(np.abs(cg.normal_gap(chain).eigenvalues), 1.0)) >= 2
+    _assert_routes_agree(chain)
+
+
+def test_routes_agree_on_skewed_bipartite_walk():
+    W = np.outer([1e3, 1.0, 3.0], [0.2, 1.0, 5.0, 0.7])
+    chain = cg.build_chain(bipartite_walk_matrix(W))
+    assert chain.stationary.max() / chain.stationary.min() > 100
+    spectrum = cg.gap_spectrum(chain)
+    assert spectrum.values[-1] == pytest.approx(2.0, abs=1e-12)  # eigenvalue -1
+    _assert_routes_agree(chain)
 
 
 def test_reversible_gap_via_eigenvalues(battery):
