@@ -19,7 +19,6 @@ from .battery import BatteryChain, random_dense_chain, reference_battery
 from .chains import (
     Distribution,
     FiniteChain,
-    StructureFlags,
     adjoint,
     build_chain,
     lazy,
@@ -27,7 +26,6 @@ from .chains import (
     mu_norm,
     period,
     reversibilize,
-    structure_flags,
 )
 from .bounds import (
     CheegerResult,

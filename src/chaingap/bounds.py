@@ -10,11 +10,12 @@ one chain and returns a structured pass/fail record.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
@@ -134,10 +135,8 @@ def cheeger_exact(chain: FiniteChain) -> CheegerResult:
     return CheegerResult(xi=best_val, argmin_set=min(best_sets), exact=True)
 
 
-def _subset_value(chain: FiniteChain, states: set[int]) -> float:
-    mu = chain.stationary
-    q = chain.edge_measure()
-    idx = sorted(states)
+def _subset_value(mu: np.ndarray, q: np.ndarray, idx) -> float:
+    """Q(A, A^c) / mu(A) for the sorted states idx; inf unless 0 < mu(A) <= 1/2."""
     mu_a = float(mu[idx].sum())
     if mu_a <= 0 or mu_a > 0.5 + tol.ROW_SUM:
         return np.inf
@@ -145,52 +144,103 @@ def _subset_value(chain: FiniteChain, states: set[int]) -> float:
     return 1.0 - inside / mu_a
 
 
+def _may_pass(q_new, q_terms, m_new, m_terms, threshold, ulps):
+    """Moves whose exactly summed score could fall below threshold.
+
+    q_new and m_new are Q(A', A') and mu(A') updated from A; q_terms and
+    m_terms are the summed magnitudes of their terms. Every sum involved,
+    in the update or in _subset_value, adds nonnegative terms, so
+    ``ulps`` times those magnitudes bounds how far the two can differ.
+    """
+    q_hi = q_new + ulps * q_terms
+    m_lo = m_new - ulps * m_terms
+    unsure = m_lo <= 0.0  # the mass may have cancelled: no bound on the ratio
+    ratio = q_hi / np.where(unsure, 1.0, m_lo)
+    low = 1.0 - ratio - ulps * (1.0 + ratio)
+    return (m_lo <= 0.5 + tol.ROW_SUM) & (unsure | (low < threshold))
+
+
+def _first_improvement(mu, q, inside, value):
+    """The first move of the search order that scores below value - 1e-15.
+
+    The order is: toggle each member, then each non-member, in ascending
+    state order (never emptying the set), then swap each member for each
+    non-member, member-major. Every move is scored at once from mu(A),
+    Q(A, A) and r + c = Q a + Q^T a: a toggle changes Q(A, A) by
+    +-(r + c)[x] + Q[x, x], and a swap also subtracts Q[x, y] + Q[y, x].
+    Only the moves that could pass within the rounding margin are
+    rescored exactly, in order, so the result is the one a plain walk
+    through the order finds. Returns (trial states, score) or None.
+    """
+    n = len(mu)
+    member = np.zeros(n, dtype=bool)
+    member[inside] = True
+    outside = np.flatnonzero(~member)
+    a = member.astype(float)
+    rc = q @ a + a @ q
+    diag = q.diagonal()
+    mass = float(mu[inside].sum())
+    q_in = float(a @ q @ a)
+    threshold = value - 1e-15
+    # n-term sums in any order (BLAS) and numpy's pairwise sums of up to
+    # n^2 terms, plus the few roundings of the update itself
+    ulps = (2 * n + 64) * np.finfo(float).eps
+
+    order = np.concatenate([inside, outside])
+    sign = np.where(member[order], -1.0, 1.0)
+    toggles = _may_pass(
+        q_in + sign * rc[order] + diag[order], q_in + rc[order] + diag[order],
+        mass + sign * mu[order], mass + mu[order], threshold, ulps,
+    )
+    if len(inside) == 1:
+        toggles[0] = False  # the empty set is not a move
+    for x in order[toggles]:
+        trial = inside[inside != x] if member[x] else np.sort(np.append(inside, x))
+        v = _subset_value(mu, q, trial)
+        if v < threshold:
+            return trial, v
+
+    own = rc + diag
+    cross = q[np.ix_(inside, outside)] + q[np.ix_(outside, inside)].T
+    swaps = _may_pass(
+        q_in + (diag - rc)[inside, None] + own[None, outside] - cross,
+        q_in + own[inside, None] + own[None, outside] + cross,
+        mass - mu[inside, None] + mu[None, outside],
+        mass + mu[inside, None] + mu[None, outside], threshold, ulps,
+    )
+    for i, j in zip(*np.nonzero(swaps)):
+        trial = np.sort(np.append(inside[inside != inside[i]], outside[j]))
+        v = _subset_value(mu, q, trial)
+        if v < threshold:
+            return trial, v
+    return None
+
+
 def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> CheegerResult:
     """Randomized local search over subsets: an upper bound on xi.
 
     Starts from every singleton plus ``iters`` random restarts; each
     start descends by single-state moves (toggle one state in or out, or
-    swap a member for a non-member) until no move improves. Any subset
-    certifies an upper bound, so the result is always >= the exact
-    constant.
+    swap a member for a non-member), taking the first improving move,
+    until no move improves. Any subset certifies an upper bound, so the
+    result is always >= the exact constant.
     """
     _require_irreducible(chain)
     n = chain.size
+    mu, q = chain.stationary, chain.edge_measure()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    starts = [{x} for x in range(n)]
+    starts = [[x] for x in range(n)]
     for _ in range(max(iters, 0)):
         mask = rng.random(n) < rng.uniform(0.15, 0.6)
-        subset = {i for i in range(n) if mask[i]}
-        starts.append(subset or {int(rng.integers(n))})
-
-    def neighborhood(subset):
-        inside = sorted(subset)
-        outside = [x for x in range(n) if x not in subset]
-        for x in inside + outside:
-            trial = set(subset)
-            (trial.remove if x in trial else trial.add)(x)
-            if trial:
-                yield trial
-        for x in inside:
-            for y in outside:
-                trial = set(subset)
-                trial.remove(x)
-                trial.add(y)
-                yield trial
+        starts.append(np.flatnonzero(mask).tolist() or [int(rng.integers(n))])
 
     best = (np.inf, (0,))
-    for subset in starts:
-        value = _subset_value(chain, subset)
-        improved = True
-        while improved:
-            improved = False
-            for trial in neighborhood(subset):
-                v = _subset_value(chain, trial)
-                if v < value - 1e-15:
-                    subset, value = trial, v
-                    improved = True
-                    break
-        key = (value, tuple(sorted(subset)))
+    for start in starts:
+        subset = np.array(start)
+        value = _subset_value(mu, q, subset)
+        while (move := _first_improvement(mu, q, subset, value)) is not None:
+            subset, value = move
+        key = (value, tuple(subset.tolist()))
         if key < best:
             best = key
     return CheegerResult(xi=best[0], argmin_set=best[1], exact=False)
@@ -200,35 +250,50 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
 # Canonical paths
 
 
-def _bfs_ensemble(chain: FiniteChain) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """Shortest directed paths in E for every ordered pair, deterministic:
-    BFS expands neighbors in ascending state order, so ties resolve
-    lexicographically."""
+def _bfs_ensemble(
+    chain: FiniteChain,
+) -> tuple[dict[tuple[int, int], tuple[tuple[int, int], ...]], float]:
+    """Shortest directed paths in E for every ordered pair, and their congestion.
+
+    Deterministic: BFS expands neighbors in ascending state order (the
+    sorted CSR pattern of Q > 0), so ties resolve lexicographically. The
+    path from s to t crosses the tree edge (pred[v], v) exactly when t lies
+    in the subtree of v, so from source s that edge carries
+    mu(s) * sum_{t in subtree(v)} mu(t) depth(t); no path is walked.
+    """
     n = chain.size
     q = chain.edge_measure()
-    nbrs = [np.nonzero(q[x] > 0)[0].tolist() for x in range(n)]
+    mu = chain.stationary.tolist()
+    rows, cols = np.nonzero(q > 0)  # row-major: each row's columns ascend
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    graph = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
     paths: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    heads: list[int] = []
+    tails: list[int] = []
+    loads: list[float] = []
     for s in range(n):
-        parent: dict[int, int] = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        for t in range(n):
-            if t == s:
-                continue
-            if t not in parent:
-                raise NoPathExists(f"no directed path from {s} to {t}")
-            edges = []
-            node = t
-            while node != s:
-                edges.append((parent[node], node))
-                node = parent[node]
-            paths[(s, t)] = tuple(reversed(edges))
-    return paths
+        order, pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
+        order = order.tolist()
+        if len(order) < n:
+            t = min(set(range(n)) - set(order))
+            raise NoPathExists(f"no directed path from {s} to {t}")
+        pred = pred.tolist()
+        prefix: list[tuple[tuple[int, int], ...]] = [()] * n
+        subtree = [0.0] * n
+        for v in order[1:]:
+            u = pred[v]
+            path = prefix[u] + ((u, v),)
+            prefix[v] = paths[(s, v)] = path
+            subtree[v] = mu[v] * len(path)
+        for v in reversed(order[1:]):
+            subtree[pred[v]] += subtree[v]
+        tails += order[1:]
+        heads += [pred[v] for v in order[1:]]
+        loads += [mu[s] * subtree[v] for v in order[1:]]
+    edges = np.array(heads) * n + np.array(tails)
+    used = np.unique(edges)
+    load = np.bincount(edges, weights=loads, minlength=n * n)[used]
+    return paths, float((load / q.ravel()[used]).max())
 
 
 def _congestion(chain: FiniteChain, paths) -> float:
@@ -267,11 +332,11 @@ def path_bound(chain: FiniteChain, paths: PathEnsemble | None = None) -> PathBou
     """
     _require_irreducible(chain)
     if paths is None:
-        mapping = _bfs_ensemble(chain)
+        mapping, congestion = _bfs_ensemble(chain)
     else:
         _validate_ensemble(chain, paths)
         mapping = paths.paths
-    congestion = _congestion(chain, mapping)
+        congestion = _congestion(chain, mapping)
     ensemble = PathEnsemble(paths=dict(mapping), congestion=congestion)
     return PathBoundResult(congestion, 1.0 / congestion, ensemble)
 

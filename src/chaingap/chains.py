@@ -22,12 +22,10 @@ from .errors import ChainError, NotIrreducible, NotStochastic
 __all__ = [
     "Distribution",
     "FiniteChain",
-    "StructureFlags",
     "build_chain",
     "adjoint",
     "reversibilize",
     "lazy",
-    "structure_flags",
     "mu_inner",
     "mu_norm",
     "period",
@@ -52,14 +50,6 @@ class Distribution:
         w = w / w.sum()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    irreducible: bool
-    reversible: bool
-    normal: bool
-    laziness: float  # min_x P(x, x); gates the lazy-only inequalities
 
 
 @dataclass(frozen=True)
@@ -375,16 +365,3 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     # nor the kernel of the generator.
     return replace(chain, transition=_freeze(P))
 
-
-def structure_flags(chain: FiniteChain) -> StructureFlags:
-    """Recompute flags from scratch, plus the minimum holding probability."""
-    P = chain.transition
-    mu = chain.stationary
-    irreducible = _is_strongly_connected(P)
-    reversible = _is_reversible(P, mu)
-    return StructureFlags(
-        irreducible=irreducible,
-        reversible=reversible,
-        normal=irreducible and (reversible or _is_normal(P, mu)),
-        laziness=float(P.diagonal().min()),
-    )

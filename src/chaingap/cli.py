@@ -59,9 +59,9 @@ def _parse_ints(text: str) -> list[int]:
 def cmd_gap(args) -> int:
     spec, chain = _chain(args)
     payload = gap_spectrum(chain).to_json()
-    closed = spec.closed_form_gap()
+    closed = spec.closed_form()
     if closed is not None:
-        payload["closed_form_gap"] = closed
+        payload["closed_form_gap"] = closed[0]
     _print_json(payload)
     if args.out:
         emit_report(payload, args.out, "json")

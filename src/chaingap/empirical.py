@@ -9,10 +9,11 @@ mu-norm, the worst-case L2 size of the running average
     M_n = (1/n^2) sum_{|k| < n} (n - |k|) H_|k|,   H_k = (P^k + (P^k)*)/2,
 
 so Delta_n^2 is the largest eigenvalue of M_n restricted to the
-mu-orthogonal complement of the constants, over real g. The restriction
-is realized by an explicit orthonormal basis of that complement in the
-conjugated (symmetric) coordinates, and the H_k accumulate incrementally
-so a whole curve costs one small eigensolve per n.
+mu-orthogonal complement of the constants, over real g. The powers
+accumulate incrementally in the conjugated (symmetric) coordinates, the
+constants are deflated to eigenvalue -1, and only the top eigenpair is
+computed, so a whole curve costs one matrix product per power and one
+top-eigenpair solve per n.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevx
 
 from . import tolerances as tol
 from .audit import BoundAudit, make_check, skipped_check
@@ -83,52 +85,60 @@ class DeltaCurve:
         }
 
 
-def _complement_basis(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(mu), W) with W an orthonormal basis of sqrt(mu)-perp.
-
-    W is the trailing columns of the Householder reflection sending e_0
-    to -sqrt(mu).
-    """
-    d = np.sqrt(mu)
-    u = d.copy()
-    u[0] += 1.0
-    Q = np.eye(len(d)) - 2.0 * np.outer(u, u) / (u @ u)
-    return d, Q[:, 1:]
-
-
 class _GramEvaluator:
-    """Incremental evaluation of the deviation at nondecreasing n."""
+    """Incremental evaluation of the deviation at nondecreasing n.
+
+    Works in the conjugated coordinates B = D^{1/2} P D^{-1/2}, where
+    d = sqrt(mu) is a left and right eigenvector of B with eigenvalue 1.
+    There n^2 M_n = n I + A + A^T with A = sum_{k<n} (n - k) B^k, which is
+    the running sum of the running sums S_j = B + ... + B^j, j < n: every
+    term is nonnegative, so nothing cancels. Subtracting
+    (d^T (n^2 M_n) d + n^2) d d^T moves the constant direction to -n^2,
+    below the rest of the spectrum, which is nonnegative; so the top
+    eigenpair lies in sqrt(mu)-perp and is all that is computed.
+    """
 
     def __init__(self, chain: FiniteChain):
-        self._d, self._w = _complement_basis(chain.stationary)
+        self._d = np.sqrt(chain.stationary)
         self._b1 = self._d[:, None] * chain.transition / self._d[None, :]
         self._bk = np.eye(chain.size)
-        self._reduced_sum = np.zeros((chain.size - 1, chain.size - 1))
-        self._reduced_wsum = np.zeros_like(self._reduced_sum)
+        self._spare = np.empty_like(self._bk)
+        self._sum = np.zeros_like(self._bk)  # S_k
+        self._sum_of_sums = np.zeros_like(self._bk)  # S_1 + ... + S_k
         self._k = 0  # powers accumulated so far
 
     def _advance(self, upto: int) -> None:
         while self._k < upto:
             self._k += 1
-            self._bk = self._bk @ self._b1
-            sym = 0.5 * (self._bk + self._bk.T)
-            reduced = self._w.T @ sym @ self._w
-            self._reduced_sum += reduced
-            self._reduced_wsum += self._k * reduced
+            np.matmul(self._bk, self._b1, out=self._spare)
+            self._bk, self._spare = self._spare, self._bk
+            self._sum += self._bk
+            self._sum_of_sums += self._sum
 
     def at(self, n: int) -> tuple[float, np.ndarray]:
         """(Delta_n, maximizing g); n must not decrease between calls."""
         if n < 1:
             raise ValueError("n must be >= 1")
         self._advance(n - 1)
-        m = self._reduced_sum.shape[0]
-        gram = (n * np.eye(m) + 2.0 * (n * self._reduced_sum - self._reduced_wsum)) / n**2
-        w, vec = np.linalg.eigh(gram)
-        top = float(w[-1])
-        if top < tol.DELTA_SQ_FLOOR:
+        d = self._d
+        gram = self._sum_of_sums + self._sum_of_sums.T
+        gram.flat[:: len(d) + 1] += n
+        gram -= np.outer((d @ gram @ d + n * n) * d, d)
+        w, vec, found, _, info = dsyevx(gram, range="I", il=len(d), iu=len(d))
+        if info == 0 and found == 1:
+            top, u = float(w[0]), vec[:, 0]
+        else:
+            # dsyevx finds no eigenvalue (m = 0, info = 0) when the top one
+            # is degenerate across the whole spectrum, as for I - 2 d d^T
+            w, vec = np.linalg.eigh(gram)
+            top, u = float(w[-1]), vec[:, -1]
+        top /= n * n
+        if n == 1:
+            top = 1.0  # M_1 is the identity on sqrt(mu)-perp
+        elif top < tol.DELTA_SQ_FLOOR:
             top = 0.0
         value = min(np.sqrt(max(top, 0.0)), 1.0)
-        g = (self._w @ vec[:, -1]) / self._d
+        g = u / self._d
         return value, g
 
 
@@ -194,6 +204,7 @@ def delta_monte_carlo(
 
     Raises:
         BadTestFunction: g is not mean-zero with unit mu-norm (to 1e-10).
+        ValueError: n < 1, or reps < 2.
     """
     _require_spectral(chain)
     g = np.asarray(g, dtype=float)
@@ -202,8 +213,10 @@ def delta_monte_carlo(
         raise BadTestFunction("test function must have mu-average 0")
     if abs(mu_norm(g, mu) - 1.0) > 1e-10:
         raise BadTestFunction("test function must have unit mu-norm")
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 2:
+        raise ValueError("reps must be >= 2: the standard error needs two replicates")
 
     size = chain.size
     steps = n - 1

@@ -476,7 +476,3 @@ class ChainSpec:
             return None
         return gap, relaxation_time(gap, sigma_max)
 
-    def closed_form_gap(self) -> float | None:
-        """The gap of closed_form(), or None."""
-        closed = self.closed_form()
-        return None if closed is None else closed[0]

@@ -1,8 +1,34 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import chaingap as cg
+from chaingap.chains import _is_normal, _is_reversible, _is_strongly_connected
+
+
+@dataclass(frozen=True)
+class StructureFlags:
+    irreducible: bool
+    reversible: bool
+    normal: bool
+    laziness: float  # min_x P(x, x)
+
+
+def structure_flags(chain):
+    """Flags recomputed from the matrix and mu, ignoring the chain's own
+    (which family constructors may assert instead of detecting)."""
+    P = chain.transition
+    mu = chain.stationary
+    irreducible = _is_strongly_connected(P)
+    reversible = _is_reversible(P, mu)
+    return StructureFlags(
+        irreducible=irreducible,
+        reversible=reversible,
+        normal=irreducible and (reversible or _is_normal(P, mu)),
+        laziness=float(P.diagonal().min()),
+    )
 
 
 @st.composite

@@ -1,15 +1,18 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import chaingap as cg
+from chaingap import tolerances as tol
 from chaingap.audit import BoundAudit, make_check
+from chaingap.bounds import _congestion, _first_improvement
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
 
-from conftest import stochastic_matrices
+from conftest import birth_death_matrix, stochastic_matrices
 
 
 def cheeger_oracle(chain):
@@ -90,6 +93,188 @@ def test_cheeger_search_equals_exact_on_small_chains(battery):
         found = cg.cheeger_search(item.chain, iters=max(12, item.chain.size), seed=7).xi
         assert found >= exact - 1e-12
         assert found == pytest.approx(exact, abs=1e-9)
+
+
+def _plain_subset_value(chain, states):
+    mu = chain.stationary
+    q = chain.edge_measure()
+    idx = sorted(states)
+    mu_a = float(mu[idx].sum())
+    if mu_a <= 0 or mu_a > 0.5 + tol.ROW_SUM:
+        return np.inf
+    return 1.0 - float(q[np.ix_(idx, idx)].sum()) / mu_a
+
+
+def plain_first_improvement(chain, subset, value):
+    """The former neighbourhood walk, kept as the reference: the first
+    trial set in the search order scoring below value - 1e-15, each
+    scored from scratch, as (sorted states, score), or None."""
+    n = chain.size
+    inside = sorted(subset)
+    outside = [x for x in range(n) if x not in subset]
+    toggles = [set(subset) ^ {x} for x in inside + outside]
+    swaps = [(set(subset) - {x}) | {y} for x in inside for y in outside]
+    for trial in toggles + swaps:
+        if trial:
+            v = _plain_subset_value(chain, trial)
+            if v < value - 1e-15:
+                return tuple(sorted(trial)), v
+    return None
+
+
+def first_improvement_search(chain, iters, seed):
+    """The former cheeger_search, kept as the reference."""
+    n = chain.size
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    starts = [{x} for x in range(n)]
+    for _ in range(max(iters, 0)):
+        mask = rng.random(n) < rng.uniform(0.15, 0.6)
+        subset = {i for i in range(n) if mask[i]}
+        starts.append(subset or {int(rng.integers(n))})
+    best = (np.inf, (0,))
+    for subset in starts:
+        value = _plain_subset_value(chain, subset)
+        while (move := plain_first_improvement(chain, subset, value)) is not None:
+            subset, value = move
+        key = (value, tuple(sorted(subset)))
+        if key < best:
+            best = key
+    return best
+
+
+def _random_chain(n, density, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) < density)
+    P[np.arange(n), (np.arange(n) + 1) % n] += 0.2  # a cycle keeps it irreducible
+    return cg.build_chain(P / P.sum(axis=1, keepdims=True))
+
+
+def _leaky_birth_death(n, up):
+    # skewed mu, and not reversible: every state leaks to state 0
+    P = birth_death_matrix(n, up)
+    P[:, 0] += 0.05
+    return cg.build_chain(P / P.sum(axis=1, keepdims=True))
+
+
+SEARCH_CHAINS = {
+    "dense-12": (lambda: _random_chain(12, 1.0, 1), 6),
+    "sparse-25": (lambda: _random_chain(25, 0.1, 2), 4),
+    "circulant-40": (lambda: cg.circulant_chain(40, [(1, 0.42), (-1, 0.58)]), 3),
+    "birth-death-24-0.9": (lambda: cg.build_chain(birth_death_matrix(24, 0.9)), 3),
+    "leaky-birth-death-30-0.9": (lambda: _leaky_birth_death(30, 0.9), 3),
+    "leaky-birth-death-21-0.7": (lambda: _leaky_birth_death(21, 0.7), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CHAINS))
+def test_search_takes_the_steps_of_the_plain_loop(name):
+    build, iters = SEARCH_CHAINS[name]
+    chain = build()
+    for seed in (0, 5):
+        found = cg.cheeger_search(chain, iters=iters, seed=seed)
+        assert (found.xi, found.argmin_set) == first_improvement_search(chain, iters, seed)
+
+
+def test_search_takes_the_steps_of_the_plain_loop_on_the_battery(battery):
+    for item in battery:
+        found = cg.cheeger_search(item.chain, iters=4, seed=3)
+        assert (found.xi, found.argmin_set) == first_improvement_search(item.chain, 4, 3)
+
+
+def _light_state_chain(light, drop):
+    """Reversible three-state chain: mu = (0.4, light, 0.6 - light).
+
+    P(1, 1) is set so that the set {1} scores ``drop`` below {0, 1}. From
+    {0, 1} the first improving move removes state 0, and its incremental
+    mass mu({0, 1}) - mu(0) keeps only a few digits of mu(1).
+    """
+    mu = np.array([0.4, light, 0.6 - light])
+
+    def build(stay):
+        P = np.zeros((3, 3))
+        P[1] = [0.2, stay, 0.8 - stay]
+        P[0, 1:] = [mu[1] * P[1, 0] / mu[0], 0.3]
+        P[2, :2] = mu[:2] * P[:2, 2] / mu[2]
+        P[np.diag_indices(3)] += 1.0 - P.sum(axis=1)
+        return cg.build_chain(P)
+
+    chain = build(0.5)
+    for _ in range(3):  # mu moves with P(1, 1) in its last digits
+        chain = build(1.0 - _plain_subset_value(chain, {0, 1}) + drop)
+    return chain
+
+
+def test_search_screen_keeps_moves_that_rounding_hides():
+    # the incremental score of {1} is off by up to ~1e-3 here, far more
+    # than the drop: only the rounding margin keeps the move for the
+    # exact recheck
+    start = np.array([0, 1])
+    for light in (1e-9, 1e-11, 1e-13, 1e-17):  # at 1e-17 the update cancels to 0
+        for drop in (1e-8, 1e-10, 1e-12, 2e-15):
+            chain = _light_state_chain(light, drop)
+            mu, q = chain.stationary, chain.edge_measure()
+            value = _plain_subset_value(chain, {0, 1})
+            want = plain_first_improvement(chain, {0, 1}, value)
+            assert want[0] == (1,)
+            got = _first_improvement(mu, q, start, value)
+            assert (tuple(got[0].tolist()), got[1]) == want, (light, drop)
+
+
+def deque_bfs_paths(chain):
+    """The former default ensemble, kept as the reference: a deque BFS per
+    source, expanding neighbours in ascending order, and each path walked
+    back through the parents."""
+    n = chain.size
+    q = chain.edge_measure()
+    nbrs = [np.nonzero(q[x] > 0)[0].tolist() for x in range(n)]
+    paths = {}
+    for s in range(n):
+        parent = {s: -1}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        for t in range(n):
+            if t != s:
+                edges = []
+                node = t
+                while node != s:
+                    edges.append((parent[node], node))
+                    node = parent[node]
+                paths[(s, t)] = tuple(reversed(edges))
+    return paths
+
+
+PATH_CHAINS = {
+    "cdg-101": lambda: cg.cdg_chain(101),
+    "card-4": lambda: cg.card_chain(4),
+    "sparse-60": lambda: _random_chain(60, 0.05, 3),
+    "birth-death-40-0.9": lambda: cg.build_chain(birth_death_matrix(40, 0.9)),
+    "circulant-30": lambda: cg.circulant_chain(30, [(1, 0.3), (7, 0.7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CHAINS))
+def test_tree_sum_congestion_matches_path_walk(name):
+    chain = PATH_CHAINS[name]()
+    result = cg.path_bound(chain)
+    want = deque_bfs_paths(chain)
+    assert result.ensemble.paths == want
+    walked = _congestion(chain, want)
+    assert abs(result.congestion - walked) <= 1e-13 * walked
+    assert result.ensemble.congestion == result.congestion
+
+
+def test_tree_sum_congestion_matches_path_walk_on_the_battery(battery):
+    for item in battery:
+        result = cg.path_bound(item.chain)
+        want = deque_bfs_paths(item.chain)
+        assert result.ensemble.paths == want
+        walked = _congestion(item.chain, want)
+        assert abs(result.congestion - walked) <= 1e-13 * walked
 
 
 def test_path_bound_flip(flip):

@@ -9,7 +9,13 @@ import chaingap as cg
 from chaingap.chains import _gth
 from chaingap.errors import ChainError, NotIrreducible, NotStochastic
 
-from conftest import birth_death_chains, birth_death_law, birth_death_matrix, stochastic_matrices
+from conftest import (
+    birth_death_chains,
+    birth_death_law,
+    birth_death_matrix,
+    stochastic_matrices,
+    structure_flags,
+)
 
 
 def test_flip_chain_basics(flip):
@@ -98,7 +104,7 @@ def test_subnormal_mu_reversible_chain_is_normal():
     chain = cg.build_chain(birth_death_matrix(333, 0.9))
     assert chain.stationary.min() < np.finfo(float).tiny
     assert chain.reversible and chain.normal
-    assert cg.structure_flags(chain).normal
+    assert structure_flags(chain).normal
     spectrum = cg.gap_spectrum(chain)
     assert spectrum.method == "normal_eigen"
     svd = cg.weighted_singular_spectrum(replace(chain, normal=False))
@@ -118,7 +124,7 @@ def test_one_way_cycle_at_low_mass_is_not_reversible():
     chain = cg.build_chain(P)
     assert chain.stationary.min() < 1e-30
     assert not chain.reversible and not chain.normal
-    assert not cg.structure_flags(chain).reversible
+    assert not structure_flags(chain).reversible
     assert cg.gap_spectrum(chain).method == "weighted_svd"
 
 
@@ -212,18 +218,18 @@ def test_lazy_examples(flip):
 
 def test_structure_flags_examples():
     shift5 = cg.circulant_chain(5, [(1, 1.0)])
-    flags = cg.structure_flags(shift5)
+    flags = structure_flags(shift5)
     assert flags.normal and not flags.reversible
 
     cdg5 = cg.cdg_chain(5)
-    flags = cg.structure_flags(cdg5)
+    flags = structure_flags(cdg5)
     assert not flags.normal and not flags.reversible
     # independent commutator check with the transpose (mu is uniform)
     P = cdg5.transition
     assert np.abs(P @ P.T - P.T @ P).max() > 1e-3
 
     lazy_cdg = cg.lazy(cdg5, 0.5)
-    assert cg.structure_flags(lazy_cdg).laziness >= 0.5
+    assert structure_flags(lazy_cdg).laziness >= 0.5
 
 
 def test_transition_arrays_are_immutable(flip):
@@ -282,7 +288,7 @@ def test_reversibilizations_are_reversible(matrix):
     chain = cg.build_chain(matrix)
     for kind in ("additive", "multiplicative"):
         result = cg.reversibilize(chain, kind)
-        assert cg.structure_flags(result).reversible
+        assert structure_flags(result).reversible
         assert np.allclose(result.stationary, chain.stationary)
 
 

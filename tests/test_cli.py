@@ -55,6 +55,16 @@ def test_delta_command(flip_spec, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("n,delta_exact")
 
 
+def test_delta_command_refuses_one_trial(walk_spec, capsys):
+    code = main(["delta", "--spec", walk_spec, "--n-max", "2", "--trials", "1", "--seed", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: ValueError: reps must be >= 2")
+
+
 def test_cheeger_command(flip_spec, capsys):
     assert main(["cheeger", "--spec", flip_spec]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -10,7 +10,12 @@ import chaingap as cg
 from chaingap.empirical import _BLOCK_ENTRIES, ALIAS_THRESHOLD, _build_alias
 from chaingap.errors import BadTestFunction
 
-from conftest import birth_death_matrix, stochastic_matrices
+from conftest import (
+    bipartite_walk_matrix,
+    birth_death_matrix,
+    cyclic_classes_matrix,
+    stochastic_matrices,
+)
 
 
 def trajectory_gram(chain, n):
@@ -135,6 +140,83 @@ def test_gram_operator_is_mu_self_adjoint():
     )
 
 
+def householder_curve(chain, ns):
+    """The former evaluator, kept as the reference for delta_curve.
+
+    Every H_k is reduced to an explicit orthonormal basis of sqrt(mu)-perp
+    (the trailing columns of the Householder reflection sending e_0 to
+    -sqrt(mu)) and the whole reduced Gram matrix is diagonalized at each n.
+    Yields (n, Delta_n, reduced Gram matrix, basis).
+    """
+    d = np.sqrt(chain.stationary)
+    u = d.copy()
+    u[0] += 1.0
+    basis = (np.eye(len(d)) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+    b1 = d[:, None] * chain.transition / d[None, :]
+    bk = np.eye(len(d))
+    total = np.zeros((len(d) - 1, len(d) - 1))
+    weighted = np.zeros_like(total)
+    k = 0
+    for n in ns:
+        while k < n - 1:
+            k += 1
+            bk = bk @ b1
+            reduced = basis.T @ (0.5 * (bk + bk.T)) @ basis
+            total += reduced
+            weighted += k * reduced
+        gram = (n * np.eye(len(total)) + 2.0 * (n * total - weighted)) / n**2
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        value = 0.0 if top < 1e-13 else min(math.sqrt(top), 1.0)
+        yield n, value, gram, basis
+
+
+KERNEL_CHAINS = {
+    "birth-death-21-0.9": lambda: cg.build_chain(birth_death_matrix(21, 0.9)),
+    "birth-death-40-0.75": lambda: cg.build_chain(birth_death_matrix(40, 0.75)),
+    "birth-death-60-0.6": lambda: cg.build_chain(birth_death_matrix(60, 0.6)),
+    "cycle-5": lambda: cg.build_chain(cyclic_classes_matrix(5, 1, [1.0])),
+    "cyclic-3x4": lambda: cg.build_chain(cyclic_classes_matrix(3, 4, [1.0, 0.5, 0.2, 0.1])),
+    "bipartite-skewed": lambda: cg.build_chain(
+        bipartite_walk_matrix([[1e4, 0.3, 1.0], [0.2, 1.0, 0.7]])
+    ),
+    "cdg-31": lambda: cg.cdg_chain(31),
+    "cdg-101": lambda: cg.cdg_chain(101),
+    "uniform-200": lambda: cg.build_chain(np.full((200, 200), 1.0 / 200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+def test_curve_matches_householder_evaluator(name):
+    chain = KERNEL_CHAINS[name]()
+    mu = chain.stationary
+    ns = range(1, 31)
+    curve = cg.delta_curve(chain, ns)
+    assert curve.entries[0].delta_exact == 1.0
+    for point, (n, want, gram, basis) in zip(curve.entries, householder_curve(chain, ns)):
+        assert point.n == n
+        assert abs(point.delta_exact - want) <= 1e-13, n
+        g = point.maximizer
+        assert abs(float(mu @ g)) <= 1e-12
+        assert abs(cg.mu_norm(g, mu) - 1.0) <= 1e-12
+        y = basis.T @ (np.sqrt(mu) * g)
+        assert abs(float(y @ gram @ y) - point.delta_exact**2) <= 1e-12, n
+
+
+def test_degenerate_top_cluster_falls_back_to_eigh(monkeypatch):
+    # every H_k (k >= 1) of the uniform chain vanishes on sqrt(mu)-perp, so
+    # M_n is I/n there: dsyevx finds no eigenvalue in a 199-fold top cluster
+    chain = KERNEL_CHAINS["uniform-200"]()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    assert cg.delta_exact(chain, 1)[0] == 1.0
+    assert len(calls) == 1
+    curve = cg.delta_curve(chain, range(1, 6))
+    values = [p.delta_exact for p in curve.entries]
+    assert values[0] == 1.0
+    assert values == pytest.approx([1.0 / math.sqrt(n) for n in range(1, 6)], rel=1e-13)
+
+
 def test_curve_subadditivity(battery):
     for item in battery[:12]:
         curve = cg.delta_curve(item.chain, range(1, 13))
@@ -239,19 +321,18 @@ MC_CHAINS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MC_CHAINS))
 def test_lockstep_sampler_matches_scalar_walk(name):
     chain = MC_CHAINS[name]()
     for n in (1, 2, 9):
         _, g = cg.delta_exact(chain, n)
         for seed in (0, 7, -5, 2**64 + 3):
-            for reps in (1, 3, 40):
+            # one replicate has no standard error
+            with pytest.raises(ValueError, match="reps must be >= 2"):
+                cg.delta_monte_carlo(chain, g, n, 1, seed)
+            for reps in (2, 3, 40):
                 got = cg.delta_monte_carlo(chain, g, n, reps, seed)
-                want = scalar_delta_monte_carlo(chain, g, n, reps, seed)
-                # reps = 1 leaves the standard error nan on both sides
-                assert np.array_equal(got, want, equal_nan=True), (n, seed, reps)
+                assert got == scalar_delta_monte_carlo(chain, g, n, reps, seed), (n, seed, reps)
                 assert all(type(v) is float for v in got)
 
 

@@ -7,6 +7,8 @@ import chaingap as cg
 from chaingap.errors import InvalidSteps, TooLarge
 from chaingap.families import circulant_eigenvalues, parse_prob
 
+from conftest import structure_flags
+
 
 def test_circulant_shift_matrix():
     chain = cg.circulant_chain(4, [(1, 1.0)])
@@ -23,7 +25,7 @@ def test_circulant_lazy_right():
 def test_circulant_symmetric_is_reversible():
     chain = cg.circulant_chain(5, [(1, 0.5), (4, 0.5)])
     assert chain.reversible
-    assert cg.structure_flags(chain).reversible
+    assert structure_flags(chain).reversible
 
 
 def test_circulant_negative_steps_reduce_mod_n():
@@ -226,12 +228,12 @@ def test_chain_spec_torus_and_explicit():
     )
     chain = spec.build()
     assert chain.size == 9
-    gap = spec.closed_form_gap()
+    gap, _ = spec.closed_form()
     assert gap == pytest.approx(cg.weighted_singular_spectrum(chain).gap, rel=1e-9)
 
     explicit = cg.ChainSpec.from_json({"family": "explicit", "matrix": [[0, 1], [1, 0]]})
     assert explicit.build().size == 2
-    assert explicit.closed_form_gap() is None
+    assert explicit.closed_form() is None
 
 
 def test_chain_spec_rejects_unknown_family():
@@ -246,7 +248,7 @@ def test_battery_chains_all_validate(battery):
         assert np.abs(chain.transition.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(chain.stationary @ chain.transition - chain.stationary).max() <= 1e-10
         assert chain.irreducible
-        flags = cg.structure_flags(chain)
+        flags = structure_flags(chain)
         assert flags.irreducible == chain.irreducible
         assert flags.reversible == chain.reversible
         assert flags.normal == chain.normal
