@@ -3,8 +3,9 @@
 The gap of a chain is the second-smallest singular value of I - P in the
 stationary-weighted inner product, and tau = 1/gap is the time scale on
 which empirical averages of test functions converge. The package
-computes these exactly for dense chains and in closed form for circulant
-and torus families, evaluates the worst-case deviation of length-n
+computes these exactly for dense chains and, through
+ChainSpec.closed_form(), from character sums for the circulant and torus
+walks on (Z/NZ)^d; it evaluates the worst-case deviation of length-n
 running averages, and audits the standard comparison inequalities
 (reversibilizations, mixing time, Cheeger constant, canonical paths,
 pseudo-spectral gap).
@@ -61,10 +62,8 @@ from .families import (
     card_chain,
     cdg_chain,
     circulant_chain,
-    circulant_tau,
     parse_prob,
     torus_chain,
-    torus_gap_closed_form,
     up_right_probs,
 )
 from .spectral import (

@@ -19,9 +19,8 @@ import numpy as np
 from .audit import BoundAudit
 from .empirical import DeltaCurve
 from .errors import InsufficientData, NotPrime
-from .families import ChainSpec, circulant_tau
+from .families import ChainSpec
 from .spectral import gap_spectrum
-from . import tolerances as tol
 
 __all__ = [
     "ExperimentRow",
@@ -150,8 +149,8 @@ def random_steps_ensemble(
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
     p = np.asarray(p, dtype=float)
-    if len(p) != k or abs(p.sum() - 1.0) > tol.ROW_SUM or p.min() <= 0:
-        raise ValueError("p must be k positive probabilities summing to 1")
+    if len(p) != k:
+        raise ValueError(f"p must list k = {k} probabilities")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -161,7 +160,8 @@ def random_steps_ensemble(
             steps = rng.integers(0, N, size=k)
             if len(set(steps.tolist())) == k:
                 break
-        taus[t] = circulant_tau(N, zip(steps.tolist(), p.tolist()))
+        spec = ChainSpec("circulant", N, steps=tuple(zip(steps.tolist(), p.tolist())))
+        taus[t] = spec.closed_form()[1]
     scale = N ** (2.0 / (k + 1.0))
     return [
         EnsembleRow(L=float(L), fraction=float(np.mean(taus > float(L) * scale)))

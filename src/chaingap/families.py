@@ -3,9 +3,9 @@
 Families: jump walks on the discrete circle (circulant transition
 matrices), local walks on d-dimensional tori, the doubling-with-noise
 chain x -> 2x + {-1, 0, 1} mod N, and the three-move card shuffle on the
-symmetric group. Circulant and torus chains are normal, so their gaps
-have closed forms in terms of the character sums; those shortcuts scale
-far past the dense-matrix limit.
+symmetric group. Circulant and torus chains are both walks on (Z/NZ)^d:
+one constructor builds them, and ChainSpec.closed_form() gets their gaps
+from the character sums, far past the dense-matrix limit.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
     "ChainSpec",
     "TorusProbs",
     "circulant_chain",
-    "circulant_tau",
     "torus_chain",
-    "torus_gap_closed_form",
     "up_right_probs",
     "cdg_chain",
     "card_chain",
@@ -47,7 +45,73 @@ def _dense_zeros(states: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Circulant walks on Z/NZ
+# Walks on the abelian group (Z/NZ)^d
+
+
+def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
+    """Explicit N^d-state walk stepping a * e_j with probability p.
+
+    ``axes[j]`` lists the (a, p) pairs of axis j; ``hold`` is the
+    probability of staying put. States are in row-major order. The walk
+    is doubly stochastic and normal. It is irreducible when each axis's
+    positive steps have gcd 1 with N, and reversible when the step law,
+    reduced mod N, is symmetric under negation.
+    """
+    d = len(axes)
+    states = N**d
+    P = _dense_zeros(states)
+    idx = np.arange(states)
+    coords = np.stack(np.unravel_index(idx, (N,) * d))
+    P[idx, idx] += hold
+    law: dict[tuple[int, int], float] = {}  # (axis, a mod N) -> probability
+    for axis, steps in enumerate(axes):
+        for a, p in steps:
+            if p == 0:
+                continue
+            shifted = coords.copy()
+            shifted[axis] = (shifted[axis] + a) % N
+            P[idx, np.ravel_multi_index(tuple(shifted), (N,) * d)] += p
+            law[axis, a % N] = law.get((axis, a % N), 0.0) + p
+    irreducible = all(math.gcd(N, *(a for j, a in law if j == axis)) == 1 for axis in range(d))
+    reversible = all(law.get((j, -a % N), 0.0) == p for (j, a), p in law.items())
+    return build_chain(
+        P,
+        stationary=np.full(states, 1.0 / states),
+        assume={"irreducible": irreducible, "reversible": reversible, "normal": True},
+    )
+
+
+def _character_gap(N: int, axes, hold: float = 0.0) -> tuple[float, float]:
+    """(gap, tau) of the _abelian_chain walk from its character sums.
+
+    lambda_m = hold + sum_j sum_{(a, p) in axes[j]} p e^{2 pi i m_j a / N}
+    and gamma = min over nonzero m of |1 - lambda_m|. Needs no dense
+    matrix, so it runs far beyond the explicit-chain limit. lambda_{-m} is
+    the conjugate of lambda_m, so the first coordinate runs over 0..N//2
+    only; frequencies are evaluated in blocks of about 2^22.
+    """
+    m = np.arange(N)
+    terms = []
+    for steps in axes:
+        t = np.zeros(N, dtype=complex)
+        for a, p in steps:
+            t += p * np.exp(2j * np.pi * m * a / N)
+        terms.append(t)
+    tail = np.zeros(1, dtype=complex)  # the other axes' sums, row-major
+    for t in terms[1:]:
+        tail = np.add.outer(tail, t).ravel()
+    first = hold + terms[0][: N // 2 + 1]
+    rows_per_block = max(1, (1 << 22) // tail.size)
+    gap, sigma_max = np.inf, 0.0
+    for start in range(0, first.size, rows_per_block):
+        lam = first[start : start + rows_per_block, None] + tail[None, :]
+        vals = np.abs(np.subtract(1.0, lam, out=lam))
+        del lam  # free the block before the next one is built
+        sigma_max = max(sigma_max, float(vals.max()))
+        if start == 0:
+            vals[0, 0] = np.inf  # the trivial character m = 0
+        gap = min(gap, float(vals.min()))
+    return gap, relaxation_time(gap, sigma_max)
 
 
 def _normalize_steps(N: int, steps) -> list[tuple[int, float]]:
@@ -60,8 +124,8 @@ def _normalize_steps(N: int, steps) -> list[tuple[int, float]]:
         p = float(p)
         if a in seen:
             raise InvalidSteps(f"step {a} repeated after reduction mod {N}")
-        if p <= 0:
-            raise InvalidSteps(f"step probability must be positive, got {p}")
+        if not (math.isfinite(p) and p > 0):
+            raise InvalidSteps(f"step probability must be positive and finite, got {p}")
         seen.add(a)
         out.append((a, p))
     if not out:
@@ -80,45 +144,7 @@ def circulant_chain(N: int, steps) -> FiniteChain:
     transition matrix is circulant, hence normal; it is irreducible
     exactly when gcd of the steps with N is 1.
     """
-    steps = _normalize_steps(N, steps)
-    P = _dense_zeros(N)
-    x = np.arange(N)
-    for a, p in steps:
-        P[x, (x + a) % N] = p
-    g = N
-    for a, _ in steps:
-        g = math.gcd(g, a)
-    reversible = all(dict(steps).get((N - a) % N, 0.0) == p for a, p in steps)
-    return build_chain(
-        P,
-        stationary=np.full(N, 1.0 / N),
-        assume={"irreducible": g == 1, "reversible": reversible, "normal": True},
-    )
-
-
-def circulant_eigenvalues(N: int, steps) -> np.ndarray:
-    """lambda_j = sum_r p_r exp(2 pi i j a_r / N) for j = 0..N-1."""
-    steps = _normalize_steps(N, steps)
-    j = np.arange(N)
-    lam = np.zeros(N, dtype=complex)
-    for a, p in steps:
-        lam += p * np.exp(2j * np.pi * j * a / N)
-    return lam
-
-
-def circulant_tau(N: int, steps) -> float:
-    """Relaxation time of the circulant walk in O(N k) arithmetic.
-
-    tau = max over nonzero frequencies j of 1 / |1 - lambda_j|; infinite
-    when some nonzero frequency puts |1 - lambda_j| at numerical zero
-    (the walk is trapped in a proper subgroup).
-    """
-    moduli = np.abs(1.0 - circulant_eigenvalues(N, steps)[1:])
-    return relaxation_time(float(moduli.min()), float(moduli.max()))
-
-
-# ---------------------------------------------------------------------------
-# Local walks on the torus (Z/NZ)^d
+    return _abelian_chain(N, [_normalize_steps(N, steps)])
 
 
 @dataclass(frozen=True)
@@ -140,6 +166,8 @@ class TorusProbs:
         if not plus:
             raise ValueError("at least one axis required")
         allp = (self.hold,) + plus + minus
+        if not all(math.isfinite(p) for p in allp):
+            raise ValueError(f"non-finite probability in {allp}")
         if min(allp) < 0:
             raise ValueError("negative probability")
         if abs(sum(allp) - 1.0) > tol.ROW_SUM:
@@ -158,107 +186,21 @@ def up_right_probs(alpha: float) -> TorusProbs:
     return TorusProbs(hold=0.0, plus=(float(alpha), 1.0 - float(alpha)), minus=(0.0, 0.0))
 
 
+def _torus_axes(N: int, d: int, probs: TorusProbs) -> list[list[tuple[int, float]]]:
+    """The (a, p) steps of each torus axis: +1 with p(+i), -1 with p(-i)."""
+    if N < 2 or d < 1:
+        raise ValueError("need N >= 2 and d >= 1")
+    if probs.d != d:
+        raise ValueError(f"probs describe {probs.d} axes, chain has {d}")
+    return [[(1, p), (-1, m)] for p, m in zip(probs.plus, probs.minus)]
+
+
 def torus_chain(N: int, d: int, probs: TorusProbs) -> FiniteChain:
     """Explicit N^d-state walk taking +-e_i steps; row-major state order."""
-    if N < 2 or d < 1:
-        raise ValueError("need N >= 2 and d >= 1")
-    if probs.d != d:
-        raise ValueError(f"probs describe {probs.d} axes, chain has {d}")
-    states = N**d
-    P = _dense_zeros(states)
+    axes = _torus_axes(N, d, probs)
     if not probs.movable():
         warnings.warn("some axis has p(+i) + p(-i) = 0; the chain is not irreducible")
-
-    idx = np.arange(states)
-    coords = np.stack(np.unravel_index(idx, (N,) * d))
-    if probs.hold > 0:
-        P[idx, idx] += probs.hold
-    for axis in range(d):
-        for sign, p in ((1, probs.plus[axis]), (-1, probs.minus[axis])):
-            if p == 0:
-                continue
-            shifted = coords.copy()
-            shifted[axis] = (shifted[axis] + sign) % N
-            target = np.ravel_multi_index(tuple(shifted), (N,) * d)
-            P[idx, target] += p
-    # mod-2 wrapping identifies +e_i and -e_i, so every axis is symmetric there
-    reversible = N == 2 or probs.plus == probs.minus
-    return build_chain(
-        P,
-        stationary=np.full(states, 1.0 / states),
-        assume={
-            "irreducible": probs.movable(),
-            "reversible": reversible,
-            "normal": True,
-        },
-    )
-
-
-def torus_gap_closed_form(
-    N: int, d: int, probs: TorusProbs
-) -> tuple[float, tuple[int, ...]]:
-    """Exact gap of the torus walk from its character sums; O(d N^d) work.
-
-    gamma = min over nonzero frequency vectors m of |1 - lambda_m| with
-    lambda_m = p0 + sum_j (p_j e^{2 pi i m_j / N} + p_{-j} e^{-2 pi i m_j / N}).
-    Needs no dense matrix, so it runs far beyond the explicit-chain limit.
-    Returns (gamma, argmin m) with lexicographic tie-breaking. For d = 2
-    the scan covers only half the frequency grid (conjugate frequencies
-    share |1 - lambda|).
-    """
-    gap, freq, _ = _torus_scan(N, d, probs)
-    return gap, freq
-
-
-def _torus_scan(N: int, d: int, probs: TorusProbs) -> tuple[float, tuple[int, ...], float]:
-    """torus_gap_closed_form plus sigma_max, the largest |1 - lambda_m|.
-
-    Frequencies are evaluated in blocks of about 2^22 at a time.
-    """
-    if N < 2 or d < 1:
-        raise ValueError("need N >= 2 and d >= 1")
-    if probs.d != d:
-        raise ValueError(f"probs describe {probs.d} axes, chain has {d}")
-    m = np.arange(N)
-    unit = np.exp(2j * np.pi * m / N)
-    axis_terms = [
-        probs.plus[j] * unit + probs.minus[j] * np.conj(unit) for j in range(d)
-    ]
-
-    if d == 2:
-        first_range = np.arange(N // 2 + 1)
-    else:
-        first_range = np.arange(N)
-
-    best_val = np.inf
-    best_freq: tuple[int, ...] = ()
-    sigma_max = 0.0
-    tail_shape = (N,) * (d - 1)
-    tail_size = N ** (d - 1)
-    rows_per_block = max(1, (1 << 22) // tail_size)
-    tail = np.zeros(tail_shape, dtype=complex)
-    for j in range(1, d):
-        shape = [1] * (d - 1)
-        shape[j - 1] = N
-        tail = tail + axis_terms[j].reshape(shape)
-    tail_flat = tail.reshape(-1)
-
-    for start in range(0, len(first_range), rows_per_block):
-        rows = first_range[start : start + rows_per_block]
-        lam = (probs.hold + axis_terms[0][rows])[:, None] + tail_flat[None, :]
-        vals = np.abs(1.0 - lam)
-        sigma_max = max(sigma_max, float(vals.max()))
-        if rows[0] == 0:
-            vals[0, 0] = np.inf
-        flat = int(np.argmin(vals))
-        val = float(vals.flat[flat])
-        if val < best_val:
-            best_val = val
-            r, c = divmod(flat, tail_size)
-            best_freq = (int(rows[r]),) + tuple(
-                int(x) for x in np.unravel_index(c, tail_shape)
-            )
-    return best_val, best_freq, sigma_max
+    return _abelian_chain(N, axes, probs.hold)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +405,12 @@ class ChainSpec:
         return card_chain(self.N)
 
     def closed_form(self) -> tuple[float, float] | None:
-        """(gap, tau) without a dense matrix, where the family admits one."""
-        if self.family == "circulant":
-            moduli = np.abs(1.0 - circulant_eigenvalues(self.N, self.steps)[1:])
-            sigma_max = float(moduli.max())
-            # 1/tau rather than the minimum modulus: the two can differ in
-            # the last bit, and reports have always carried 1/tau.
-            gap = 1.0 / relaxation_time(float(moduli.min()), sigma_max)
-        elif self.family == "torus":
-            gap, _, sigma_max = _torus_scan(self.N, self.d, self.probs)
-        else:
-            return None
-        return gap, relaxation_time(gap, sigma_max)
+        """(gap, tau) from the character sums, for the abelian families only.
 
+        The one closed-form route: scan, the CLI and the ensemble all call it.
+        """
+        if self.family == "circulant":
+            return _character_gap(self.N, [_normalize_steps(self.N, self.steps)])
+        if self.family == "torus":
+            return _character_gap(self.N, _torus_axes(self.N, self.d, self.probs), self.probs.hold)
+        return None

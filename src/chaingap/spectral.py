@@ -46,7 +46,7 @@ class SingularSpectrum:
     values: np.ndarray
     gap: float
     relaxation: float
-    method: str  # weighted_svd | normal_eigen | closed_form
+    method: str  # weighted_svd | normal_eigen
     mu_min: float
     eigenvalues: np.ndarray | None = None
 

@@ -64,7 +64,7 @@ def test_criterion_02_circulant_formula_vs_svd():
         if probs.min() <= 1e-6:
             continue
         steps = list(zip(steps_a.tolist(), (probs / probs.sum()).tolist()))
-        tau_formula = cg.circulant_tau(n, steps)
+        _, tau_formula = cg.ChainSpec("circulant", n, steps=tuple(steps)).closed_form()
         gap_svd = cg.weighted_singular_spectrum(cg.circulant_chain(n, steps)).gap
         worst = max(worst, abs(gap_svd - 1.0 / tau_formula) * tau_formula)
         done += 1
@@ -147,13 +147,13 @@ def test_criterion_06_torus_scaling_slopes():
     rows = []
     alpha = 1.0 / math.sqrt(2.0)
     for n in sizes:
-        gamma, _ = cg.torus_gap_closed_form(n, 2, cg.up_right_probs(alpha))
+        gamma, _ = cg.ChainSpec("torus", n, 2, probs=cg.up_right_probs(alpha)).closed_form()
         rows.append(ExperimentRow("torus", "irr", n, gamma, 1.0 / gamma, "closed_form", 0.0))
     slope_irr = cg.fit_scaling(rows).slope
 
     rows = []
     for n in sizes:
-        gamma, _ = cg.torus_gap_closed_form(n, 2, cg.up_right_probs(0.5))
+        gamma, _ = cg.ChainSpec("torus", n, 2, probs=cg.up_right_probs(0.5)).closed_form()
         rows.append(ExperimentRow("torus", "half", n, gamma, 1.0 / gamma, "closed_form", 0.0))
     slope_half = cg.fit_scaling(rows).slope
     elapsed = time.perf_counter() - start

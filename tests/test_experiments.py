@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chaingap as cg
-from chaingap.errors import InsufficientData, NotPrime
+from chaingap.errors import InsufficientData, InvalidSteps, NotPrime
 from chaingap.experiments import ExperimentRow, render_report
 
 
@@ -136,6 +136,11 @@ def test_fit_scaling_requires_three_finite_rows():
 def test_ensemble_requires_prime():
     with pytest.raises(NotPrime):
         cg.random_steps_ensemble(100, 2, [0.5, 0.5], 10, [1.0], seed=0)
+
+
+def test_ensemble_refuses_nan_probability():
+    with pytest.raises(InvalidSteps):
+        cg.random_steps_ensemble(101, 2, [math.nan, 0.5], 10, [1.0], seed=0)
 
 
 def test_ensemble_monotone_and_deterministic():

@@ -1,11 +1,15 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaingap as cg
 from chaingap.errors import InvalidSteps, TooLarge
-from chaingap.families import circulant_eigenvalues, parse_prob
+from chaingap.families import parse_prob
 
 from conftest import structure_flags
 
@@ -43,20 +47,28 @@ def test_circulant_invalid_steps():
         cg.circulant_chain(4, [])
 
 
+def _circulant_tau(N, steps):
+    return cg.ChainSpec("circulant", N, steps=tuple(steps)).closed_form()[1]
+
+
+def _torus_gap(N, d, probs):
+    return cg.ChainSpec("torus", N, d, probs=probs).closed_form()[0]
+
+
 def test_circulant_reducible_flagged():
     chain = cg.circulant_chain(4, [(2, 1.0)])
     assert not chain.irreducible
-    assert math.isinf(cg.circulant_tau(4, [(2, 1.0)]))
+    assert math.isinf(_circulant_tau(4, [(2, 1.0)]))
 
 
 def test_circulant_tau_anchors():
-    assert cg.circulant_tau(4, [(0, 0.5), (1, 0.5)]) == pytest.approx(
+    assert _circulant_tau(4, [(0, 0.5), (1, 0.5)]) == pytest.approx(
         1.0 / math.sin(math.pi / 4), rel=1e-12
     )
-    assert cg.circulant_tau(4, [(1, 0.5), (-1, 0.5)]) == pytest.approx(
+    assert _circulant_tau(4, [(1, 0.5), (-1, 0.5)]) == pytest.approx(
         1.0 / (1.0 - math.cos(2 * math.pi / 4)), rel=1e-12
     )
-    assert cg.circulant_tau(3, [(1, 1.0)]) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+    assert _circulant_tau(3, [(1, 1.0)]) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
 
 def test_circulant_formula_matches_svd_on_random_step_sets():
@@ -72,7 +84,7 @@ def test_circulant_formula_matches_svd_on_random_step_sets():
         if probs.min() <= 1e-6:
             continue
         steps = list(zip(steps_a.tolist(), (probs / probs.sum()).tolist()))
-        tau_formula = cg.circulant_tau(N, steps)
+        tau_formula = _circulant_tau(N, steps)
         spectrum = cg.weighted_singular_spectrum(cg.circulant_chain(N, steps))
         assert spectrum.gap == pytest.approx(1.0 / tau_formula, rel=1e-9)
         done += 1
@@ -113,12 +125,10 @@ def test_dense_constructors_share_one_cap():
 
 
 def test_torus_closed_form_examples():
-    gamma, freq = cg.torus_gap_closed_form(2, 2, cg.up_right_probs(0.5))
+    gamma = _torus_gap(2, 2, cg.up_right_probs(0.5))
     assert gamma == pytest.approx(1.0, abs=1e-12)
-    assert freq == (0, 1)
-    gamma, freq = cg.torus_gap_closed_form(4, 2, cg.up_right_probs(0.5))
+    gamma = _torus_gap(4, 2, cg.up_right_probs(0.5))
     assert gamma == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
-    assert freq == (0, 1)
 
 
 def test_torus_closed_form_matches_svd():
@@ -127,9 +137,103 @@ def test_torus_closed_form_matches_svd():
     for N, d in grids:
         raw = rng.dirichlet(np.ones(2 * d + 1))
         probs = cg.TorusProbs(hold=float(raw[0]), plus=tuple(raw[1 : d + 1]), minus=tuple(raw[d + 1 :]))
-        gamma, _ = cg.torus_gap_closed_form(N, d, probs)
+        gamma = _torus_gap(N, d, probs)
         spectrum = cg.weighted_singular_spectrum(cg.torus_chain(N, d, probs))
         assert gamma == pytest.approx(spectrum.gap, rel=1e-9)
+
+
+def test_circulant_scan_refuses_nan_probability():
+    template = cg.ChainSpec("circulant", 8, steps=((0, math.nan), (1, 0.5)))
+    with pytest.raises(InvalidSteps):
+        cg.scan(template, [8])
+
+
+def test_torus_spec_refuses_nan_hold():
+    text = '{"family": "torus", "N": 4, "d": 1,'
+    text += ' "probs": {"hold": NaN, "plus": [0.5], "minus": [0.5]}}'  # json accepts NaN
+    with pytest.raises(ValueError):
+        cg.ChainSpec.from_json(json.loads(text))
+
+
+def test_torus_spec_refuses_axis_count_mismatch():
+    spec = cg.ChainSpec.from_json(
+        {"family": "torus", "N": 3, "d": 3, "probs": {"plus": [0.5, 0.5], "minus": [0, 0]}}
+    )
+    with pytest.raises(ValueError):
+        spec.closed_form()
+    with pytest.raises(ValueError):
+        spec.build()
+
+
+def reference_transition(spec):
+    """The explicit loops the circulant and torus constructors once ran."""
+    N = spec.N
+    if spec.family == "circulant":
+        P = np.zeros((N, N))
+        x = np.arange(N)
+        for a, p in sorted((int(a) % N, float(p)) for a, p in spec.steps):
+            P[x, (x + a) % N] = p
+        return P
+    d, probs = spec.d, spec.probs
+    states = N**d
+    P = np.zeros((states, states))
+    idx = np.arange(states)
+    coords = np.stack(np.unravel_index(idx, (N,) * d))
+    if probs.hold > 0:
+        P[idx, idx] += probs.hold
+    for axis in range(d):
+        for sign, p in ((1, probs.plus[axis]), (-1, probs.minus[axis])):
+            if p == 0:
+                continue
+            shifted = coords.copy()
+            shifted[axis] = (shifted[axis] + sign) % N
+            P[idx, np.ravel_multi_index(tuple(shifted), (N,) * d)] += p
+    return P
+
+
+@st.composite
+def abelian_specs(draw):
+    """Circulant and torus specs with N^d <= 400, N = 2 among the sizes.
+
+    Laws are small integer weights normalized, so zero entries (trapped or
+    one-sided walks) are common and equal weights give equal floats.
+    """
+    circulant = draw(st.booleans())
+    d = 1 if circulant else draw(st.integers(1, 3))
+    N = draw(st.integers(2, int(400 ** (1 / d) + 1e-9)))
+    if circulant:
+        k = draw(st.integers(1, min(4, N)))
+        residues = draw(
+            st.lists(st.integers(-N, 2 * N), min_size=k, max_size=k, unique_by=lambda a: a % N)
+        )
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        steps = tuple((a, w / sum(weights)) for a, w in zip(residues, weights) if w)
+        return cg.ChainSpec("circulant", N, steps=steps)
+    w = draw(st.lists(st.integers(0, 3), min_size=2 * d + 1, max_size=2 * d + 1).filter(any))
+    total = sum(w)
+    probs = cg.TorusProbs(
+        w[0] / total, tuple(x / total for x in w[1 : d + 1]), tuple(x / total for x in w[d + 1 :])
+    )
+    return cg.ChainSpec("torus", N, d, probs=probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(abelian_specs())
+def test_abelian_route_matches_dense_and_reference(spec):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chain = spec.build()
+    trapped_torus = spec.family == "torus" and not spec.probs.movable()
+    assert len(caught) == trapped_torus
+    assert np.array_equal(chain.transition, reference_transition(spec))
+    flags = structure_flags(chain)
+    assert (chain.irreducible, chain.reversible) == (flags.irreducible, flags.reversible)
+    gap, tau = spec.closed_form()
+    if flags.irreducible:
+        assert chain.normal == flags.normal
+        assert gap == pytest.approx(cg.weighted_singular_spectrum(chain).gap, rel=1e-9)
+    else:
+        assert math.isinf(tau)
 
 
 def test_cdg_row_structure():
