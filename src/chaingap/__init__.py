@@ -32,7 +32,6 @@ from .bounds import (
     CheegerResult,
     MixingResult,
     PathBoundResult,
-    PathEnsemble,
     cheeger_exact,
     cheeger_search,
     inequality_audit,

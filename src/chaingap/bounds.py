@@ -15,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
-from .chains import FiniteChain, period, reversibilize
+from .chains import FiniteChain, _bfs_tree, period, reversibilize
 from .errors import (
     MixingCapExceeded,
     NoPathExists,
@@ -30,7 +29,6 @@ from .spectral import pseudo_spectral_gap, self_adjoint_gap, spectral_gap
 
 __all__ = [
     "CheegerResult",
-    "PathEnsemble",
     "PathBoundResult",
     "MixingResult",
     "BoundAudit",
@@ -56,23 +54,11 @@ class CheegerResult:
     exact: bool
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """One directed path per ordered pair of distinct states.
-
-    Paths are edge lists inside E = {(x, y): Q(x, y) > 0}; ``congestion``
-    is the worst edge load B = max_e (1/Q(e)) sum_{paths through e}
-    mu(x) mu(y) |path|.
-    """
-
-    paths: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    congestion: float
-
-
 class PathBoundResult(NamedTuple):
+    """Worst edge congestion B of the breadth-first path ensemble, and 1/B <= gamma."""
+
     congestion: float
     gap_lower: float
-    ensemble: PathEnsemble
 
 
 class MixingResult(NamedTuple):
@@ -250,41 +236,26 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
 # Canonical paths
 
 
-def _bfs_ensemble(
-    chain: FiniteChain,
-) -> tuple[dict[tuple[int, int], tuple[tuple[int, int], ...]], float]:
-    """Shortest directed paths in E for every ordered pair, and their congestion.
+def _bfs_congestion(chain: FiniteChain) -> float:
+    """B = max_e (1/Q(e)) sum_{paths through e} mu(x) mu(y) |path| over BFS paths.
 
-    Deterministic: BFS expands neighbors in ascending state order (the
-    sorted CSR pattern of Q > 0), so ties resolve lexicographically. The
-    path from s to t crosses the tree edge (pred[v], v) exactly when t lies
-    in the subtree of v, so from source s that edge carries
-    mu(s) * sum_{t in subtree(v)} mu(t) depth(t); no path is walked.
+    The paths are shortest directed paths in E = {(x, y): Q(x, y) > 0},
+    ties resolved lexicographically. The path from s to t crosses the tree
+    edge (pred[v], v) exactly when t is in the subtree of v, and has
+    depth(t) edges: from source s that edge carries
+    mu(s) sum_{t in subtree(v)} mu(t) depth(t). No path is built.
     """
     n = chain.size
     q = chain.edge_measure()
     mu = chain.stationary.tolist()
-    rows, cols = np.nonzero(q > 0)  # row-major: each row's columns ascend
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    graph = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
-    paths: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    heads: list[int] = []
-    tails: list[int] = []
-    loads: list[float] = []
+    graph = csr_matrix(q > 0, dtype=float)
+    heads, tails, loads = [], [], []
     for s in range(n):
-        order, pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
-        order = order.tolist()
+        order, pred, depth = _bfs_tree(graph, s)
         if len(order) < n:
             t = min(set(range(n)) - set(order))
             raise NoPathExists(f"no directed path from {s} to {t}")
-        pred = pred.tolist()
-        prefix: list[tuple[tuple[int, int], ...]] = [()] * n
-        subtree = [0.0] * n
-        for v in order[1:]:
-            u = pred[v]
-            path = prefix[u] + ((u, v),)
-            prefix[v] = paths[(s, v)] = path
-            subtree[v] = mu[v] * len(path)
+        subtree = [m * d for m, d in zip(mu, depth)]
         for v in reversed(order[1:]):
             subtree[pred[v]] += subtree[v]
         tails += order[1:]
@@ -293,52 +264,18 @@ def _bfs_ensemble(
     edges = np.array(heads) * n + np.array(tails)
     used = np.unique(edges)
     load = np.bincount(edges, weights=loads, minlength=n * n)[used]
-    return paths, float((load / q.ravel()[used]).max())
+    return float((load / q.ravel()[used]).max())
 
 
-def _congestion(chain: FiniteChain, paths) -> float:
-    q = chain.edge_measure()
-    mu = chain.stationary
-    load: dict[tuple[int, int], float] = {}
-    for (s, t), edges in paths.items():
-        weight = mu[s] * mu[t] * len(edges)
-        for e in edges:
-            load[e] = load.get(e, 0.0) + weight
-    return max(load[e] / q[e] for e in load)
+def path_bound(chain: FiniteChain) -> PathBoundResult:
+    """Congestion B of breadth-first shortest paths, and the bound gamma >= 1/B.
 
-
-def _validate_ensemble(chain: FiniteChain, ensemble: PathEnsemble) -> None:
-    q = chain.edge_measure()
-    n = chain.size
-    want = {(s, t) for s in range(n) for t in range(n) if s != t}
-    if set(ensemble.paths) != want:
-        raise ValueError("ensemble must cover every ordered pair of distinct states")
-    for (s, t), edges in ensemble.paths.items():
-        if not edges or edges[0][0] != s or edges[-1][1] != t:
-            raise ValueError(f"path for {(s, t)} does not run from {s} to {t}")
-        for (a, b), (c, _) in zip(edges, edges[1:]):
-            if b != c:
-                raise ValueError(f"path for {(s, t)} is not contiguous")
-        if any(q[a, b] <= 0 for a, b in edges):
-            raise ValueError(f"path for {(s, t)} uses a zero-probability edge")
-
-
-def path_bound(chain: FiniteChain, paths: PathEnsemble | None = None) -> PathBoundResult:
-    """Congestion B of a path ensemble and the implied bound gamma >= 1/B.
-
-    With no ensemble supplied, uses breadth-first shortest directed paths
-    (deterministic lexicographic tie-breaking). Any valid ensemble gives
-    a correct lower bound; shorter or better-spread paths give larger ones.
+    Any path ensemble would give a valid bound; this one is fixed so that
+    B repeats to the bit. Only B is computed, never the paths.
     """
     _require_irreducible(chain)
-    if paths is None:
-        mapping, congestion = _bfs_ensemble(chain)
-    else:
-        _validate_ensemble(chain, paths)
-        mapping = paths.paths
-        congestion = _congestion(chain, mapping)
-    ensemble = PathEnsemble(paths=dict(mapping), congestion=congestion)
-    return PathBoundResult(congestion, 1.0 / congestion, ensemble)
+    congestion = _bfs_congestion(chain)
+    return PathBoundResult(congestion, 1.0 / congestion)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ mutate their inputs, so values are safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import tolerances as tol
 from .errors import ChainError, NotIrreducible, NotStochastic
@@ -123,28 +122,29 @@ def _is_strongly_connected(matrix: np.ndarray) -> bool:
     return _classes(matrix)[0] == 1
 
 
+def _bfs_tree(graph: csr_matrix, source: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS (order, pred, depth) from ``source``; unreached states are not in order."""
+    order, pred = breadth_first_order(graph, source, directed=True, return_predecessors=True)
+    order, pred = order.tolist(), pred.tolist()
+    depth = [0] * graph.shape[0]
+    for v in order[1:]:
+        depth[v] = depth[pred[v]] + 1
+    return order, pred, depth
+
+
 def period(chain: FiniteChain) -> int:
-    """Period of an irreducible chain (gcd of directed cycle lengths)."""
+    """Period of an irreducible chain (gcd of directed cycle lengths).
+
+    That gcd is also the gcd of depth(u) + 1 - depth(v) over the edges
+    (u, v), with the depths of one BFS tree.
+    """
     if not chain.irreducible:
         raise NotIrreducible("period is defined for irreducible chains")
-    P = chain.transition
-    n = chain.size
-    nbrs = [np.nonzero(P[x] > 0)[0] for x in range(n)]
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if int(v) not in dist:
-                    dist[int(v)] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in nbrs[u]:
-            g = math.gcd(g, dist[u] + 1 - dist[int(v)])
-    return abs(g) if g != 0 else 1
+    pattern = chain.transition > 0
+    depth = np.array(_bfs_tree(csr_matrix(pattern, dtype=float), 0)[2])
+    heads, tails = np.nonzero(pattern)
+    g = int(np.gcd.reduce(depth[heads] + 1 - depth[tails]))
+    return g or 1
 
 
 # States eliminated per block in _gth, and the back-substitution's rescaling point.

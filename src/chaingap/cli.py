@@ -19,7 +19,9 @@ from typing import NoReturn
 
 from .bounds import cheeger_exact, cheeger_search, inequality_audit, path_bound
 from .chains import FiniteChain
-from .empirical import DeltaCurve, DeltaPoint, delta_curve, delta_monte_carlo, delta_bounds_audit
+from .empirical import (
+    DeltaCurve, DeltaPoint, _require_reps, delta_bounds_audit, delta_curve, delta_monte_carlo,
+)
 from .errors import ChainError
 from .experiments import emit_report, random_steps_ensemble, render_report, scan
 from .families import ChainSpec
@@ -69,11 +71,13 @@ def cmd_gap(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    _, chain = _chain(args)
-    curve = delta_curve(chain, range(1, args.n_max + 1))
     if args.trials:
         if args.seed is None:
             _usage("--trials draws trajectories; give an explicit --seed")
+        _require_reps(args.trials)
+    _, chain = _chain(args)
+    curve = delta_curve(chain, range(1, args.n_max + 1))
+    if args.trials:
         entries = []
         for e in curve.entries:
             est, se = delta_monte_carlo(chain, e.maximizer, e.n, args.trials, args.seed)
@@ -102,7 +106,7 @@ def cmd_cheeger(args) -> int:
 
 def cmd_path_bound(args) -> int:
     _, chain = _chain(args)
-    congestion, gap_lower, _ = path_bound(chain)
+    congestion, gap_lower = path_bound(chain)
     _print_json({"congestion": congestion, "gap_lower": gap_lower})
     return 0
 
@@ -137,6 +141,8 @@ def cmd_ensemble(args) -> int:
     if args.seed is None:
         _usage("ensemble sampling is randomized; give --seed")
     k = args.k
+    if not 1 <= k <= args.n:
+        _usage(f"--k must lie in 1..{args.n}: the steps are distinct residues mod --n")
     p = _parse_floats(args.p) if args.p else [1.0 / k] * k
     rows = random_steps_ensemble(
         N=args.n,

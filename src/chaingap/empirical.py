@@ -187,6 +187,11 @@ def _build_alias(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
+def _require_reps(reps: int) -> None:
+    if reps < 2:
+        raise ValueError("reps must be >= 2: the standard error needs two replicates")
+
+
 def delta_monte_carlo(
     chain: FiniteChain, g: np.ndarray, n: int, reps: int, seed: int
 ) -> tuple[float, float]:
@@ -215,8 +220,7 @@ def delta_monte_carlo(
         raise BadTestFunction("test function must have unit mu-norm")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if reps < 2:
-        raise ValueError("reps must be >= 2: the standard error needs two replicates")
+    _require_reps(reps)
 
     size = chain.size
     steps = n - 1

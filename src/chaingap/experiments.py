@@ -148,6 +148,8 @@ def random_steps_ensemble(
     """
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
+    if not 1 <= k <= N:
+        raise ValueError(f"k must lie in 1..{N}: the steps are distinct residues mod {N}")
     p = np.asarray(p, dtype=float)
     if len(p) != k:
         raise ValueError(f"p must list k = {k} probabilities")

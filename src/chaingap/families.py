@@ -95,7 +95,7 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> tuple[float, float]:
     for steps in axes:
         t = np.zeros(N, dtype=complex)
         for a, p in steps:
-            t += p * np.exp(2j * np.pi * m * a / N)
+            t += p * np.exp(2j * np.pi * ((m * a) % N) / N)  # exact reduction: small phase
         terms.append(t)
     tail = np.zeros(1, dtype=complex)  # the other axes' sums, row-major
     for t in terms[1:]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import chaingap as cg
 from chaingap import tolerances as tol
 from chaingap.audit import BoundAudit, make_check
-from chaingap.bounds import _congestion, _first_improvement
+from chaingap.bounds import _first_improvement
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
 
 from conftest import birth_death_matrix, stochastic_matrices
@@ -248,6 +248,19 @@ def deque_bfs_paths(chain):
     return paths
 
 
+def walked_congestion(chain, paths):
+    """The former path-walking congestion, kept as the reference: each
+    pair's weight mu(s) mu(t) |path| added to every edge of its path."""
+    q = chain.edge_measure()
+    mu = chain.stationary
+    load = {}
+    for (s, t), edges in paths.items():
+        weight = mu[s] * mu[t] * len(edges)
+        for e in edges:
+            load[e] = load.get(e, 0.0) + weight
+    return max(load[e] / q[e] for e in load)
+
+
 PATH_CHAINS = {
     "cdg-101": lambda: cg.cdg_chain(101),
     "card-4": lambda: cg.card_chain(4),
@@ -261,34 +274,57 @@ PATH_CHAINS = {
 def test_tree_sum_congestion_matches_path_walk(name):
     chain = PATH_CHAINS[name]()
     result = cg.path_bound(chain)
-    want = deque_bfs_paths(chain)
-    assert result.ensemble.paths == want
-    walked = _congestion(chain, want)
+    walked = walked_congestion(chain, deque_bfs_paths(chain))
     assert abs(result.congestion - walked) <= 1e-13 * walked
-    assert result.ensemble.congestion == result.congestion
+    assert result.gap_lower == 1.0 / result.congestion
 
 
 def test_tree_sum_congestion_matches_path_walk_on_the_battery(battery):
     for item in battery:
         result = cg.path_bound(item.chain)
-        want = deque_bfs_paths(item.chain)
-        assert result.ensemble.paths == want
-        walked = _congestion(item.chain, want)
+        walked = walked_congestion(item.chain, deque_bfs_paths(item.chain))
         assert abs(result.congestion - walked) <= 1e-13 * walked
 
 
+def _pinned_battery_chain(name):
+    return next(item.chain for item in cg.reference_battery() if item.name == name)
+
+
+# float.hex of the congestion from the path-building implementation that
+# preceded the tree sums without paths: the arithmetic must not change a bit.
+PINNED_CONGESTION = {
+    "cdg-201": (lambda: cg.cdg_chain(201), "0x1.a000000000002p+5"),
+    "card-5": (lambda: cg.card_chain(5), "0x1.d299999999997p+6"),
+    "birth-death-40-0.9": (
+        lambda: cg.build_chain(birth_death_matrix(40, 0.9)), "0x1.770fcd6e9e064p+5"
+    ),
+    "circle-drift-16-lazy": (
+        lambda: _pinned_battery_chain("circle-drift-16-lazy"), "0x1.3600000000000p+8"
+    ),
+    "torus-4": (lambda: _pinned_battery_chain("torus-4"), "0x1.5400000000000p+4"),
+    "random-7": (lambda: _pinned_battery_chain("random-7"), "0x1.1149f1d3f93ecp+3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONGESTION))
+def test_congestion_bits_are_pinned(name):
+    build, want = PINNED_CONGESTION[name]
+    congestion, gap_lower = cg.path_bound(build())
+    assert float.hex(congestion) == want
+    assert gap_lower == 1.0 / float.fromhex(want)
+
+
 def test_path_bound_flip(flip):
-    congestion, gap_lower, ensemble = cg.path_bound(flip)
+    congestion, gap_lower = cg.path_bound(flip)
     assert congestion == pytest.approx(0.5, abs=1e-12)
     assert gap_lower == pytest.approx(2.0, abs=1e-12)
     gamma, _ = cg.spectral_gap(flip)
     assert gap_lower == pytest.approx(gamma, abs=1e-12)  # tight here
-    assert set(ensemble.paths) == {(0, 1), (1, 0)}
 
 
 def test_path_bound_shift3_cycle_paths():
     chain = cg.circulant_chain(3, [(1, 1.0)])
-    congestion, gap_lower, _ = cg.path_bound(chain)
+    congestion, gap_lower = cg.path_bound(chain)
     # hand count: each edge carries pair loads (1+2+2)/9, Q(e) = 1/3
     assert congestion == pytest.approx(5.0 / 3.0, abs=1e-12)
     assert gap_lower == pytest.approx(0.6, abs=1e-12)
@@ -298,8 +334,7 @@ def test_path_bound_shift3_cycle_paths():
 
 def test_path_bound_uniform3_single_edges():
     chain = cg.build_chain(np.full((3, 3), 1.0 / 3.0))
-    congestion, gap_lower, ensemble = cg.path_bound(chain)
-    assert all(len(p) == 1 for p in ensemble.paths.values())
+    congestion, gap_lower = cg.path_bound(chain)
     assert congestion == pytest.approx(1.0, abs=1e-12)
     assert gap_lower == pytest.approx(1.0, abs=1e-12)
 
@@ -308,12 +343,6 @@ def test_path_bound_rejects_disconnected():
     chain = cg.build_chain([[1.0, 0.0], [0.5, 0.5]])
     with pytest.raises(NotIrreducible):
         cg.path_bound(chain)
-
-
-def test_path_bound_custom_ensemble_validation(flip):
-    bad = cg.PathEnsemble(paths={(0, 1): ((0, 1),)}, congestion=0.0)
-    with pytest.raises(ValueError):
-        cg.path_bound(flip, bad)
 
 
 def _random_simple_path(q, s, t, rnd):
@@ -338,6 +367,7 @@ def _random_simple_path(q, s, t, rnd):
 
 
 def test_random_perturbed_ensembles_stay_below_gap(battery):
+    # the bound holds for any path ensemble, not only the breadth-first one
     rnd = np.random.RandomState(123)
     import random as pyrandom
 
@@ -346,17 +376,15 @@ def test_random_perturbed_ensembles_stay_below_gap(battery):
         if chain.size > 16:
             continue
         gamma, _ = cg.spectral_gap(chain)
-        base = cg.path_bound(chain).ensemble
+        base = deque_bfs_paths(chain)
         q = chain.edge_measure()
         gen = pyrandom.Random(int(rnd.randint(0, 2**31)))
         for _ in range(100):
-            paths = dict(base.paths)
+            paths = dict(base)
             for _ in range(3):
                 s, t = gen.sample(range(chain.size), 2)
                 paths[(s, t)] = _random_simple_path(q, s, t, gen)
-            ensemble = cg.PathEnsemble(paths=paths, congestion=0.0)
-            _, gap_lower, _ = cg.path_bound(chain, ensemble)
-            assert gap_lower <= gamma + 1e-9
+            assert 1.0 / walked_congestion(chain, paths) <= gamma + 1e-9
 
 
 def test_mixing_time_examples(flip):

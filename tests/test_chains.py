@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     birth_death_chains,
     birth_death_law,
     birth_death_matrix,
+    periodic_matrices,
     stochastic_matrices,
     structure_flags,
 )
@@ -326,3 +328,62 @@ def test_period():
     assert cg.period(cg.circulant_chain(4, [(1, 0.5), (-1, 0.5)])) == 2
     assert cg.period(cg.circulant_chain(3, [(1, 0.5), (-1, 0.5)])) == 1
     assert cg.period(cg.cdg_chain(5)) == 1
+
+
+def boolean_power_period(P):
+    """The reference period: the gcd of the n <= N at which P^n has a
+    positive diagonal entry. Every simple cycle has at most N edges, so
+    these n already give the gcd of all cycle lengths."""
+    adj = (np.asarray(P) > 0).astype(np.int64)
+    reach = adj.copy()
+    g = 0
+    for n in range(1, len(adj) + 1):
+        if reach.diagonal().any():
+            g = math.gcd(g, n)
+        reach = ((reach @ adj) > 0).astype(np.int64)
+    return g
+
+
+@st.composite
+def sparse_irreducible_matrices(draw, max_size=12):
+    """A Hamiltonian cycle through a drawn state order plus up to n extra
+    edges: irreducible, and periodic whenever the extra edges allow it."""
+    n = draw(st.integers(2, max_size))
+    order = draw(st.permutations(range(n)))
+    state = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(state, state), max_size=n))
+    P = np.zeros((n, n))
+    P[order, np.roll(order, -1)] = 1.0
+    for x, y in extra:
+        P[x, y] += 0.5
+    return P / P.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_irreducible_matrices())
+def test_period_matches_boolean_powers_on_sparse_chains(P):
+    assert cg.period(cg.build_chain(P)) == boolean_power_period(P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(periodic_matrices())
+def test_period_matches_boolean_powers_on_periodic_chains(P):
+    assert cg.period(cg.build_chain(P)) == boolean_power_period(P)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        cg.circulant_chain(12, [(3, 0.5), (7, 0.5)]),
+        cg.circulant_chain(30, [(1, 0.5), (-1, 0.5)]),
+        cg.circulant_chain(37, [(1, 1.0)]),
+        cg.circulant_chain(24, [(5, 0.4), (9, 0.6)]),
+        cg.torus_chain(6, 2, cg.up_right_probs(0.5)),
+        cg.torus_chain(5, 2, cg.TorusProbs(0.0, (0.25, 0.25), (0.25, 0.25))),
+        cg.torus_chain(6, 2, cg.TorusProbs(0.0, (0.25, 0.25), (0.25, 0.25))),
+        cg.cdg_chain(15),
+    ],
+    ids=lambda chain: f"{chain.size}-states",
+)
+def test_period_matches_boolean_powers_on_group_walks(chain):
+    assert cg.period(chain) == boolean_power_period(chain.transition)

@@ -65,6 +65,30 @@ def test_delta_command_refuses_one_trial(walk_spec, capsys):
     assert lines[0].startswith("chaingap: ValueError: reps must be >= 2")
 
 
+def test_delta_command_refuses_before_the_curve(walk_spec, monkeypatch, capsys):
+    from chaingap import cli
+
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve was computed before the options were checked")
+
+    monkeypatch.setattr(cli, "delta_curve", no_curve)
+    assert main(["delta", "--spec", walk_spec, "--n-max", "2", "--trials", "1",
+                 "--seed", "3"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "--spec", walk_spec, "--n-max", "2", "--trials", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, second = captured.err.splitlines()
+    assert first.startswith("chaingap: ValueError: reps must be >= 2")
+    assert second.startswith("chaingap: error: --trials draws trajectories")
+
+
+def test_delta_command_without_trials_needs_no_seed(walk_spec, capsys):
+    assert main(["delta", "--spec", walk_spec, "--n-max", "2", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.startswith("n,delta_exact,delta_mc,mc_stderr")
+
+
 def test_cheeger_command(flip_spec, capsys):
     assert main(["cheeger", "--spec", flip_spec]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -118,6 +142,18 @@ def test_ensemble_command(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "L,fraction"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("k", ["0", "7"])
+def test_ensemble_command_refuses_k_outside_one_to_n(k, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--n", "5", "--k", k, "--trials", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: error: --k must lie in 1..5")
 
 
 def test_audit_exit_code_on_failure(monkeypatch, walk_spec):

@@ -143,6 +143,13 @@ def test_ensemble_refuses_nan_probability():
         cg.random_steps_ensemble(101, 2, [math.nan, 0.5], 10, [1.0], seed=0)
 
 
+@pytest.mark.parametrize("k", [0, 7])
+def test_ensemble_refuses_k_outside_one_to_n(k):
+    # 7 distinct residues mod 5 do not exist: sampling would never end
+    with pytest.raises(ValueError, match=r"k must lie in 1\.\.5"):
+        cg.random_steps_ensemble(5, k, [1.0 / 7] * k, 1, [1.0], seed=1)
+
+
 def test_ensemble_monotone_and_deterministic():
     rows1 = cg.random_steps_ensemble(101, 2, [0.5, 0.5], 200, [1, 2, 4], seed=9)
     rows2 = cg.random_steps_ensemble(101, 2, [0.5, 0.5], 200, [1, 2, 4], seed=9)

@@ -55,6 +55,35 @@ def _torus_gap(N, d, probs):
     return cg.ChainSpec("torus", N, d, probs=probs).closed_form()[0]
 
 
+# Step sets whose phases m * a run far past N: before the phase was
+# reduced mod N, their gaps were off by up to 1e-11 relative.
+PHASE_CHAINS = [
+    (340, ((170, 0.96), (271, 0.04))),
+    (558, ((43, 0.25), (113, 0.125), (314, 0.625))),
+    (590, ((211, 0.035), (516, 0.965))),
+    (591, ((85, 0.015), (289, 0.645), (454, 0.34))),
+]
+
+
+def mpmath_circulant_gap(mpmath, N, steps):
+    """min over m != 0 of |1 - lambda_m|, summed in 40 digits."""
+    with mpmath.workdps(40):
+        lams = (
+            mpmath.fsum(mpmath.mpf(p) * mpmath.expjpi(mpmath.mpf(2 * (m * a % N)) / N)
+                        for a, p in steps)
+            for m in range(1, N)
+        )
+        return min(abs(1 - lam) for lam in lams)
+
+
+@pytest.mark.parametrize("N, steps", PHASE_CHAINS, ids=[str(n) for n, _ in PHASE_CHAINS])
+def test_circulant_gap_matches_mpmath(N, steps):
+    mpmath = pytest.importorskip("mpmath")
+    want = mpmath_circulant_gap(mpmath, N, steps)
+    got = cg.ChainSpec("circulant", N, steps=steps).closed_form()[0]
+    assert float(abs(got - want) / want) <= 1e-13
+
+
 def test_circulant_reducible_flagged():
     chain = cg.circulant_chain(4, [(2, 1.0)])
     assert not chain.irreducible
