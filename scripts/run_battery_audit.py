@@ -42,7 +42,7 @@ def main(argv=None):
             f"{item.name:24s} tau={tau:10.3f} checks={len(audit.checks):2d} "
             f"worst margin={min(margins):10.3g} {status}"
         )
-        report[item.name] = audit.to_json()
+        report[item.name] = json.loads(cg.experiments.render_report(audit, "json"))
         all_ok &= audit.all_pass
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -18,7 +18,6 @@ experiment grids.
 from .audit import BoundAudit, BoundCheck
 from .battery import BatteryChain, random_dense_chain, reference_battery
 from .chains import (
-    Distribution,
     FiniteChain,
     adjoint,
     build_chain,

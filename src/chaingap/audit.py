@@ -69,30 +69,6 @@ class BoundAudit:
     def merged(self, other: "BoundAudit") -> "BoundAudit":
         return BoundAudit(self.checks + other.checks)
 
-    def to_json(self) -> dict:
-        def num(x: float):
-            if math.isnan(x):
-                return None
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
-        return {
-            "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "name": c.name,
-                    "lhs": num(c.lhs),
-                    "rhs": num(c.rhs),
-                    "relation": c.relation,
-                    "margin": num(c.margin),
-                    "applicable": c.applicable,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
     def to_table(self) -> str:
         """Human-readable fixed-width table, one line per check."""
         lines = [

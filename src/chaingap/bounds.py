@@ -286,21 +286,20 @@ def _worst_tv(powered: np.ndarray, mu: np.ndarray) -> float:
     return float(0.5 * np.abs(powered - mu[None, :]).sum(axis=1).max())
 
 
-def mixing_time(chain: FiniteChain, eps: float, cap: int | None = None) -> MixingResult:
+def mixing_time(chain: FiniteChain, eps: float) -> MixingResult:
     """First n with worst-start total variation distance <= eps.
 
     Exact evaluation of d(n) = max_x TV(P^n_x, mu) by matrix powering;
     doubling search followed by binary search, relying on (and checking)
     that d is non-increasing. Periodic chains that fail to reach eps by
-    the cap report infinity; aperiodic ones raise instead, since they
-    always mix eventually.
+    the cap of 10 N^2 + 1000 steps report infinity; aperiodic ones raise
+    instead, since they always mix eventually.
     """
     _require_irreducible(chain)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     n_states = chain.size
-    if cap is None:
-        cap = 10 * n_states * n_states + 1000
+    cap = 10 * n_states * n_states + 1000
     mu = chain.stationary
     P = chain.transition
     evaluated: dict[int, float] = {0: _worst_tv(np.eye(n_states), mu)}

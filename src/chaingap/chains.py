@@ -19,7 +19,6 @@ from . import tolerances as tol
 from .errors import ChainError, NotIrreducible, NotStochastic
 
 __all__ = [
-    "Distribution",
     "FiniteChain",
     "build_chain",
     "adjoint",
@@ -29,26 +28,6 @@ __all__ = [
     "mu_norm",
     "period",
 ]
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector over states: entries >= 0, summing to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise ValueError("distribution must be a finite 1-d vector")
-        if w.min() < -tol.ROW_SUM:
-            raise ValueError(f"negative probability {w.min():.3e}")
-        if abs(w.sum() - 1.0) > tol.ROW_SUM:
-            raise ValueError(f"probabilities sum to {w.sum()!r}, not 1")
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -237,6 +216,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_distribution(weights) -> np.ndarray:
+    """A given stationary law, checked as a probability vector, clipped, renormalized."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or not np.all(np.isfinite(w)):
+        raise ValueError("distribution must be a finite 1-d vector")
+    if w.min() < -tol.ROW_SUM:
+        raise ValueError(f"negative probability {w.min():.3e}")
+    if abs(w.sum() - 1.0) > tol.ROW_SUM:
+        raise ValueError(f"probabilities sum to {w.sum()!r}, not 1")
+    w = np.clip(w, 0.0, None)
+    return w / w.sum()
+
+
 def build_chain(
     matrix: Iterable,
     labels: Sequence[str] | None = None,
@@ -261,6 +253,7 @@ def build_chain(
         NotStochastic: negative entries or row sums off 1 beyond tolerance.
         ChainError: the stationarity residual exceeds tolerance, or an
             irreducible chain's mu underflows to zero somewhere.
+        ValueError: a given ``stationary`` is not a probability vector.
     """
     P = np.array(matrix, dtype=float)
     _check_stochastic(P)
@@ -277,7 +270,7 @@ def build_chain(
         if irreducible is None:
             irreducible = connected
     else:
-        mu = Distribution(stationary).weights.copy()
+        mu = _checked_distribution(stationary)
         if irreducible is None:
             irreducible = _is_strongly_connected(P)
         unique = bool(irreducible)

@@ -2,8 +2,10 @@
 
 Subcommands: gap, delta, cheeger, path-bound, audit, scan, ensemble.
 Chains come in as JSON chain-spec files (see families.ChainSpec);
-results go to stdout and optionally to --out as CSV or JSON. Every
-randomized command takes --seed and is bit-reproducible.
+results go to stdout and, with --out, to a file in --format, both
+written by experiments.render_report. gap, cheeger and path-bound
+report JSON only. Every randomized command takes --seed and is
+bit-reproducible.
 
 Exit codes: 0 on success; 1 when an audit check fails; 2 when the input
 is refused (a bad spec, file or option, or a chain the computation does
@@ -23,7 +25,7 @@ from .empirical import (
     DeltaCurve, DeltaPoint, _require_reps, delta_bounds_audit, delta_curve, delta_monte_carlo,
 )
 from .errors import ChainError
-from .experiments import emit_report, random_steps_ensemble, render_report, scan
+from .experiments import random_steps_ensemble, render_report, scan
 from .families import ChainSpec
 from .spectral import gap_spectrum
 from . import tolerances as tol
@@ -41,13 +43,15 @@ def _chain(args) -> tuple[ChainSpec, FiniteChain]:
     return spec, spec.build()
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _maybe_emit(args, obj) -> None:
-    if args.out:
-        emit_report(obj, args.out, args.format)
+def _write(args, result, stdout_fmt: str | None) -> None:
+    """Print the result as stdout_fmt (None: the caller prints) and write --out as
+    --format; the file's text is rendered first, so a refused format does neither."""
+    text = render_report(result, args.format) if args.out else None
+    if stdout_fmt is not None:
+        sys.stdout.write(render_report(result, stdout_fmt))
+    if text is not None:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -64,9 +68,7 @@ def cmd_gap(args) -> int:
     closed = spec.closed_form()
     if closed is not None:
         payload["closed_form_gap"] = closed[0]
-    _print_json(payload)
-    if args.out:
-        emit_report(payload, args.out, "json")
+    _write(args, payload, "json")
     return 0
 
 
@@ -85,8 +87,7 @@ def cmd_delta(args) -> int:
                 DeltaPoint(n=e.n, delta_exact=e.delta_exact, delta_mc=est, mc_stderr=se)
             )
         curve = DeltaCurve(entries=tuple(entries))
-    sys.stdout.write(render_report(curve, "csv"))
-    _maybe_emit(args, curve)
+    _write(args, curve, "csv")
     return 0
 
 
@@ -98,16 +99,13 @@ def cmd_cheeger(args) -> int:
         if args.seed is None:
             _usage("search beyond 20 states is randomized; give --seed")
         result = cheeger_search(chain, iters=args.trials or 50, seed=args.seed)
-    _print_json(
-        {"xi": result.xi, "argmin_set": list(result.argmin_set), "exact": result.exact}
-    )
+    _write(args, result, "json")
     return 0
 
 
 def cmd_path_bound(args) -> int:
     _, chain = _chain(args)
-    congestion, gap_lower = path_bound(chain)
-    _print_json({"congestion": congestion, "gap_lower": gap_lower})
+    _write(args, path_bound(chain), "json")
     return 0
 
 
@@ -122,7 +120,7 @@ def cmd_audit(args) -> int:
     if args.n_max:
         audit = audit.merged(delta_bounds_audit(chain, args.n_max))
     print(audit.to_table())
-    _maybe_emit(args, audit)
+    _write(args, audit, None)
     return 0 if audit.all_pass else 1
 
 
@@ -132,8 +130,7 @@ def cmd_scan(args) -> int:
     for n in sizes:
         _check_extended(template.with_size(n), args)
     rows = scan(template, sizes)
-    sys.stdout.write(render_report(rows, "csv"))
-    _maybe_emit(args, rows)
+    _write(args, rows, "csv")
     return 0
 
 
@@ -152,8 +149,7 @@ def cmd_ensemble(args) -> int:
         L_grid=_parse_floats(args.l_grid),
         seed=args.seed,
     )
-    sys.stdout.write(render_report(rows, "csv"))
-    _maybe_emit(args, rows)
+    _write(args, rows, "csv")
     return 0
 
 
@@ -185,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the result to this file")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        json_only = name in ("gap", "cheeger", "path-bound")
+        p.add_argument("--format", choices=("csv", "json"), default="json" if json_only else "csv",
+                       help="format of the --out file (default: %(default)s)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; required by anything randomized")
         p.add_argument("--extended", action="store_true", help="allow the slow variants")

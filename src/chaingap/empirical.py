@@ -63,27 +63,6 @@ class DeltaCurve:
 
     entries: tuple[DeltaPoint, ...]
 
-    def to_csv(self) -> str:
-        lines = ["n,delta_exact,delta_mc,mc_stderr"]
-        for e in self.entries:
-            mc = "" if e.delta_mc is None else format(e.delta_mc, ".17g")
-            se = "" if e.mc_stderr is None else format(e.mc_stderr, ".17g")
-            lines.append(f"{e.n},{format(e.delta_exact, '.17g')},{mc},{se}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "n": e.n,
-                    "delta_exact": e.delta_exact,
-                    "delta_mc": e.delta_mc,
-                    "mc_stderr": e.mc_stderr,
-                }
-                for e in self.entries
-            ]
-        }
-
 
 class _GramEvaluator:
     """Incremental evaluation of the deviation at nondecreasing n.

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .audit import BoundAudit
+from .bounds import CheegerResult, PathBoundResult
 from .empirical import DeltaCurve
 from .errors import InsufficientData, NotPrime
 from .families import ChainSpec
@@ -175,81 +176,79 @@ def random_steps_ensemble(
 # Bit-stable reports
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+EXPERIMENT_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
-EXPERIMENT_HEADER = "family,params_digest,N,gamma,tau,method,wall_ms"
+def _records(obj) -> tuple[tuple[str, ...], list[tuple]] | None:
+    """(columns, rows) of a tabular result, or None for any other object."""
+    if isinstance(obj, BoundAudit):
+        return ("name", "lhs", "relation", "rhs", "margin", "applicable", "pass"), [
+            (c.name, c.lhs, c.relation, c.rhs, c.margin, c.applicable, c.passed)
+            for c in obj.checks
+        ]
+    if isinstance(obj, DeltaCurve):
+        return ("n", "delta_exact", "delta_mc", "mc_stderr"), [
+            (e.n, e.delta_exact, e.delta_mc, e.mc_stderr) for e in obj.entries
+        ]
+    if isinstance(obj, list):
+        cls = type(obj[0]) if obj else ExperimentRow  # an empty list is a scan table
+        if cls in (ExperimentRow, EnsembleRow):
+            columns = tuple(f.name for f in fields(cls))
+            return columns, [tuple(getattr(r, c) for c in columns) for r in obj]
+    return None
 
 
-def _rows_csv(rows: list[ExperimentRow]) -> str:
-    lines = [EXPERIMENT_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.family},{r.params_digest},{r.N},{_fmt(r.gamma)},{_fmt(r.tau)},"
-            f"{r.method},{_fmt(r.wall_ms)}"
-        )
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
 
 
-def _rows_json(rows: list[ExperimentRow]):
-    return [
-        {
-            "family": r.family,
-            "params_digest": r.params_digest,
-            "N": r.N,
-            "gamma": r.gamma,
-            "tau": "inf" if math.isinf(r.tau) else r.tau,
-            "method": r.method,
-            "wall_ms": r.wall_ms,
-        }
-        for r in rows
-    ]
-
-
-def _ensemble_csv(rows: list[EnsembleRow]) -> str:
-    lines = ["L,fraction"]
-    for r in rows:
-        lines.append(f"{_fmt(r.L)},{_fmt(r.fraction)}")
-    return "\n".join(lines) + "\n"
-
-
-def _audit_csv(audit: BoundAudit) -> str:
-    lines = ["name,lhs,relation,rhs,margin,applicable,pass"]
-    for c in audit.checks:
-        lines.append(
-            f"{c.name},{_fmt(c.lhs)},{c.relation},{_fmt(c.rhs)},{_fmt(c.margin)},"
-            f"{str(c.applicable).lower()},{str(c.passed).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+def _json_value(value):
+    """nan -> null, +-inf -> "inf"/"-inf", tuples -> lists, recursively."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def render_report(obj, fmt: str) -> str:
-    """Serialize a result object to "csv" or "json" text."""
+    """Serialize a result to "csv" or "json" text: the only report writer.
+
+    Audits, curves and lists of scan or ensemble rows have both forms;
+    CSV cells are 17-digit floats, true/false, empty for None. Cheeger,
+    path-bound and dict (gap) results are JSON only. JSON has sorted
+    keys, nan as null and +-inf as "inf"/"-inf", so it is valid JSON.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
-    if isinstance(obj, BoundAudit):
-        body = obj.to_json() if fmt == "json" else None
-        text = _audit_csv(obj) if fmt == "csv" else None
-    elif isinstance(obj, DeltaCurve):
-        body = obj.to_json() if fmt == "json" else None
-        text = obj.to_csv() if fmt == "csv" else None
-    elif isinstance(obj, list) and (not obj or isinstance(obj[0], ExperimentRow)):
-        body = _rows_json(obj) if fmt == "json" else None
-        text = _rows_csv(obj) if fmt == "csv" else None
-    elif isinstance(obj, list) and isinstance(obj[0], EnsembleRow):
-        body = [{"L": r.L, "fraction": r.fraction} for r in obj] if fmt == "json" else None
-        text = _ensemble_csv(obj) if fmt == "csv" else None
-    elif isinstance(obj, dict):
-        body = obj if fmt == "json" else None
-        text = None
-        if fmt == "csv":
-            raise ValueError("dict payloads serialize to json only")
-    else:
+    table = _records(obj)
+    if table is None and not isinstance(obj, (CheegerResult, PathBoundResult, dict)):
         raise TypeError(f"no report serializer for {type(obj).__name__}")
-    if fmt == "json":
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
-    return text
+    if fmt == "csv":
+        if table is None:
+            raise ValueError(f"{type(obj).__name__} reports are json only")
+        columns, rows = table
+        return "".join(",".join(map(_cell, line)) + "\n" for line in [columns, *rows])
+    if table is not None:
+        columns, rows = table
+        body = [dict(zip(columns, row)) for row in rows]
+        if isinstance(obj, BoundAudit):
+            body = {"all_pass": obj.all_pass, "checks": body}
+        elif isinstance(obj, DeltaCurve):
+            body = {"entries": body}
+    elif isinstance(obj, CheegerResult):
+        body = asdict(obj)
+    elif isinstance(obj, PathBoundResult):
+        body = obj._asdict()
+    else:
+        body = obj  # the gap payload
+    return json.dumps(_json_value(body), sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(obj, path, fmt: str = "csv") -> None:

@@ -51,10 +51,11 @@ class SingularSpectrum:
     eigenvalues: np.ndarray | None = None
 
     def to_json(self) -> dict:
+        """The ``gap`` report payload; ``render_report`` writes its non-finite values."""
         payload = {
             "values": [float(v) for v in self.values],
             "gap": float(self.gap),
-            "relaxation": "inf" if np.isinf(self.relaxation) else float(self.relaxation),
+            "relaxation": float(self.relaxation),
             "method": self.method,
             "mu_min": float(self.mu_min),
         }

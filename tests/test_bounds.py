@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import deque
 
@@ -11,6 +12,7 @@ from chaingap import tolerances as tol
 from chaingap.audit import BoundAudit, make_check
 from chaingap.bounds import _first_improvement
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
+from chaingap.experiments import render_report
 
 from conftest import birth_death_matrix, stochastic_matrices
 
@@ -400,7 +402,7 @@ def test_mixing_cap_exceeded_for_slow_aperiodic_chain():
     leak = 1e-7
     chain = cg.build_chain([[1 - leak, leak], [leak, 1 - leak]])
     with pytest.raises(cg.errors.MixingCapExceeded):
-        cg.mixing_time(chain, 0.01, cap=100)
+        cg.mixing_time(chain, 0.01)
 
 
 def test_mixing_curve_monotone(battery):
@@ -481,7 +483,7 @@ def test_inequality_audit_eps_gates(flip):
 
 def test_audit_serialization_and_exit_semantics():
     good = cg.inequality_audit(cg.build_chain(np.full((2, 2), 0.5)))
-    payload = good.to_json()
+    payload = json.loads(render_report(good, "json"))
     assert payload["all_pass"] is True
     assert all("margin" in c for c in payload["checks"])
     table = good.to_table()

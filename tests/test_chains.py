@@ -242,12 +242,13 @@ def test_transition_arrays_are_immutable(flip):
 
 
 def test_distribution_validation():
+    P = np.array([[0.25, 0.75], [0.25, 0.75]])
     with pytest.raises(ValueError):
-        cg.Distribution(np.array([0.5, 0.6]))
+        cg.build_chain(P, stationary=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
-        cg.Distribution(np.array([-0.1, 1.1]))
-    d = cg.Distribution(np.array([0.25, 0.75]))
-    assert d.weights.sum() == 1.0
+        cg.build_chain(P, stationary=np.array([-0.1, 1.1]))
+    chain = cg.build_chain(P, stationary=np.array([0.25, 0.75]))
+    assert chain.stationary.sum() == 1.0
 
 
 @settings(max_examples=40, deadline=None)

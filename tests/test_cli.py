@@ -179,3 +179,38 @@ def test_refused_chain_exits_two_with_one_line(tmp_path, capsys):
 def test_scan_refuses_explicit_spec(flip_spec, capsys):
     assert main(["scan", "--spec", flip_spec, "--n-list", "2,3"]) == 2
     assert capsys.readouterr().err.startswith("chaingap: ValueError: ")
+
+
+@pytest.mark.parametrize("command", ["cheeger", "path-bound"])
+def test_json_command_out_file_equals_stdout(command, flip_spec, tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert main([command, "--spec", flip_spec, "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["gap", "cheeger", "path-bound"])
+def test_json_only_command_refuses_csv_out(command, flip_spec, tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    assert main([command, "--spec", flip_spec, "--format", "csv", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: ValueError: ")
+    assert not out.exists()
+
+
+def test_ensemble_json_writes_infinite_l_as_a_string(tmp_path):
+    out = tmp_path / "tails.json"
+    code = main(
+        ["ensemble", "--n", "101", "--k", "2", "--trials", "50", "--l-grid", "1,inf",
+         "--seed", "5", "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(out.read_text(), parse_constant=refuse)
+    assert [row["L"] for row in rows] == [1.0, "inf"]
+    assert rows[1]["fraction"] == 0.0

@@ -9,6 +9,7 @@ from scipy.linalg import null_space
 import chaingap as cg
 from chaingap.empirical import _BLOCK_ENTRIES, ALIAS_THRESHOLD, _build_alias
 from chaingap.errors import BadTestFunction
+from chaingap.experiments import render_report
 
 from conftest import (
     bipartite_walk_matrix,
@@ -412,7 +413,7 @@ def test_delta_bounds_audit_rejects_degenerate_kernel():
 
 def test_curve_csv_round_trip(flip):
     curve = cg.delta_curve(flip, [1, 2])
-    text = curve.to_csv()
+    text = render_report(curve, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "n,delta_exact,delta_mc,mc_stderr"
     assert lines[1].startswith("1,1")
