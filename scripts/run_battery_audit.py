@@ -45,9 +45,7 @@ def main(argv=None):
         report[item.name] = json.loads(cg.experiments.render_report(audit, "json"))
         all_ok &= audit.all_pass
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    cg.emit_report(report, args.out, "json")
     print(f"report written to {args.out}")
     return 0 if all_ok else 1
 

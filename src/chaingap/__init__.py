@@ -19,13 +19,11 @@ from .audit import BoundAudit, BoundCheck
 from .battery import BatteryChain, random_dense_chain, reference_battery
 from .chains import (
     FiniteChain,
-    adjoint,
     build_chain,
     lazy,
     mu_inner,
     mu_norm,
     period,
-    reversibilize,
 )
 from .bounds import (
     CheegerResult,
@@ -71,7 +69,6 @@ from .spectral import (
     normal_gap,
     relaxation_time,
     pseudo_spectral_gap,
-    self_adjoint_gap,
     spectral_gap,
     weighted_singular_spectrum,
 )

@@ -4,7 +4,10 @@ Everything in here compares the singular-value gap gamma against the
 classical machinery: the bottleneck ratio, path congestion, mixing time
 in total variation, reversibilized gaps, and the pseudo-spectral gap.
 ``inequality_audit`` evaluates the whole battery of two-sided bounds on
-one chain and returns a structured pass/fail record.
+one chain and returns a structured pass/fail record. The reversibilized
+and pseudo-spectral gaps come from spectral's conjugated matrix
+B = D^{1/2} P D^{-1/2}, in which the mu-adjoint is B^T, so the audit
+builds no second chain and validates none.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ from scipy.sparse import csr_matrix
 
 from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
-from .chains import FiniteChain, _bfs_tree, period, reversibilize
+from .chains import FiniteChain, _bfs_tree, period
 from .errors import (
     MixingCapExceeded,
     NoPathExists,
     NotIrreducible,
     TooLargeForEnumeration,
 )
-from .spectral import pseudo_spectral_gap, self_adjoint_gap, spectral_gap
+from .spectral import _reversibilized_gaps, pseudo_spectral_gap, spectral_gap
 
 __all__ = [
     "CheegerResult",
@@ -389,8 +392,7 @@ def inequality_audit(
     laziness = float(chain.transition.diagonal().min())
     is_lazy = laziness >= 0.5
 
-    gamma_add = self_adjoint_gap(reversibilize(chain, "additive"))
-    gamma_mult = self_adjoint_gap(reversibilize(chain, "multiplicative"))
+    gamma_add, gamma_mult = _reversibilized_gaps(chain)
 
     checks: list[BoundCheck] = [
         make_check("additive_gap_lower", 0.5 * gamma_add, gamma, "<="),

@@ -1,9 +1,12 @@
-"""Construction, validation, and algebraic transforms of finite Markov chains.
+"""Construction and validation of finite Markov chains.
 
 A chain is a validated row-stochastic matrix together with a stationary
 distribution mu and structure flags (irreducible / reversible / normal).
-All transforms here are pure: they return new immutable chains and never
-mutate their inputs, so values are safe to share across threads.
+The one transform, ``lazy``, is pure: it returns a new immutable chain
+and never mutates its input, so values are safe to share across
+threads. The mu-adjoint P* appears only in the normality test; the
+audit's reversibilized gaps are taken in spectral's conjugated
+coordinates, where P* is a transpose.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .errors import ChainError, NotIrreducible, NotStochastic
 __all__ = [
     "FiniteChain",
     "build_chain",
-    "adjoint",
-    "reversibilize",
     "lazy",
     "mu_inner",
     "mu_norm",
@@ -298,49 +299,6 @@ def build_chain(
         normal=bool(normal),
         unique_stationary=unique,
     )
-
-
-def adjoint(chain: FiniteChain) -> FiniteChain:
-    """Time reversal: the mu-adjoint chain P*(x, y) = mu(y) P(y, x) / mu(x).
-
-    P* is row-stochastic with the same stationary law, and the adjoint of
-    the adjoint recovers the original chain.
-    """
-    if not chain.irreducible:
-        raise NotIrreducible("adjoint requires mu > 0 everywhere")
-    rev = _mu_adjoint(chain.transition, chain.stationary)
-    # Edge reversal preserves strong connectivity, detailed balance, and normality.
-    return replace(chain, transition=_freeze(rev))
-
-
-def reversibilize(chain: FiniteChain, kind: str) -> FiniteChain:
-    """Additive (P + P*)/2 or multiplicative P P* reversibilization.
-
-    Both are reversible with the same stationary law. The multiplicative
-    chain can be reducible (a permutation chain collapses to the identity),
-    so its connectivity is recomputed.
-    """
-    if not chain.irreducible:
-        raise NotIrreducible("reversibilization requires mu > 0 everywhere")
-    P = chain.transition
-    star = _mu_adjoint(P, chain.stationary)
-    if kind == "additive":
-        return build_chain(
-            0.5 * (P + star),
-            chain.labels,
-            stationary=chain.stationary,
-            assume={"irreducible": True, "reversible": True, "normal": True},
-        )
-    if kind == "multiplicative":
-        M = P @ star
-        irr = _is_strongly_connected(M)
-        return build_chain(
-            M,
-            chain.labels,
-            stationary=chain.stationary,
-            assume={"irreducible": irr, "reversible": True, "normal": True},
-        )
-    raise ValueError(f"kind must be 'additive' or 'multiplicative', got {kind!r}")
 
 
 def lazy(chain: FiniteChain, hold: float) -> FiniteChain:

@@ -97,7 +97,7 @@ def cmd_cheeger(args) -> int:
         result = cheeger_exact(chain)
     else:
         if args.seed is None:
-            _usage("search beyond 20 states is randomized; give --seed")
+            _usage(f"search beyond {tol.CHEEGER_ENUM_LIMIT} states is randomized; give --seed")
         result = cheeger_search(chain, iters=args.trials or 50, seed=args.seed)
     _write(args, result, "json")
     return 0
@@ -197,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, help="evaluate n = 1..n_max")
     p.add_argument("--trials", type=int, default=0, help="Monte Carlo replicates per n")
 
-    p = add("cheeger", cmd_cheeger, "bottleneck ratio (exact up to 20 states)")
+    limit = tol.CHEEGER_ENUM_LIMIT
+    p = add("cheeger", cmd_cheeger, f"bottleneck ratio (exact up to {limit} states)")
     p.add_argument("--spec", required=True)
-    p.add_argument("--trials", type=int, default=0, help="search restarts beyond 20 states")
+    p.add_argument("--trials", type=int, default=0, help=f"search restarts beyond {limit} states")
 
     p = add("path-bound", cmd_path_bound, "canonical-path congestion bound")
     p.add_argument("--spec", required=True)

@@ -27,7 +27,7 @@ from . import tolerances as tol
 from .audit import BoundAudit, make_check, skipped_check
 from .chains import FiniteChain, mu_inner, mu_norm
 from .errors import BadTestFunction, DegenerateKernel
-from .spectral import _require_spectral, spectral_gap
+from .spectral import _conjugated, _require_spectral, spectral_gap
 
 __all__ = [
     "DeltaPoint",
@@ -79,7 +79,7 @@ class _GramEvaluator:
 
     def __init__(self, chain: FiniteChain):
         self._d = np.sqrt(chain.stationary)
-        self._b1 = self._d[:, None] * chain.transition / self._d[None, :]
+        self._b1 = _conjugated(chain.transition, chain.stationary)
         self._bk = np.eye(chain.size)
         self._spare = np.empty_like(self._bk)
         self._sum = np.zeros_like(self._bk)  # S_k

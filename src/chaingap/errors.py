@@ -18,10 +18,6 @@ class MultipleInvariantMeasures(ChainError):
     spectral quantities are ill-posed."""
 
 
-class NotReversible(ChainError):
-    """Operation requires detailed balance."""
-
-
 class NotNormal(ChainError):
     """Operation requires P to commute with its mu-adjoint."""
 

@@ -4,11 +4,14 @@ The scan runs one family template over a grid of sizes, preferring the
 closed-form gap where the family has one and gap_spectrum otherwise; the
 fit quantifies power-law growth of the relaxation time. Reports are
 bit-stable: fixed header order, LF line endings, 17-significant-digit
-floats, JSON with sorted keys.
+floats, CSV cells quoted only when they hold a comma, quote or newline
+(RFC 4180), JSON with sorted keys.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -221,9 +224,11 @@ def render_report(obj, fmt: str) -> str:
     """Serialize a result to "csv" or "json" text: the only report writer.
 
     Audits, curves and lists of scan or ensemble rows have both forms;
-    CSV cells are 17-digit floats, true/false, empty for None. Cheeger,
-    path-bound and dict (gap) results are JSON only. JSON has sorted
-    keys, nan as null and +-inf as "inf"/"-inf", so it is valid JSON.
+    CSV cells are 17-digit floats, true/false, empty for None, quoted
+    when they hold a comma, quote or newline (a skipped audit check
+    carries its reason in its name). Cheeger, path-bound and dict (gap)
+    results are JSON only. JSON has sorted keys, nan as null and +-inf
+    as "inf"/"-inf", so it is valid JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
@@ -234,7 +239,11 @@ def render_report(obj, fmt: str) -> str:
         if table is None:
             raise ValueError(f"{type(obj).__name__} reports are json only")
         columns, rows = table
-        return "".join(",".join(map(_cell, line)) + "\n" for line in [columns, *rows])
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            map(_cell, line) for line in [columns, *rows]
+        )
+        return text.getvalue()
     if table is not None:
         columns, rows = table
         body = [dict(zip(columns, row)) for row in rows]

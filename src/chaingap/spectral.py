@@ -3,10 +3,17 @@
 The gap gamma of a chain is the second-smallest singular value of
 L = I - P under the mu-weighted inner product; the relaxation time is
 tau = 1/gamma. The weighting is realized by the similarity
-B = D^{1/2} L D^{-1/2} with D = diag(mu), whose ordinary singular values
-are the weighted ones (the substitution u = D^{1/2} f turns mu-norms
-into Euclidean norms). Normal chains (P commuting with its adjoint) get
-a cheaper, better-conditioned route through the eigenvalues of P.
+M -> D^{1/2} M D^{-1/2} with D = diag(mu) (``_conjugated``, the only
+place it happens): the ordinary singular values of the conjugated L are
+the weighted ones (the substitution u = D^{1/2} f turns mu-norms into
+Euclidean norms). Normal chains (P commuting with its adjoint) get a
+cheaper, better-conditioned route through the eigenvalues of P.
+
+With B = D^{1/2} P D^{-1/2}, the mu-adjoint P* conjugates to B^T. So the
+audit's comparison gaps, those of the additive (P + P*)/2 and
+multiplicative P P* reversibilizations and of the pseudo-spectral gap's
+(P*)^k P^k, are each 1 - lambda_2 of a symmetric matrix built from B
+alone; no adjoint chain is formed.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import numpy as np
 from scipy.linalg import eig, eigvalsh, svdvals
 
 from . import tolerances as tol
-from .chains import FiniteChain, _mu_adjoint
-from .errors import MultipleInvariantMeasures, NotIrreducible, NotNormal, NotReversible
+from .chains import FiniteChain
+from .errors import MultipleInvariantMeasures, NotIrreducible, NotNormal
 
 __all__ = [
     "SingularSpectrum",
@@ -27,7 +34,6 @@ __all__ = [
     "gap_spectrum",
     "relaxation_time",
     "spectral_gap",
-    "self_adjoint_gap",
     "normal_gap",
     "pseudo_spectral_gap",
 ]
@@ -87,8 +93,14 @@ def _require_spectral(chain: FiniteChain) -> None:
 
 
 def _conjugated(matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """D^{1/2} M D^{-1/2}: the only place the mu-weighting happens."""
     d = np.sqrt(mu)
     return d[:, None] * matrix / d[None, :]
+
+
+def _symmetric_gap(S: np.ndarray) -> float:
+    """1 - lambda_2 of a symmetric matrix."""
+    return 1.0 - float(eigvalsh(S)[-2])
 
 
 def relaxation_time(gap: float, sigma_max: float) -> float:
@@ -174,19 +186,16 @@ def spectral_gap(chain: FiniteChain) -> tuple[float, float]:
     return spectrum.gap, spectrum.relaxation
 
 
-def self_adjoint_gap(chain: FiniteChain) -> float:
-    """Classical gap 1 - lambda_2 of a reversible chain.
+def _reversibilized_gaps(chain: FiniteChain) -> tuple[float, float]:
+    """Gaps 1 - lambda_2 of the additive (P + P*)/2 and multiplicative P P*.
 
-    lambda_2 is the second-largest eigenvalue of the symmetric matrix
-    D^{1/2} P D^{-1/2}. Used on the additive/multiplicative
-    reversibilizations; reducible inputs are fine here (the identity
-    chain legitimately has gap 0).
+    In conjugated coordinates these are (B + B^T)/2 and B B^T. The
+    multiplicative chain may be reducible (a permutation collapses to the
+    identity, gap 0), and that is a value here, not a refusal.
     """
-    if not chain.reversible:
-        raise NotReversible("self_adjoint_gap requires detailed balance")
-    S = _conjugated(chain.transition, chain.stationary)
-    w = eigvalsh(0.5 * (S + S.T))
-    return float(1.0 - w[-2])
+    _require_spectral(chain)
+    B = _conjugated(chain.transition, chain.stationary)
+    return _symmetric_gap(0.5 * (B + B.T)), _symmetric_gap(B @ B.T)
 
 
 def pseudo_spectral_gap(chain: FiniteChain, k_max: int = 10) -> PseudoGapBound:
@@ -200,18 +209,12 @@ def pseudo_spectral_gap(chain: FiniteChain, k_max: int = 10) -> PseudoGapBound:
     _require_spectral(chain)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    P = chain.transition
-    mu = chain.stationary
-    star = _mu_adjoint(P, mu)
+    B = _conjugated(chain.transition, chain.stationary)
     best, best_k = -np.inf, 1
-    pk = np.eye(chain.size)
-    sk = np.eye(chain.size)
+    C = np.eye(chain.size)
     for k in range(1, k_max + 1):
-        pk = pk @ P
-        sk = sk @ star
-        S = _conjugated(sk @ pk, mu)
-        lam2 = eigvalsh(0.5 * (S + S.T))[-2]
-        val = (1.0 - float(lam2)) / k
+        C = C @ B  # B^k; (P*)^k P^k conjugates to (B^k)^T B^k
+        val = _symmetric_gap(C.T @ C) / k
         if val > best:
             best, best_k = val, k
     return PseudoGapBound(value=max(best, 0.0), k=best_k, k_max=k_max)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaingap as cg
-from chaingap.chains import _gth
+from chaingap.chains import _gth, _mu_adjoint
+from chaingap.spectral import _conjugated, _reversibilized_gaps
 from chaingap.errors import ChainError, NotIrreducible, NotStochastic
 
 from conftest import (
@@ -164,10 +165,14 @@ def test_not_stochastic_rejected():
         cg.build_chain([[1.1, -0.1], [0.5, 0.5]])
 
 
+def time_reversal(chain):
+    return _mu_adjoint(chain.transition, chain.stationary)
+
+
 def test_adjoint_of_shift_is_reverse_shift(shift4):
-    rev = cg.adjoint(shift4)
+    rev = time_reversal(shift4)
     expected = cg.circulant_chain(4, [(-1, 1.0)])
-    assert np.allclose(rev.transition, expected.transition)
+    assert np.allclose(rev, expected.transition)
 
 
 def test_adjoint_formula_entrywise():
@@ -177,37 +182,32 @@ def test_adjoint_formula_entrywise():
     expected = np.array(
         [[mu[y] * P[y, x] / mu[x] for y in range(2)] for x in range(2)]
     )
-    star = cg.adjoint(chain)
-    assert np.allclose(star.transition, expected, atol=1e-14)
+    star = time_reversal(chain)
+    assert np.allclose(star, expected, atol=1e-14)
     # this chain satisfies detailed balance, so P* = P
-    assert np.allclose(star.transition, P, atol=1e-12)
+    assert np.allclose(star, P, atol=1e-12)
 
 
 def test_adjoint_of_reversible_is_identity_map(uniform5):
-    star = cg.adjoint(uniform5)
-    assert np.allclose(star.transition, uniform5.transition, atol=1e-14)
+    star = time_reversal(uniform5)
+    assert np.allclose(star, uniform5.transition, atol=1e-14)
 
 
 def test_reversibilize_shift4(shift4):
-    add = cg.reversibilize(shift4, "additive")
+    add, mult = _reversibilized_gaps(shift4)
+    # (P + P*)/2 is the symmetric walk, whose eigenvalues are real and <= 1
     sym = cg.circulant_chain(4, [(1, 0.5), (-1, 0.5)])
-    assert np.allclose(add.transition, sym.transition)
-    assert add.reversible
-    mult = cg.reversibilize(shift4, "multiplicative")
-    assert np.allclose(mult.transition, np.eye(4))
-    assert not mult.irreducible
+    assert add == pytest.approx(cg.spectral_gap(sym)[0], abs=1e-12)
+    # P P* is the identity, a reducible chain with gap 0
+    assert mult == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reversibilize_additive_of_lazy_right_walk():
     chain = cg.circulant_chain(6, [(0, 0.5), (1, 0.5)])
-    add = cg.reversibilize(chain, "additive")
+    add, _ = _reversibilized_gaps(chain)
     expected = cg.circulant_chain(6, [(0, 0.5), (1, 0.25), (-1, 0.25)])
-    assert np.allclose(add.transition, expected.transition)
-
-
-def test_reversibilize_bad_kind(flip):
-    with pytest.raises(ValueError):
-        cg.reversibilize(flip, "geometric")
+    assert add == pytest.approx(cg.spectral_gap(expected)[0], rel=1e-12)
+    assert add == pytest.approx(0.25, rel=1e-12)
 
 
 def test_lazy_examples(flip):
@@ -265,14 +265,14 @@ def test_build_chain_invariants(matrix):
 @given(stochastic_matrices())
 def test_adjoint_inner_product_identity(matrix):
     chain = cg.build_chain(matrix)
-    star = cg.adjoint(chain)
+    star = time_reversal(chain)
     mu = chain.stationary
     rng = np.random.default_rng(7)
     for _ in range(100):
         f = rng.normal(size=chain.size)
         g = rng.normal(size=chain.size)
         lhs = cg.mu_inner(chain.transition @ f, g, mu)
-        rhs = cg.mu_inner(f, star.transition @ g, mu)
+        rhs = cg.mu_inner(f, star @ g, mu)
         bound = 1e-10 * cg.mu_norm(f, mu) * cg.mu_norm(g, mu)
         assert abs(lhs - rhs) <= bound
 
@@ -281,18 +281,24 @@ def test_adjoint_inner_product_identity(matrix):
 @given(stochastic_matrices())
 def test_adjoint_involution(matrix):
     chain = cg.build_chain(matrix)
-    back = cg.adjoint(cg.adjoint(chain))
-    assert np.abs(back.transition - chain.transition).max() <= 1e-12
+    back = _mu_adjoint(time_reversal(chain), chain.stationary)
+    assert np.abs(back - chain.transition).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(stochastic_matrices())
 def test_reversibilizations_are_reversible(matrix):
     chain = cg.build_chain(matrix)
-    for kind in ("additive", "multiplicative"):
-        result = cg.reversibilize(chain, kind)
+    P, mu = chain.transition, chain.stationary
+    star = time_reversal(chain)
+    B = _conjugated(P, mu)
+    # (P + P*)/2 and P P* keep mu and satisfy detailed balance, and they
+    # conjugate to the symmetric (B + B^T)/2 and B B^T that the audit uses
+    for M, S in ((0.5 * (P + star), 0.5 * (B + B.T)), (P @ star, B @ B.T)):
+        result = cg.build_chain(M, stationary=mu)
         assert structure_flags(result).reversible
-        assert np.allclose(result.stationary, chain.stationary)
+        assert np.abs(mu @ M - mu).max() <= 1e-12
+        assert np.abs(_conjugated(M, mu) - S).max() <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)

@@ -4,6 +4,8 @@ import pytest
 
 from chaingap.cli import main
 
+from conftest import birth_death_matrix
+
 
 @pytest.fixture()
 def flip_spec(tmp_path):
@@ -214,3 +216,16 @@ def test_ensemble_json_writes_infinite_l_as_a_string(tmp_path):
     rows = json.loads(out.read_text(), parse_constant=refuse)
     assert [row["L"] for row in rows] == [1.0, "inf"]
     assert rows[1]["fraction"] == 0.0
+
+
+def test_audit_accepts_chain_with_subnormal_mu(tmp_path, capsys):
+    # mu spans 9^332: its smallest mass, about 1.4e-317, is subnormal
+    spec = tmp_path / "bd333.json"
+    spec.write_text(
+        json.dumps({"family": "explicit", "matrix": birth_death_matrix(333, 0.9).tolist()})
+    )
+    out = tmp_path / "audit.json"
+    code = main(["audit", "--spec", str(spec), "--format", "json", "--out", str(out)])
+    assert "NotStochastic" not in capsys.readouterr().err
+    assert code == 0
+    assert json.loads(out.read_text())["all_pass"] is True

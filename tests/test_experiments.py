@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -211,3 +213,16 @@ def test_report_audit_and_curve(tmp_path):
     curve = cg.delta_curve(cg.build_chain([[0.0, 1.0], [1.0, 0.0]]), [1, 2])
     cg.emit_report(curve, tmp_path / "curve.csv", "csv")
     assert (tmp_path / "curve.csv").read_text().startswith("n,delta_exact")
+
+
+def test_audit_csv_rows_have_the_header_width(battery):
+    # skipped checks carry their reason in the name, and some reasons hold commas
+    quoted = 0
+    for item in battery:
+        audit = cg.inequality_audit(item.chain, group_walk=item.group_walk)
+        text = render_report(audit, "csv")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert all(len(row) == len(header) for row in rows), item.name
+        assert [row[0] for row in rows] == [c.name for c in audit.checks]
+        quoted += text.count('"')
+    assert quoted > 0

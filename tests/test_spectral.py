@@ -4,9 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import eigvalsh
 
 import chaingap as cg
-from chaingap.errors import NotNormal, NotReversible
+from chaingap.chains import _mu_adjoint
+from chaingap.errors import NotNormal
+from chaingap.spectral import _reversibilized_gaps
 
 from conftest import (
     bipartite_walk_matrix,
@@ -65,15 +68,91 @@ def test_spectral_gap_near_degenerate_flags_infinity():
     assert math.isinf(tau)
 
 
-def test_self_adjoint_gap_examples(shift4, uniform5):
-    add = cg.reversibilize(shift4, "additive")
-    # eigenvalues cos(2 pi j / 4) = {1, 0, -1, 0}
-    assert cg.self_adjoint_gap(add) == pytest.approx(1.0, abs=1e-12)
-    mult = cg.reversibilize(shift4, "multiplicative")
-    assert cg.self_adjoint_gap(mult) == pytest.approx(0.0, abs=1e-12)
-    assert cg.self_adjoint_gap(uniform5) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(NotReversible):
-        cg.self_adjoint_gap(shift4)
+def test_reversibilized_gaps_examples(shift4, uniform5):
+    add, mult = _reversibilized_gaps(shift4)
+    # (P + P*)/2 has eigenvalues cos(2 pi j / 4) = {1, 0, -1, 0}
+    assert add == pytest.approx(1.0, abs=1e-12)
+    # P P* is the identity
+    assert mult == pytest.approx(0.0, abs=1e-12)
+    # P is reversible and P P* = P^2 = P
+    assert _reversibilized_gaps(uniform5) == pytest.approx((1.0, 1.0), abs=1e-12)
+
+
+def _symmetrized_gap(chain):
+    d = np.sqrt(chain.stationary)
+    S = d[:, None] * chain.transition / d[None, :]
+    return 1.0 - float(eigvalsh(0.5 * (S + S.T))[-2])
+
+
+def reversibilized_reference(chain):
+    """The audit's former route, kept as the reference for _reversibilized_gaps.
+
+    Each reversibilization is built as a validated chain from the
+    mu-adjoint P*, and its gap is 1 - lambda_2 of its symmetrized
+    conjugate.
+    """
+    P, mu = chain.transition, chain.stationary
+    star = _mu_adjoint(P, mu)
+    flags = {"irreducible": True, "reversible": True, "normal": True}
+    return tuple(
+        _symmetrized_gap(cg.build_chain(M, stationary=mu, assume=flags))
+        for M in (0.5 * (P + star), P @ star)
+    )
+
+
+def pseudo_gap_reference(chain, k_max=10):
+    """The former pseudo_spectral_gap: separate powers of P and P*, conjugated at each k."""
+    P, mu = chain.transition, chain.stationary
+    star = _mu_adjoint(P, mu)
+    d = np.sqrt(mu)
+    best, best_k = -np.inf, 1
+    pk = sk = np.eye(chain.size)
+    for k in range(1, k_max + 1):
+        pk = pk @ P
+        sk = sk @ star
+        S = d[:, None] * (sk @ pk) / d[None, :]
+        val = (1.0 - float(eigvalsh(0.5 * (S + S.T))[-2])) / k
+        if val > best:
+            best, best_k = val, k
+    return max(best, 0.0), best_k
+
+
+# Comparison gaps that vanish in exact arithmetic (a periodic chain's P P*
+# and (P*)^k P^k are reducible) come out as rounding noise of a few ulps;
+# there the argmax k is noise too and is not compared.
+_NOISE = 1e-13
+
+
+def _assert_comparison_gaps_agree(chain):
+    def close(value, ref):
+        return abs(value - ref) <= 1e-12 * abs(ref) + _NOISE
+
+    for value, ref in zip(_reversibilized_gaps(chain), reversibilized_reference(chain)):
+        assert close(value, ref), (value, ref)
+    bound = cg.pseudo_spectral_gap(chain)
+    ref, ref_k = pseudo_gap_reference(chain)
+    assert close(bound.value, ref), (bound.value, ref)
+    if ref > _NOISE:
+        assert bound.k == ref_k
+
+
+def test_comparison_gaps_match_adjoint_route(battery):
+    for item in battery:
+        _assert_comparison_gaps_agree(item.chain)
+    _assert_comparison_gaps_agree(cg.cdg_chain(101))
+    _assert_comparison_gaps_agree(cg.card_chain(4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(birth_death_chains())
+def test_comparison_gaps_match_adjoint_route_on_skewed_birth_death(case):
+    _assert_comparison_gaps_agree(cg.build_chain(birth_death_matrix(*case)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(periodic_matrices())
+def test_comparison_gaps_match_adjoint_route_on_periodic_chains(matrix):
+    _assert_comparison_gaps_agree(cg.build_chain(matrix))
 
 
 def test_normal_gap_examples(flip):
