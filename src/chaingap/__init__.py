@@ -65,8 +65,6 @@ from .families import (
 from .spectral import (
     PseudoGapBound,
     SingularSpectrum,
-    gap_spectrum,
-    normal_gap,
     relaxation_time,
     pseudo_spectral_gap,
     spectral_gap,

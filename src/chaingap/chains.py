@@ -1,12 +1,11 @@
 """Construction and validation of finite Markov chains.
 
 A chain is a validated row-stochastic matrix together with a stationary
-distribution mu and structure flags (irreducible / reversible / normal).
-The one transform, ``lazy``, is pure: it returns a new immutable chain
-and never mutates its input, so values are safe to share across
-threads. The mu-adjoint P* appears only in the normality test; the
+distribution mu and structure flags (irreducible / reversible). The one
+transform, ``lazy``, is pure: it returns a new immutable chain and never
+mutates its input, so values are safe to share across threads. The
 audit's reversibilized gaps are taken in spectral's conjugated
-coordinates, where P* is a transpose.
+coordinates, where the mu-adjoint P* is a transpose.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class FiniteChain:
         labels: optional state names.
         irreducible: positive-entry digraph is strongly connected.
         reversible: detailed balance w.r.t. mu holds entrywise.
-        normal: P commutes with its mu-adjoint.
         unique_stationary: exactly one communicating class is closed, so
             the kernel of (P^T - I) is one-dimensional.
     """
@@ -52,7 +50,6 @@ class FiniteChain:
     labels: tuple[str, ...] | None
     irreducible: bool
     reversible: bool
-    normal: bool
     unique_stationary: bool
 
     @property
@@ -66,7 +63,7 @@ class FiniteChain:
     def __repr__(self) -> str:  # arrays are noisy; keep it scannable
         return (
             f"FiniteChain(size={self.size}, irreducible={self.irreducible}, "
-            f"reversible={self.reversible}, normal={self.normal})"
+            f"reversible={self.reversible})"
         )
 
 
@@ -186,11 +183,6 @@ def _solve_stationary(matrix: np.ndarray) -> tuple[np.ndarray, bool, bool]:
     return mu, n_comp == 1, len(closed) == 1
 
 
-def _mu_adjoint(matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """P*(x, y) = mu(y) P(y, x) / mu(x); the time reversal of the chain."""
-    return (mu[None, :] * matrix.T) / mu[:, None]
-
-
 def _is_reversible(matrix: np.ndarray, mu: np.ndarray) -> bool:
     # Relative to each edge, so a one-way cycle among low-mass states is not
     # hidden by its small measure; below the smallest normal double mu has
@@ -200,15 +192,6 @@ def _is_reversible(matrix: np.ndarray, mu: np.ndarray) -> bool:
     if diff.max() > tol.DETAILED_BALANCE:  # Q <= 1: already fails relative to Q
         return False
     return bool(np.all(diff <= tol.DETAILED_BALANCE * np.maximum(q, np.finfo(float).tiny)))
-
-
-def _is_normal(matrix: np.ndarray, mu: np.ndarray) -> bool:
-    if np.any(mu <= 0):
-        return False
-    adj = _mu_adjoint(matrix, mu)
-    comm = adj @ matrix - matrix @ adj
-    bound = tol.NORMALITY * (1.0 + float(np.abs(matrix).max()))
-    return float(np.abs(comm).max()) <= bound
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -284,11 +267,6 @@ def build_chain(
     reversible = assume.get("reversible")
     if reversible is None:
         reversible = _is_reversible(P, mu)
-    normal = assume.get("normal")
-    if normal is None:
-        # detailed balance makes P self-adjoint in the mu inner product, so
-        # the commutator test, which a subnormal mu can defeat, is not needed
-        normal = irreducible and (reversible or _is_normal(P, mu))
 
     return FiniteChain(
         transition=_freeze(P),
@@ -296,7 +274,6 @@ def build_chain(
         labels=labels,
         irreducible=bool(irreducible),
         reversible=bool(reversible),
-        normal=bool(normal),
         unique_stationary=unique,
     )
 
@@ -312,7 +289,7 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     if hold == 0.0:
         return chain
     P = hold * np.eye(chain.size) + (1.0 - hold) * chain.transition
-    # Self-loops change neither connectivity, detailed balance, normality,
-    # nor the kernel of the generator.
+    # Self-loops change neither connectivity, detailed balance, nor the
+    # kernel of the generator.
     return replace(chain, transition=_freeze(P))
 

@@ -27,7 +27,7 @@ from .empirical import (
 from .errors import ChainError
 from .experiments import random_steps_ensemble, render_report, scan
 from .families import ChainSpec
-from .spectral import gap_spectrum
+from .spectral import weighted_singular_spectrum
 from . import tolerances as tol
 
 
@@ -64,7 +64,7 @@ def _parse_ints(text: str) -> list[int]:
 
 def cmd_gap(args) -> int:
     spec, chain = _chain(args)
-    payload = gap_spectrum(chain).to_json()
+    payload = weighted_singular_spectrum(chain).to_json()
     closed = spec.closed_form()
     if closed is not None:
         payload["closed_form_gap"] = closed[0]

@@ -18,10 +18,6 @@ class MultipleInvariantMeasures(ChainError):
     spectral quantities are ill-posed."""
 
 
-class NotNormal(ChainError):
-    """Operation requires P to commute with its mu-adjoint."""
-
-
 class DegenerateKernel(ChainError):
     """Second-smallest singular value is numerically zero; relaxation time is infinite."""
 

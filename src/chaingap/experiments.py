@@ -1,7 +1,7 @@
 """Scaling scans, ensemble tails, least-squares fits, and report files.
 
 The scan runs one family template over a grid of sizes, preferring the
-closed-form gap where the family has one and gap_spectrum otherwise; the
+closed-form gap where the family has one and the dense SVD otherwise; the
 fit quantifies power-law growth of the relaxation time. Reports are
 bit-stable: fixed header order, LF line endings, 17-significant-digit
 floats, CSV cells quoted only when they hold a comma, quote or newline
@@ -24,7 +24,7 @@ from .bounds import CheegerResult, PathBoundResult
 from .empirical import DeltaCurve
 from .errors import InsufficientData, NotPrime
 from .families import ChainSpec
-from .spectral import gap_spectrum
+from .spectral import weighted_singular_spectrum
 
 __all__ = [
     "ExperimentRow",
@@ -66,8 +66,8 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     """One row of (gamma, tau, timing) per size, sorted by N.
 
     Uses the family's closed form where available (circulant, torus) and
-    gap_spectrum otherwise. Values are deterministic; only the
-    wall-clock column varies between runs.
+    weighted_singular_spectrum otherwise. Values are deterministic; only
+    the wall-clock column varies between runs.
     """
     rows = []
     for N in sorted(int(n) for n in N_list):
@@ -75,7 +75,7 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
         start = time.perf_counter()
         closed = spec.closed_form()
         if closed is None:
-            spectrum = gap_spectrum(spec.build())
+            spectrum = weighted_singular_spectrum(spec.build())
             gap, tau, method = spectrum.gap, spectrum.relaxation, spectrum.method
         else:
             (gap, tau), method = closed, "closed_form"
@@ -145,7 +145,7 @@ def random_steps_ensemble(
     """Tail of the relaxation time over random step sets on Z/NZ.
 
     Draws ``trials`` step sets of k distinct residues uniformly from
-    Z/NZ (resampling collisions), computes each tau from the circulant
+    Z/NZ (without replacement), computes each tau from the circulant
     closed form, and reports the fraction exceeding L * N^{2/(k+1)} for
     each L. Deterministic given the seed; fractions are automatically
     non-increasing in L.
@@ -162,10 +162,7 @@ def random_steps_ensemble(
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     taus = np.empty(trials)
     for t in range(trials):
-        while True:
-            steps = rng.integers(0, N, size=k)
-            if len(set(steps.tolist())) == k:
-                break
+        steps = rng.choice(N, size=k, replace=False)
         spec = ChainSpec("circulant", N, steps=tuple(zip(steps.tolist(), p.tolist())))
         taus[t] = spec.closed_form()[1]
     scale = N ** (2.0 / (k + 1.0))

@@ -77,7 +77,7 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
     return build_chain(
         P,
         stationary=np.full(states, 1.0 / states),
-        assume={"irreducible": irreducible, "reversible": reversible, "normal": True},
+        assume={"irreducible": irreducible, "reversible": reversible},
     )
 
 
@@ -251,7 +251,7 @@ def card_chain(N: int) -> FiniteChain:
         P,
         labels,
         stationary=np.full(size, 1.0 / size),
-        assume={"irreducible": True, "reversible": False, "normal": False},
+        assume={"irreducible": True, "reversible": False},
     )
 
 

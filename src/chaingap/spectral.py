@@ -6,8 +6,10 @@ tau = 1/gamma. The weighting is realized by the similarity
 M -> D^{1/2} M D^{-1/2} with D = diag(mu) (``_conjugated``, the only
 place it happens): the ordinary singular values of the conjugated L are
 the weighted ones (the substitution u = D^{1/2} f turns mu-norms into
-Euclidean norms). Normal chains (P commuting with its adjoint) get a
-cheaper, better-conditioned route through the eigenvalues of P.
+Euclidean norms). This dense SVD is the one route for every chain,
+normal or not: the eigenvalues of P say little about a nonreversible
+chain, and even on normal chains, where the singular values are the
+|1 - lambda_j|, the SVD is the faster and the more accurate.
 
 With B = D^{1/2} P D^{-1/2}, the mu-adjoint P* conjugates to B^T. So the
 audit's comparison gaps, those of the additive (P + P*)/2 and
@@ -21,20 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, eigvalsh, svdvals
+from scipy.linalg import eigvalsh, svdvals
 
 from . import tolerances as tol
 from .chains import FiniteChain
-from .errors import MultipleInvariantMeasures, NotIrreducible, NotNormal
+from .errors import MultipleInvariantMeasures, NotIrreducible
 
 __all__ = [
     "SingularSpectrum",
     "PseudoGapBound",
     "weighted_singular_spectrum",
-    "gap_spectrum",
     "relaxation_time",
     "spectral_gap",
-    "normal_gap",
     "pseudo_spectral_gap",
 ]
 
@@ -44,32 +44,25 @@ class SingularSpectrum:
     """Singular values of the weighted generator, sorted ascending.
 
     ``relaxation`` is ``inf`` when the gap falls below the zero threshold
-    of ``relaxation_time``. ``eigenvalues`` is only
-    populated on the normal-chain route, sorted by |1 - lambda|.
+    of ``relaxation_time``. ``method`` names the route (``weighted_svd``).
     ``mu_min`` records the conditioning of the diagonal similarity.
     """
 
     values: np.ndarray
     gap: float
     relaxation: float
-    method: str  # weighted_svd | normal_eigen
+    method: str
     mu_min: float
-    eigenvalues: np.ndarray | None = None
 
     def to_json(self) -> dict:
         """The ``gap`` report payload; ``render_report`` writes its non-finite values."""
-        payload = {
+        return {
             "values": [float(v) for v in self.values],
             "gap": float(self.gap),
             "relaxation": float(self.relaxation),
             "method": self.method,
             "mu_min": float(self.mu_min),
         }
-        if self.eigenvalues is not None:
-            payload["eigenvalues"] = [
-                {"re": float(z.real), "im": float(z.imag)} for z in self.eigenvalues
-            ]
-        return payload
 
 
 @dataclass(frozen=True)
@@ -106,30 +99,14 @@ def _symmetric_gap(S: np.ndarray) -> float:
 def relaxation_time(gap: float, sigma_max: float) -> float:
     """tau = 1/gap, or inf when gap <= ZERO_SV * max(1, sigma_max).
 
-    The one rule for "is this gap zero?": every route (dense, normal
-    eigen, closed form, ensemble) turns its gap into tau here. The floor
-    is a resolution limit, so an irreducible chain whose gap sits below
-    it also gets inf.
+    The one rule for "is this gap zero?": every route (dense SVD, closed
+    form, ensemble) turns its gap into tau here. The floor is a
+    resolution limit, so an irreducible chain whose gap sits below it
+    also gets inf.
     """
     if gap <= tol.ZERO_SV * max(1.0, sigma_max):
         return np.inf
     return 1.0 / gap
-
-
-def _spectrum_from_values(
-    values: np.ndarray, method: str, mu_min: float, eigenvalues=None
-) -> SingularSpectrum:
-    values = np.sort(values)
-    gap = float(values[1])
-    values.setflags(write=False)
-    return SingularSpectrum(
-        values=values,
-        gap=gap,
-        relaxation=relaxation_time(gap, float(values[-1])),
-        method=method,
-        mu_min=mu_min,
-        eigenvalues=eigenvalues,
-    )
 
 
 def weighted_singular_spectrum(chain: FiniteChain) -> SingularSpectrum:
@@ -141,48 +118,21 @@ def weighted_singular_spectrum(chain: FiniteChain) -> SingularSpectrum:
     """
     _require_spectral(chain)
     L = np.eye(chain.size) - chain.transition
-    B = _conjugated(L, chain.stationary)
-    values = svdvals(B)
-    return _spectrum_from_values(
-        values, "weighted_svd", float(chain.stationary.min())
+    values = np.sort(svdvals(_conjugated(L, chain.stationary)))
+    values.setflags(write=False)
+    gap = float(values[1])
+    return SingularSpectrum(
+        values=values,
+        gap=gap,
+        relaxation=relaxation_time(gap, float(values[-1])),
+        method="weighted_svd",
+        mu_min=float(chain.stationary.min()),
     )
-
-
-def normal_gap(chain: FiniteChain) -> SingularSpectrum:
-    """Gap of a normal chain via the eigenvalues of P.
-
-    When P commutes with its adjoint, the singular values of the
-    generator are exactly |1 - lambda_j| over the eigenvalues of P, so
-    the gap is the second smallest of those.
-    """
-    if not chain.normal:
-        raise NotNormal("normal_gap requires P P* = P* P")
-    _require_spectral(chain)
-    S = _conjugated(chain.transition, chain.stationary)
-    lam = eig(S, right=False)
-    order = np.argsort(np.abs(1.0 - lam), kind="stable")
-    lam = lam[order]
-    lam.setflags(write=False)
-    return _spectrum_from_values(
-        np.abs(1.0 - lam),
-        "normal_eigen",
-        float(chain.stationary.min()),
-        eigenvalues=lam,
-    )
-
-
-def gap_spectrum(chain: FiniteChain) -> SingularSpectrum:
-    """Singular spectrum by the route the chain admits.
-
-    Normal chains take the eigenvalue route, all others the weighted
-    SVD; this is the only place that chooses between them.
-    """
-    return normal_gap(chain) if chain.normal else weighted_singular_spectrum(chain)
 
 
 def spectral_gap(chain: FiniteChain) -> tuple[float, float]:
     """(gamma, tau) for the chain; tau is inf on a degenerate kernel."""
-    spectrum = gap_spectrum(chain)
+    spectrum = weighted_singular_spectrum(chain)
     return spectrum.gap, spectrum.relaxation
 
 

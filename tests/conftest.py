@@ -5,7 +5,26 @@ import pytest
 from hypothesis import strategies as st
 
 import chaingap as cg
-from chaingap.chains import _is_normal, _is_reversible, _is_strongly_connected
+from chaingap.chains import _is_reversible, _is_strongly_connected
+
+
+def mu_adjoint(matrix, mu):
+    """P*(x, y) = mu(y) P(y, x) / mu(x); the time reversal of the chain."""
+    return (mu[None, :] * matrix.T) / mu[:, None]
+
+
+def is_normal(matrix, mu):
+    """P commutes with its mu-adjoint, up to 1e-10 * (1 + max|P|).
+
+    A mu with a zero entry has no adjoint and is never normal here. A
+    subnormal mu can defeat the test, so structure_flags counts detailed
+    balance as normal before it asks.
+    """
+    if np.any(mu <= 0):
+        return False
+    adj = mu_adjoint(matrix, mu)
+    comm = adj @ matrix - matrix @ adj
+    return float(np.abs(comm).max()) <= 1e-10 * (1.0 + float(np.abs(matrix).max()))
 
 
 @dataclass(frozen=True)
@@ -26,7 +45,7 @@ def structure_flags(chain):
     return StructureFlags(
         irreducible=irreducible,
         reversible=reversible,
-        normal=irreducible and (reversible or _is_normal(P, mu)),
+        normal=irreducible and (reversible or is_normal(P, mu)),
         laziness=float(P.diagonal().min()),
     )
 

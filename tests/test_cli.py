@@ -26,7 +26,8 @@ def walk_spec(tmp_path):
 def test_gap_command(walk_spec, capsys):
     assert main(["gap", "--spec", walk_spec]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == "normal_eigen"
+    assert payload["method"] == "weighted_svd"
+    assert "eigenvalues" not in payload
     assert payload["relaxation"] == pytest.approx(2.6131259297527527, rel=1e-12)
     assert payload["closed_form_gap"] == pytest.approx(payload["gap"], rel=1e-9)
 

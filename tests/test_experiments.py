@@ -161,6 +161,13 @@ def test_ensemble_monotone_and_deterministic():
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
 
 
+def test_ensemble_draws_every_residue_when_k_is_n():
+    # k = N steps are all of Z/NZ: with p uniform the walk is J/N, whose tau
+    # is 1, below every threshold L * N^{2/(k+1)} with L >= 1
+    rows = cg.random_steps_ensemble(101, 101, [1.0 / 101] * 101, 3, [1, 2, 4], seed=5)
+    assert [r.fraction for r in rows] == [0.0, 0.0, 0.0]
+
+
 def test_report_experiment_rows_csv(tmp_path):
     rows = cg.scan(lazy_right_template(), [4])
     path = tmp_path / "rows.csv"

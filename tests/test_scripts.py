@@ -1,7 +1,9 @@
-"""Smoke tests for the scripts under scripts/, run in-process through main()."""
+"""Smoke tests for the scripts under scripts/, run in-process through main(),
+and for the README's Python examples."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 import chaingap as cg
 from chaingap.experiments import EXPERIMENT_HEADER
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -40,3 +43,14 @@ def test_run_battery_audit_report(tmp_path, capsys):
     assert sorted(report) == sorted(item.name for item in cg.reference_battery())
     assert all(entry["all_pass"] and entry["checks"] for entry in report.values())
     assert f"report written to {out}" in capsys.readouterr().out
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library tour and the closed_form lines, in one namespace, so a
+    # renamed or removed name that the README still uses fails here
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["gamma"] > 0 and "additive_gap_lower" in capsys.readouterr().out

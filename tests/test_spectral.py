@@ -1,22 +1,21 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.linalg import eigvalsh
+from scipy.linalg import eig, eigvalsh
 
 import chaingap as cg
-from chaingap.chains import _mu_adjoint
-from chaingap.errors import NotNormal
-from chaingap.spectral import _reversibilized_gaps
+from chaingap.spectral import _conjugated, _reversibilized_gaps
 
 from conftest import (
     bipartite_walk_matrix,
     birth_death_chains,
     birth_death_matrix,
+    mu_adjoint,
     periodic_matrices,
     stochastic_matrices,
+    structure_flags,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -92,8 +91,8 @@ def reversibilized_reference(chain):
     conjugate.
     """
     P, mu = chain.transition, chain.stationary
-    star = _mu_adjoint(P, mu)
-    flags = {"irreducible": True, "reversible": True, "normal": True}
+    star = mu_adjoint(P, mu)
+    flags = {"irreducible": True, "reversible": True}
     return tuple(
         _symmetrized_gap(cg.build_chain(M, stationary=mu, assume=flags))
         for M in (0.5 * (P + star), P @ star)
@@ -103,7 +102,7 @@ def reversibilized_reference(chain):
 def pseudo_gap_reference(chain, k_max=10):
     """The former pseudo_spectral_gap: separate powers of P and P*, conjugated at each k."""
     P, mu = chain.transition, chain.stationary
-    star = _mu_adjoint(P, mu)
+    star = mu_adjoint(P, mu)
     d = np.sqrt(mu)
     best, best_k = -np.inf, 1
     pk = sk = np.eye(chain.size)
@@ -155,50 +154,49 @@ def test_comparison_gaps_match_adjoint_route_on_periodic_chains(matrix):
     _assert_comparison_gaps_agree(cg.build_chain(matrix))
 
 
+def conjugated_eigenvalues(chain):
+    """Eigenvalues of P, taken from its conjugate B = D^{1/2} P D^{-1/2}."""
+    return eig(_conjugated(chain.transition, chain.stationary), right=False)
+
+
+def normal_reference(chain):
+    """The former normal-chain route, kept as the reference for normal chains.
+
+    When P commutes with its mu-adjoint, the singular values of the
+    generator are exactly |1 - lambda_j| over the eigenvalues of P.
+    """
+    return np.sort(np.abs(1.0 - conjugated_eigenvalues(chain)))
+
+
 def test_normal_gap_examples(flip):
-    spec = cg.normal_gap(flip)
-    assert sorted(z.real for z in spec.eigenvalues) == pytest.approx([-1.0, 1.0], abs=1e-12)
+    spec = cg.weighted_singular_spectrum(flip)
     assert spec.gap == pytest.approx(2.0, abs=1e-12)
 
     shift3 = cg.circulant_chain(3, [(1, 1.0)])
-    spec = cg.normal_gap(shift3)
+    spec = cg.weighted_singular_spectrum(shift3)
     assert spec.gap == pytest.approx(SQRT3, rel=1e-12)
     assert spec.relaxation == pytest.approx(1.0 / SQRT3, rel=1e-12)
 
     torus = cg.torus_chain(2, 2, cg.up_right_probs(0.5))
-    assert cg.normal_gap(torus).gap == pytest.approx(1.0, abs=1e-12)
-
-    with pytest.raises(NotNormal):
-        cg.normal_gap(cg.cdg_chain(5))
-
-
-def test_eigenvalue_ordering_matches_gap(battery):
-    for item in battery:
-        if not item.chain.normal:
-            continue
-        spec = cg.normal_gap(item.chain)
-        dev = np.abs(1.0 - spec.eigenvalues)
-        assert np.all(np.diff(dev) >= -1e-12)
-        assert spec.gap == pytest.approx(float(dev[1]), abs=1e-12)
-
-
-def test_normal_and_svd_routes_agree(battery):
-    for item in battery:
-        if not item.chain.normal:
-            continue
-        gamma, _ = cg.spectral_gap(item.chain)
-        svd_gamma = cg.weighted_singular_spectrum(item.chain).gap
-        assert gamma == pytest.approx(svd_gamma, rel=1e-9)
+    assert cg.weighted_singular_spectrum(torus).gap == pytest.approx(1.0, abs=1e-12)
 
 
 def _assert_routes_agree(chain):
-    """normal_eigen against weighted_svd forced on the same chain."""
-    assert chain.normal
-    eigen = cg.gap_spectrum(chain)
-    svd = cg.gap_spectrum(replace(chain, normal=False))
-    assert (eigen.method, svd.method) == ("normal_eigen", "weighted_svd")
-    assert eigen.gap == pytest.approx(svd.gap, rel=1e-9)
-    assert np.allclose(eigen.values, svd.values, rtol=0.0, atol=1e-9 * svd.values[-1])
+    """weighted_svd against the |1 - lambda_j| of a normal chain."""
+    assert structure_flags(chain).normal
+    svd = cg.weighted_singular_spectrum(chain)
+    ref = normal_reference(chain)
+    assert svd.method == "weighted_svd"
+    assert svd.gap == pytest.approx(float(ref[1]), rel=1e-9)
+    assert np.allclose(svd.values, ref, rtol=0.0, atol=1e-9 * svd.values[-1])
+
+
+def test_normal_and_svd_routes_agree(battery):
+    normal = [item.chain for item in battery if structure_flags(item.chain).normal]
+    assert normal
+    for chain in normal:
+        _assert_routes_agree(chain)
+        assert cg.spectral_gap(chain)[0] == cg.weighted_singular_spectrum(chain).gap
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,7 +212,7 @@ def test_routes_agree_on_periodic_chains(matrix):
     chain = cg.build_chain(matrix)
     assert chain.irreducible
     # period >= 2 puts a second eigenvalue on the unit circle
-    assert np.sum(np.isclose(np.abs(cg.normal_gap(chain).eigenvalues), 1.0)) >= 2
+    assert np.sum(np.isclose(np.abs(conjugated_eigenvalues(chain)), 1.0)) >= 2
     _assert_routes_agree(chain)
 
 
@@ -222,7 +220,7 @@ def test_routes_agree_on_skewed_bipartite_walk():
     W = np.outer([1e3, 1.0, 3.0], [0.2, 1.0, 5.0, 0.7])
     chain = cg.build_chain(bipartite_walk_matrix(W))
     assert chain.stationary.max() / chain.stationary.min() > 100
-    spectrum = cg.gap_spectrum(chain)
+    spectrum = cg.weighted_singular_spectrum(chain)
     assert spectrum.values[-1] == pytest.approx(2.0, abs=1e-12)  # eigenvalue -1
     _assert_routes_agree(chain)
 
@@ -232,9 +230,31 @@ def test_reversible_gap_via_eigenvalues(battery):
     for item in battery:
         if not item.chain.reversible:
             continue
-        spec = cg.normal_gap(item.chain)
         gamma, _ = cg.spectral_gap(item.chain)
-        assert gamma == pytest.approx(float(np.abs(1 - spec.eigenvalues)[1]), rel=1e-9)
+        assert gamma == pytest.approx(float(normal_reference(item.chain)[1]), rel=1e-9)
+
+
+def near_normal_chain(eta):
+    """J/4 + eta u v^T with u = (1, -1, 0, 0)/sqrt2 and v = (0, 0, 1, -1)/sqrt2.
+
+    Doubly stochastic, and its commutator with the transpose is O(eta^2),
+    so for small eta it is nearly normal. I - P is the identity off
+    span(u, v) and the constants, and acts on span(u, v) as
+    [[1, -eta], [0, 1]], whose smaller singular value is
+    sqrt(1 + eta^2/4) - eta/2: below 1, which is |1 - lambda| for every
+    eigenvalue lambda != 1 of P (all are 0).
+    """
+    u = np.array([1.0, -1.0, 0.0, 0.0]) / SQRT2
+    v = np.array([0.0, 0.0, 1.0, -1.0]) / SQRT2
+    return cg.build_chain(np.full((4, 4), 0.25) + eta * np.outer(u, v))
+
+
+@pytest.mark.parametrize("eta", [1e-4, 1e-5, 3e-6, 1e-6])
+def test_near_normal_chain_gap_is_a_singular_value(eta):
+    chain = near_normal_chain(eta)
+    exact = math.sqrt(1.0 + eta**2 / 4.0) - eta / 2.0
+    assert cg.weighted_singular_spectrum(chain).gap == pytest.approx(exact, rel=1e-14, abs=0)
+    assert cg.spectral_gap(chain)[0] == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_pseudo_spectral_gap_examples(flip, uniform5, shift4):
@@ -253,10 +273,10 @@ def test_pseudo_gap_lower_bounds_gap(battery):
 
 
 def test_spectrum_serializes():
-    spec = cg.normal_gap(cg.circulant_chain(3, [(1, 1.0)]))
+    spec = cg.weighted_singular_spectrum(cg.circulant_chain(3, [(1, 1.0)]))
     payload = spec.to_json()
-    assert payload["method"] == "normal_eigen"
-    assert len(payload["eigenvalues"]) == 3
+    assert payload["method"] == "weighted_svd"
+    assert len(payload["values"]) == 3
     assert payload["gap"] == pytest.approx(SQRT3, rel=1e-12)
 
 
