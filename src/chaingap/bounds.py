@@ -78,14 +78,19 @@ def _require_irreducible(chain: FiniteChain) -> None:
 # Cheeger constant
 
 
+def _members(masks: np.ndarray, count: int) -> np.ndarray:
+    """0/1 float rows: bit j of each mask, for j < count."""
+    octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=1, count=count, bitorder="little").astype(float)
+
+
 def _subset_values(chain: FiniteChain, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(masks, Q(A,A^c)/mu(A)) for the bitmask subsets with 0 < mu(A) <= 1/2.
 
     Only those subsets can attain the minimum, and A or its complement
     always qualifies, so about half the masks pay for Q(A, A).
     """
-    octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
-    member = np.unpackbits(octets, axis=1, count=chain.size, bitorder="little").astype(float)
+    member = _members(masks, chain.size)
     mu_a = member @ chain.stationary
     ok = (mu_a > 0) & (mu_a <= 0.5 + tol.ROW_SUM)
     member, mu_a = member[ok], mu_a[ok]
@@ -93,35 +98,114 @@ def _subset_values(chain: FiniteChain, masks: np.ndarray) -> tuple[np.ndarray, n
     return masks[ok], 1.0 - q_inside / mu_a  # Q(A, A^c) = mu(A) - Q(A, A)
 
 
-def cheeger_exact(chain: FiniteChain) -> CheegerResult:
-    """Exact bottleneck ratio by enumeration of all 2^size subsets.
+# Cells (pairs of half-subsets) scored per GEMM in cheeger_exact, and the
+# most masks _subset_values rescores at once.
+_CELLS = 1 << 16
 
-    Ties are broken by the lexicographically smallest sorted state tuple.
-    Refuses chains beyond tol.CHEEGER_ENUM_LIMIT states (about a million
-    subsets).
-    """
+
+def _require_cut(chain: FiniteChain) -> None:
     _require_irreducible(chain)
+    if chain.size < 2:
+        raise ValueError("no subset A of a one-state chain has 0 < mu(A) <= 1/2")
+
+
+def _near_minimal(chain: FiniteChain) -> np.ndarray:
+    """Masks that could attain the exact minimum or tie with it.
+
+    Meet in the middle: split the states into L = [0, h) and H = [h, n).
+    A set A = A_L + A_H has mu(A) = mu(A_L) + mu(A_H) and
+    Q(A, A) = Q(A_L, A_L) + Q(A_H, A_H) + a_L^T C a_H with
+    C = Q[L, H] + Q[H, L]^T, so every pair of half-subsets is scored by
+    one GEMM of the L half-subsets times C against a block of H
+    half-subsets.
+
+    Here and in _subset_values every sum adds nonnegative terms: at most
+    n^2 of them for Q(A, A) and n for mu(A). Each therefore carries a
+    relative error of at most about n^2 eps / 2 and n eps / 2, and since
+    Q(A, A) <= mu(A) the ratio 1 - Q(A, A) / mu(A) is off by at most
+    (n^2 + n + 2) eps / 2, absolutely, in either route: the two differ
+    by at most about (n^2 + n + 2) eps. The margin m is four times more
+    than that, and at least 1.4e-14, which also covers the tie window of
+    1e-15 * max(1, xi) (xi <= 1). The running minimum is taken only over
+    sets whose mass surely passes the exact test (screened mass at most
+    1/2 + ROW_SUM - m), so it never falls below the true minimum by more
+    than the rounding; every set within m of it is kept, masses up to
+    1/2 + ROW_SUM + m included, and the exact rescoring decides.
+    """
+    n = chain.size
+    h = n // 2
+    mu, q = chain.stationary, chain.edge_measure()
+    margin = 4 * (n * n + 2 * n + 8) * np.finfo(float).eps
+    cap = 0.5 + tol.ROW_SUM
+
+    low = _members(np.arange(1 << h, dtype=np.uint32), h)
+    high = _members(np.arange(1 << (n - h), dtype=np.uint32), n - h)
+    mass_low, mass_high = low @ mu[:h], high @ mu[h:]
+    q_low = ((low @ q[:h, :h]) * low).sum(axis=1)
+    q_high = ((high @ q[h:, h:]) * high).sum(axis=1)
+    cross = low @ (q[:h, h:] + q[h:, :h].T)
+
+    best = np.inf
+    kept = np.empty(0, dtype=np.uint32)
+    kept_ratio = np.empty(0)
+    step = max(1, _CELLS >> h)
+    for start in range(0, 1 << (n - h), step):
+        block = slice(start, min(start + step, 1 << (n - h)))
+        mass = mass_low[:, None] + mass_high[None, block]
+        inside = q_low[:, None] + q_high[None, block] + cross @ high[block].T
+        ok = (mass > 0) & (mass <= cap + margin)
+        ratio = np.where(ok, 1.0 - inside / np.where(ok, mass, 1.0), np.inf)
+        sure = ratio[mass <= cap - margin]
+        if sure.size:
+            best = min(best, float(sure.min()))
+        near = np.nonzero(ok & (ratio <= best + margin))
+        masks = near[0].astype(np.uint32) + ((near[1] + start).astype(np.uint32) << h)
+        kept = np.concatenate([kept, masks])
+        kept_ratio = np.concatenate([kept_ratio, ratio[near]])
+        keep = kept_ratio <= best + margin
+        kept, kept_ratio = kept[keep], kept_ratio[keep]
+    return kept
+
+
+def _lex_smallest(masks: np.ndarray) -> int:
+    """The mask whose sorted state tuple is lexicographically smallest.
+
+    Keep the masks with the smallest lowest state, drop that state, and
+    repeat: the first mask to run out of states is a prefix of the rest.
+    """
+    rest = masks.copy()
+    while True:
+        lowest = rest & (~rest + np.uint32(1))
+        first = lowest == lowest.min()
+        masks, rest = masks[first], rest[first] ^ lowest[first]
+        if not rest.all():
+            return int(masks[rest == 0][0])
+
+
+def cheeger_exact(chain: FiniteChain) -> CheegerResult:
+    """Exact bottleneck ratio over all 2^size subsets.
+
+    All subsets are screened by meet in the middle, one GEMM per block of
+    half-subset pairs (see _near_minimal); the few that could be minimal
+    are rescored exactly by _subset_values. xi is the least exact score,
+    and ties (within 1e-15 * max(1, xi)) are broken by the
+    lexicographically smallest sorted state tuple. Refuses chains beyond
+    tol.CHEEGER_ENUM_LIMIT states (about a million subsets), and
+    one-state chains, which have no subset of mass at most 1/2.
+    """
+    _require_cut(chain)
     n, limit = chain.size, tol.CHEEGER_ENUM_LIMIT
     if n > limit:
         raise TooLargeForEnumeration(f"{n} states exceeds enumeration limit {limit}")
-    best_val = np.inf
-    best_sets: list[tuple[int, ...]] = []
-    chunk = 1 << 16
-    for start in range(1, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        masks, ratio = _subset_values(chain, masks)
-        if not len(ratio):
-            continue
-        lo = float(ratio.min())
-        tie = 1e-15 * max(1.0, abs(best_val if best_val < lo else lo))
-        if lo < best_val - tie:
-            best_val = lo
-            best_sets = []
-        near = np.nonzero(ratio <= best_val + tie)[0]
-        for i in near:
-            m = int(masks[i])
-            best_sets.append(tuple(j for j in range(n) if (m >> j) & 1))
-    return CheegerResult(xi=best_val, argmin_set=min(best_sets), exact=True)
+    candidates = _near_minimal(chain)
+    scored = [_subset_values(chain, candidates[i:i + _CELLS])
+              for i in range(0, len(candidates), _CELLS)]
+    masks = np.concatenate([m for m, _ in scored])
+    ratio = np.concatenate([r for _, r in scored])
+    xi = float(ratio.min())
+    ties = masks[ratio <= xi + 1e-15 * max(1.0, abs(xi))]
+    best = _lex_smallest(ties)
+    return CheegerResult(xi=xi, argmin_set=tuple(j for j in range(n) if best >> j & 1), exact=True)
 
 
 def _subset_value(mu: np.ndarray, q: np.ndarray, idx) -> float:
@@ -212,9 +296,9 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
     start descends by single-state moves (toggle one state in or out, or
     swap a member for a non-member), taking the first improving move,
     until no move improves. Any subset certifies an upper bound, so the
-    result is always >= the exact constant.
+    result is always >= the exact constant. Refuses one-state chains.
     """
-    _require_irreducible(chain)
+    _require_cut(chain)
     n = chain.size
     mu, q = chain.stationary, chain.edge_measure()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

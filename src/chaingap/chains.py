@@ -237,7 +237,8 @@ def build_chain(
         NotStochastic: negative entries or row sums off 1 beyond tolerance.
         ChainError: the stationarity residual exceeds tolerance, or an
             irreducible chain's mu underflows to zero somewhere.
-        ValueError: a given ``stationary`` is not a probability vector.
+        ValueError: a given ``stationary`` is not a probability vector, or
+            ``assume`` has a key other than irreducible and reversible.
     """
     P = np.array(matrix, dtype=float)
     _check_stochastic(P)
@@ -248,6 +249,9 @@ def build_chain(
             raise ValueError(f"{len(labels)} labels for {n} states")
 
     assume = dict(assume or {})
+    unknown = sorted(set(assume) - {"irreducible", "reversible"})
+    if unknown:
+        raise ValueError(f"unknown assume keys {unknown}; expected irreducible, reversible")
     irreducible = assume.get("irreducible")
     if stationary is None:
         mu, connected, unique = _solve_stationary(P)

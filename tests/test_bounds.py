@@ -14,15 +14,20 @@ from chaingap.bounds import _first_improvement
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
 from chaingap.experiments import render_report
 
-from conftest import birth_death_matrix, stochastic_matrices
+from conftest import birth_death_chains, birth_death_matrix, stochastic_matrices
 
 
-def cheeger_oracle(chain):
-    """Plain powerset enumeration, independent of the vectorized route."""
+def cheeger_oracle_tied(chain):
+    """Plain powerset enumeration, independent of the vectorized route.
+
+    Returns (xi, argmin_set) under cheeger_exact's tie rule: xi is the
+    least ratio, and argmin_set the smallest sorted tuple among the sets
+    within 1e-15 * max(1, xi) of it.
+    """
     n = chain.size
     mu = chain.stationary
     q = chain.edge_measure()
-    best = math.inf
+    values = {}
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
             mu_a = mu[list(subset)].sum()
@@ -30,8 +35,14 @@ def cheeger_oracle(chain):
                 continue
             comp = [x for x in range(n) if x not in subset]
             flow = q[np.ix_(list(subset), comp)].sum()
-            best = min(best, flow / mu_a)
-    return best
+            values[subset] = flow / mu_a
+    best = min(values.values())
+    tie = 1e-15 * max(1.0, abs(best))
+    return best, min(s for s, v in values.items() if v <= best + tie)
+
+
+def cheeger_oracle(chain):
+    return cheeger_oracle_tied(chain)[0]
 
 
 def test_cheeger_flip(flip):
@@ -65,6 +76,97 @@ def test_cheeger_matches_oracle_on_assorted_chains(battery):
 def test_cheeger_refuses_large_chains():
     with pytest.raises(TooLargeForEnumeration):
         cg.cheeger_exact(cg.card_chain(4))
+
+
+def assert_cheeger_matches_oracle(chain):
+    xi, argmin_set = cheeger_oracle_tied(chain)
+    result = cg.cheeger_exact(chain)
+    assert result.argmin_set == argmin_set
+    assert result.xi == pytest.approx(xi, rel=4e-15, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stochastic_matrices(max_size=10))
+def test_cheeger_exact_matches_oracle_on_random_chains(matrix):
+    assert_cheeger_matches_oracle(cg.build_chain(matrix))
+
+
+@settings(max_examples=25, deadline=None)
+@given(birth_death_chains(max_size=12))
+def test_cheeger_exact_matches_oracle_on_skewed_birth_death(case):
+    n, up = case
+    assert_cheeger_matches_oracle(cg.build_chain(birth_death_matrix(n, up)))
+
+
+def test_cheeger_exact_matches_oracle_with_sets_on_the_battery(battery):
+    for item in battery:
+        if 2 <= item.chain.size <= 12:
+            assert_cheeger_matches_oracle(item.chain)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_cheeger_exact_matches_oracle_at_every_split(n):
+    """Every size from 2 to 10, so both odd and even half splits, on a
+    dense and a sparse seeded chain."""
+    rng = np.random.default_rng(n)
+    dense = rng.random((n, n))
+    sparse = dense * (rng.random((n, n)) < 0.3) + np.roll(np.eye(n), 1, axis=1)
+    for m in (dense, sparse):
+        assert_cheeger_matches_oracle(cg.build_chain(m / m.sum(axis=1, keepdims=True)))
+
+
+def test_cheeger_uniform_sixteen_ties_break_to_the_first_half():
+    chain = cg.build_chain(np.full((16, 16), 1.0 / 16.0))
+    result = cg.cheeger_exact(chain)
+    assert result.argmin_set == tuple(range(8))
+    assert result.xi == pytest.approx(0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 3e-12])
+def test_cheeger_coupled_blocks_margin_is_absolute(delta):
+    """xi = delta is far below the rounding of 1 - Q(A, A)/mu(A), so the two
+    halves, which tie exactly, can screen apart by more than a relative
+    margin (at 3e-12 they do) and the first half would be lost."""
+    block = np.kron(np.eye(2), np.ones((4, 4)))
+    P = (block * (1.0 - delta) + (1.0 - block) * delta) / 4.0
+    result = cg.cheeger_exact(cg.build_chain(P))
+    assert result.argmin_set == (0, 1, 2, 3)
+    assert abs(result.xi - delta) <= 1e-13
+
+
+def test_cheeger_ties_break_by_sorted_tuple_not_by_mask():
+    """Blocks {0, 3} and {1, 2} tie; (0, 3) is the smaller tuple although
+    its bitmask 0b1001 exceeds 0b0110."""
+    inside = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]])
+    chain = cg.build_chain((inside * 0.99 + (1 - inside) * 0.01) / 2.0)
+    assert_cheeger_matches_oracle(chain)
+    assert cg.cheeger_exact(chain).argmin_set == (0, 3)
+
+
+def test_cheeger_set_just_over_the_mass_cap_does_not_hide_the_minimum():
+    """A = {0, 1} has mu(A) = 1/2 + 1.01e-12, just past the 1/2 + ROW_SUM
+    cap, and a lower ratio than its complement, the true minimizer. A
+    screen that let A set its running minimum would discard {2, 3}."""
+    half_over = (1e-12 + 1e-14) / 2
+    mu = np.array([0.25 + half_over] * 2 + [0.25 - half_over] * 2)
+    cut, inner = 0.05, 0.15
+    W = np.array([
+        [mu[0] - inner, inner, 0, 0],
+        [inner, mu[1] - inner - cut, cut, 0],
+        [0, cut, mu[2] - inner - cut, inner],
+        [0, 0, inner, mu[3] - inner],
+    ])
+    chain = cg.build_chain(W / mu[:, None], stationary=mu)
+    assert chain.stationary[:2].sum() > 0.5 + tol.ROW_SUM
+    assert_cheeger_matches_oracle(chain)
+    assert cg.cheeger_exact(chain).argmin_set == (2, 3)
+
+
+def test_cheeger_refuses_one_state_chains():
+    chain = cg.build_chain([[1.0]])
+    for route in (cg.cheeger_exact, lambda c: cg.cheeger_search(c, iters=3, seed=0)):
+        with pytest.raises(ValueError, match=r"no subset .* 0 < mu\(A\) <= 1/2"):
+            route(chain)
 
 
 def test_cheeger_search_bounds_exact(flip):

@@ -237,6 +237,15 @@ def test_structure_flags_examples():
     assert structure_flags(lazy_cdg).laziness >= 0.5
 
 
+def test_unknown_assume_key_is_refused():
+    P = [[0.5, 0.5], [0.5, 0.5]]
+    for key in ("normal", "irreduceble"):
+        with pytest.raises(ValueError, match=f"unknown assume keys \\['{key}'\\]"):
+            cg.build_chain(P, assume={key: True})
+    chain = cg.build_chain(P, assume={"irreducible": True, "reversible": True})
+    assert chain.irreducible and chain.reversible
+
+
 def test_transition_arrays_are_immutable(flip):
     with pytest.raises(ValueError):
         flip.transition[0, 0] = 0.3

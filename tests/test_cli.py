@@ -98,6 +98,17 @@ def test_cheeger_command(flip_spec, capsys):
     assert payload == {"argmin_set": [0], "exact": True, "xi": 1.0}
 
 
+def test_cheeger_command_refuses_one_state_chain(tmp_path, capsys):
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"family": "explicit", "matrix": [[1.0]]}))
+    assert main(["cheeger", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "chaingap: ValueError: no subset A of a one-state chain has 0 < mu(A) <= 1/2\n"
+    )
+
+
 def test_path_bound_command(flip_spec, capsys):
     assert main(["path-bound", "--spec", flip_spec]) == 0
     payload = json.loads(capsys.readouterr().out)
