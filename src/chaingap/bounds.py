@@ -296,14 +296,17 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
     start descends by single-state moves (toggle one state in or out, or
     swap a member for a non-member), taking the first improving move,
     until no move improves. Any subset certifies an upper bound, so the
-    result is always >= the exact constant. Refuses one-state chains.
+    result is always >= the exact constant. Refuses one-state chains and
+    a negative ``iters``.
     """
     _require_cut(chain)
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     n = chain.size
     mu, q = chain.stationary, chain.edge_measure()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     starts = [[x] for x in range(n)]
-    for _ in range(max(iters, 0)):
+    for _ in range(iters):
         mask = rng.random(n) < rng.uniform(0.15, 0.6)
         starts.append(np.flatnonzero(mask).tolist() or [int(rng.integers(n))])
 
@@ -532,7 +535,7 @@ def inequality_audit(
     ps = pseudo_spectral_gap(chain, k_max=k_max)
     checks.append(make_check(f"pseudo_gap[k={ps.k}]", 0.5 * ps.value, gamma, "<="))
 
-    if chain.reversible and is_lazy and math.isfinite(tmix) and eps < 0.5:
+    if is_lazy and math.isfinite(tmix) and eps < 0.5 and chain.reversible:
         lhs = (tau - 1.0) * math.log(1.0 / (2.0 * eps))
         checks.append(make_check("reversible_mixing_lower", lhs, tmix, "<="))
         rhs = tau * math.log(1.0 / (eps * mu_min))

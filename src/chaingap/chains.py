@@ -1,17 +1,21 @@
 """Construction and validation of finite Markov chains.
 
 A chain is a validated row-stochastic matrix together with a stationary
-distribution mu and structure flags (irreducible / reversible). The one
-transform, ``lazy``, is pure: it returns a new immutable chain and never
-mutates its input, so values are safe to share across threads. The
-audit's reversibilized gaps are taken in spectral's conjugated
-coordinates, where the mu-adjoint P* is a transpose.
+distribution mu. Each structure fact has one rule here. One pass over
+the communicating classes sets ``irreducible`` (one class) and
+``unique_stationary`` (one closed class), whether mu is solved or
+given. ``reversible`` is not stored: the property tests detailed balance
+against mu each time it is read. The one transform, ``lazy``, is pure:
+it returns a new immutable chain and never mutates its input, so values
+are safe to share across threads. The audit's reversibilized gaps are
+taken in spectral's conjugated coordinates, where the mu-adjoint P* is a
+transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,23 +42,24 @@ class FiniteChain:
         transition: row-stochastic matrix P (read-only array).
         stationary: a stationary distribution mu (the unique one when
             ``unique_stationary`` is true).
-        labels: optional state names.
         irreducible: positive-entry digraph is strongly connected.
-        reversible: detailed balance w.r.t. mu holds entrywise.
         unique_stationary: exactly one communicating class is closed, so
             the kernel of (P^T - I) is one-dimensional.
     """
 
     transition: np.ndarray
     stationary: np.ndarray
-    labels: tuple[str, ...] | None
     irreducible: bool
-    reversible: bool
     unique_stationary: bool
 
     @property
     def size(self) -> int:
         return self.transition.shape[0]
+
+    @property
+    def reversible(self) -> bool:
+        """Detailed balance w.r.t. mu holds entrywise; recomputed on every read."""
+        return _is_reversible(self.transition, self.stationary)
 
     def edge_measure(self) -> np.ndarray:
         """Q(x, y) = mu(x) P(x, y), the joint law of one stationary step."""
@@ -63,7 +68,7 @@ class FiniteChain:
     def __repr__(self) -> str:  # arrays are noisy; keep it scannable
         return (
             f"FiniteChain(size={self.size}, irreducible={self.irreducible}, "
-            f"reversible={self.reversible})"
+            f"unique_stationary={self.unique_stationary})"
         )
 
 
@@ -90,13 +95,18 @@ def _check_stochastic(matrix: np.ndarray) -> None:
         raise NotStochastic(f"row sums deviate from 1 by {worst:.3e}")
 
 
-def _classes(matrix: np.ndarray) -> tuple[int, np.ndarray]:
-    """Communicating classes: strong components of the positive-entry digraph."""
-    return connected_components(csr_matrix(matrix > 0), directed=True, connection="strong")
+def _classes(matrix: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, member, closed) for the communicating classes of P.
 
-
-def _is_strongly_connected(matrix: np.ndarray) -> bool:
-    return _classes(matrix)[0] == 1
+    The classes are the strong components of the positive-entry digraph;
+    ``member`` maps each state to its class, and ``closed`` lists the
+    classes that no positive entry leaves. A lone class is closed.
+    """
+    count, member = connected_components(csr_matrix(matrix > 0), directed=True, connection="strong")
+    if count == 1:
+        return count, member, np.zeros(1, dtype=member.dtype)
+    leaves = ((matrix > 0) & (member[:, None] != member[None, :])).any(axis=1)
+    return count, member, np.setdiff1d(np.arange(count), member[leaves])
 
 
 def _bfs_tree(graph: csr_matrix, source: int) -> tuple[list[int], list[int], list[int]]:
@@ -165,24 +175,6 @@ def _gth(matrix: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _solve_stationary(matrix: np.ndarray) -> tuple[np.ndarray, bool, bool]:
-    """(mu, irreducible, unique) from the communicating classes of P.
-
-    A class is closed when no positive entry leaves it. The chain is
-    irreducible when it is one class, and mu is unique when exactly one
-    class is closed; mu is the uniform mixture of the GTH laws of the
-    closed classes, and zero on transient states.
-    """
-    n_comp, member = _classes(matrix)
-    leaves = ((matrix > 0) & (member[:, None] != member[None, :])).any(axis=1)
-    closed = np.setdiff1d(np.arange(n_comp), member[leaves])
-    mu = np.zeros(len(matrix))
-    for c in closed:
-        idx = np.nonzero(member == c)[0]
-        mu[idx] = _gth(matrix[np.ix_(idx, idx)]) / len(closed)
-    return mu, n_comp == 1, len(closed) == 1
-
-
 def _is_reversible(matrix: np.ndarray, mu: np.ndarray) -> bool:
     # Relative to each edge, so a one-way cycle among low-mass states is not
     # hidden by its small measure; below the smallest normal double mu has
@@ -213,72 +205,47 @@ def _checked_distribution(weights) -> np.ndarray:
     return w / w.sum()
 
 
-def build_chain(
-    matrix: Iterable,
-    labels: Sequence[str] | None = None,
-    *,
-    stationary: np.ndarray | None = None,
-    assume: dict | None = None,
-) -> FiniteChain:
+def build_chain(matrix: Iterable, *, stationary: np.ndarray | None = None) -> FiniteChain:
     """Validate a transition matrix and assemble a FiniteChain.
 
     The communicating classes (strong components of the positive-entry
-    digraph) decide the flags: irreducible is one class, and mu is unique
-    when exactly one class is closed. mu is the GTH law of each closed
-    class, mixed uniformly when there are several, so its entries are
-    relatively accurate however small. Reducible inputs are representable
-    (the flag is set false, and a valid stationary law is still attached)
-    but spectral operations will refuse them.
+    digraph) decide the flags, whether mu is solved or given: irreducible
+    is one class, and mu is unique when exactly one class is closed.
+    Without ``stationary``, mu is the GTH law of each closed class, mixed
+    uniformly when there are several, so its entries are relatively
+    accurate however small. Reducible inputs are representable (the flag
+    is set false, and a valid stationary law is still attached) but
+    spectral operations will refuse them.
 
-    Family constructors may pass ``stationary`` and ``assume`` when those
-    facts are known analytically, bypassing the numerical detection.
+    Family constructors pass ``stationary`` when they know mu
+    analytically; it is checked like a solved one.
 
     Raises:
         NotStochastic: negative entries or row sums off 1 beyond tolerance.
         ChainError: the stationarity residual exceeds tolerance, or an
             irreducible chain's mu underflows to zero somewhere.
-        ValueError: a given ``stationary`` is not a probability vector, or
-            ``assume`` has a key other than irreducible and reversible.
+        ValueError: a given ``stationary`` is not a probability vector.
     """
     P = np.array(matrix, dtype=float)
     _check_stochastic(P)
-    n = P.shape[0]
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} states")
-
-    assume = dict(assume or {})
-    unknown = sorted(set(assume) - {"irreducible", "reversible"})
-    if unknown:
-        raise ValueError(f"unknown assume keys {unknown}; expected irreducible, reversible")
-    irreducible = assume.get("irreducible")
+    count, member, closed = _classes(P)
     if stationary is None:
-        mu, connected, unique = _solve_stationary(P)
-        if irreducible is None:
-            irreducible = connected
+        mu = np.zeros(len(P))
+        for c in closed:
+            idx = np.nonzero(member == c)[0]
+            mu[idx] = _gth(P[np.ix_(idx, idx)]) / len(closed)
     else:
         mu = _checked_distribution(stationary)
-        if irreducible is None:
-            irreducible = _is_strongly_connected(P)
-        unique = bool(irreducible)
     resid = float(np.abs(mu @ P - mu).max())
     if not resid <= tol.STATIONARY:  # also refuses a NaN residual
         raise ChainError(f"stationarity residual {resid:.3e} exceeds tolerance")
-    if irreducible and mu.min() <= 0:
+    if count == 1 and mu.min() <= 0:
         raise ChainError("irreducible chain produced a zero stationary mass")
-
-    reversible = assume.get("reversible")
-    if reversible is None:
-        reversible = _is_reversible(P, mu)
-
     return FiniteChain(
         transition=_freeze(P),
         stationary=_freeze(mu),
-        labels=labels,
-        irreducible=bool(irreducible),
-        reversible=bool(reversible),
-        unique_stationary=unique,
+        irreducible=count == 1,
+        unique_stationary=len(closed) == 1,
     )
 
 
@@ -293,7 +260,7 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     if hold == 0.0:
         return chain
     P = hold * np.eye(chain.size) + (1.0 - hold) * chain.transition
-    # Self-loops change neither connectivity, detailed balance, nor the
-    # kernel of the generator.
+    # Self-loops change neither the communicating classes nor mu, so the
+    # flags carry over.
     return replace(chain, transition=_freeze(P))
 

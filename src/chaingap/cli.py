@@ -4,8 +4,9 @@ Subcommands: gap, delta, cheeger, path-bound, audit, scan, ensemble.
 Chains come in as JSON chain-spec files (see families.ChainSpec);
 results go to stdout and, with --out, to a file in --format, both
 written by experiments.render_report. gap, cheeger and path-bound
-report JSON only. Every randomized command takes --seed and is
-bit-reproducible.
+report JSON only. The randomized commands (delta, cheeger, ensemble)
+take --seed and are bit-reproducible; every command but ensemble takes
+--extended.
 
 Exit codes: 0 on success; 1 when an audit check fails; 2 when the input
 is refused (a bad spec, file or option, or a chain the computation does
@@ -98,7 +99,7 @@ def cmd_cheeger(args) -> int:
     else:
         if args.seed is None:
             _usage(f"search beyond {tol.CHEEGER_ENUM_LIMIT} states is randomized; give --seed")
-        result = cheeger_search(chain, iters=args.trials or 50, seed=args.seed)
+        result = cheeger_search(chain, iters=args.trials, seed=args.seed)
     _write(args, result, "json")
     return 0
 
@@ -158,7 +159,7 @@ def _check_extended(spec: ChainSpec, args) -> None:
         spec.family == "cardshuffle"
         and spec.N is not None
         and spec.N >= 7
-        and not getattr(args, "extended", False)
+        and not args.extended
     ):
         _usage("cardshuffle with N >= 7 needs --extended (5040-state SVD)")
 
@@ -184,9 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         json_only = name in ("gap", "cheeger", "path-bound")
         p.add_argument("--format", choices=("csv", "json"), default="json" if json_only else "csv",
                        help="format of the --out file (default: %(default)s)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; required by anything randomized")
-        p.add_argument("--extended", action="store_true", help="allow the slow variants")
+        if name in ("delta", "cheeger", "ensemble"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed; required by anything randomized")
+        if name != "ensemble":
+            p.add_argument("--extended", action="store_true", help="allow the slow variants")
         return p
 
     p = add("gap", cmd_gap, "singular spectrum, gap, and relaxation time")
@@ -200,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     limit = tol.CHEEGER_ENUM_LIMIT
     p = add("cheeger", cmd_cheeger, f"bottleneck ratio (exact up to {limit} states)")
     p.add_argument("--spec", required=True)
-    p.add_argument("--trials", type=int, default=0, help=f"search restarts beyond {limit} states")
+    p.add_argument("--trials", type=int, default=50,
+                   help=f"search restarts beyond {limit} states (default: %(default)s)")
 
     p = add("path-bound", cmd_path_bound, "canonical-path congestion bound")
     p.add_argument("--spec", required=True)

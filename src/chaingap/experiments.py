@@ -94,20 +94,12 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     return rows
 
 
-def fit_scaling(rows: list[ExperimentRow], mode: str = "power") -> ScalingFit:
-    """OLS of log tau against log N ("power") or log log N ("log").
-
-    The "log" mode quantifies logarithmic growth (slope 1 means
-    tau ~ log N). Requires at least three rows with finite tau.
-    """
-    if mode not in ("power", "log"):
-        raise ValueError("mode must be 'power' or 'log'")
+def fit_scaling(rows: list[ExperimentRow]) -> ScalingFit:
+    """OLS of log tau against log N. Requires at least three rows with finite tau."""
     pts = [(r.N, r.tau) for r in rows]
     if len(pts) < 3 or any(not math.isfinite(t) for _, t in pts):
         raise InsufficientData("need >= 3 rows with finite relaxation times")
     x = np.log([n for n, _ in pts])
-    if mode == "log":
-        x = np.log(x)
     y = np.log([t for _, t in pts])
     slope, intercept = np.polyfit(x, y, 1)
     residual = y - (slope * x + intercept)

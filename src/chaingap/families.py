@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -53,9 +52,7 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
 
     ``axes[j]`` lists the (a, p) pairs of axis j; ``hold`` is the
     probability of staying put. States are in row-major order. The walk
-    is doubly stochastic and normal. It is irreducible when each axis's
-    positive steps have gcd 1 with N, and reversible when the step law,
-    reduced mod N, is symmetric under negation.
+    is doubly stochastic, so mu is uniform, and normal.
     """
     d = len(axes)
     states = N**d
@@ -63,7 +60,6 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
     idx = np.arange(states)
     coords = np.stack(np.unravel_index(idx, (N,) * d))
     P[idx, idx] += hold
-    law: dict[tuple[int, int], float] = {}  # (axis, a mod N) -> probability
     for axis, steps in enumerate(axes):
         for a, p in steps:
             if p == 0:
@@ -71,14 +67,7 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
             shifted = coords.copy()
             shifted[axis] = (shifted[axis] + a) % N
             P[idx, np.ravel_multi_index(tuple(shifted), (N,) * d)] += p
-            law[axis, a % N] = law.get((axis, a % N), 0.0) + p
-    irreducible = all(math.gcd(N, *(a for j, a in law if j == axis)) == 1 for axis in range(d))
-    reversible = all(law.get((j, -a % N), 0.0) == p for (j, a), p in law.items())
-    return build_chain(
-        P,
-        stationary=np.full(states, 1.0 / states),
-        assume={"irreducible": irreducible, "reversible": reversible},
-    )
+    return build_chain(P, stationary=np.full(states, 1.0 / states))
 
 
 def _character_gap(N: int, axes, hold: float = 0.0) -> tuple[float, float]:
@@ -177,9 +166,6 @@ class TorusProbs:
     def d(self) -> int:
         return len(self.plus)
 
-    def movable(self) -> bool:
-        return all(p + m > 0 for p, m in zip(self.plus, self.minus))
-
 
 def up_right_probs(alpha: float) -> TorusProbs:
     """d=2 walk stepping right with probability alpha, up with 1 - alpha."""
@@ -197,10 +183,7 @@ def _torus_axes(N: int, d: int, probs: TorusProbs) -> list[list[tuple[int, float
 
 def torus_chain(N: int, d: int, probs: TorusProbs) -> FiniteChain:
     """Explicit N^d-state walk taking +-e_i steps; row-major state order."""
-    axes = _torus_axes(N, d, probs)
-    if not probs.movable():
-        warnings.warn("some axis has p(+i) + p(-i) = 0; the chain is not irreducible")
-    return _abelian_chain(N, axes, probs.hold)
+    return _abelian_chain(N, _torus_axes(N, d, probs), probs.hold)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +203,7 @@ def cdg_chain(N: int) -> FiniteChain:
     x = np.arange(N)
     for e in (-1, 0, 1):
         P[x, (2 * x + e) % N] += 1.0 / 3.0
-    return build_chain(P, stationary=np.full(N, 1.0 / N), assume={"irreducible": True})
+    return build_chain(P, stationary=np.full(N, 1.0 / N))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +229,7 @@ def card_chain(N: int) -> FiniteChain:
         P[i, i] += 1.0 / 3.0
         P[i, rank[(deck[1], deck[0]) + deck[2:]]] += 1.0 / 3.0
         P[i, rank[(deck[-1],) + deck[:-1]]] += 1.0 / 3.0
-    labels = ["".join(str(c) for c in deck) for deck in decks] if N <= 5 else None
-    return build_chain(
-        P,
-        labels,
-        stationary=np.full(size, 1.0 / size),
-        assume={"irreducible": True, "reversible": False},
-    )
+    return build_chain(P, stationary=np.full(size, 1.0 / size))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +266,27 @@ def parse_prob(value) -> float:
     return term(text)
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; a bool or a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _array(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Serializable chain description, the JSON surface of the CLI.
@@ -301,9 +299,10 @@ class ChainSpec:
                       "probs": {"hold": p, "plus": [...], "minus": [...]}}
         cdg:         {"N": int}
         cardshuffle: {"N": int}
-        explicit:    {"matrix": [[...], ...], "labels": optional}
+        explicit:    {"matrix": [[...], ...]}
 
-    Probabilities may be numbers or exact strings (see parse_prob).
+    Probabilities may be numbers or exact strings (see parse_prob). Other
+    keys are ignored; a malformed field is refused with a ValueError.
     """
 
     family: str
@@ -312,53 +311,50 @@ class ChainSpec:
     steps: tuple[tuple[int, float], ...] | None = None
     probs: TorusProbs | None = None
     matrix: tuple | None = None
-    labels: tuple[str, ...] | None = None
 
     FAMILIES = ("explicit", "circulant", "torus", "cdg", "cardshuffle")
 
     @staticmethod
     def from_json(payload: dict) -> "ChainSpec":
+        if not isinstance(payload, dict):
+            raise ValueError("a chain spec must be a JSON object")
         family = payload.get("family")
         if family not in ChainSpec.FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {ChainSpec.FAMILIES}")
         if family == "explicit":
-            matrix = payload.get("matrix")
-            if matrix is None:
-                raise ValueError("explicit family requires 'matrix'")
-            labels = payload.get("labels")
-            return ChainSpec(
-                family=family,
-                matrix=tuple(tuple(float(v) for v in row) for row in matrix),
-                labels=tuple(labels) if labels else None,
+            rows = _array(payload.get("matrix"), "explicit 'matrix'")
+            matrix = tuple(
+                tuple(_real(v, "a matrix entry") for v in _array(row, "a matrix row"))
+                for row in rows
             )
-        N = payload.get("N")
-        if N is None:
-            raise ValueError(f"family {family!r} requires 'N'")
+            return ChainSpec(family=family, matrix=matrix)
+        N = _integer(payload.get("N"), f"{family} 'N'")
         if family == "circulant":
-            raw = payload.get("steps")
-            if not raw:
+            steps = []
+            for step in _array(payload.get("steps"), "circulant 'steps'"):
+                if not (isinstance(step, list) and len(step) == 2):
+                    raise ValueError(f"a circulant step must be a pair [a, p], got {step!r}")
+                steps.append((_integer(step[0], "a step residue"), parse_prob(step[1])))
+            if not steps:
                 raise ValueError("circulant family requires 'steps'")
-            steps = tuple((int(a), parse_prob(p)) for a, p in raw)
-            return ChainSpec(family=family, N=int(N), steps=steps)
+            return ChainSpec(family=family, N=N, steps=tuple(steps))
         if family == "torus":
             raw = payload.get("probs")
-            if raw is None:
-                raise ValueError("torus family requires 'probs'")
+            if not isinstance(raw, dict):
+                raise ValueError("torus family requires 'probs' as a JSON object")
             probs = TorusProbs(
                 hold=parse_prob(raw.get("hold", 0.0)),
-                plus=tuple(parse_prob(p) for p in raw["plus"]),
-                minus=tuple(parse_prob(p) for p in raw["minus"]),
+                plus=tuple(parse_prob(p) for p in _array(raw.get("plus"), "'probs.plus'")),
+                minus=tuple(parse_prob(p) for p in _array(raw.get("minus"), "'probs.minus'")),
             )
-            d = int(payload.get("d", probs.d))
-            return ChainSpec(family=family, N=int(N), d=d, probs=probs)
-        return ChainSpec(family=family, N=int(N))
+            d = _integer(payload.get("d", probs.d), "torus 'd'")
+            return ChainSpec(family=family, N=N, d=d, probs=probs)
+        return ChainSpec(family=family, N=N)
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family}
         if self.family == "explicit":
             out["matrix"] = [list(row) for row in self.matrix]
-            if self.labels:
-                out["labels"] = list(self.labels)
         elif self.family == "circulant":
             out["N"] = self.N
             out["steps"] = [[a, p] for a, p in self.steps]
@@ -395,7 +391,7 @@ class ChainSpec:
 
     def build(self) -> FiniteChain:
         if self.family == "explicit":
-            return build_chain(np.array(self.matrix), self.labels)
+            return build_chain(np.array(self.matrix))
         if self.family == "circulant":
             return circulant_chain(self.N, self.steps)
         if self.family == "torus":

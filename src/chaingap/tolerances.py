@@ -1,7 +1,14 @@
 """Central numerical tolerances.
 
-Every module takes its thresholds from here so that a single place
-documents what "equal" means for each kind of quantity.
+The thresholds that decide what a chain is (stochastic, stationary,
+reversible), when a gap is zero, how much slack an audit grants and
+which sizes are refused live here, so that one place documents what
+"equal" means for each kind of quantity. A few literals stay local to
+their code: the 1e-15 tie and improvement windows of the Cheeger
+enumeration and search in ``bounds``, the 1e-12 rise that
+``bounds._check_monotone`` allows along the worst-case TV curve, and
+the 1e-10 mean-zero and unit-norm checks on a test function in
+``empirical``.
 """
 
 # Row sums of a transition matrix, and sums of probability vectors.

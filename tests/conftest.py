@@ -3,9 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import chaingap as cg
-from chaingap.chains import _is_reversible, _is_strongly_connected
+from chaingap.chains import _is_reversible
 
 
 def mu_adjoint(matrix, mu):
@@ -36,11 +37,11 @@ class StructureFlags:
 
 
 def structure_flags(chain):
-    """Flags recomputed from the matrix and mu, ignoring the chain's own
-    (which family constructors may assert instead of detecting)."""
+    """Flags recomputed from the matrix and mu, independently of build_chain's
+    class pass: irreducible is one strong component of the positive entries."""
     P = chain.transition
     mu = chain.stationary
-    irreducible = _is_strongly_connected(P)
+    irreducible = connected_components(P > 0, directed=True, connection="strong")[0] == 1
     reversible = _is_reversible(P, mu)
     return StructureFlags(
         irreducible=irreducible,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,24 @@ def test_two_absorbing_states_mix_uniformly():
     assert np.array_equal(chain.stationary, [0.5, 0.5, 0.0])
 
 
+def test_transient_state_flags_agree_on_both_mu_routes():
+    # one closed class {0, 1} and a transient state 2: reducible, mu unique
+    P = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    solved = cg.build_chain(P)
+    given = cg.build_chain(P, stationary=solved.stationary)
+    assert np.array_equal(solved.stationary, [0.5, 0.5, 0.0])
+    for chain in (solved, given):
+        assert not chain.irreducible
+        assert chain.unique_stationary
+        with pytest.raises(NotIrreducible):
+            cg.weighted_singular_spectrum(chain)
+
+
+def test_reversible_is_computed_not_stored(flip):
+    assert "reversible" not in {f.name for f in dataclasses.fields(flip)}
+    assert "reversible" not in repr(flip)
+
+
 def test_not_stochastic_rejected():
     with pytest.raises(NotStochastic):
         cg.build_chain([[0.5, 0.6], [0.5, 0.5]])
@@ -235,15 +254,6 @@ def test_structure_flags_examples():
 
     lazy_cdg = cg.lazy(cdg5, 0.5)
     assert structure_flags(lazy_cdg).laziness >= 0.5
-
-
-def test_unknown_assume_key_is_refused():
-    P = [[0.5, 0.5], [0.5, 0.5]]
-    for key in ("normal", "irreduceble"):
-        with pytest.raises(ValueError, match=f"unknown assume keys \\['{key}'\\]"):
-            cg.build_chain(P, assume={key: True})
-    chain = cg.build_chain(P, assume={"irreducible": True, "reversible": True})
-    assert chain.irreducible and chain.reversible
 
 
 def test_transition_arrays_are_immutable(flip):

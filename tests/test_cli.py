@@ -241,3 +241,87 @@ def test_audit_accepts_chain_with_subnormal_mu(tmp_path, capsys):
     assert "NotStochastic" not in capsys.readouterr().err
     assert code == 0
     assert json.loads(out.read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "torus", "N": 4, "probs": {"hold": 0}},
+        {"family": "explicit", "matrix": 5},
+        {"family": "explicit", "matrix": [[0, 1], [1, None]]},
+        {"family": "circulant", "N": 5, "steps": [1, 2]},
+        {"family": "circulant", "N": 5, "steps": [[1.7, 1.0]]},
+        {"family": "circulant", "N": 5, "steps": [[True, 1.0]]},
+        {"family": "cdg", "N": [3]},
+        {"family": "cdg", "N": 101.9},
+        {"family": "cdg", "N": True},
+        {"family": "torus", "N": 4, "d": 1.5, "probs": {"plus": [0.5], "minus": [0.5]}},
+        [{"family": "cdg", "N": 5}],
+    ],
+    ids=["torus-no-plus", "matrix-scalar", "matrix-null", "step-scalar", "step-fraction",
+         "step-bool", "N-list", "N-fraction", "N-bool", "d-fraction", "top-level-list"],
+)
+def test_malformed_spec_is_refused(payload, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(payload))
+    assert main(["gap", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: ValueError: ")
+
+
+def test_integral_float_size_is_accepted(tmp_path, capsys):
+    spec = tmp_path / "cdg.json"
+    spec.write_text(json.dumps({"family": "cdg", "N": 5.0}))
+    assert main(["gap", "--spec", str(spec)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["values"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--seed", "1"],
+        ["path-bound", "--seed", "1"],
+        ["audit", "--seed", "1"],
+        ["scan", "--seed", "1", "--n-list", "8"],
+    ],
+)
+def test_unread_seed_is_refused(argv, walk_spec):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spec", walk_spec])
+    assert exc.value.code == 2
+
+
+def test_ensemble_refuses_extended():
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--n", "5", "--k", "2", "--seed", "1", "--extended"])
+    assert exc.value.code == 2
+
+
+def test_cheeger_search_refuses_negative_trials(tmp_path, capsys):
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({"family": "circulant", "N": 24, "steps": [[1, 0.5], [-1, 0.5]]}))
+    assert main(["cheeger", "--spec", str(spec), "--trials", "-1", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: iters must be >= 0, got -1\n"
+
+
+def test_cheeger_search_defaults_to_fifty_restarts(tmp_path, capsys, monkeypatch):
+    from chaingap import cli
+
+    seen = []
+    real = cli.cheeger_search
+
+    def recording_search(chain, iters, seed):
+        seen.append(iters)
+        return real(chain, iters=iters, seed=seed)
+
+    monkeypatch.setattr(cli, "cheeger_search", recording_search)
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({"family": "circulant", "N": 24, "steps": [[1, 0.5], [-1, 0.5]]}))
+    assert main(["cheeger", "--spec", str(spec), "--seed", "1"]) == 0
+    assert main(["cheeger", "--spec", str(spec), "--seed", "1", "--trials", "0"]) == 0
+    assert seen == [50, 0]

@@ -100,15 +100,6 @@ def test_fit_scaling_constant():
     assert fit.slope == pytest.approx(0.0, abs=1e-9)
 
 
-def test_fit_scaling_log_mode():
-    rows = [
-        ExperimentRow("synthetic", "x", n, 1.0, 5.0 * math.log(n), "closed_form", 0.0)
-        for n in (11, 101, 1009, 10007)
-    ]
-    fit = cg.fit_scaling(rows, mode="log")
-    assert fit.slope == pytest.approx(1.0, abs=1e-9)
-
-
 def test_fit_scaling_residual_orthogonality():
     rng = np.random.default_rng(5)
     rows = [

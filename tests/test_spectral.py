@@ -92,10 +92,8 @@ def reversibilized_reference(chain):
     """
     P, mu = chain.transition, chain.stationary
     star = mu_adjoint(P, mu)
-    flags = {"irreducible": True, "reversible": True}
     return tuple(
-        _symmetrized_gap(cg.build_chain(M, stationary=mu, assume=flags))
-        for M in (0.5 * (P + star), P @ star)
+        _symmetrized_gap(cg.build_chain(M, stationary=mu)) for M in (0.5 * (P + star), P @ star)
     )
 
 
@@ -263,6 +261,24 @@ def test_pseudo_spectral_gap_examples(flip, uniform5, shift4):
     assert bound.k == 1
     assert cg.pseudo_spectral_gap(shift4, k_max=4).value == pytest.approx(0.0, abs=1e-12)
     assert cg.pseudo_spectral_gap(flip, k_max=2).value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pseudo_gap_noise_is_reported_as_zero(battery):
+    # a periodic chain's (P*)^k P^k keeps each cyclic class, so every
+    # truncated pseudo-gap is exactly 0; rounding used to leave ~1e-16 there
+    chain = cg.build_chain(bipartite_walk_matrix([[1e4, 1, 2], [0.5, 0.3, 1]]))
+    periodic = [item.chain for item in battery if cg.period(item.chain) > 1]
+    assert len(periodic) >= 10
+    for chain in [chain] + periodic:
+        bound = cg.pseudo_spectral_gap(chain)
+        assert (bound.value, bound.k) == (0.0, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(periodic_matrices())
+def test_pseudo_gap_of_periodic_chains_is_zero(matrix):
+    bound = cg.pseudo_spectral_gap(cg.build_chain(matrix))
+    assert (bound.value, bound.k) == (0.0, 1)
 
 
 def test_pseudo_gap_lower_bounds_gap(battery):
