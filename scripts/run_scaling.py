@@ -7,6 +7,8 @@ Four experiments, each emitting a CSV into --out-dir and printing a fit:
   torus    up/right walk on (Z/NZ)^2: slope ~ 2 for drift 1/2,
            slope ~ 4/3 for drift 1/sqrt(2) (closed-form scan, N up to 1024)
   doubling x -> 2x + {-1,0,1} mod prime N: tau/ln N roughly constant
+           (closed-form scan from the blocks on the orbits of m -> 2m, up
+           to the Mersenne primes 8191 and 131071, blocks of 13 and 17)
   card     three-move shuffle on S_N: tau <= 41 N^3, cubic slope
            (N=7 behind --extended; a 5040-state SVD takes ~a minute)
 """
@@ -41,7 +43,7 @@ def run_torus(out_dir):
 
 
 def run_doubling(out_dir):
-    primes = [101, 211, 401, 809, 1601]
+    primes = [101, 211, 401, 809, 1601, 8191, 131071]
     rows = cg.scan(cg.ChainSpec(family="cdg", N=3), primes)
     cg.emit_report(rows, os.path.join(out_dir, "doubling.csv"))
     ratios = [r.tau / math.log(r.N) for r in rows]

@@ -289,6 +289,11 @@ def _first_improvement(mu, q, inside, value):
     return None
 
 
+def _require_iters(iters: int) -> None:
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+
+
 def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> CheegerResult:
     """Randomized local search over subsets: an upper bound on xi.
 
@@ -300,8 +305,7 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
     a negative ``iters``.
     """
     _require_cut(chain)
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    _require_iters(iters)
     n = chain.size
     mu, q = chain.stationary, chain.edge_measure()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

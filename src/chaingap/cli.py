@@ -20,7 +20,7 @@ import json
 import sys
 from typing import NoReturn
 
-from .bounds import cheeger_exact, cheeger_search, inequality_audit, path_bound
+from .bounds import _require_iters, cheeger_exact, cheeger_search, inequality_audit, path_bound
 from .chains import FiniteChain
 from .empirical import (
     DeltaCurve, DeltaPoint, _require_reps, delta_bounds_audit, delta_curve, delta_monte_carlo,
@@ -93,6 +93,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_cheeger(args) -> int:
+    _require_iters(args.trials)
     _, chain = _chain(args)
     if chain.size <= tol.CHEEGER_ENUM_LIMIT:
         result = cheeger_exact(chain)

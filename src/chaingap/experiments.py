@@ -65,9 +65,10 @@ class EnsembleRow:
 def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     """One row of (gamma, tau, timing) per size, sorted by N.
 
-    Uses the family's closed form where available (circulant, torus) and
-    weighted_singular_spectrum otherwise. Values are deterministic; only
-    the wall-clock column varies between runs.
+    Uses the family's closed form where available (circulant, torus,
+    doubling) and weighted_singular_spectrum otherwise (card, explicit).
+    Values are deterministic; only the wall-clock column varies between
+    runs.
     """
     rows = []
     for N in sorted(int(n) for n in N_list):

@@ -5,7 +5,10 @@ matrices), local walks on d-dimensional tori, the doubling-with-noise
 chain x -> 2x + {-1, 0, 1} mod N, and the three-move card shuffle on the
 symmetric group. Circulant and torus chains are both walks on (Z/NZ)^d:
 one constructor builds them, and ChainSpec.closed_form() gets their gaps
-from the character sums, far past the dense-matrix limit.
+from the character sums, far past the dense-matrix limit. The doubling
+chain maps each character to a multiple of another, so closed_form()
+gets its gap from one small block per orbit of m -> 2m mod N; only the
+card shuffle has no closed form.
 """
 
 from __future__ import annotations
@@ -190,6 +193,11 @@ def torus_chain(N: int, d: int, probs: TorusProbs) -> FiniteChain:
 # Doubling-with-noise chain on Z/NZ
 
 
+def _require_odd_modulus(N: int) -> None:
+    if N < 3 or N % 2 == 0:
+        raise ValueError(f"modulus must be odd and >= 3, got {N}")
+
+
 def cdg_chain(N: int) -> FiniteChain:
     """The chain x -> 2x + e mod N with e uniform on {-1, 0, 1}.
 
@@ -197,13 +205,67 @@ def cdg_chain(N: int) -> FiniteChain:
     is doubly stochastic). Irreducible for every odd N: n steps reach a
     full interval of width 2^{n+1} - 1 around 2^n x.
     """
-    if N < 3 or N % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got {N}")
+    _require_odd_modulus(N)
     P = _dense_zeros(N)
     x = np.arange(N)
     for e in (-1, 0, 1):
         P[x, (2 * x + e) % N] += 1.0 / 3.0
     return build_chain(P, stationary=np.full(N, 1.0 / N))
+
+
+def _doubling_gap(N: int) -> tuple[float, float]:
+    """(gap, tau) of cdg_chain(N) from small blocks on the orbits of m -> 2m.
+
+    On the characters chi_m(x) = e^{2 pi i m x / N} the chain acts as
+    P chi_m = c_m chi_{2m}, with c_m = (1 + 2 cos(2 pi m / N)) / 3 the
+    (real) character of the noise law. So I - P is unitarily similar to
+    the direct sum over the orbits m, 2m, ..., 2^{r-1} m of the real
+    r x r blocks I - K, K the cyclic shift weighted by c along the orbit,
+    and gamma is the least sigma_min(I - K) over the nonzero orbits.
+    c_m is computed from min(m, N - m), so c_{-m} = c_m bitwise: the
+    orbit of -m has the same block and is skipped, and an orbit that
+    holds -m = 2^p m has weights of period p, so the half-turn
+    e_j -> e_{j+p} splits its block into two p x p cyclic blocks whose
+    wrap weight is +c and -c. Blocks of one size go to the SVD together,
+    about 2^22 entries at a time. The longest orbit has ord_N(2) states;
+    past DENSE_LIMIT it is refused before anything is allocated.
+    """
+    _require_odd_modulus(N)
+    order, x = 1, 2  # order = ord_N(2)
+    while x != 1:
+        if order == tol.DENSE_LIMIT:
+            raise TooLarge(f"ord_{N}(2) exceeds dense limit {tol.DENSE_LIMIT}")
+        order, x = order + 1, 2 * x % N
+    # label m by the least min(x, N - x) over its orbit, by pointer jumping,
+    # so that the orbits of m and -m share one label; label 0 is m = 0 alone
+    m = np.arange(N)
+    label, jump, span = np.minimum(m, N - m), 2 * m % N, 1
+    while span < order:
+        label = np.minimum(label, label[jump])
+        jump, span = jump[jump], 2 * span
+    reps, counts = np.unique(label, return_counts=True)
+    reps, periods = reps[1:], counts[1:] // 2  # the orbits of +-m hold 2p states
+    gap, sigma_max = np.inf, 0.0
+    for p in np.unique(periods).tolist():
+        starts, diag = reps[periods == p], np.arange(p)
+        per_batch = max(1, (1 << 21) // (p * p))
+        for lo in range(0, starts.size, per_batch):
+            orbit = np.empty((min(per_batch, starts.size - lo), p + 1), dtype=np.int64)
+            orbit[:, 0] = starts[lo : lo + per_batch]
+            for j in range(1, p + 1):
+                orbit[:, j] = 2 * orbit[:, j - 1] % N
+            half_turn = orbit[:, p] != orbit[:, 0]  # 2^p m = -m
+            phase = np.minimum(orbit[:, :p], N - orbit[:, :p])
+            c = (1.0 + 2.0 * np.cos(2.0 * np.pi * phase / N)) / 3.0
+            c = np.concatenate([c, c[half_turn]])
+            c[orbit.shape[0] :, -1] *= -1.0  # the wrap weight of the odd half
+            blocks = np.zeros((c.shape[0], p, p))
+            blocks[:, diag, diag] = 1.0
+            blocks[:, (diag + 1) % p, diag] -= c  # K e_j = c_j e_{j+1}
+            values = np.linalg.svd(blocks, compute_uv=False)
+            gap = min(gap, float(values.min()))
+            sigma_max = max(sigma_max, float(values.max()))
+    return gap, relaxation_time(gap, sigma_max)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +281,7 @@ def card_chain(N: int) -> FiniteChain:
     stochastic since every move permutes the deck.
     """
     if not 3 <= N <= 7:
-        raise TooLarge(f"deck size must be in [3, 7], got {N} ({math.factorial(N)} states)")
+        raise TooLarge(f"deck size must be in [3, 7], got {N}")
     decks = list(permutations(range(N)))  # lexicographic == Lehmer rank order
     rank = {deck: i for i, deck in enumerate(decks)}
     size = len(decks)
@@ -401,12 +463,16 @@ class ChainSpec:
         return card_chain(self.N)
 
     def closed_form(self) -> tuple[float, float] | None:
-        """(gap, tau) from the character sums, for the abelian families only.
+        """(gap, tau) from the characters of Z/NZ, or None for card and explicit chains.
 
+        Circulant and torus walks from their character sums, the doubling
+        chain from its blocks on the orbits of m -> 2m (_doubling_gap).
         The one closed-form route: scan, the CLI and the ensemble all call it.
         """
         if self.family == "circulant":
             return _character_gap(self.N, [_normalize_steps(self.N, self.steps)])
         if self.family == "torus":
             return _character_gap(self.N, _torus_axes(self.N, self.d, self.probs), self.probs.hold)
+        if self.family == "cdg":
+            return _doubling_gap(self.N)
         return None

@@ -37,5 +37,6 @@ DELTA_SQ_FLOOR = 1e-13
 CHEEGER_ENUM_LIMIT = 20
 
 # State-count cap for the family constructors that allocate a dense N x N
-# matrix (circulant, torus, doubling); card_chain caps its deck size instead.
+# matrix (circulant, torus, doubling), and for the largest orbit block of the
+# doubling closed form; card_chain caps its deck size instead.
 DENSE_LIMIT = 6000

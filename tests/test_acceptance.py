@@ -168,17 +168,20 @@ def test_criterion_06_torus_scaling_slopes():
 
 def test_criterion_07_doubling_chain_log_scaling():
     start = time.perf_counter()
-    ratios = []
+    ratios, closed_err = [], 0.0
     for n in (101, 211, 401, 809, 1601):
         spectrum = cg.weighted_singular_spectrum(cg.cdg_chain(n))
         ratios.append(spectrum.relaxation / math.log(n))
+        closed_gap, _ = cg.ChainSpec("cdg", n).closed_form()
+        closed_err = max(closed_err, abs(closed_gap - spectrum.gap) / spectrum.gap)
     spread = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - start
     _report(
         7,
         "doubling chain tau ~ log N at primes",
-        spread <= 3.0 and elapsed < 300.0,
-        f"max/min of tau/ln N = {spread:.3f}, {elapsed:.1f}s",
+        spread <= 3.0 and closed_err <= 1e-13 and elapsed < 300.0,
+        f"max/min of tau/ln N = {spread:.3f}, closed form within {closed_err:.1e}, "
+        f"{elapsed:.1f}s",
     )
 
 

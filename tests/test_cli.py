@@ -33,8 +33,8 @@ def test_gap_command(walk_spec, capsys):
 
 
 def test_gap_command_without_closed_form(tmp_path, capsys):
-    spec = tmp_path / "cdg.json"
-    spec.write_text(json.dumps({"family": "cdg", "N": 7}))
+    spec = tmp_path / "card.json"
+    spec.write_text(json.dumps({"family": "cardshuffle", "N": 3}))
     out = tmp_path / "gap.json"
     assert main(["gap", "--spec", str(spec), "--out", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -42,6 +42,25 @@ def test_gap_command_without_closed_form(tmp_path, capsys):
     assert payload["method"] == "weighted_svd"
     assert "closed_form_gap" not in payload
     assert out.read_text() == printed
+
+
+def test_gap_command_doubling_closed_form(tmp_path, capsys):
+    spec = tmp_path / "cdg.json"
+    spec.write_text(json.dumps({"family": "cdg", "N": 101}))
+    assert main(["gap", "--spec", str(spec)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "weighted_svd"
+    assert payload["closed_form_gap"] == pytest.approx(payload["gap"], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("N", [100000, -1])
+def test_gap_refuses_deck_size_without_factorial(tmp_path, capsys, N):
+    spec = tmp_path / "card.json"
+    spec.write_text(json.dumps({"family": "cardshuffle", "N": N}))
+    assert main(["gap", "--spec", str(spec), "--extended"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chaingap: TooLarge: deck size must be in [3, 7], got {N}\n"
 
 
 def test_delta_command(flip_spec, tmp_path, capsys):
@@ -304,6 +323,14 @@ def test_cheeger_search_refuses_negative_trials(tmp_path, capsys):
     spec = tmp_path / "walk.json"
     spec.write_text(json.dumps({"family": "circulant", "N": 24, "steps": [[1, 0.5], [-1, 0.5]]}))
     assert main(["cheeger", "--spec", str(spec), "--trials", "-1", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: iters must be >= 0, got -1\n"
+
+
+def test_cheeger_exact_refuses_negative_trials(flip_spec, capsys):
+    # the exact route never reads --trials, but a negative count is refused anyway
+    assert main(["cheeger", "--spec", flip_spec, "--trials", "-1", "--seed", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "chaingap: ValueError: iters must be >= 0, got -1\n"

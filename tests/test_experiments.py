@@ -74,10 +74,25 @@ def test_zero_rule_is_the_same_on_every_route():
 
 
 def test_scan_dense_families_use_svd():
-    rows = cg.scan(cg.ChainSpec.from_json({"family": "cdg", "N": 5}), [5, 11])
+    rows = cg.scan(cg.ChainSpec.from_json({"family": "cardshuffle", "N": 3}), [3, 4])
     assert all(r.method == "weighted_svd" for r in rows)
-    gamma, _ = cg.spectral_gap(cg.cdg_chain(5))
+    gamma, _ = cg.spectral_gap(cg.card_chain(3))
     assert rows[0].gamma == pytest.approx(gamma, rel=1e-12)
+
+
+def test_scan_doubling_builds_no_chain(monkeypatch):
+    from chaingap import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan built a dense chain")
+
+    monkeypatch.setattr(families, "build_chain", refuse)
+    rows = cg.scan(cg.ChainSpec.from_json({"family": "cdg", "N": 5}), [5, 11, 1601])
+    assert all(r.method == "closed_form" for r in rows)
+    monkeypatch.undo()
+    gamma, tau = cg.spectral_gap(cg.cdg_chain(11))
+    assert rows[1].gamma == pytest.approx(gamma, rel=1e-13)
+    assert rows[1].tau == pytest.approx(tau, rel=1e-13)
 
 
 def test_fit_scaling_exact_power_law():

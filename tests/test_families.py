@@ -317,6 +317,43 @@ def test_cdg_rejects_even_or_tiny():
         cg.cdg_chain(4)
     with pytest.raises(ValueError):
         cg.cdg_chain(1)
+    for N in (4, 1, -3):
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            cg.ChainSpec("cdg", N).closed_form()
+
+
+def test_cdg_closed_form_matches_dense_svd(monkeypatch):
+    # the orbit blocks against the dense N x N SVD: gap and sigma_max, which the
+    # closed form hands to relaxation_time
+    from chaingap import families
+
+    seen = []
+
+    def recording(gap, sigma_max):
+        seen.append(sigma_max)
+        return cg.relaxation_time(gap, sigma_max)
+
+    monkeypatch.setattr(families, "relaxation_time", recording)
+    sizes = list(range(3, 200, 2)) + [225, 243, 255, 315, 729, 401, 809]
+    for N in sizes:
+        gap, tau = cg.ChainSpec("cdg", N).closed_form()
+        dense = cg.weighted_singular_spectrum(cg.cdg_chain(N))
+        assert gap == pytest.approx(dense.gap, rel=1e-13, abs=0), N
+        assert seen[-1] == pytest.approx(dense.values[-1], rel=1e-13, abs=0), N
+        assert tau == pytest.approx(dense.relaxation, rel=1e-13, abs=0), N
+    assert len(seen) == len(sizes)
+
+
+def test_cdg_closed_form_refuses_long_orbits(monkeypatch):
+    # ord_6011(2) = 6010 > DENSE_LIMIT: refused before any array is made
+    from chaingap import families
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(families.np, "arange", no_arrays)
+    with pytest.raises(TooLarge):
+        cg.ChainSpec("cdg", 6011).closed_form()
 
 
 def test_card_chain_row_of_identity():

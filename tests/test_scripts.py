@@ -24,7 +24,11 @@ def _load(name):
 
 @pytest.mark.parametrize(
     "only, reports",
-    [("circle", ["circle_lazy_right.csv"]), ("torus", ["torus_half.csv", "torus_irr.csv"])],
+    [
+        ("circle", ["circle_lazy_right.csv"]),
+        ("torus", ["torus_half.csv", "torus_irr.csv"]),
+        ("doubling", ["doubling.csv"]),
+    ],
 )
 def test_run_scaling_closed_form_tables(tmp_path, capsys, only, reports):
     assert _load("run_scaling").main(["--only", only, "--out-dir", str(tmp_path)]) == 0
@@ -33,7 +37,8 @@ def test_run_scaling_closed_form_tables(tmp_path, capsys, only, reports):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == EXPERIMENT_HEADER
         assert all(line.split(",")[5] == "closed_form" for line in lines[1:])
-    assert "slope" in capsys.readouterr().out
+    summary = "tau/ln N" if only == "doubling" else "slope"  # doubling fits no power law
+    assert summary in capsys.readouterr().out
 
 
 def test_run_battery_audit_report(tmp_path, capsys):
