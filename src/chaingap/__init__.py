@@ -21,8 +21,6 @@ from .chains import (
     FiniteChain,
     build_chain,
     lazy,
-    mu_inner,
-    mu_norm,
     period,
 )
 from .bounds import (

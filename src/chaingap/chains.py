@@ -28,8 +28,6 @@ __all__ = [
     "FiniteChain",
     "build_chain",
     "lazy",
-    "mu_inner",
-    "mu_norm",
     "period",
 ]
 
@@ -70,15 +68,6 @@ class FiniteChain:
             f"FiniteChain(size={self.size}, irreducible={self.irreducible}, "
             f"unique_stationary={self.unique_stationary})"
         )
-
-
-def mu_inner(f: np.ndarray, g: np.ndarray, mu: np.ndarray) -> complex:
-    """Weighted inner product sum_x f(x) conj(g(x)) mu(x)."""
-    return np.sum(np.asarray(f) * np.conj(np.asarray(g)) * mu)
-
-
-def mu_norm(f: np.ndarray, mu: np.ndarray) -> float:
-    return float(np.sqrt(np.real(mu_inner(f, f, mu))))
 
 
 def _check_stochastic(matrix: np.ndarray) -> None:

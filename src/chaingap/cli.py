@@ -2,11 +2,12 @@
 
 Subcommands: gap, delta, cheeger, path-bound, audit, scan, ensemble.
 Chains come in as JSON chain-spec files (see families.ChainSpec);
-results go to stdout and, with --out, to a file in --format, both
-written by experiments.render_report. gap, cheeger and path-bound
-report JSON only. The randomized commands (delta, cheeger, ensemble)
-take --seed and are bit-reproducible; every command but ensemble takes
---extended.
+results go to stdout and, with --out, to a file, both written by
+experiments.render_report. gap, cheeger and path-bound report JSON
+only; audit, delta, scan and ensemble write --out in --format (csv or
+json). The randomized commands (delta, cheeger, ensemble) take --seed
+and are bit-reproducible. Sizes are capped by tolerances.DENSE_LIMIT
+alone: a chain or closed form past it is refused with TooLarge.
 
 Exit codes: 0 on success; 1 when an audit check fails; 2 when the input
 is refused (a bad spec, file or option, or a chain the computation does
@@ -26,7 +27,7 @@ from .empirical import (
     DeltaCurve, DeltaPoint, _require_reps, delta_bounds_audit, delta_curve, delta_monte_carlo,
 )
 from .errors import ChainError
-from .experiments import random_steps_ensemble, render_report, scan
+from .experiments import emit_report, random_steps_ensemble, render_report, scan
 from .families import ChainSpec
 from .spectral import weighted_singular_spectrum
 from . import tolerances as tol
@@ -38,21 +39,17 @@ def _load_spec(path: str) -> ChainSpec:
 
 
 def _chain(args) -> tuple[ChainSpec, FiniteChain]:
-    """The --spec file's spec and its built chain, after the --extended gate."""
+    """The --spec file's spec and its built chain."""
     spec = _load_spec(args.spec)
-    _check_extended(spec, args)
     return spec, spec.build()
 
 
 def _write(args, result, stdout_fmt: str | None) -> None:
-    """Print the result as stdout_fmt (None: the caller prints) and write --out as
-    --format; the file's text is rendered first, so a refused format does neither."""
-    text = render_report(result, args.format) if args.out else None
+    """Print the result as stdout_fmt (None: the caller prints) and write --out as --format."""
     if stdout_fmt is not None:
         sys.stdout.write(render_report(result, stdout_fmt))
-    if text is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    if args.out:
+        emit_report(result, args.out, args.format)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -127,11 +124,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    template = _load_spec(args.spec)
-    sizes = _parse_ints(args.n_list)
-    for n in sizes:
-        _check_extended(template.with_size(n), args)
-    rows = scan(template, sizes)
+    rows = scan(_load_spec(args.spec), _parse_ints(args.n_list))
     _write(args, rows, "csv")
     return 0
 
@@ -155,16 +148,6 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _check_extended(spec: ChainSpec, args) -> None:
-    if (
-        spec.family == "cardshuffle"
-        and spec.N is not None
-        and spec.N >= 7
-        and not args.extended
-    ):
-        _usage("cardshuffle with N >= 7 needs --extended (5040-state SVD)")
-
-
 def _usage(message: str) -> NoReturn:
     """Refuse an option combination the way argparse does: exit status 2."""
     print(f"chaingap: error: {message}", file=sys.stderr)
@@ -183,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the result to this file")
-        json_only = name in ("gap", "cheeger", "path-bound")
-        p.add_argument("--format", choices=("csv", "json"), default="json" if json_only else "csv",
-                       help="format of the --out file (default: %(default)s)")
+        if name in ("gap", "cheeger", "path-bound"):
+            p.set_defaults(format="json")  # their only report form
+        else:
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="format of the --out file (default: %(default)s)")
         if name in ("delta", "cheeger", "ensemble"):
             p.add_argument("--seed", type=int, default=None,
                            help="RNG seed; required by anything randomized")
-        if name != "ensemble":
-            p.add_argument("--extended", action="store_true", help="allow the slow variants")
         return p
 
     p = add("gap", cmd_gap, "singular spectrum, gap, and relaxation time")

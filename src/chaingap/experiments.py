@@ -169,9 +169,6 @@ def random_steps_ensemble(
 # Bit-stable reports
 
 
-EXPERIMENT_HEADER = ",".join(f.name for f in fields(ExperimentRow))
-
-
 def _records(obj) -> tuple[tuple[str, ...], list[tuple]] | None:
     """(columns, rows) of a tabular result, or None for any other object."""
     if isinstance(obj, BoundAudit):

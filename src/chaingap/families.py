@@ -39,10 +39,17 @@ __all__ = [
 ]
 
 
+def _require_entries(entries: int, what: str) -> None:
+    """Refuse with TooLarge an array longer than the largest dense matrix,
+    DENSE_LIMIT**2 entries; the dense constructors and the closed forms call
+    it before their first array."""
+    if entries > tol.DENSE_LIMIT**2:
+        raise TooLarge(f"{entries} {what} exceed the {tol.DENSE_LIMIT**2}-entry cap")
+
+
 def _dense_zeros(states: int) -> np.ndarray:
     """The states x states zero matrix, refused before allocation past the cap."""
-    if states > tol.DENSE_LIMIT:
-        raise TooLarge(f"{states} states exceeds dense limit {tol.DENSE_LIMIT}")
+    _require_entries(states * states, "matrix entries")
     return np.zeros((states, states))
 
 
@@ -80,8 +87,11 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> tuple[float, float]:
     and gamma = min over nonzero m of |1 - lambda_m|. Needs no dense
     matrix, so it runs far beyond the explicit-chain limit. lambda_{-m} is
     the conjugate of lambda_m, so the first coordinate runs over 0..N//2
-    only; frequencies are evaluated in blocks of about 2^22.
+    only; frequencies are evaluated in blocks of about 2^22. An axis has N
+    frequencies and the other axes N^(d-1) together; past DENSE_LIMIT**2
+    either is refused before anything is allocated.
     """
+    _require_entries(N ** max(1, len(axes) - 1), "character sums")
     m = np.arange(N)
     terms = []
     for steps in axes:
@@ -228,9 +238,11 @@ def _doubling_gap(N: int) -> tuple[float, float]:
     e_j -> e_{j+p} splits its block into two p x p cyclic blocks whose
     wrap weight is +c and -c. Blocks of one size go to the SVD together,
     about 2^22 entries at a time. The longest orbit has ord_N(2) states;
-    past DENSE_LIMIT it is refused before anything is allocated.
+    past DENSE_LIMIT it is refused before anything is allocated, as is N
+    past DENSE_LIMIT**2 (the labels are N-long arrays).
     """
     _require_odd_modulus(N)
+    _require_entries(N, "frequencies")
     order, x = 1, 2  # order = ord_N(2)
     while x != 1:
         if order == tol.DENSE_LIMIT:

@@ -36,7 +36,10 @@ DELTA_SQ_FLOOR = 1e-13
 # Cap on subset size for exact Cheeger enumeration (2**20 subsets).
 CHEEGER_ENUM_LIMIT = 20
 
-# State-count cap for the family constructors that allocate a dense N x N
-# matrix (circulant, torus, doubling), and for the largest orbit block of the
-# doubling closed form; card_chain caps its deck size instead.
+# The one size rule. No family allocates an array of more than DENSE_LIMIT**2
+# entries, the largest dense matrix: the constructors refuse more than
+# DENSE_LIMIT states, and the closed forms more than DENSE_LIMIT**2 frequencies
+# on an axis (or N^(d-1) on a torus's other axes). The doubling closed form
+# also caps its longest orbit block at DENSE_LIMIT states, and card_chain its
+# deck at 7 cards, the largest with N! <= DENSE_LIMIT.
 DENSE_LIMIT = 6000

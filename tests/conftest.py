@@ -9,6 +9,16 @@ import chaingap as cg
 from chaingap.chains import _is_reversible
 
 
+# Spec files whose closed form would need an array past DENSE_LIMIT**2 entries.
+OVERSIZE_SPECS = {
+    "circulant": {"family": "circulant", "N": cg.tolerances.DENSE_LIMIT**2 + 1,
+                  "steps": [[0, 0.5], [1, 0.5]]},
+    "cdg": {"family": "cdg", "N": 2**61 - 1},  # ord 61: passes the orbit-block cap
+    "torus": {"family": "torus", "N": 2, "d": 40,
+              "probs": {"hold": 0, "plus": [1] + [0] * 39, "minus": [0] * 40}},
+}
+
+
 def mu_adjoint(matrix, mu):
     """P*(x, y) = mu(y) P(y, x) / mu(x); the time reversal of the chain."""
     return (mu[None, :] * matrix.T) / mu[:, None]

@@ -190,13 +190,9 @@ def test_criterion_08_card_shuffle_cubic():
     sizes = [3, 4, 5, 6]
     if os.environ.get("CHAINGAP_EXTENDED"):
         sizes.append(7)
-    rows = []
-    bound_ok = True
-    for n in sizes:
-        spectrum = cg.weighted_singular_spectrum(cg.card_chain(n))
-        tau = spectrum.relaxation
-        bound_ok &= tau <= 41.0 * n**3
-        rows.append(ExperimentRow("cardshuffle", "std", n, spectrum.gap, tau, "weighted_svd", 0.0))
+    rows = cg.scan(cg.ChainSpec("cardshuffle", 3), sizes)
+    assert [r.method for r in rows] == ["weighted_svd"] * len(sizes)
+    bound_ok = all(r.tau <= 41.0 * r.N**3 for r in rows)
     slope = cg.fit_scaling(rows[:4]).slope
     elapsed = time.perf_counter() - start
     budget = 900.0 if len(sizes) == 5 else 180.0

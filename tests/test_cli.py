@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from chaingap.cli import main
+from chaingap.cli import build_parser, main
 
-from conftest import birth_death_matrix
+from conftest import OVERSIZE_SPECS, birth_death_matrix
 
 
 @pytest.fixture()
@@ -57,7 +58,7 @@ def test_gap_command_doubling_closed_form(tmp_path, capsys):
 def test_gap_refuses_deck_size_without_factorial(tmp_path, capsys, N):
     spec = tmp_path / "card.json"
     spec.write_text(json.dumps({"family": "cardshuffle", "N": N}))
-    assert main(["gap", "--spec", str(spec), "--extended"]) == 2
+    assert main(["gap", "--spec", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"chaingap: TooLarge: deck size must be in [3, 7], got {N}\n"
@@ -158,11 +159,46 @@ def test_scan_command(walk_spec, tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_scan_extended_gate(tmp_path):
+def test_scan_refuses_deck_past_seven(tmp_path, capsys):
     spec = tmp_path / "card.json"
     spec.write_text(json.dumps({"family": "cardshuffle", "N": 3}))
-    with pytest.raises(SystemExit):
-        main(["scan", "--spec", str(spec), "--n-list", "3,7"])
+    assert main(["scan", "--spec", str(spec), "--n-list", "3,8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: TooLarge: deck size must be in [3, 7], got 8\n"
+
+
+def test_gap_runs_the_seven_card_deck(tmp_path, capsys, monkeypatch):
+    # no flag gates N = 7; the build and the 5040-state SVD are stubbed out
+    from chaingap import cli
+    from chaingap.families import ChainSpec
+
+    built = []
+
+    class Spectrum:
+        def to_json(self):
+            return {"gap": 0.5}
+
+    monkeypatch.setattr(ChainSpec, "build", lambda self: built.append(self.N) or "chain")
+    monkeypatch.setattr(cli, "weighted_singular_spectrum", lambda chain: Spectrum())
+    spec = tmp_path / "card.json"
+    spec.write_text(json.dumps({"family": "cardshuffle", "N": 7}))
+    assert main(["gap", "--spec", str(spec)]) == 0
+    assert built == [7]
+    assert json.loads(capsys.readouterr().out) == {"gap": 0.5}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE_SPECS))
+def test_scan_refuses_closed_forms_past_the_cap(name, tmp_path, capsys):
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(OVERSIZE_SPECS[name]))
+    N = OVERSIZE_SPECS[name]["N"]
+    assert main(["scan", "--spec", str(spec), "--n-list", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: TooLarge: ")
 
 
 def test_ensemble_command(tmp_path, capsys):
@@ -224,12 +260,10 @@ def test_json_command_out_file_equals_stdout(command, flip_spec, tmp_path, capsy
 @pytest.mark.parametrize("command", ["gap", "cheeger", "path-bound"])
 def test_json_only_command_refuses_csv_out(command, flip_spec, tmp_path, capsys):
     out = tmp_path / "result.csv"
-    assert main([command, "--spec", flip_spec, "--format", "csv", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("chaingap: ValueError: ")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", flip_spec, "--format", "csv", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     assert not out.exists()
 
 
@@ -352,3 +386,23 @@ def test_cheeger_search_defaults_to_fifty_restarts(tmp_path, capsys, monkeypatch
     assert main(["cheeger", "--spec", str(spec), "--seed", "1"]) == 0
     assert main(["cheeger", "--spec", str(spec), "--seed", "1", "--trials", "0"]) == 0
     assert seen == [50, 0]
+
+
+def test_cli_surface():
+    # every option of every subcommand: an added or removed option is a diff here
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: sorted(s for action in sub._actions if action.dest != "help"
+                     for s in action.option_strings)
+        for name, sub in commands.choices.items()
+    }
+    assert surface == {
+        "gap": ["--out", "--spec"],
+        "delta": ["--format", "--n-max", "--out", "--seed", "--spec", "--trials"],
+        "cheeger": ["--out", "--seed", "--spec", "--trials"],
+        "path-bound": ["--out", "--spec"],
+        "audit": ["--eps", "--format", "--k-max", "--n-max", "--out", "--spec"],
+        "scan": ["--format", "--n-list", "--out", "--spec"],
+        "ensemble": ["--format", "--k", "--l-grid", "--n", "--out", "--p", "--seed", "--trials"],
+    }

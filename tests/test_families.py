@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import chaingap as cg
 from chaingap.errors import InvalidSteps, TooLarge
 from chaingap.families import parse_prob
 
-from conftest import structure_flags
+from conftest import OVERSIZE_SPECS, structure_flags
 
 
 def test_circulant_shift_matrix():
@@ -385,6 +386,21 @@ def test_card_chain_size_limits():
         cg.card_chain(2)
     with pytest.raises(TooLarge):
         cg.card_chain(8)
+    # 7 is the largest deck whose N! states fit under the dense cap
+    assert math.factorial(7) <= cg.tolerances.DENSE_LIMIT < math.factorial(8)
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE_SPECS))
+def test_closed_forms_refuse_arrays_past_the_cap_before_allocating(name):
+    spec = cg.ChainSpec.from_json(OVERSIZE_SPECS[name])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="-entry cap"):
+            spec.closed_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_parse_prob():

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import chaingap as cg
-from chaingap.experiments import EXPERIMENT_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -35,7 +34,7 @@ def test_run_scaling_closed_form_tables(tmp_path, capsys, only, reports):
     assert sorted(p.name for p in tmp_path.iterdir()) == reports
     for name in reports:
         lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == EXPERIMENT_HEADER
+        assert lines[0] == "family,params_digest,N,gamma,tau,method,wall_ms"
         assert all(line.split(",")[5] == "closed_form" for line in lines[1:])
     summary = "tau/ln N" if only == "doubling" else "slope"  # doubling fits no power law
     assert summary in capsys.readouterr().out
