@@ -11,9 +11,13 @@ mu-norm, the worst-case L2 size of the running average
 so Delta_n^2 is the largest eigenvalue of M_n restricted to the
 mu-orthogonal complement of the constants, over real g. The powers
 accumulate incrementally in the conjugated (symmetric) coordinates, the
-constants are deflated to eigenvalue -1, and only the top eigenpair is
+constants are deflated to eigenvalue -1, and only the top eigenvalue is
 computed, so a whole curve costs one matrix product per power and one
-top-eigenpair solve per n.
+top-eigenvalue solve per n. The grams of consecutive n are formed as one
+stack of at most 2^16 entries, temporary included, with the operations
+of a gram formed alone, so the stacking moves no bit. delta_curve and
+delta_exact also take the eigenvector (the maximizer); the bound audit
+takes eigenvalues only, and its values equal delta_curve's bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ ALIAS_THRESHOLD = 64
 
 # Monte Carlo replicates advance in blocks sized so that no draw buffer,
 # and on the inverse-CDF route no gathered block of CDF rows, holds more
-# than this many entries (512 KiB of float64).
+# than this many entries (512 KiB of float64); a stack of deviation grams
+# and its temporary hold no more between them.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -64,8 +69,8 @@ class DeltaCurve:
     entries: tuple[DeltaPoint, ...]
 
 
-class _GramEvaluator:
-    """Incremental evaluation of the deviation at nondecreasing n.
+def _deviations(chain: FiniteChain, ns, maximizer: bool):
+    """Yield (n, Delta_n, g) for the sorted distinct n >= 1 in ns.
 
     Works in the conjugated coordinates B = D^{1/2} P D^{-1/2}, where
     d = sqrt(mu) is a left and right eigenvector of B with eigenvalue 1.
@@ -74,51 +79,61 @@ class _GramEvaluator:
     term is nonnegative, so nothing cancels. Subtracting
     (d^T (n^2 M_n) d + n^2) d d^T moves the constant direction to -n^2,
     below the rest of the spectrum, which is nonnegative; so the top
-    eigenpair lies in sqrt(mu)-perp and is all that is computed.
+    eigenvalue belongs to sqrt(mu)-perp and is the only one computed.
+
+    The grams of consecutive requested n are formed as one stack, with no
+    more than _BLOCK_ENTRIES entries in the stack and its one temporary
+    (a single gram excepted), and every entry takes the same elementwise
+    operations as a gram formed alone, so the stacking moves no bit. g is
+    the maximizing test function when maximizer is true, else None.
     """
+    d = np.sqrt(chain.stationary)
+    size = len(d)
+    b1 = _conjugated(chain.transition, chain.stationary)
+    bk = np.eye(size)
+    spare = np.empty_like(bk)
+    ssum = np.zeros_like(bk)  # S_k
+    sum_of_sums = np.zeros_like(bk)  # S_1 + ... + S_k
+    k = 0  # powers accumulated so far
+    per = max(1, _BLOCK_ENTRIES // (2 * size * size))
+    stack = np.empty((min(per, len(ns)), size, size))
+    for first in range(0, len(ns), per):
+        chunk = np.array(ns[first : first + per])
+        grams = stack[: len(chunk)]
+        for gram, n in zip(grams, chunk):
+            while k < n - 1:
+                k += 1
+                np.matmul(bk, b1, out=spare)
+                bk, spare = spare, bk
+                ssum += bk
+                sum_of_sums += ssum
+            np.add(sum_of_sums, sum_of_sums.T, out=gram)
+        grams.reshape(len(chunk), -1)[:, :: size + 1] += chunk[:, None]
+        shift = np.vecdot(d @ grams, d) + chunk * chunk
+        grams -= (shift[:, None] * d)[:, :, None] * d
+        for gram, n in zip(grams, chunk.tolist()):
+            w, vec, found, _, info = dsyevx(
+                gram, compute_v=int(maximizer), range="I", il=size, iu=size
+            )
+            if info == 0 and found == 1:
+                top, u = float(w[0]), (vec[:, 0] if maximizer else None)
+            else:
+                # dsyevx finds no eigenvalue (m = 0, info = 0) when the top one
+                # is degenerate across the whole spectrum, as for I - 2 d d^T
+                w, vec = np.linalg.eigh(gram)
+                top, u = float(w[-1]), vec[:, -1]
+            top /= n * n
+            if n == 1:
+                top = 1.0  # M_1 is the identity on sqrt(mu)-perp
+            elif top < tol.DELTA_SQ_FLOOR:
+                top = 0.0
+            value = min(np.sqrt(max(top, 0.0)), 1.0)
+            yield n, value, u / d if maximizer else None
 
-    def __init__(self, chain: FiniteChain):
-        self._d = np.sqrt(chain.stationary)
-        self._b1 = _conjugated(chain.transition, chain.stationary)
-        self._bk = np.eye(chain.size)
-        self._spare = np.empty_like(self._bk)
-        self._sum = np.zeros_like(self._bk)  # S_k
-        self._sum_of_sums = np.zeros_like(self._bk)  # S_1 + ... + S_k
-        self._k = 0  # powers accumulated so far
 
-    def _advance(self, upto: int) -> None:
-        while self._k < upto:
-            self._k += 1
-            np.matmul(self._bk, self._b1, out=self._spare)
-            self._bk, self._spare = self._spare, self._bk
-            self._sum += self._bk
-            self._sum_of_sums += self._sum
-
-    def at(self, n: int) -> tuple[float, np.ndarray]:
-        """(Delta_n, maximizing g); n must not decrease between calls."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self._advance(n - 1)
-        d = self._d
-        gram = self._sum_of_sums + self._sum_of_sums.T
-        gram.flat[:: len(d) + 1] += n
-        gram -= np.outer((d @ gram @ d + n * n) * d, d)
-        w, vec, found, _, info = dsyevx(gram, range="I", il=len(d), iu=len(d))
-        if info == 0 and found == 1:
-            top, u = float(w[0]), vec[:, 0]
-        else:
-            # dsyevx finds no eigenvalue (m = 0, info = 0) when the top one
-            # is degenerate across the whole spectrum, as for I - 2 d d^T
-            w, vec = np.linalg.eigh(gram)
-            top, u = float(w[-1]), vec[:, -1]
-        top /= n * n
-        if n == 1:
-            top = 1.0  # M_1 is the identity on sqrt(mu)-perp
-        elif top < tol.DELTA_SQ_FLOOR:
-            top = 0.0
-        value = min(np.sqrt(max(top, 0.0)), 1.0)
-        g = u / self._d
-        return value, g
+def _deviation_values(chain: FiniteChain, n_max: int) -> np.ndarray:
+    """Delta_1, ..., Delta_{n_max}, bit for bit delta_curve's, without maximizers."""
+    return np.array([value for _, value, _ in _deviations(chain, range(1, n_max + 1), False)])
 
 
 def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
@@ -128,7 +143,11 @@ def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
     ||g||_mu = 1, with the start drawn from mu.
     """
     _require_spectral(chain)
-    return _GramEvaluator(chain).at(int(n))
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _, value, g = next(_deviations(chain, [n], True))
+    return value, g
 
 
 def delta_curve(chain: FiniteChain, n_list) -> DeltaCurve:
@@ -137,32 +156,46 @@ def delta_curve(chain: FiniteChain, n_list) -> DeltaCurve:
     ns = sorted({int(n) for n in n_list})
     if ns and ns[0] < 1:
         raise ValueError("all n must be >= 1")
-    ev = _GramEvaluator(chain)
     pts = []
-    for n in ns:
-        value, g = ev.at(n)
+    for n, value, g in _deviations(chain, ns, True):
         g.setflags(write=False)
         pts.append(DeltaPoint(n=n, delta_exact=value, maximizer=g))
     return DeltaCurve(entries=tuple(pts))
 
 
-def _build_alias(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias table for one probability row."""
-    n = len(prob)
-    scaled = prob * n
-    accept = np.zeros(n)
-    alias = np.zeros(n, dtype=np.int64)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s, l = small.pop(), large.pop()
-        accept[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large + small:
-        accept[i] = 1.0
+def _alias_tables(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias tables (accept, alias) of every row of P, in lockstep.
+
+    Each row keeps a stack of its small (scaled < 1) and of its large
+    entries, both in index order, and every step pops both tops of every
+    row that has both: the pops, pushes and updates of a one-row-at-a-time
+    build, so the tables do not depend on the lockstep.
+    """
+    rows, size = P.shape
+    scaled = P * size
+    accept = np.zeros((rows, size))
+    alias = np.zeros((rows, size), dtype=np.int64)
+    is_small = scaled < 1.0
+    small = np.argsort(~is_small, axis=1, kind="stable")  # small entries first
+    large = np.argsort(is_small, axis=1, kind="stable")  # large entries first
+    n_small = is_small.sum(axis=1)
+    n_large = size - n_small
+    live = np.flatnonzero((n_small > 0) & (n_large > 0))
+    while len(live):
+        top_s, top_l = n_small[live] - 1, n_large[live] - 1
+        s, l = small[live, top_s], large[live, top_l]
+        accept[live, s] = scaled[live, s]
+        alias[live, s] = l
+        scaled[live, l] = scaled[live, l] - (1.0 - scaled[live, s])
+        # l becomes small and takes the place of s, or stays on top of large
+        moved = scaled[live, l] < 1.0
+        small[live[moved], top_s[moved]] = l[moved]
+        n_large[live[moved]] -= 1
+        n_small[live[~moved]] -= 1
+        live = live[(n_small[live] > 0) & (n_large[live] > 0)]
+    for stack, count in ((large, n_large), (small, n_small)):
+        left = np.arange(size) < count[:, None]
+        accept[np.nonzero(left)[0], stack[left]] = 1.0
     return accept, alias
 
 
@@ -207,7 +240,7 @@ def delta_monte_carlo(
     mu_cdf = np.cumsum(mu)
     use_alias = size > ALIAS_THRESHOLD
     if use_alias:
-        accept, alias = (np.array(t) for t in zip(*(_build_alias(row) for row in P)))
+        accept, alias = _alias_tables(P)
         width = steps
     else:
         row_cdf = np.cumsum(P, axis=1)
@@ -280,8 +313,7 @@ def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:
     gamma, tau = spectral_gap(chain)
     if not np.isfinite(tau):
         raise DegenerateKernel("deviation bounds need a finite relaxation time")
-    curve = delta_curve(chain, range(1, n_max + 1))
-    delta = np.array([e.delta_exact for e in curve.entries])
+    delta = _deviation_values(chain, n_max)
     ns = np.arange(1, n_max + 1)
 
     checks = []
@@ -304,13 +336,21 @@ def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:
     if n_max < 2:
         checks.append(skipped_check("avg_dev_window_lower", "n_max < 2"))
     else:
-        worst_margin, worst_n, worst_lhs, worst_rhs = np.inf, 1, 0.0, 0.0
-        for n in range(1, n_max // 2 + 1):
-            lhs = float(delta[n - 1 : 2 * n].max())
-            rhs = tau / (2.0 * n + 3.0 * tau)
-            if lhs - rhs < worst_margin:
-                worst_margin, worst_n, worst_lhs, worst_rhs = lhs - rhs, n, lhs, rhs
+        # lhs[n - 1] = max(delta[n - 1 : 2n]) from a sparse table: at step j,
+        # span[i] = max(delta[i : i + 2^j]), and the n + 1 entries of window n
+        # are covered by two such spans when 2^j <= n + 1 < 2^(j+1)
+        wn = np.arange(1, n_max // 2 + 1)
+        level = np.frexp(wn + 1)[1] - 1
+        lhs = np.empty(len(wn))
+        span = delta
+        for j in range(1, int(level[-1]) + 1):
+            half = 1 << (j - 1)
+            span = np.maximum(span[:-half], span[half:])
+            at = level == j
+            lhs[at] = np.maximum(span[wn[at] - 1], span[2 * (wn[at] - half)])
+        rhs = tau / (2.0 * wn + 3.0 * tau)
+        worst = int(np.argmin(lhs - rhs))  # the first n of least margin
         checks.append(
-            make_check(f"avg_dev_window_lower[n={worst_n}]", worst_lhs, worst_rhs, ">=")
+            make_check(f"avg_dev_window_lower[n={wn[worst]}]", lhs[worst], rhs[worst], ">=")
         )
     return BoundAudit(tuple(checks))

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, svdvals
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dsyevr, dsyevr_lwork
 
 from . import tolerances as tol
 from .chains import FiniteChain
@@ -92,8 +93,17 @@ def _conjugated(matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_gap(S: np.ndarray) -> float:
-    """1 - lambda_2 of a symmetric matrix."""
-    return 1.0 - float(eigvalsh(S)[-2])
+    """1 - lambda_2 of a symmetric matrix.
+
+    Calls dsyevr as scipy's eigvalsh does (lower triangle, the queried
+    workspace), so the eigenvalues are eigvalsh's to the bit, without its
+    wrapper's cost on the small matrices of an audit.
+    """
+    work, iwork, _ = dsyevr_lwork(len(S), lower=1)
+    w, _, _, _, info = dsyevr(S, compute_v=0, lower=1, lwork=int(work), liwork=int(iwork))
+    if info != 0:
+        raise LinAlgError(f"dsyevr failed (info={info})")
+    return 1.0 - float(w[-2])
 
 
 def relaxation_time(gap: float, sigma_max: float) -> float:
@@ -118,7 +128,15 @@ def weighted_singular_spectrum(chain: FiniteChain) -> SingularSpectrum:
     """
     _require_spectral(chain)
     L = np.eye(chain.size) - chain.transition
-    values = np.sort(svdvals(_conjugated(L, chain.stationary)))
+    # dgesdd as scipy's svdvals calls it (queried workspace, full_matrices
+    # set), so the values are svdvals' to the bit, without its wrapper's cost
+    work, _ = dgesdd_lwork(chain.size, chain.size, compute_uv=0, full_matrices=1)
+    _, values, _, info = dgesdd(
+        _conjugated(L, chain.stationary), compute_uv=0, lwork=int(work), full_matrices=1
+    )
+    if info != 0:
+        raise LinAlgError(f"dgesdd failed (info={info})")
+    values = np.sort(values)
     values.setflags(write=False)
     gap = float(values[1])
     return SingularSpectrum(

@@ -4,10 +4,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.linalg.lapack import dsyevx
 
 import chaingap as cg
-from chaingap.empirical import _BLOCK_ENTRIES, ALIAS_THRESHOLD, _build_alias
+from chaingap import empirical
+from chaingap.empirical import (
+    _BLOCK_ENTRIES,
+    ALIAS_THRESHOLD,
+    _alias_tables,
+    _deviation_values,
+)
 from chaingap.errors import BadTestFunction
 from chaingap.experiments import render_report
 
@@ -228,6 +236,124 @@ def test_degenerate_top_cluster_falls_back_to_eigh(monkeypatch):
     assert values == pytest.approx([1.0 / math.sqrt(n) for n in range(1, 6)], rel=1e-13)
 
 
+def lone_gram_deviation(chain, n):
+    """(Delta_n, maximizer) from one gram formed on its own.
+
+    The evaluator before the grams were stacked, kept as the bitwise
+    reference: the same running sums, then SS + SS^T, n on the diagonal
+    and the deflation, each on a single gram.
+    """
+    d = np.sqrt(chain.stationary)
+    b1 = d[:, None] * chain.transition / d[None, :]
+    bk = np.eye(len(d))
+    ssum = np.zeros_like(bk)
+    sum_of_sums = np.zeros_like(bk)
+    for _ in range(n - 1):
+        bk = bk @ b1
+        ssum += bk
+        sum_of_sums += ssum
+    gram = sum_of_sums + sum_of_sums.T
+    gram.flat[:: len(d) + 1] += n
+    gram -= np.outer((d @ gram @ d + n * n) * d, d)
+    w, vec, found, _, info = dsyevx(gram, range="I", il=len(d), iu=len(d))
+    if info == 0 and found == 1:
+        top, u = float(w[0]), vec[:, 0]
+    else:
+        w, vec = np.linalg.eigh(gram)
+        top, u = float(w[-1]), vec[:, -1]
+    top /= n * n
+    if n == 1:
+        top = 1.0
+    elif top < cg.tolerances.DELTA_SQ_FLOOR:
+        top = 0.0
+    return min(np.sqrt(max(top, 0.0)), 1.0), u / d
+
+
+def _curve_values(chain, n_max):
+    return np.array([p.delta_exact for p in cg.delta_curve(chain, range(1, n_max + 1)).entries])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+def test_stacked_grams_match_lone_grams_bitwise(name, monkeypatch):
+    chain = KERNEL_CHAINS[name]()
+    ns = [1, 2, 3, 7, 8, 30]
+    lone = [lone_gram_deviation(chain, n) for n in ns]
+    for n, (value, g) in zip(ns, lone):
+        got_value, got_g = cg.delta_exact(chain, n)
+        assert got_value == value, n
+        assert np.array_equal(got_g, g), n
+    # three grams per stack, so the stacks split the requested n
+    monkeypatch.setattr(empirical, "_BLOCK_ENTRIES", 3 * 2 * chain.size**2)
+    for point, (value, g) in zip(cg.delta_curve(chain, ns).entries, lone):
+        assert point.delta_exact == value, point.n
+        assert np.array_equal(point.maximizer, g), point.n
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+def test_audit_values_equal_curve_values_on_kernel_chains(name):
+    chain = KERNEL_CHAINS[name]()
+    assert np.array_equal(_deviation_values(chain, 40), _curve_values(chain, 40))
+
+
+def test_audit_values_equal_curve_values_on_battery(battery):
+    for item in battery:
+        _, tau = cg.spectral_gap(item.chain)
+        if math.isfinite(tau):
+            n_max = math.ceil(50.0 * tau)
+            assert np.array_equal(
+                _deviation_values(item.chain, n_max), _curve_values(item.chain, n_max)
+            ), item.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(stochastic_matrices(max_size=5), st.integers(2, 40), st.integers(1, 4))
+def test_audit_values_equal_curve_values_across_stacks(matrix, n_max, per_stack):
+    chain = cg.build_chain(matrix)
+    want = _curve_values(chain, n_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(empirical, "_BLOCK_ENTRIES", per_stack * 2 * chain.size**2)
+        assert np.array_equal(_deviation_values(chain, n_max), want)
+        assert np.array_equal(_curve_values(chain, n_max), want)
+
+
+def test_audit_values_fall_back_to_eigh_without_vectors(monkeypatch):
+    # without eigenvectors dsyevx still finds no eigenvalue in the 199-fold
+    # top cluster of the uniform chain on some n
+    chain = KERNEL_CHAINS["uniform-200"]()
+    want = _curve_values(chain, 5)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    assert np.array_equal(_deviation_values(chain, 5), want)
+    assert calls
+
+
+def test_window_check_matches_a_loop_over_windows(battery):
+    # the former loop over n, with its first-strict-minimum rule
+    for item in battery[:30]:
+        _, tau = cg.spectral_gap(item.chain)
+        if not math.isfinite(tau):
+            continue
+        n_max = math.ceil(50.0 * tau)
+        delta = _deviation_values(item.chain, n_max)
+        worst_margin, worst_n, worst_lhs, worst_rhs = np.inf, 1, 0.0, 0.0
+        for n in range(1, n_max // 2 + 1):
+            lhs = float(delta[n - 1 : 2 * n].max())
+            rhs = tau / (2.0 * n + 3.0 * tau)
+            if lhs - rhs < worst_margin:
+                worst_margin, worst_n, worst_lhs, worst_rhs = lhs - rhs, n, lhs, rhs
+        check = [
+            c
+            for c in cg.delta_bounds_audit(item.chain, n_max).checks
+            if c.name.startswith("avg_dev_window_lower")
+        ][0]
+        assert (check.name, check.lhs, check.rhs) == (
+            f"avg_dev_window_lower[n={worst_n}]",
+            worst_lhs,
+            worst_rhs,
+        ), item.name
+
+
 def test_curve_subadditivity(battery):
     for item in battery[:12]:
         curve = cg.delta_curve(item.chain, range(1, 13))
@@ -280,6 +406,27 @@ def _replicate_rng(seed, rep):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def row_alias(prob):
+    """Walker alias table for one probability row, built on its own: the
+    reference for the lockstep build of every row."""
+    n = len(prob)
+    scaled = prob * n
+    accept = np.zeros(n)
+    alias = np.zeros(n, dtype=np.int64)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s, l = small.pop(), large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = scaled[l] - (1.0 - scaled[s])
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in large + small:
+        accept[i] = 1.0
+    return accept, alias
+
+
 def scalar_delta_monte_carlo(chain, g, n, reps, seed):
     """Reference sampler: one replicate at a time, one Python step per draw."""
     size = chain.size
@@ -287,7 +434,7 @@ def scalar_delta_monte_carlo(chain, g, n, reps, seed):
     mu_cdf = np.cumsum(chain.stationary)
     use_alias = size > ALIAS_THRESHOLD
     if use_alias:
-        tables = [_build_alias(P[x]) for x in range(size)]
+        tables = [row_alias(P[x]) for x in range(size)]
     else:
         row_cdf = np.cumsum(P, axis=1)
     squares = np.empty(reps)
@@ -330,6 +477,26 @@ MC_CHAINS = {
     "circulant-96": lambda: cg.circulant_chain(96, [(0, 0.2), (1, 0.5), (17, 0.3)]),
     "skewed-70": lambda: _skewed_chain(70),
 }
+
+
+def _alias_test_matrices():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 8, 65, 128):
+        dense = rng.random((size, size))
+        sparse = (rng.random((size, size)) < 0.2) * rng.integers(1, 4, (size, size))
+        for weights in (dense, sparse + np.eye(size), np.ones((size, size))):
+            yield weights / weights.sum(axis=1, keepdims=True)
+    for factory in MC_CHAINS.values():
+        yield factory().transition
+
+
+def test_alias_tables_match_row_by_row_build():
+    for P in _alias_test_matrices():
+        accept, alias = _alias_tables(P)
+        rows = [row_alias(row) for row in P]
+        assert np.array_equal(accept, np.array([a for a, _ in rows])), P.shape
+        assert np.array_equal(alias, np.array([b for _, b in rows])), P.shape
+        assert accept.dtype == np.float64 and alias.dtype == np.int64
 
 
 @pytest.mark.parametrize("name", sorted(MC_CHAINS))
