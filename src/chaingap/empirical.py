@@ -49,7 +49,9 @@ ALIAS_THRESHOLD = 64
 # Monte Carlo replicates advance in blocks sized so that no draw buffer,
 # and on the inverse-CDF route no gathered block of CDF rows, holds more
 # than this many entries (512 KiB of float64); a stack of deviation grams
-# and its temporary hold no more between them.
+# and its temporary hold no more between them. families._character_gap
+# reduces its frequency grid in blocks of this many entries, and
+# experiments._ensemble_taus draws as many walks as fill one such block.
 _BLOCK_ENTRIES = 1 << 16
 
 

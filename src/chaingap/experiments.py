@@ -21,9 +21,9 @@ import numpy as np
 
 from .audit import BoundAudit
 from .bounds import CheegerResult, PathBoundResult
-from .empirical import DeltaCurve
+from .empirical import _BLOCK_ENTRIES, DeltaCurve
 from .errors import InsufficientData, NotPrime
-from .families import ChainSpec
+from .families import ChainSpec, _character_gap, _normalize_steps
 from .spectral import weighted_singular_spectrum
 
 __all__ = [
@@ -152,17 +152,34 @@ def random_steps_ensemble(
         raise ValueError(f"p must list k = {k} probabilities")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    taus = np.empty(trials)
-    for t in range(trials):
-        steps = rng.choice(N, size=k, replace=False)
-        spec = ChainSpec("circulant", N, steps=tuple(zip(steps.tolist(), p.tolist())))
-        taus[t] = spec.closed_form()[1]
+    _normalize_steps(N, zip(range(k), p.tolist()))  # refuse a bad p before the first draw
+    taus = _ensemble_taus(N, p, trials, seed)
     scale = N ** (2.0 / (k + 1.0))
     return [
         EnsembleRow(L=float(L), fraction=float(np.mean(taus > float(L) * scale)))
         for L in L_grid
     ]
+
+
+def _ensemble_taus(N: int, p: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """tau of each trial's circulant walk, trials drawn and solved in blocks.
+
+    Each trial draws its len(p) residues with rng.choice, in trial order,
+    so the Philox stream is a loop's. A block holds as many trials as fit
+    _BLOCK_ENTRIES frequencies 0..N//2; its steps are sorted with their p
+    as _normalize_steps sorts them and go to _character_gap as one batch,
+    so each tau is the bits of ChainSpec("circulant", ...).closed_form().
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    per = max(1, _BLOCK_ENTRIES // (N // 2 + 1))
+    taus = np.empty(trials)
+    for first in range(0, trials, per):
+        count = min(per, trials - first)
+        a = np.array([rng.choice(N, size=p.size, replace=False) for _ in range(count)])
+        order = np.argsort(a, axis=1)
+        walks = _character_gap(N, [(np.take_along_axis(a, order, axis=1), p[order])])
+        taus[first : first + count] = [tau for _, tau in walks]
+    return taus
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ matrices), local walks on d-dimensional tori, the doubling-with-noise
 chain x -> 2x + {-1, 0, 1} mod N, and the three-move card shuffle on the
 symmetric group. Circulant and torus chains are both walks on (Z/NZ)^d:
 one constructor builds them, and ChainSpec.closed_form() gets their gaps
-from the character sums, far past the dense-matrix limit. The doubling
+from the character sums, far past the dense-matrix limit. The sums gather
+from one table of N-th roots of unity and are reduced in blocks of 2^16
+frequencies; the random-steps ensemble sends whole blocks of walks through
+the same kernel, of which closed_form() is the batch of one. The doubling
 chain maps each character to a multiple of another, so closed_form()
 gets its gap from one small block per orbit of m -> 2m mod N; only the
 card shuffle has no closed form.
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .chains import FiniteChain, build_chain
+from .empirical import _BLOCK_ENTRIES
 from .errors import InvalidSteps, TooLarge
 from .spectral import relaxation_time
 
@@ -80,40 +84,61 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
     return build_chain(P, stationary=np.full(states, 1.0 / states))
 
 
-def _character_gap(N: int, axes, hold: float = 0.0) -> tuple[float, float]:
-    """(gap, tau) of the _abelian_chain walk from its character sums.
+def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]:
+    """(gap, tau) of each walk in a batch of _abelian_chain walks, from their character sums.
 
-    lambda_m = hold + sum_j sum_{(a, p) in axes[j]} p e^{2 pi i m_j a / N}
-    and gamma = min over nonzero m of |1 - lambda_m|. Needs no dense
-    matrix, so it runs far beyond the explicit-chain limit. lambda_{-m} is
-    the conjugate of lambda_m, so the first coordinate runs over 0..N//2
-    only; frequencies are evaluated in blocks of about 2^22. An axis has N
-    frequencies and the other axes N^(d-1) together; past DENSE_LIMIT**2
-    either is refused before anything is allocated.
+    ``axes[j]`` is a pair (a, p) of arrays of shape (B, k_j): the residues
+    and probabilities of axis j's steps in each of B walks that share N,
+    the axis count and ``hold``. Walk b has
+    lambda_m = hold + sum_j sum_r p[b, r] e^{2 pi i m_j a[b, r] / N}, each
+    term gathered from one table of the N-th roots of unity at the exact
+    residue (m_j a) mod N, and gamma = min over nonzero m of |1 - lambda_m|.
+    Needs no dense matrix, so it runs far beyond the explicit-chain limit.
+    lambda_{-m} is the conjugate of lambda_m, so the first coordinate runs
+    over 0..N//2 only. The frequency grid is reduced in blocks of at most
+    _BLOCK_ENTRIES entries, whole walks at a time while a walk fits, into
+    two reused buffers; min and max are exact, so the blocks move no bit.
+    An axis has N frequencies and the other axes N^(d-1) together; past
+    DENSE_LIMIT**2 either is refused before anything is allocated.
     """
     _require_entries(N ** max(1, len(axes) - 1), "character sums")
-    m = np.arange(N)
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
     terms = []
-    for steps in axes:
-        t = np.zeros(N, dtype=complex)
-        for a, p in steps:
-            t += p * np.exp(2j * np.pi * ((m * a) % N) / N)  # exact reduction: small phase
+    for j, (a, p) in enumerate(axes):
+        m = np.arange(N // 2 + 1 if j == 0 else N)
+        t = np.zeros((a.shape[0], m.size), dtype=complex)
+        for r in range(a.shape[1]):
+            t += p[:, r, None] * roots[(m * a[:, r, None]) % N]
         terms.append(t)
-    tail = np.zeros(1, dtype=complex)  # the other axes' sums, row-major
+    first = hold + terms[0]
+    batch, rows = first.shape
+    tail = np.zeros((batch, 1), dtype=complex)  # the other axes' sums, row-major
     for t in terms[1:]:
-        tail = np.add.outer(tail, t).ravel()
-    first = hold + terms[0][: N // 2 + 1]
-    rows_per_block = max(1, (1 << 22) // tail.size)
-    gap, sigma_max = np.inf, 0.0
-    for start in range(0, first.size, rows_per_block):
-        lam = first[start : start + rows_per_block, None] + tail[None, :]
-        vals = np.abs(np.subtract(1.0, lam, out=lam))
-        del lam  # free the block before the next one is built
-        sigma_max = max(sigma_max, float(vals.max()))
-        if start == 0:
-            vals[0, 0] = np.inf  # the trivial character m = 0
-        gap = min(gap, float(vals.min()))
-    return gap, relaxation_time(gap, sigma_max)
+        tail = (tail[:, :, None] + t[:, None, :]).reshape(batch, -1)
+    width = tail.shape[1]
+    per_row = max(1, min(rows, _BLOCK_ENTRIES // width))
+    per_walk = max(1, _BLOCK_ENTRIES // (rows * width)) if per_row == rows else 1
+    lam = np.empty((min(per_walk, batch), per_row, width), dtype=complex)
+    vals = np.empty(lam.shape)
+    gap, sigma_max = np.full(batch, np.inf), np.zeros(batch)
+    for b in range(0, batch, per_walk):
+        walks = slice(b, b + per_walk)
+        for r in range(0, rows, per_row):
+            block = first[walks, r : r + per_row, None]
+            walks_b, rows_b = block.shape[:2]
+            lam_b, vals_b = lam[:walks_b, :rows_b], vals[:walks_b, :rows_b]
+            np.add(block, tail[walks, None, :], out=lam_b)
+            np.abs(np.subtract(1.0, lam_b, out=lam_b), out=vals_b)
+            np.maximum(sigma_max[walks], vals_b.max(axis=(1, 2)), out=sigma_max[walks])
+            if r == 0:
+                vals_b[:, 0, 0] = np.inf  # the trivial character m = 0
+            np.minimum(gap[walks], vals_b.min(axis=(1, 2)), out=gap[walks])
+    return [(g, relaxation_time(g, s)) for g, s in zip(gap.tolist(), sigma_max.tolist())]
+
+
+def _batch_of_one(steps) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, p) arrays of one walk's (a, p) steps, as _character_gap takes them."""
+    return np.array([[a for a, _ in steps]]), np.array([[p for _, p in steps]])
 
 
 def _normalize_steps(N: int, steps) -> list[tuple[int, float]]:
@@ -479,12 +504,15 @@ class ChainSpec:
 
         Circulant and torus walks from their character sums, the doubling
         chain from its blocks on the orbits of m -> 2m (_doubling_gap).
-        The one closed-form route: scan, the CLI and the ensemble all call it.
+        The one closed-form route: scan and the CLI call it, and the
+        random-steps ensemble batches its walks through the same kernel.
         """
         if self.family == "circulant":
-            return _character_gap(self.N, [_normalize_steps(self.N, self.steps)])
+            axes = [_batch_of_one(_normalize_steps(self.N, self.steps))]
+            return _character_gap(self.N, axes)[0]
         if self.family == "torus":
-            return _character_gap(self.N, _torus_axes(self.N, self.d, self.probs), self.probs.hold)
+            axes = [_batch_of_one(s) for s in _torus_axes(self.N, self.d, self.probs)]
+            return _character_gap(self.N, axes, self.probs.hold)[0]
         if self.family == "cdg":
             return _doubling_gap(self.N)
         return None

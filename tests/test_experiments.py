@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import chaingap as cg
+from chaingap import experiments, families
 from chaingap.errors import InsufficientData, InvalidSteps, NotPrime
 from chaingap.experiments import ExperimentRow, render_report
 
@@ -172,6 +174,57 @@ def test_ensemble_draws_every_residue_when_k_is_n():
     # is 1, below every threshold L * N^{2/(k+1)} with L >= 1
     rows = cg.random_steps_ensemble(101, 101, [1.0 / 101] * 101, 3, [1, 2, 4], seed=5)
     assert [r.fraction for r in rows] == [0.0, 0.0, 0.0]
+
+
+def loop_ensemble_taus(N, p, trials, seed):
+    """tau of each trial by one draw and one circulant closed form per trial."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    taus = []
+    for _ in range(trials):
+        steps = tuple(zip(rng.choice(N, size=len(p), replace=False).tolist(), p))
+        taus.append(cg.ChainSpec("circulant", N, steps=steps).closed_form()[1])
+    return np.array(taus)
+
+
+@pytest.mark.parametrize(
+    "N, p",
+    [(101, [0.5, 0.5]), (101, [0.2, 0.3, 0.5]), (101, [1.0]), (101, [1.0 / 101] * 101),
+     (7, [0.1, 0.2, 0.3, 0.4])],
+    ids=["equal", "unequal", "k1", "kN", "small-N"],
+)
+@pytest.mark.parametrize("walks_per_block", [None, 3])
+def test_ensemble_batch_matches_per_trial_closed_forms(N, p, walks_per_block):
+    # unequal p checks that each trial's steps are sorted together with their p
+    trials, seed = 40, 17
+    with pytest.MonkeyPatch.context() as mp:
+        if walks_per_block:
+            mp.setattr(experiments, "_BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
+            mp.setattr(families, "_BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
+        taus = experiments._ensemble_taus(N, np.array(p), trials, seed)
+    assert np.array_equal(taus, loop_ensemble_taus(N, p, trials, seed))
+
+
+def test_ensemble_memory_stays_blocked():
+    tracemalloc.start()
+    try:
+        rows = cg.random_steps_ensemble(499, 2, [0.5, 0.5], 20_000, [1.0, 8.0], seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert 0 < rows[1].fraction < rows[0].fraction < 1
+
+
+def test_ensemble_validates_p_before_any_draw():
+    # a billion trials: refused before the per-trial array or the first draw
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSteps, match="positive and finite"):
+            cg.random_steps_ensemble(101, 2, [math.nan, 0.5], 10**9, [1.0], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_report_experiment_rows_csv(tmp_path):

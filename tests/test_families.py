@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaingap as cg
+from chaingap import families
 from chaingap.errors import InvalidSteps, TooLarge
 from chaingap.families import parse_prob
 
@@ -258,6 +259,56 @@ def test_abelian_route_matches_dense_and_reference(spec):
     else:
         assert math.isinf(tau)
 
+
+def reference_character_gap(spec):
+    """(gap, tau) by the per-step np.exp route that _character_gap once took."""
+    N = spec.N
+    if spec.family == "circulant":
+        axes, hold = [sorted((int(a) % N, float(p)) for a, p in spec.steps)], 0.0
+    else:
+        axes = [[(1, p), (-1, q)] for p, q in zip(spec.probs.plus, spec.probs.minus)]
+        hold = spec.probs.hold
+    m = np.arange(N)
+    terms = []
+    for steps in axes:
+        t = np.zeros(N, dtype=complex)
+        for a, p in steps:
+            t += p * np.exp(2j * np.pi * ((m * a) % N) / N)
+        terms.append(t)
+    tail = np.zeros(1, dtype=complex)
+    for t in terms[1:]:
+        tail = np.add.outer(tail, t).ravel()
+    lam = hold + terms[0][: N // 2 + 1, None] + tail[None, :]
+    vals = np.abs(1.0 - lam)
+    sigma_max = float(vals.max())
+    vals[0, 0] = np.inf  # the trivial character m = 0
+    gap = float(vals.min())
+    return gap, cg.relaxation_time(gap, sigma_max)
+
+
+@settings(max_examples=80, deadline=None)
+@given(abelian_specs(), st.integers(1, 3))
+def test_character_gap_matches_per_step_exp_route_bitwise(spec, rows):
+    # one roots table and blocked reductions give every lambda_m the same bits
+    expected = reference_character_gap(spec)
+    assert spec.closed_form() == expected
+    width = spec.N ** ((spec.d or 1) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_BLOCK_ENTRIES", rows * width)
+        assert spec.closed_form() == expected
+
+
+def test_torus_closed_form_reduces_in_small_blocks():
+    # 2049 x 4096 frequencies: one 2^22-entry temporary was 128 MiB
+    spec = cg.ChainSpec("torus", 4096, 2, probs=cg.up_right_probs(0.5))
+    tracemalloc.start()
+    try:
+        gap, tau = spec.closed_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert 0 < gap and tau == 1.0 / gap
 
 def step_law(spec):
     """{(axis, a mod N): probability} of a circulant or torus spec's positive steps."""
