@@ -22,6 +22,7 @@ from scipy.sparse import csr_matrix
 from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
 from .chains import FiniteChain, _bfs_tree, period
+from .empirical import _philox_key
 from .errors import (
     MixingCapExceeded,
     NoPathExists,
@@ -301,14 +302,15 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
     start descends by single-state moves (toggle one state in or out, or
     swap a member for a non-member), taking the first improving move,
     until no move improves. Any subset certifies an upper bound, so the
-    result is always >= the exact constant. Refuses one-state chains and
-    a negative ``iters``.
+    result is always >= the exact constant. The seed keys Philox by
+    empirical._philox_key. Refuses one-state chains and a negative
+    ``iters``.
     """
     _require_cut(chain)
     _require_iters(iters)
     n = chain.size
     mu, q = chain.stationary, chain.edge_measure()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
     starts = [[x] for x in range(n)]
     for _ in range(iters):
         mask = rng.random(n) < rng.uniform(0.15, 0.6)

@@ -18,6 +18,21 @@ stack of at most 2^16 entries, temporary included, with the operations
 of a gram formed alone, so the stacking moves no bit. delta_curve and
 delta_exact also take the eigenvector (the maximizer); the bound audit
 takes eigenvalues only, and its values equal delta_curve's bit for bit.
+
+Every randomized routine keys numpy's Philox4x64-10 with the one seed
+rule (seed mod 2^64, stream), so any integer seed runs and a seed in
+[0, 2^64) keys what Philox(key=np.uint64(seed)) keys. Monte Carlo
+replicate r is stream r. Philox is counter-based: word 4(c - 1) + i of a
+stream is word i of ten rounds applied to the counter (c, 0, 0, 0) under
+the key (Salmon et al., SC 2011), so delta_monte_carlo evaluates the
+words of a whole block of replicates at once in numpy integer arithmetic,
+laid out as numpy's Generator consumes them: word 0 is the start uniform
+(w >> 11) 2^-53; on the alias route the next ceil((n-1)/2) words split,
+low half first, into the 32-bit bucket draws h, each (h * size) >> 32 by
+Lemire's method; then come the n - 1 coin words. A replicate whose
+bucket draws include one that Lemire's method rejects ((h * size) mod
+2^32 < 2^32 mod size, never at a power-of-two size) is drawn again from
+numpy's generator, so every draw is numpy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,13 +61,19 @@ __all__ = [
 # tables above this state count (reps * n draws dominate MC runtime).
 ALIAS_THRESHOLD = 64
 
-# Monte Carlo replicates advance in blocks sized so that no draw buffer,
-# and on the inverse-CDF route no gathered block of CDF rows, holds more
-# than this many entries (512 KiB of float64); a stack of deviation grams
-# and its temporary hold no more between them. families._character_gap
-# reduces its frequency grid in blocks of this many entries, and
-# experiments._ensemble_taus draws as many walks as fill one such block.
+# Monte Carlo replicates advance in blocks sized so that a block's draws,
+# Philox rounds included, and on the inverse-CDF route a gathered block of
+# CDF rows each hold no more than this many entries (512 KiB of float64);
+# a stack of deviation grams and its temporary hold no more between them.
+# families._character_gap reduces its frequency grid in blocks of this
+# many entries, and experiments._ensemble_taus draws as many walks as fill
+# one such block.
 _BLOCK_ENTRIES = 1 << 16
+
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -206,6 +227,97 @@ def _require_reps(reps: int) -> None:
         raise ValueError("reps must be >= 2: the standard error needs two replicates")
 
 
+def _philox_key(seed: int, stream: int = 0) -> np.ndarray:
+    """The Philox key (seed mod 2^64, stream) of every randomized routine.
+
+    Any integer seed runs, and a seed in [0, 2^64) keys the stream of
+    Philox(key=np.uint64(seed)). The key is a uint64 array because numpy
+    casts a tuple of Python ints through float64.
+    """
+    return np.array([seed % (1 << 64), stream], dtype=np.uint64)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, from 32-bit halves."""
+    a0, a1 = a & _LOW32, a >> 32
+    b0, b1 = b & _LOW32, b >> 32
+    high = b1 * a1
+    b1 *= a0  # the cross products a0 b1 and a1 b0
+    cross = b0 * a1
+    b0 *= a0
+    b0 >>= 32
+    high += b1 >> 32
+    high += cross >> 32
+    b1 &= _LOW32
+    cross &= _LOW32
+    b0 += b1
+    b0 += cross  # the middle column: below 3 * 2^32
+    b0 >>= 32
+    high += b0
+    return high, b * a
+
+
+def _philox_words(seed: int, first: int, count: int, counters: int) -> np.ndarray:
+    """Words 0 .. 4 counters - 1 of Philox streams first .. first + count - 1.
+
+    Row j holds what np.random.Philox(key=_philox_key(seed, first + j))
+    returns from random_raw(4 * counters): word 4(c - 1) + i is word i of
+    Philox4x64-10 at counter (c, 0, 0, 0), c = 1, 2, ... The lanes are
+    (replicate, counter) arrays, broadcast until the rounds fill them.
+    """
+    key0 = int(_philox_key(seed)[0])
+    key1 = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    x0 = np.arange(1, counters + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+    for j in range(10):
+        high0, low0 = _mulhilo(_PHILOX_MUL[0], x0)
+        high1, low1 = _mulhilo(_PHILOX_MUL[1], x2)
+        x0 = high1 ^ x1 ^ ((key0 + j * _PHILOX_WEYL[0]) % (1 << 64))
+        x2 = high0 ^ x3 ^ (key1 + (j * _PHILOX_WEYL[1]) % (1 << 64))
+        x1, x3 = low1, low0
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * counters)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Generator.random's double of each 64-bit word."""
+    return (words >> 11) * 2.0**-53
+
+
+def _draw_layout(steps: int, buckets: int) -> tuple[int, int]:
+    """(bucket words, Philox counters) of a replicate's 1 + bucket words + steps words."""
+    half = (steps + 1) // 2 if buckets else 0  # two 32-bit bucket draws per word
+    return half, -(-(1 + half + steps) // 4)
+
+
+def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int):
+    """(u0, bucket, coin) of replicates first .. first + count - 1, bit for bit.
+
+    Replicate r draws as rng = np.random.Generator(np.random.Philox(
+    key=_philox_key(seed, r))) would: u0 = rng.random(), then, when
+    buckets > 0, bucket = rng.integers(0, buckets, size=steps) (else None),
+    then coin = rng.random(steps). The words come from _philox_words, laid
+    out as the module docstring says; a replicate with a rejected bucket
+    draw is drawn again from rng.
+    """
+    half, counters = _draw_layout(steps, buckets)
+    words = _philox_words(seed, first, count, counters)
+    u0 = _unit(words[:, 0])
+    coin = _unit(words[:, 1 + half : 1 + half + steps])
+    if not buckets:
+        return u0, None, coin
+    # the 32-bit draws, low half of each word first: the words' little-endian halves
+    h = words[:, 1 : 1 + half].astype("<u8", copy=False).view("<u4")[:, :steps]
+    product = np.multiply(h, buckets, dtype=np.uint64)  # a dense chain has < 2^32 states
+    bucket = (product >> 32).astype(np.int64)
+    rejected = ((product & _LOW32) < (1 << 32) % buckets).any(axis=1)
+    for r in np.flatnonzero(rejected).tolist():
+        rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, first + r)))
+        rng.random()  # u0 comes before any bucket draw
+        bucket[r] = rng.integers(0, buckets, size=steps)
+        rng.random(out=coin[r])
+    return u0, bucket, coin
+
+
 def delta_monte_carlo(
     chain: FiniteChain, g: np.ndarray, n: int, reps: int, seed: int
 ) -> tuple[float, float]:
@@ -213,13 +325,21 @@ def delta_monte_carlo(
 
     Each replicate draws X_0 exactly from mu and steps through the chain;
     the estimate is sqrt(mean((mu_n g)^2)) with a delta-method standard
-    error. Deterministic given the seed: replicate r uses its own Philox
-    stream keyed (seed, r), so results do not depend on scheduling.
-    Replicates advance in lockstep, one numpy step for a whole block of
-    them, in blocks small enough that no buffer holds more than 2^16
-    entries (a single replicate's n - 1 draws excepted). Each replicate
-    draws and sums in the same order as a one-at-a-time walk, so neither
-    the lockstep nor the block size moves a bit of the result.
+    error. Deterministic given the seed: replicate r draws from numpy's
+    Philox stream keyed (seed mod 2^64, r), so results do not depend on
+    scheduling. Its words are computed for a whole block of replicates at
+    once: word 0 gives X_0; on the alias route (more than ALIAS_THRESHOLD
+    states) the next ceil((n-1)/2) words give n - 1 bucket draws, low
+    32-bit half first, by Lemire's method; then n - 1 words give the coins
+    (the inverse-CDF uniforms below the threshold). A replicate with a
+    bucket draw that Lemire's method rejects is drawn again by numpy's
+    generator, so every draw is numpy's. Replicates advance in lockstep,
+    one numpy step for a whole block of them, in blocks small enough that
+    a block's draws, Philox rounds included, hold no more than 2^16
+    entries between them, nor does any buffer of the walk (a single
+    replicate's draws excepted). Each replicate draws and sums in the same
+    order as a one-at-a-time walk, so neither the lockstep nor the block
+    size moves a bit of the result.
 
     Raises:
         BadTestFunction: g is not mean-zero with unit mu-norm (to 1e-10).
@@ -240,48 +360,24 @@ def delta_monte_carlo(
     steps = n - 1
     P = chain.transition
     mu_cdf = np.cumsum(mu)
-    use_alias = size > ALIAS_THRESHOLD
-    if use_alias:
+    buckets = size if size > ALIAS_THRESHOLD else 0  # alias tables draw buckets
+    # the Philox rounds hold at most sixteen lanes of one word per counter
+    width = 16 * _draw_layout(steps, buckets)[1]
+    if buckets:
         accept, alias = _alias_tables(P)
-        width = steps
     else:
         row_cdf = np.cumsum(P, axis=1)
-        width = max(steps, size)  # the (block, size) gather of row_cdf[x]
-    block = max(1, _BLOCK_ENTRIES // max(width, 1))
-
-    # One Philox re-keyed per replicate: the stream a fresh
-    # Philox(key=(seed, rep)) would give, without building a generator each time.
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
+        width = max(width, size)  # the (block, size) gather of row_cdf[x]
+    block = max(1, _BLOCK_ENTRIES // width)
 
     squares = np.empty(reps)
     for first in range(0, reps, block):
         count = min(block, reps - first)
-        u0 = np.empty(count)
-        coin = np.empty((count, steps))
-        if use_alias:
-            bucket = np.empty((count, steps), dtype=np.int64)
-        for r in range(count):
-            key[1] = first + r
-            bitgen.state = fresh
-            u0[r] = rng.random()
-            if use_alias:
-                bucket[r] = rng.integers(0, size, size=steps)
-            rng.random(out=coin[r])
-
+        u0, bucket, coin = _replicate_draws(seed, first, count, steps, buckets)
         x = np.minimum(np.searchsorted(mu_cdf, u0, side="right"), size - 1)
         acc = g[x]
         for i in range(steps):
-            if use_alias:
+            if buckets:
                 b = bucket[:, i]
                 x = np.where(coin[:, i] < accept[x, b], b, alias[x, b])
             else:
@@ -291,6 +387,7 @@ def delta_monte_carlo(
         # float_power calls libm pow like a scalar ``** 2``; an array ``** 2``
         # squares instead, which differs in the last bit about once in a thousand.
         squares[first : first + count] = np.float_power(acc / n, 2.0)
+        del u0, bucket, coin  # before the next block's words are computed
 
     mean_sq = float(squares.mean())  # fixed summation order: reduction-order independent
     if mean_sq <= 0.0:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .audit import BoundAudit
 from .bounds import CheegerResult, PathBoundResult
-from .empirical import _BLOCK_ENTRIES, DeltaCurve
+from .empirical import _BLOCK_ENTRIES, DeltaCurve, _philox_key
 from .errors import InsufficientData, NotPrime
 from .families import ChainSpec, _character_gap, _normalize_steps
 from .spectral import weighted_singular_spectrum
@@ -140,8 +140,10 @@ def random_steps_ensemble(
     Draws ``trials`` step sets of k distinct residues uniformly from
     Z/NZ (without replacement), computes each tau from the circulant
     closed form, and reports the fraction exceeding L * N^{2/(k+1)} for
-    each L. Deterministic given the seed; fractions are automatically
-    non-increasing in L.
+    each L. Deterministic given the seed, which keys Philox by
+    empirical._philox_key; fractions are automatically non-increasing
+    in L. Refuses an L that is not a number >= 0 (inf is one) with
+    ValueError.
     """
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
@@ -153,12 +155,13 @@ def random_steps_ensemble(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _normalize_steps(N, zip(range(k), p.tolist()))  # refuse a bad p before the first draw
+    L_grid = [float(L) for L in L_grid]
+    bad = [L for L in L_grid if not L >= 0.0]  # nan compares false
+    if bad:
+        raise ValueError(f"every L must be a number >= 0, got {bad[0]}")
     taus = _ensemble_taus(N, p, trials, seed)
     scale = N ** (2.0 / (k + 1.0))
-    return [
-        EnsembleRow(L=float(L), fraction=float(np.mean(taus > float(L) * scale)))
-        for L in L_grid
-    ]
+    return [EnsembleRow(L=L, fraction=float(np.mean(taus > L * scale))) for L in L_grid]
 
 
 def _ensemble_taus(N: int, p: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -170,7 +173,7 @@ def _ensemble_taus(N: int, p: np.ndarray, trials: int, seed: int) -> np.ndarray:
     as _normalize_steps sorts them and go to _character_gap as one batch,
     so each tau is the bits of ChainSpec("circulant", ...).closed_form().
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
     per = max(1, _BLOCK_ENTRIES // (N // 2 + 1))
     taus = np.empty(trials)
     for first in range(0, trials, per):

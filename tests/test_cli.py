@@ -213,6 +213,34 @@ def test_ensemble_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_ensemble_command_refuses_a_bad_l_grid(capsys):
+    code = main(["ensemble", "--n", "101", "--k", "2", "--trials", "5", "--seed", "1",
+                 "--l-grid", "nan,-1,1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: every L must be a number >= 0, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ensemble", "--n", "101", "--k", "2", "--trials", "30"],
+     ["cheeger", "--spec", "WALK24", "--trials", "5"]],
+    ids=["ensemble", "cheeger-search"],
+)
+def test_negative_seed_is_the_seed_mod_two_to_the_64(argv, tmp_path, capsys):
+    spec = tmp_path / "walk24.json"
+    spec.write_text(json.dumps({"family": "circulant", "N": 24, "steps": [[1, 0.7], [-1, 0.3]]}))
+    argv = [str(spec) if a == "WALK24" else a for a in argv]
+    outputs = []
+    for seed in ("-1", "18446744073709551615", "18446744073709551617", "1"):
+        out = tmp_path / f"out-{seed}"
+        assert main(argv + ["--seed", seed, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[2] == outputs[3]
+
+
 @pytest.mark.parametrize("k", ["0", "7"])
 def test_ensemble_command_refuses_k_outside_one_to_n(k, capsys):
     with pytest.raises(SystemExit) as exc:

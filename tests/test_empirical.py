@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from chaingap.empirical import (
     ALIAS_THRESHOLD,
     _alias_tables,
     _deviation_values,
+    _philox_key,
+    _philox_words,
+    _replicate_draws,
 )
 from chaingap.errors import BadTestFunction
 from chaingap.experiments import render_report
@@ -553,6 +557,68 @@ def test_reset_philox_state_equals_fresh_stream():
     assert rng.random() == fresh.random()
     assert np.array_equal(rng.integers(0, 128, size=7), fresh.integers(0, 128, size=7))
     assert np.array_equal(rng.random(7), fresh.random(7))
+
+
+def _numpy_draws(k0, rep, steps, buckets):
+    rng = np.random.Generator(np.random.Philox(key=np.array([k0, rep], dtype=np.uint64)))
+    u0 = rng.random()
+    bucket = rng.integers(0, buckets, size=steps) if buckets else None
+    return u0, bucket, rng.random(steps)
+
+
+@pytest.mark.parametrize("k0", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("buckets", [0, 65, 96, 128, 244])
+def test_block_draws_equal_numpy_generator(k0, buckets):
+    first, count = 5, 3
+    for steps in (0, 1, 2, 7, 8, 33):
+        u0, bucket, coin = _replicate_draws(k0, first, count, steps, buckets)
+        assert u0.dtype == coin.dtype == np.float64
+        assert bucket is None if not buckets else bucket.dtype == np.int64
+        for j in range(count):
+            ref_u0, ref_bucket, ref_coin = _numpy_draws(k0, first + j, steps, buckets)
+            assert u0[j] == ref_u0
+            assert np.array_equal(coin[j], ref_coin), (steps, j)
+            if buckets:
+                assert np.array_equal(bucket[j], ref_bucket), (steps, j)
+
+
+def test_block_words_equal_numpy_raw_words():
+    for seed in (-1, 0, 2**64 + 3):
+        words = _philox_words(seed, 2**40, 2, 5)
+        for j in range(2):
+            bitgen = np.random.Philox(key=_philox_key(seed, 2**40 + j))
+            assert np.array_equal(words[j], bitgen.random_raw(20))
+
+
+def test_block_draws_redraw_a_lemire_rejection():
+    # at seed 0, replicate 42130's bucket draw 77 of 244 is rejected: numpy
+    # draws it again, which shifts the rest of that replicate's draws
+    words = _philox_words(0, 42130, 1, 26)
+    h = words[0, 1:101].astype("<u8").view("<u4").astype(np.uint64)
+    product = h * np.uint64(244)
+    assert np.flatnonzero((product & np.uint64(2**32 - 1)) < 2**32 % 244).tolist() == [77]
+    assert (product >> np.uint64(32))[76:79].tolist() == [156, 169, 50]  # rejection skipped
+    # the rejecting replicate in the middle of a block, among clean ones
+    u0, bucket, coin = _replicate_draws(0, 42128, 5, 200, 244)
+    assert bucket[2, 76:79].tolist() == [156, 50, 221]
+    for j in range(5):
+        ref_u0, ref_bucket, ref_coin = _numpy_draws(0, 42128 + j, 200, 244)
+        assert u0[j] == ref_u0
+        assert np.array_equal(bucket[j], ref_bucket), j
+        assert np.array_equal(coin[j], ref_coin), j
+
+
+def test_monte_carlo_memory_stays_blocked():
+    # the mc-curve bench's alias job: 128 states, n = 32, 5000 replicates
+    chain = cg.circulant_chain(128, [(0, 0.2), (1, 0.5), (17, 0.3)])
+    _, g = cg.delta_exact(chain, 32)
+    tracemalloc.start()
+    try:
+        cg.delta_monte_carlo(chain, g, 32, 5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_monte_carlo_rejects_bad_test_function(flip):

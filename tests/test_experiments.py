@@ -153,6 +153,26 @@ def test_ensemble_refuses_nan_probability():
         cg.random_steps_ensemble(101, 2, [math.nan, 0.5], 10, [1.0], seed=0)
 
 
+@pytest.mark.parametrize("L", [math.nan, -1.0, -math.inf])
+def test_ensemble_refuses_an_l_that_is_not_a_number_at_least_zero(L):
+    with pytest.raises(ValueError, match="every L must be a number >= 0"):
+        cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [1.0, L], seed=0)
+
+
+def test_ensemble_accepts_zero_and_infinite_l():
+    rows = cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [0.0, math.inf], seed=0)
+    assert [(r.L, r.fraction) for r in rows] == [(0.0, 1.0), (math.inf, 0.0)]
+
+
+def test_ensemble_seed_is_taken_mod_two_to_the_64():
+    def fractions(seed):
+        rows = cg.random_steps_ensemble(101, 2, [0.5, 0.5], 40, [0.5, 1.0], seed=seed)
+        return [r.fraction for r in rows]
+
+    assert fractions(-1) == fractions(2**64 - 1)
+    assert fractions(2**64 + 9) == fractions(9)
+
+
 @pytest.mark.parametrize("k", [0, 7])
 def test_ensemble_refuses_k_outside_one_to_n(k):
     # 7 distinct residues mod 5 do not exist: sampling would never end
