@@ -24,15 +24,17 @@ rule (seed mod 2^64, stream), so any integer seed runs and a seed in
 [0, 2^64) keys what Philox(key=np.uint64(seed)) keys. Monte Carlo
 replicate r is stream r. Philox is counter-based: word 4(c - 1) + i of a
 stream is word i of ten rounds applied to the counter (c, 0, 0, 0) under
-the key (Salmon et al., SC 2011), so delta_monte_carlo evaluates the
-words of a whole block of replicates at once in numpy integer arithmetic,
-laid out as numpy's Generator consumes them: word 0 is the start uniform
-(w >> 11) 2^-53; on the alias route the next ceil((n-1)/2) words split,
-low half first, into the 32-bit bucket draws h, each (h * size) >> 32 by
-Lemire's method; then come the n - 1 coin words. A replicate whose
-bucket draws include one that Lemire's method rejects ((h * size) mod
-2^32 < 2^32 mod size, never at a power-of-two size) is drawn again from
-numpy's generator, so every draw is numpy's, bit for bit.
+the key (Salmon et al., SC 2011), so while a replicate needs at most 48
+words, delta_monte_carlo evaluates the words of a block of replicates at
+once in numpy integer arithmetic (past that, re-keying numpy's Philox per
+replicate costs less). The words are laid out as numpy's Generator
+consumes them: word 0 is the start uniform (w >> 11) 2^-53; on the alias
+route the next ceil((n-1)/2) words split, low half first, into the 32-bit
+bucket draws h, each (h * size) >> 32 by Lemire's method; then come the
+n - 1 coin words. A replicate whose bucket draws include one that
+Lemire's method rejects ((h * size) mod 2^32 < 2^32 mod size, never at a
+power-of-two size) is drawn again from numpy's generator, so every draw
+is numpy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ __all__ = [
 # tables above this state count (reps * n draws dominate MC runtime).
 ALIAS_THRESHOLD = 64
 
-# Monte Carlo replicates advance in blocks sized so that a block's draws,
-# Philox rounds included, and on the inverse-CDF route a gathered block of
-# CDF rows each hold no more than this many entries (512 KiB of float64);
-# a stack of deviation grams and its temporary hold no more between them.
+# Monte Carlo replicates advance in blocks sized so that no draw buffer,
+# and on the inverse-CDF route no gathered block of CDF rows, holds more
+# than this many entries (512 KiB of float64); the Philox rounds that fill
+# a block's draws, and a stack of deviation grams and its temporary, hold
+# no more between them.
 # families._character_gap reduces its frequency grid in blocks of this
 # many entries, and experiments._ensemble_taus draws as many walks as fill
 # one such block.
@@ -74,6 +77,15 @@ _BLOCK_ENTRIES = 1 << 16
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
+
+# A replicate's Philox words come from rounds in numpy integer arithmetic,
+# for a block of replicates at once, while it needs at most this many
+# counters (4 words each); past that, re-keying numpy's own Philox for each
+# replicate is cheaper. The rounds cost about 0.3 us a counter, re-keying
+# about 2.3 us a replicate, 3.1 us on the alias route (one thread of a
+# 2-core x86-64 Xeon); the two cross near 12 counters on the inverse-CDF
+# route and 17 on the alias route.
+_ROUND_COUNTERS = 12
 
 
 @dataclass(frozen=True)
@@ -278,9 +290,38 @@ def _philox_words(seed: int, first: int, count: int, counters: int) -> np.ndarra
     return np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * counters)
 
 
-def _unit(words: np.ndarray) -> np.ndarray:
-    """Generator.random's double of each 64-bit word."""
-    return (words >> 11) * 2.0**-53
+def _rekeyed_draws(seed: int, first: int, u0: np.ndarray, coin: np.ndarray, half: int) -> np.ndarray:
+    """Draws of streams first, first + 1, ... from numpy's Philox, re-keyed per stream.
+
+    Row r of u0 and coin gets what Generator.random gives for stream
+    first + r, the start uniform and the coins; the half words drawn
+    between them are returned, one row per stream.
+    """
+    key = _philox_key(seed)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    words = np.empty((len(u0), half), dtype=np.uint64)
+    for r in range(len(u0)):
+        key[1] = first + r
+        bitgen.state = fresh  # what a fresh Philox(key=key) holds
+        u0[r] = rng.random()
+        if half:
+            words[r] = bitgen.random_raw(half)
+        rng.random(out=coin[r])
+    return words
+
+
+def _unit(words: np.ndarray, out: np.ndarray) -> None:
+    """Generator.random's double of each 64-bit word, into out."""
+    np.multiply(words >> 11, 2.0**-53, out=out)
 
 
 def _draw_layout(steps: int, buckets: int) -> tuple[int, int]:
@@ -295,26 +336,40 @@ def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int
     Replicate r draws as rng = np.random.Generator(np.random.Philox(
     key=_philox_key(seed, r))) would: u0 = rng.random(), then, when
     buckets > 0, bucket = rng.integers(0, buckets, size=steps) (else None),
-    then coin = rng.random(steps). The words come from _philox_words, laid
-    out as the module docstring says; a replicate with a rejected bucket
-    draw is drawn again from rng.
+    then coin = rng.random(steps). While a replicate needs at most
+    _ROUND_COUNTERS counters, the words come from _philox_words, as many
+    replicates at a time as keep its rounds within 2^16 entries, laid out
+    as the module docstring says; past that, from _rekeyed_draws. A
+    replicate with a rejected bucket draw is drawn again from rng.
     """
     half, counters = _draw_layout(steps, buckets)
-    words = _philox_words(seed, first, count, counters)
-    u0 = _unit(words[:, 0])
-    coin = _unit(words[:, 1 + half : 1 + half + steps])
-    if not buckets:
-        return u0, None, coin
-    # the 32-bit draws, low half of each word first: the words' little-endian halves
-    h = words[:, 1 : 1 + half].astype("<u8", copy=False).view("<u4")[:, :steps]
-    product = np.multiply(h, buckets, dtype=np.uint64)  # a dense chain has < 2^32 states
-    bucket = (product >> 32).astype(np.int64)
-    rejected = ((product & _LOW32) < (1 << 32) % buckets).any(axis=1)
-    for r in np.flatnonzero(rejected).tolist():
-        rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, first + r)))
-        rng.random()  # u0 comes before any bucket draw
-        bucket[r] = rng.integers(0, buckets, size=steps)
-        rng.random(out=coin[r])
+    rounds = counters <= _ROUND_COUNTERS
+    u0 = np.empty(count)
+    coin = np.empty((count, steps))
+    bucket = np.empty((count, steps), dtype=np.int64) if buckets else None
+    # the rounds hold about 16 lanes of words; numpy's Philox holds none
+    per = max(1, _BLOCK_ENTRIES // (16 * counters) if rounds else count)
+    for start in range(0, count, per):
+        stop = min(start + per, count)
+        if rounds:
+            words = _philox_words(seed, first + start, stop - start, counters)
+            _unit(words[:, 0], u0[start:stop])
+            _unit(words[:, 1 + half : 1 + half + steps], coin[start:stop])
+            words = words[:, 1 : 1 + half]
+        else:
+            words = _rekeyed_draws(seed, first + start, u0[start:stop], coin[start:stop], half)
+        if not buckets:
+            continue
+        # the 32-bit draws, low half of each word first: the words' little-endian halves
+        h = words.astype("<u8", copy=False).view("<u4")[:, :steps]
+        product = np.multiply(h, buckets, dtype=np.uint64)  # a dense chain has < 2^32 states
+        bucket[start:stop] = product >> 32
+        rejected = ((product & _LOW32) < (1 << 32) % buckets).any(axis=1)
+        for r in (start + np.flatnonzero(rejected)).tolist():
+            rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, first + r)))
+            rng.random()  # u0 comes before any bucket draw
+            bucket[r] = rng.integers(0, buckets, size=steps)
+            rng.random(out=coin[r])
     return u0, bucket, coin
 
 
@@ -327,17 +382,19 @@ def delta_monte_carlo(
     the estimate is sqrt(mean((mu_n g)^2)) with a delta-method standard
     error. Deterministic given the seed: replicate r draws from numpy's
     Philox stream keyed (seed mod 2^64, r), so results do not depend on
-    scheduling. Its words are computed for a whole block of replicates at
-    once: word 0 gives X_0; on the alias route (more than ALIAS_THRESHOLD
-    states) the next ceil((n-1)/2) words give n - 1 bucket draws, low
-    32-bit half first, by Lemire's method; then n - 1 words give the coins
-    (the inverse-CDF uniforms below the threshold). A replicate with a
-    bucket draw that Lemire's method rejects is drawn again by numpy's
-    generator, so every draw is numpy's. Replicates advance in lockstep,
-    one numpy step for a whole block of them, in blocks small enough that
-    a block's draws, Philox rounds included, hold no more than 2^16
-    entries between them, nor does any buffer of the walk (a single
-    replicate's draws excepted). Each replicate draws and sums in the same
+    scheduling. For a short walk (at most 48 words a replicate) the words
+    are computed for a whole block of replicates at once; for a longer one
+    numpy's Philox is re-keyed for each replicate. Word 0 gives X_0; on the
+    alias route (more than ALIAS_THRESHOLD states) the next ceil((n-1)/2)
+    words give n - 1 bucket draws, low 32-bit half first, by Lemire's
+    method; then n - 1 words give the coins (the inverse-CDF uniforms below
+    the threshold). A replicate with a bucket draw that Lemire's method
+    rejects is drawn again by numpy's generator, so every draw is numpy's.
+    Replicates advance in lockstep, one numpy step for a whole block of
+    them, in blocks small enough that no buffer holds more than 2^16
+    entries (a single replicate's n - 1 draws excepted); the Philox rounds
+    fill a block's draws a few replicates at a time, holding no more than
+    2^16 entries between them. Each replicate draws and sums in the same
     order as a one-at-a-time walk, so neither the lockstep nor the block
     size moves a bit of the result.
 
@@ -361,14 +418,13 @@ def delta_monte_carlo(
     P = chain.transition
     mu_cdf = np.cumsum(mu)
     buckets = size if size > ALIAS_THRESHOLD else 0  # alias tables draw buckets
-    # the Philox rounds hold at most sixteen lanes of one word per counter
-    width = 16 * _draw_layout(steps, buckets)[1]
     if buckets:
         accept, alias = _alias_tables(P)
+        width = steps
     else:
         row_cdf = np.cumsum(P, axis=1)
-        width = max(width, size)  # the (block, size) gather of row_cdf[x]
-    block = max(1, _BLOCK_ENTRIES // width)
+        width = max(steps, size)  # the (block, size) gather of row_cdf[x]
+    block = max(1, _BLOCK_ENTRIES // max(width, 1))
 
     squares = np.empty(reps)
     for first in range(0, reps, block):
@@ -387,7 +443,7 @@ def delta_monte_carlo(
         # float_power calls libm pow like a scalar ``** 2``; an array ``** 2``
         # squares instead, which differs in the last bit about once in a thousand.
         squares[first : first + count] = np.float_power(acc / n, 2.0)
-        del u0, bucket, coin  # before the next block's words are computed
+        u0 = bucket = coin = b = None  # b views bucket: free the draws before the next block's
 
     mean_sq = float(squares.mean())  # fixed summation order: reduction-order independent
     if mean_sq <= 0.0:

@@ -570,7 +570,7 @@ def _numpy_draws(k0, rep, steps, buckets):
 @pytest.mark.parametrize("buckets", [0, 65, 96, 128, 244])
 def test_block_draws_equal_numpy_generator(k0, buckets):
     first, count = 5, 3
-    for steps in (0, 1, 2, 7, 8, 33):
+    for steps in (0, 1, 2, 7, 8, 33, 80):  # 80 steps re-key numpy's Philox
         u0, bucket, coin = _replicate_draws(k0, first, count, steps, buckets)
         assert u0.dtype == coin.dtype == np.float64
         assert bucket is None if not buckets else bucket.dtype == np.int64
@@ -590,7 +590,9 @@ def test_block_words_equal_numpy_raw_words():
             assert np.array_equal(words[j], bitgen.random_raw(20))
 
 
-def test_block_draws_redraw_a_lemire_rejection():
+@pytest.mark.parametrize("round_counters", [0, 100])  # re-keyed words, then rounds
+def test_block_draws_redraw_a_lemire_rejection(monkeypatch, round_counters):
+    monkeypatch.setattr(empirical, "_ROUND_COUNTERS", round_counters)
     # at seed 0, replicate 42130's bucket draw 77 of 244 is rejected: numpy
     # draws it again, which shifts the rest of that replicate's draws
     words = _philox_words(0, 42130, 1, 26)
