@@ -24,7 +24,7 @@ from typing import NoReturn
 from .bounds import _require_iters, cheeger_exact, cheeger_search, inequality_audit, path_bound
 from .chains import FiniteChain
 from .empirical import (
-    DeltaCurve, DeltaPoint, _require_reps, delta_bounds_audit, delta_curve, delta_monte_carlo,
+    DeltaCurve, DeltaPoint, _monte_carlo, _require_reps, delta_bounds_audit, delta_curve,
 )
 from .errors import ChainError
 from .experiments import emit_report, random_steps_ensemble, render_report, scan
@@ -78,13 +78,12 @@ def cmd_delta(args) -> int:
     _, chain = _chain(args)
     curve = delta_curve(chain, range(1, args.n_max + 1))
     if args.trials:
-        entries = []
-        for e in curve.entries:
-            est, se = delta_monte_carlo(chain, e.maximizer, e.n, args.trials, args.seed)
-            entries.append(
-                DeltaPoint(n=e.n, delta_exact=e.delta_exact, delta_mc=est, mc_stderr=se)
-            )
-        curve = DeltaCurve(entries=tuple(entries))
+        points = [(e.n, e.maximizer) for e in curve.entries]
+        mc = _monte_carlo(chain, points, args.trials, args.seed)
+        curve = DeltaCurve(entries=tuple(
+            DeltaPoint(n=e.n, delta_exact=e.delta_exact, delta_mc=est, mc_stderr=se)
+            for e, (est, se) in zip(curve.entries, mc)
+        ))
     _write(args, curve, "csv")
     return 0
 

@@ -22,19 +22,20 @@ takes eigenvalues only, and its values equal delta_curve's bit for bit.
 Every randomized routine keys numpy's Philox4x64-10 with the one seed
 rule (seed mod 2^64, stream), so any integer seed runs and a seed in
 [0, 2^64) keys what Philox(key=np.uint64(seed)) keys. Monte Carlo
-replicate r is stream r. Philox is counter-based: word 4(c - 1) + i of a
-stream is word i of ten rounds applied to the counter (c, 0, 0, 0) under
-the key (Salmon et al., SC 2011), so while a replicate needs at most 48
-words, delta_monte_carlo evaluates the words of a block of replicates at
-once in numpy integer arithmetic (past that, re-keying numpy's Philox per
-replicate costs less). The words are laid out as numpy's Generator
+replicate r is stream r, and its words are laid out as numpy's Generator
 consumes them: word 0 is the start uniform (w >> 11) 2^-53; on the alias
 route the next ceil((n-1)/2) words split, low half first, into the 32-bit
 bucket draws h, each (h * size) >> 32 by Lemire's method; then come the
-n - 1 coin words. A replicate whose bucket draws include one that
-Lemire's method rejects ((h * size) mod 2^32 < 2^32 mod size, never at a
-power-of-two size) is drawn again from numpy's generator, so every draw
-is numpy's, bit for bit.
+n - 1 coin words. Philox is counter-based: word 4(c - 1) + i of a stream
+is word i of ten rounds applied to the counter (c, 0, 0, 0) under the key
+(Salmon et al., SC 2011), so while a replicate needs at most 48 words the
+words of a block of replicates come from those rounds in numpy integer
+arithmetic; past that, from numpy's Philox re-keyed per replicate, which
+then costs less. Both sources give the same word array, decoded in one
+place. A replicate whose bucket draws include one that Lemire's method
+rejects ((h * size) mod 2^32 < 2^32 mod size, never at a power-of-two
+size) is drawn again from numpy's generator, so every draw is numpy's,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ ALIAS_THRESHOLD = 64
 # than this many entries (512 KiB of float64); the Philox rounds that fill
 # a block's draws, and a stack of deviation grams and its temporary, hold
 # no more between them.
-# families._character_gap reduces its frequency grid in blocks of this
-# many entries, and experiments._ensemble_taus draws as many walks as fill
-# one such block.
+# families._character_gap reduces its frequency grid, and _doubling_gap
+# sends its orbit blocks to the SVD, in blocks of this many entries;
+# experiments._ensemble_taus draws as many walks as fill one such block;
+# bounds.cheeger_exact scores this many pairs of half-subsets per GEMM and
+# rescores at most this many masks at once.
 _BLOCK_ENTRIES = 1 << 16
 
 # Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
@@ -82,9 +85,9 @@ _LOW32 = 0xFFFFFFFF
 # for a block of replicates at once, while it needs at most this many
 # counters (4 words each); past that, re-keying numpy's own Philox for each
 # replicate is cheaper. The rounds cost about 0.3 us a counter, re-keying
-# about 2.3 us a replicate, 3.1 us on the alias route (one thread of a
-# 2-core x86-64 Xeon); the two cross near 12 counters on the inverse-CDF
-# route and 17 on the alias route.
+# and one random_raw call 2.5-5 us a replicate on either route (one thread
+# of a 2-core x86-64 Xeon, timings spread by the host); the two cross
+# between 12 and 17 counters.
 _ROUND_COUNTERS = 12
 
 
@@ -273,9 +276,9 @@ def _philox_words(seed: int, first: int, count: int, counters: int) -> np.ndarra
     """Words 0 .. 4 counters - 1 of Philox streams first .. first + count - 1.
 
     Row j holds what np.random.Philox(key=_philox_key(seed, first + j))
-    returns from random_raw(4 * counters): word 4(c - 1) + i is word i of
-    Philox4x64-10 at counter (c, 0, 0, 0), c = 1, 2, ... The lanes are
-    (replicate, counter) arrays, broadcast until the rounds fill them.
+    returns from random_raw(4 * counters), from the rounds of the module
+    docstring in numpy integer arithmetic. The lanes are (replicate,
+    counter) arrays, broadcast until the rounds fill them.
     """
     key0 = int(_philox_key(seed)[0])
     key1 = np.arange(first, first + count, dtype=np.uint64)[:, None]
@@ -290,13 +293,8 @@ def _philox_words(seed: int, first: int, count: int, counters: int) -> np.ndarra
     return np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * counters)
 
 
-def _rekeyed_draws(seed: int, first: int, u0: np.ndarray, coin: np.ndarray, half: int) -> np.ndarray:
-    """Draws of streams first, first + 1, ... from numpy's Philox, re-keyed per stream.
-
-    Row r of u0 and coin gets what Generator.random gives for stream
-    first + r, the start uniform and the coins; the half words drawn
-    between them are returned, one row per stream.
-    """
+def _rekeyed_words(seed: int, first: int, count: int, counters: int) -> np.ndarray:
+    """_philox_words' array, from numpy's own Philox re-keyed for each stream."""
     key = _philox_key(seed)
     fresh = {
         "bit_generator": "Philox",
@@ -307,15 +305,11 @@ def _rekeyed_draws(seed: int, first: int, u0: np.ndarray, coin: np.ndarray, half
         "uinteger": 0,
     }
     bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
-    words = np.empty((len(u0), half), dtype=np.uint64)
-    for r in range(len(u0)):
+    words = np.empty((count, 4 * counters), dtype=np.uint64)
+    for r in range(count):
         key[1] = first + r
         bitgen.state = fresh  # what a fresh Philox(key=key) holds
-        u0[r] = rng.random()
-        if half:
-            words[r] = bitgen.random_raw(half)
-        rng.random(out=coin[r])
+        words[r] = bitgen.random_raw(4 * counters)
     return words
 
 
@@ -324,44 +318,34 @@ def _unit(words: np.ndarray, out: np.ndarray) -> None:
     np.multiply(words >> 11, 2.0**-53, out=out)
 
 
-def _draw_layout(steps: int, buckets: int) -> tuple[int, int]:
-    """(bucket words, Philox counters) of a replicate's 1 + bucket words + steps words."""
-    half = (steps + 1) // 2 if buckets else 0  # two 32-bit bucket draws per word
-    return half, -(-(1 + half + steps) // 4)
-
-
 def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int):
     """(u0, bucket, coin) of replicates first .. first + count - 1, bit for bit.
 
     Replicate r draws as rng = np.random.Generator(np.random.Philox(
     key=_philox_key(seed, r))) would: u0 = rng.random(), then, when
     buckets > 0, bucket = rng.integers(0, buckets, size=steps) (else None),
-    then coin = rng.random(steps). While a replicate needs at most
-    _ROUND_COUNTERS counters, the words come from _philox_words, as many
-    replicates at a time as keep its rounds within 2^16 entries, laid out
-    as the module docstring says; past that, from _rekeyed_draws. A
+    then coin = rng.random(steps). Its words, laid out as the module
+    docstring says, come from _philox_words while it needs at most
+    _ROUND_COUNTERS counters, else from _rekeyed_words, as many replicates
+    at a time as keep the rounds within _BLOCK_ENTRIES entries. A
     replicate with a rejected bucket draw is drawn again from rng.
     """
-    half, counters = _draw_layout(steps, buckets)
-    rounds = counters <= _ROUND_COUNTERS
+    half = (steps + 1) // 2 if buckets else 0  # two 32-bit bucket draws per word
+    counters = -(-(1 + half + steps) // 4)
+    source = _philox_words if counters <= _ROUND_COUNTERS else _rekeyed_words
+    per = max(1, _BLOCK_ENTRIES // (16 * counters))  # the rounds hold about 16 lanes of words
     u0 = np.empty(count)
     coin = np.empty((count, steps))
     bucket = np.empty((count, steps), dtype=np.int64) if buckets else None
-    # the rounds hold about 16 lanes of words; numpy's Philox holds none
-    per = max(1, _BLOCK_ENTRIES // (16 * counters) if rounds else count)
     for start in range(0, count, per):
         stop = min(start + per, count)
-        if rounds:
-            words = _philox_words(seed, first + start, stop - start, counters)
-            _unit(words[:, 0], u0[start:stop])
-            _unit(words[:, 1 + half : 1 + half + steps], coin[start:stop])
-            words = words[:, 1 : 1 + half]
-        else:
-            words = _rekeyed_draws(seed, first + start, u0[start:stop], coin[start:stop], half)
+        words = source(seed, first + start, stop - start, counters)
+        _unit(words[:, 0], u0[start:stop])
+        _unit(words[:, 1 + half : 1 + half + steps], coin[start:stop])
         if not buckets:
             continue
         # the 32-bit draws, low half of each word first: the words' little-endian halves
-        h = words.astype("<u8", copy=False).view("<u4")[:, :steps]
+        h = words[:, 1 : 1 + half].astype("<u8", copy=False).view("<u4")[:, :steps]
         product = np.multiply(h, buckets, dtype=np.uint64)  # a dense chain has < 2^32 states
         bucket[start:stop] = product >> 32
         rejected = ((product & _LOW32) < (1 << 32) % buckets).any(axis=1)
@@ -373,6 +357,60 @@ def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int
     return u0, bucket, coin
 
 
+def _monte_carlo(chain: FiniteChain, points, reps: int, seed: int):
+    """Yield delta_monte_carlo's (estimate, stderr) for each (n, g) in points.
+
+    The start CDF and the step sampler (alias tables above ALIAS_THRESHOLD
+    states, row CDFs up to it) are built once for all the points.
+    """
+    _require_spectral(chain)
+    _require_reps(reps)
+    size = chain.size
+    mu = chain.stationary
+    mu_cdf = np.cumsum(mu)
+    buckets = size if size > ALIAS_THRESHOLD else 0  # alias tables draw buckets
+    if buckets:
+        accept, alias = _alias_tables(chain.transition)
+    else:
+        row_cdf = np.cumsum(chain.transition, axis=1)
+    for n, g in points:
+        g = np.asarray(g, dtype=float)
+        if abs(g @ mu) > 1e-10:
+            raise BadTestFunction("test function must have mu-average 0")
+        if abs(np.sqrt(g * g @ mu) - 1.0) > 1e-10:
+            raise BadTestFunction("test function must have unit mu-norm")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        steps = n - 1
+        width = steps if buckets else max(steps, size)  # the (block, size) gather of row_cdf[x]
+        block = max(1, _BLOCK_ENTRIES // max(width, 1))
+        squares = np.empty(reps)
+        for first in range(0, reps, block):
+            count = min(block, reps - first)
+            u0, bucket, coin = _replicate_draws(seed, first, count, steps, buckets)
+            x = np.minimum(np.searchsorted(mu_cdf, u0, side="right"), size - 1)
+            acc = g[x]
+            for i in range(steps):
+                if buckets:
+                    b = bucket[:, i]
+                    x = np.where(coin[:, i] < accept[x, b], b, alias[x, b])
+                else:
+                    # rows of row_cdf are nondecreasing: the count is searchsorted(side="right")
+                    x = np.minimum((row_cdf[x] <= coin[:, i, None]).sum(axis=1), size - 1)
+                acc = acc + g[x]
+            # float_power calls libm pow like a scalar ``** 2``; an array ``** 2``
+            # squares instead, which differs in the last bit about once in a thousand.
+            squares[first : first + count] = np.float_power(acc / n, 2.0)
+            u0 = bucket = coin = b = None  # b views bucket: free the draws before the next block's
+        mean_sq = float(squares.mean())  # fixed summation order: reduction-order independent
+        if mean_sq <= 0.0:
+            yield 0.0, 0.0
+        else:
+            se_mean = float(squares.std(ddof=1)) / np.sqrt(reps)
+            estimate = float(np.sqrt(mean_sq))
+            yield estimate, float(se_mean / (2.0 * estimate))
+
+
 def delta_monte_carlo(
     chain: FiniteChain, g: np.ndarray, n: int, reps: int, seed: int
 ) -> tuple[float, float]:
@@ -381,76 +419,22 @@ def delta_monte_carlo(
     Each replicate draws X_0 exactly from mu and steps through the chain;
     the estimate is sqrt(mean((mu_n g)^2)) with a delta-method standard
     error. Deterministic given the seed: replicate r draws from numpy's
-    Philox stream keyed (seed mod 2^64, r), so results do not depend on
-    scheduling. For a short walk (at most 48 words a replicate) the words
-    are computed for a whole block of replicates at once; for a longer one
-    numpy's Philox is re-keyed for each replicate. Word 0 gives X_0; on the
-    alias route (more than ALIAS_THRESHOLD states) the next ceil((n-1)/2)
-    words give n - 1 bucket draws, low 32-bit half first, by Lemire's
-    method; then n - 1 words give the coins (the inverse-CDF uniforms below
-    the threshold). A replicate with a bucket draw that Lemire's method
-    rejects is drawn again by numpy's generator, so every draw is numpy's.
-    Replicates advance in lockstep, one numpy step for a whole block of
-    them, in blocks small enough that no buffer holds more than 2^16
-    entries (a single replicate's n - 1 draws excepted); the Philox rounds
-    fill a block's draws a few replicates at a time, holding no more than
-    2^16 entries between them. Each replicate draws and sums in the same
-    order as a one-at-a-time walk, so neither the lockstep nor the block
-    size moves a bit of the result.
+    Philox stream keyed (seed mod 2^64, r), bit for bit as numpy's
+    Generator would, with the word layout of the module docstring, so
+    results do not depend on scheduling. Replicates advance in lockstep,
+    one numpy step for a whole block of them, in blocks small enough that
+    no buffer holds more than 2^16 entries (a single replicate's n - 1
+    draws excepted); a block's words are made a few replicates at a time,
+    holding no more than 2^16 entries between them.
+    Each replicate draws and sums in the same order as a one-at-a-time
+    walk, so neither the lockstep nor the block size moves a bit of the
+    result.
 
     Raises:
         BadTestFunction: g is not mean-zero with unit mu-norm (to 1e-10).
         ValueError: n < 1, or reps < 2.
     """
-    _require_spectral(chain)
-    g = np.asarray(g, dtype=float)
-    mu = chain.stationary
-    if abs(g @ mu) > 1e-10:
-        raise BadTestFunction("test function must have mu-average 0")
-    if abs(np.sqrt(g * g @ mu) - 1.0) > 1e-10:
-        raise BadTestFunction("test function must have unit mu-norm")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_reps(reps)
-
-    size = chain.size
-    steps = n - 1
-    P = chain.transition
-    mu_cdf = np.cumsum(mu)
-    buckets = size if size > ALIAS_THRESHOLD else 0  # alias tables draw buckets
-    if buckets:
-        accept, alias = _alias_tables(P)
-        width = steps
-    else:
-        row_cdf = np.cumsum(P, axis=1)
-        width = max(steps, size)  # the (block, size) gather of row_cdf[x]
-    block = max(1, _BLOCK_ENTRIES // max(width, 1))
-
-    squares = np.empty(reps)
-    for first in range(0, reps, block):
-        count = min(block, reps - first)
-        u0, bucket, coin = _replicate_draws(seed, first, count, steps, buckets)
-        x = np.minimum(np.searchsorted(mu_cdf, u0, side="right"), size - 1)
-        acc = g[x]
-        for i in range(steps):
-            if buckets:
-                b = bucket[:, i]
-                x = np.where(coin[:, i] < accept[x, b], b, alias[x, b])
-            else:
-                # rows of row_cdf are nondecreasing: the count is searchsorted(side="right")
-                x = np.minimum((row_cdf[x] <= coin[:, i, None]).sum(axis=1), size - 1)
-            acc = acc + g[x]
-        # float_power calls libm pow like a scalar ``** 2``; an array ``** 2``
-        # squares instead, which differs in the last bit about once in a thousand.
-        squares[first : first + count] = np.float_power(acc / n, 2.0)
-        u0 = bucket = coin = b = None  # b views bucket: free the draws before the next block's
-
-    mean_sq = float(squares.mean())  # fixed summation order: reduction-order independent
-    if mean_sq <= 0.0:
-        return 0.0, 0.0
-    se_mean = float(squares.std(ddof=1)) / np.sqrt(reps)
-    estimate = float(np.sqrt(mean_sq))
-    return estimate, float(se_mean / (2.0 * estimate))
+    return next(_monte_carlo(chain, [(n, g)], reps, seed))
 
 
 def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:

@@ -262,9 +262,10 @@ def _doubling_gap(N: int) -> tuple[float, float]:
     holds -m = 2^p m has weights of period p, so the half-turn
     e_j -> e_{j+p} splits its block into two p x p cyclic blocks whose
     wrap weight is +c and -c. Blocks of one size go to the SVD together,
-    about 2^22 entries at a time. The longest orbit has ord_N(2) states;
-    past DENSE_LIMIT it is refused before anything is allocated, as is N
-    past DENSE_LIMIT**2 (the labels are N-long arrays).
+    at most _BLOCK_ENTRIES entries at a time, twice that when every orbit
+    splits (the blocks of one orbit excepted). The longest orbit has
+    ord_N(2) states; past DENSE_LIMIT it is refused before anything is
+    allocated, as is N past DENSE_LIMIT**2 (the labels are N-long arrays).
     """
     _require_odd_modulus(N)
     _require_entries(N, "frequencies")
@@ -285,7 +286,7 @@ def _doubling_gap(N: int) -> tuple[float, float]:
     gap, sigma_max = np.inf, 0.0
     for p in np.unique(periods).tolist():
         starts, diag = reps[periods == p], np.arange(p)
-        per_batch = max(1, (1 << 21) // (p * p))
+        per_batch = max(1, _BLOCK_ENTRIES // (p * p))
         for lo in range(0, starts.size, per_batch):
             orbit = np.empty((min(per_batch, starts.size - lo), p + 1), dtype=np.int64)
             orbit[:, 0] = starts[lo : lo + per_batch]

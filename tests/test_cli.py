@@ -107,6 +107,30 @@ def test_delta_command_refuses_before_the_curve(walk_spec, monkeypatch, capsys):
     assert second.startswith("chaingap: error: --trials draws trajectories")
 
 
+def test_delta_command_builds_the_sampler_once(tmp_path, monkeypatch, capsys):
+    # 96 states: the alias route, at a size where Lemire's method can reject
+    import chaingap as cg
+    from chaingap import empirical
+    from chaingap.empirical import DeltaCurve, DeltaPoint
+    from chaingap.experiments import render_report
+
+    steps = [[0, 0.2], [1, 0.5], [17, 0.3]]
+    path = tmp_path / "circ96.json"
+    path.write_text(json.dumps({"family": "circulant", "N": 96, "steps": steps}))
+    builds = []
+    build = empirical._alias_tables
+    monkeypatch.setattr(empirical, "_alias_tables", lambda P: builds.append(1) or build(P))
+    assert main(["delta", "--spec", str(path), "--n-max", "5", "--trials", "50",
+                 "--seed", "3"]) == 0
+    assert len(builds) == 1
+    chain = cg.circulant_chain(96, steps)
+    points = []
+    for e in cg.delta_curve(chain, range(1, 6)).entries:
+        est, se = cg.delta_monte_carlo(chain, e.maximizer, e.n, 50, 3)
+        points.append(DeltaPoint(n=e.n, delta_exact=e.delta_exact, delta_mc=est, mc_stderr=se))
+    assert capsys.readouterr().out == render_report(DeltaCurve(tuple(points)), "csv")
+
+
 def test_delta_command_without_trials_needs_no_seed(walk_spec, capsys):
     assert main(["delta", "--spec", walk_spec, "--n-max", "2", "--trials", "0"]) == 0
     assert capsys.readouterr().out.startswith("n,delta_exact,delta_mc,mc_stderr")

@@ -18,6 +18,7 @@ from chaingap.empirical import (
     _deviation_values,
     _philox_key,
     _philox_words,
+    _rekeyed_words,
     _replicate_draws,
 )
 from chaingap.errors import BadTestFunction
@@ -568,26 +569,32 @@ def _numpy_draws(k0, rep, steps, buckets):
 
 @pytest.mark.parametrize("k0", [0, 1, 2**64 - 1])
 @pytest.mark.parametrize("buckets", [0, 65, 96, 128, 244])
-def test_block_draws_equal_numpy_generator(k0, buckets):
+def test_block_draws_equal_numpy_generator(k0, buckets, monkeypatch):
     first, count = 5, 3
-    for steps in (0, 1, 2, 7, 8, 33, 80):  # 80 steps re-key numpy's Philox
-        u0, bucket, coin = _replicate_draws(k0, first, count, steps, buckets)
-        assert u0.dtype == coin.dtype == np.float64
-        assert bucket is None if not buckets else bucket.dtype == np.int64
-        for j in range(count):
-            ref_u0, ref_bucket, ref_coin = _numpy_draws(k0, first + j, steps, buckets)
-            assert u0[j] == ref_u0
-            assert np.array_equal(coin[j], ref_coin), (steps, j)
-            if buckets:
-                assert np.array_equal(bucket[j], ref_bucket), (steps, j)
+    # every walk from re-keyed words, every walk from rounds, then the default
+    # split, under which 80 steps re-key numpy's Philox
+    for round_counters in (0, 100, empirical._ROUND_COUNTERS):
+        monkeypatch.setattr(empirical, "_ROUND_COUNTERS", round_counters)
+        for steps in (0, 1, 2, 7, 8, 33, 80):
+            u0, bucket, coin = _replicate_draws(k0, first, count, steps, buckets)
+            assert u0.dtype == coin.dtype == np.float64
+            assert bucket is None if not buckets else bucket.dtype == np.int64
+            for j in range(count):
+                ref_u0, ref_bucket, ref_coin = _numpy_draws(k0, first + j, steps, buckets)
+                assert u0[j] == ref_u0
+                assert np.array_equal(coin[j], ref_coin), (round_counters, steps, j)
+                if buckets:
+                    assert np.array_equal(bucket[j], ref_bucket), (round_counters, steps, j)
 
 
 def test_block_words_equal_numpy_raw_words():
     for seed in (-1, 0, 2**64 + 3):
-        words = _philox_words(seed, 2**40, 2, 5)
-        for j in range(2):
-            bitgen = np.random.Philox(key=_philox_key(seed, 2**40 + j))
-            assert np.array_equal(words[j], bitgen.random_raw(20))
+        for source in (_philox_words, _rekeyed_words):
+            words = source(seed, 2**40, 2, 5)
+            assert words.shape == (2, 20) and words.dtype == np.uint64
+            for j in range(2):
+                bitgen = np.random.Philox(key=_philox_key(seed, 2**40 + j))
+                assert np.array_equal(words[j], bitgen.random_raw(20)), (source, seed, j)
 
 
 @pytest.mark.parametrize("round_counters", [0, 100])  # re-keyed words, then rounds

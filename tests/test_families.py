@@ -408,6 +408,19 @@ def test_cdg_closed_form_refuses_long_orbits(monkeypatch):
         cg.ChainSpec("cdg", 6011).closed_form()
 
 
+def test_cdg_closed_form_batches_small_blocks():
+    # ord_131071(2) = 17: 3855 orbits of 17 x 17 blocks, sent to the SVD in
+    # batches of at most 2^16 entries
+    tracemalloc.start()
+    try:
+        gap, tau = families._doubling_gap(131071)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert 0 < gap and math.isfinite(tau)
+
+
 def test_card_chain_row_of_identity():
     chain = cg.card_chain(3)
     assert chain.size == 6
