@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
 from .chains import FiniteChain, _bfs_tree, period
-from .empirical import _BLOCK_ENTRIES, _philox_key
+from .empirical import _philox_key
 from .errors import (
     MixingCapExceeded,
     NoPathExists,
@@ -144,7 +144,7 @@ def _near_minimal(chain: FiniteChain) -> np.ndarray:
     best = np.inf
     kept = np.empty(0, dtype=np.uint32)
     kept_ratio = np.empty(0)
-    step = max(1, _BLOCK_ENTRIES >> h)
+    step = max(1, tol.BLOCK_ENTRIES >> h)
     for start in range(0, 1 << (n - h), step):
         block = slice(start, min(start + step, 1 << (n - h)))
         mass = mass_low[:, None] + mass_high[None, block]
@@ -194,8 +194,8 @@ def cheeger_exact(chain: FiniteChain) -> CheegerResult:
     if n > limit:
         raise TooLargeForEnumeration(f"{n} states exceeds enumeration limit {limit}")
     candidates = _near_minimal(chain)
-    scored = [_subset_values(chain, candidates[i:i + _BLOCK_ENTRIES])
-              for i in range(0, len(candidates), _BLOCK_ENTRIES)]
+    scored = [_subset_values(chain, candidates[i:i + tol.BLOCK_ENTRIES])
+              for i in range(0, len(candidates), tol.BLOCK_ENTRIES)]
     masks = np.concatenate([m for m, _ in scored])
     ratio = np.concatenate([r for _, r in scored])
     xi = float(ratio.min())

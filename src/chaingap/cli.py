@@ -62,7 +62,7 @@ def _parse_ints(text: str) -> list[int]:
 
 def cmd_gap(args) -> int:
     spec, chain = _chain(args)
-    payload = weighted_singular_spectrum(chain).to_json()
+    payload = dict(vars(weighted_singular_spectrum(chain)))  # a copy of the spectrum's fields
     closed = spec.closed_form()
     if closed is not None:
         payload["closed_form_gap"] = closed[0]

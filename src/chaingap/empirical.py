@@ -64,18 +64,6 @@ __all__ = [
 # tables above this state count (reps * n draws dominate MC runtime).
 ALIAS_THRESHOLD = 64
 
-# Monte Carlo replicates advance in blocks sized so that no draw buffer,
-# and on the inverse-CDF route no gathered block of CDF rows, holds more
-# than this many entries (512 KiB of float64); the Philox rounds that fill
-# a block's draws, and a stack of deviation grams and its temporary, hold
-# no more between them.
-# families._character_gap reduces its frequency grid, and _doubling_gap
-# sends its orbit blocks to the SVD, in blocks of this many entries;
-# experiments._ensemble_taus draws as many walks as fill one such block;
-# bounds.cheeger_exact scores this many pairs of half-subsets per GEMM and
-# rescores at most this many masks at once.
-_BLOCK_ENTRIES = 1 << 16
-
 # Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -120,7 +108,7 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
     eigenvalue belongs to sqrt(mu)-perp and is the only one computed.
 
     The grams of consecutive requested n are formed as one stack, with no
-    more than _BLOCK_ENTRIES entries in the stack and its one temporary
+    more than tol.BLOCK_ENTRIES entries in the stack and its one temporary
     (a single gram excepted), and every entry takes the same elementwise
     operations as a gram formed alone, so the stacking moves no bit. g is
     the maximizing test function when maximizer is true, else None.
@@ -133,7 +121,7 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
     ssum = np.zeros_like(bk)  # S_k
     sum_of_sums = np.zeros_like(bk)  # S_1 + ... + S_k
     k = 0  # powers accumulated so far
-    per = max(1, _BLOCK_ENTRIES // (2 * size * size))
+    per = max(1, tol.BLOCK_ENTRIES // (2 * size * size))
     stack = np.empty((min(per, len(ns)), size, size))
     for first in range(0, len(ns), per):
         chunk = np.array(ns[first : first + per])
@@ -327,13 +315,13 @@ def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int
     then coin = rng.random(steps). Its words, laid out as the module
     docstring says, come from _philox_words while it needs at most
     _ROUND_COUNTERS counters, else from _rekeyed_words, as many replicates
-    at a time as keep the rounds within _BLOCK_ENTRIES entries. A
+    at a time as keep the rounds within tol.BLOCK_ENTRIES entries. A
     replicate with a rejected bucket draw is drawn again from rng.
     """
     half = (steps + 1) // 2 if buckets else 0  # two 32-bit bucket draws per word
     counters = -(-(1 + half + steps) // 4)
     source = _philox_words if counters <= _ROUND_COUNTERS else _rekeyed_words
-    per = max(1, _BLOCK_ENTRIES // (16 * counters))  # the rounds hold about 16 lanes of words
+    per = max(1, tol.BLOCK_ENTRIES // (16 * counters))  # the rounds hold about 16 lanes of words
     u0 = np.empty(count)
     coin = np.empty((count, steps))
     bucket = np.empty((count, steps), dtype=np.int64) if buckets else None
@@ -383,7 +371,7 @@ def _monte_carlo(chain: FiniteChain, points, reps: int, seed: int):
             raise ValueError("n must be >= 1")
         steps = n - 1
         width = steps if buckets else max(steps, size)  # the (block, size) gather of row_cdf[x]
-        block = max(1, _BLOCK_ENTRIES // max(width, 1))
+        block = max(1, tol.BLOCK_ENTRIES // max(width, 1))
         squares = np.empty(reps)
         for first in range(0, reps, block):
             count = min(block, reps - first)

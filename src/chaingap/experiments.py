@@ -15,16 +15,17 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import tolerances as tol
 from .audit import BoundAudit
 from .bounds import CheegerResult, PathBoundResult
-from .empirical import _BLOCK_ENTRIES, DeltaCurve, _philox_key
+from .empirical import DeltaCurve, _philox_key
 from .errors import InsufficientData, NotPrime
 from .families import ChainSpec, _character_gap, _normalize_steps
-from .spectral import weighted_singular_spectrum
+from .spectral import SingularSpectrum, weighted_singular_spectrum
 
 __all__ = [
     "ExperimentRow",
@@ -142,8 +143,8 @@ def random_steps_ensemble(
     closed form, and reports the fraction exceeding L * N^{2/(k+1)} for
     each L. Deterministic given the seed, which keys Philox by
     empirical._philox_key; fractions are automatically non-increasing
-    in L. Refuses an L that is not a number >= 0 (inf is one) with
-    ValueError.
+    in L. Refuses an empty grid and an L that is not a number >= 0 (inf
+    is one) with ValueError.
     """
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
@@ -156,6 +157,8 @@ def random_steps_ensemble(
         raise ValueError("trials must be >= 1")
     _normalize_steps(N, zip(range(k), p.tolist()))  # refuse a bad p before the first draw
     L_grid = [float(L) for L in L_grid]
+    if not L_grid:
+        raise ValueError("the L grid is empty")
     bad = [L for L in L_grid if not L >= 0.0]  # nan compares false
     if bad:
         raise ValueError(f"every L must be a number >= 0, got {bad[0]}")
@@ -169,12 +172,12 @@ def _ensemble_taus(N: int, p: np.ndarray, trials: int, seed: int) -> np.ndarray:
 
     Each trial draws its len(p) residues with rng.choice, in trial order,
     so the Philox stream is a loop's. A block holds as many trials as fit
-    _BLOCK_ENTRIES frequencies 0..N//2; its steps are sorted with their p
+    tol.BLOCK_ENTRIES frequencies 0..N//2; its steps are sorted with their p
     as _normalize_steps sorts them and go to _character_gap as one batch,
     so each tau is the bits of ChainSpec("circulant", ...).closed_form().
     """
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
-    per = max(1, _BLOCK_ENTRIES // (N // 2 + 1))
+    per = max(1, tol.BLOCK_ENTRIES // (N // 2 + 1))
     taus = np.empty(trials)
     for first in range(0, trials, per):
         count = min(per, trials - first)
@@ -217,14 +220,29 @@ def _cell(value) -> str:
 
 
 def _json_value(value):
-    """nan -> null, +-inf -> "inf"/"-inf", tuples -> lists, recursively."""
+    """nan -> null, +-inf -> "inf"/"-inf", tuples and arrays -> lists, recursively."""
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
     if isinstance(value, dict):
         return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
-    return value
+    return _json_value(value.tolist()) if isinstance(value, np.ndarray) else value
+
+
+def _body(obj, table):
+    """obj's JSON body given table = _records(obj): a table's rows as records
+    (an audit's beside all_pass), a dict's values' bodies, a result's fields."""
+    if table is not None:
+        records = [dict(zip(table[0], row)) for row in table[1]]
+        if isinstance(obj, BoundAudit):
+            return {"all_pass": obj.all_pass, "checks": records}
+        return {"entries": records} if isinstance(obj, DeltaCurve) else records
+    if isinstance(obj, dict):
+        return {key: _body(value, _records(value)) for key, value in obj.items()}
+    if isinstance(obj, PathBoundResult):
+        return obj._asdict()
+    return vars(obj) if isinstance(obj, (CheegerResult, SingularSpectrum)) else obj
 
 
 def render_report(obj, fmt: str) -> str:
@@ -233,38 +251,25 @@ def render_report(obj, fmt: str) -> str:
     Audits, curves and lists of scan or ensemble rows have both forms;
     CSV cells are 17-digit floats, true/false, empty for None, quoted
     when they hold a comma, quote or newline (a skipped audit check
-    carries its reason in its name). Cheeger, path-bound and dict (gap)
-    results are JSON only. JSON has sorted keys, nan as null and +-inf
-    as "inf"/"-inf", so it is valid JSON.
+    carries its reason in its name). Cheeger, path-bound and spectrum
+    results, and dicts (the gap report, a battery of audits), are JSON
+    only. JSON has sorted keys, nan as null and +-inf as "inf"/"-inf",
+    so it is valid JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
     table = _records(obj)
-    if table is None and not isinstance(obj, (CheegerResult, PathBoundResult, dict)):
+    results = (CheegerResult, PathBoundResult, SingularSpectrum, dict)
+    if table is None and not isinstance(obj, results):
         raise TypeError(f"no report serializer for {type(obj).__name__}")
-    if fmt == "csv":
-        if table is None:
-            raise ValueError(f"{type(obj).__name__} reports are json only")
-        columns, rows = table
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(
-            map(_cell, line) for line in [columns, *rows]
-        )
-        return text.getvalue()
-    if table is not None:
-        columns, rows = table
-        body = [dict(zip(columns, row)) for row in rows]
-        if isinstance(obj, BoundAudit):
-            body = {"all_pass": obj.all_pass, "checks": body}
-        elif isinstance(obj, DeltaCurve):
-            body = {"entries": body}
-    elif isinstance(obj, CheegerResult):
-        body = asdict(obj)
-    elif isinstance(obj, PathBoundResult):
-        body = obj._asdict()
-    else:
-        body = obj  # the gap payload
-    return json.dumps(_json_value(body), sort_keys=True, indent=2) + "\n"
+    if fmt == "json":
+        return json.dumps(_json_value(_body(obj, table)), sort_keys=True, indent=2) + "\n"
+    if table is None:
+        raise ValueError(f"{type(obj).__name__} reports are json only")
+    columns, rows = table
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(map(_cell, r) for r in [columns, *rows])
+    return text.getvalue()
 
 
 def emit_report(obj, path, fmt: str = "csv") -> None:

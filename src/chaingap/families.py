@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import tolerances as tol
 from .chains import FiniteChain, build_chain
-from .empirical import _BLOCK_ENTRIES
 from .errors import InvalidSteps, TooLarge
 from .spectral import relaxation_time
 
@@ -96,7 +95,7 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
     Needs no dense matrix, so it runs far beyond the explicit-chain limit.
     lambda_{-m} is the conjugate of lambda_m, so the first coordinate runs
     over 0..N//2 only. The frequency grid is reduced in blocks of at most
-    _BLOCK_ENTRIES entries, whole walks at a time while a walk fits, into
+    tol.BLOCK_ENTRIES entries, whole walks at a time while a walk fits, into
     two reused buffers; min and max are exact, so the blocks move no bit.
     An axis has N frequencies and the other axes N^(d-1) together; past
     DENSE_LIMIT**2 either is refused before anything is allocated.
@@ -116,8 +115,8 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
     for t in terms[1:]:
         tail = (tail[:, :, None] + t[:, None, :]).reshape(batch, -1)
     width = tail.shape[1]
-    per_row = max(1, min(rows, _BLOCK_ENTRIES // width))
-    per_walk = max(1, _BLOCK_ENTRIES // (rows * width)) if per_row == rows else 1
+    per_row = max(1, min(rows, tol.BLOCK_ENTRIES // width))
+    per_walk = max(1, tol.BLOCK_ENTRIES // (rows * width)) if per_row == rows else 1
     lam = np.empty((min(per_walk, batch), per_row, width), dtype=complex)
     vals = np.empty(lam.shape)
     gap, sigma_max = np.full(batch, np.inf), np.zeros(batch)
@@ -262,7 +261,7 @@ def _doubling_gap(N: int) -> tuple[float, float]:
     holds -m = 2^p m has weights of period p, so the half-turn
     e_j -> e_{j+p} splits its block into two p x p cyclic blocks whose
     wrap weight is +c and -c. Blocks of one size go to the SVD together,
-    at most _BLOCK_ENTRIES entries at a time, twice that when every orbit
+    at most tol.BLOCK_ENTRIES entries at a time, twice that when every orbit
     splits (the blocks of one orbit excepted). The longest orbit has
     ord_N(2) states; past DENSE_LIMIT it is refused before anything is
     allocated, as is N past DENSE_LIMIT**2 (the labels are N-long arrays).
@@ -286,7 +285,7 @@ def _doubling_gap(N: int) -> tuple[float, float]:
     gap, sigma_max = np.inf, 0.0
     for p in np.unique(periods).tolist():
         starts, diag = reps[periods == p], np.arange(p)
-        per_batch = max(1, _BLOCK_ENTRIES // (p * p))
+        per_batch = max(1, tol.BLOCK_ENTRIES // (p * p))
         for lo in range(0, starts.size, per_batch):
             orbit = np.empty((min(per_batch, starts.size - lo), p + 1), dtype=np.int64)
             orbit[:, 0] = starts[lo : lo + per_batch]
@@ -341,8 +340,11 @@ def parse_prob(value) -> float:
 
     Strings may use rationals and square roots, e.g. "1/2", "1/sqrt(2)",
     "sqrt(2)/2", "1 - 1/sqrt(2)", so that irrational parameters are
-    stated exactly and evaluated once to double precision.
+    stated exactly and evaluated once to double precision. A bool, a
+    division by zero and a chained division ("1/2/4") are ValueErrors.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"a probability must be a number or a string, got {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).replace(" ", "")
@@ -356,14 +358,19 @@ def parse_prob(value) -> float:
     def _atom(expr: str) -> float:
         if expr.startswith("sqrt(") and expr.endswith(")"):
             return math.sqrt(float(Fraction(expr[5:-1])))
+        if "/" in expr:
+            raise ValueError(f"chained division in probability {value!r}")
         return float(Fraction(expr))
 
-    # at most one top-level +/- between two terms, e.g. "1-1/sqrt(2)"
-    for i in range(1, len(text)):
-        if text[i] in "+-" and text[i - 1] not in "(+-*/eE":
-            left, op, right = text[:i], text[i], text[i + 1 :]
-            return term(left) + (1 if op == "+" else -1) * term(right)
-    return term(text)
+    try:
+        # at most one top-level +/- between two terms, e.g. "1-1/sqrt(2)"
+        for i in range(1, len(text)):
+            if text[i] in "+-" and text[i - 1] not in "(+-*/eE":
+                left, op, right = text[:i], text[i], text[i + 1 :]
+                return term(left) + (1 if op == "+" else -1) * term(right)
+        return term(text)
+    except ZeroDivisionError:
+        raise ValueError(f"probability {value!r} divides by zero") from None
 
 
 def _integer(value, name: str) -> int:
@@ -452,35 +459,19 @@ class ChainSpec:
         return ChainSpec(family=family, N=N)
 
     def to_json(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.family == "explicit":
-            out["matrix"] = [list(row) for row in self.matrix]
-        elif self.family == "circulant":
-            out["N"] = self.N
-            out["steps"] = [[a, p] for a, p in self.steps]
-        elif self.family == "torus":
-            out["N"] = self.N
-            out["d"] = self.d
-            out["probs"] = {
-                "hold": self.probs.hold,
-                "plus": list(self.probs.plus),
-                "minus": list(self.probs.minus),
-            }
-        else:
-            out["N"] = self.N
-        return out
+        """The fields that are set, tuples as lists and probs as a dict of its fields."""
+        def plain(value):
+            if isinstance(value, TorusProbs):
+                return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+            return [plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+        return {k: plain(v) for k, v in vars(self).items() if v is not None}
 
     def with_size(self, N: int) -> "ChainSpec":
         """Template instantiation: same family/parameters at another N."""
         if self.family == "explicit":
             raise ValueError("explicit chains have no size parameter")
-        return ChainSpec(
-            family=self.family,
-            N=int(N),
-            d=self.d,
-            steps=self.steps,
-            probs=self.probs,
-        )
+        return replace(self, N=int(N))
 
     def params_digest(self) -> str:
         """Stable digest of everything but N, for experiment row keys."""

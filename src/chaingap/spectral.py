@@ -55,16 +55,6 @@ class SingularSpectrum:
     method: str
     mu_min: float
 
-    def to_json(self) -> dict:
-        """The ``gap`` report payload; ``render_report`` writes its non-finite values."""
-        return {
-            "values": [float(v) for v in self.values],
-            "gap": float(self.gap),
-            "relaxation": float(self.relaxation),
-            "method": self.method,
-            "mu_min": float(self.mu_min),
-        }
-
 
 @dataclass(frozen=True)
 class PseudoGapBound:

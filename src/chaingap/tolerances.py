@@ -1,14 +1,14 @@
 """Central numerical tolerances.
 
 The thresholds that decide what a chain is (stochastic, stationary,
-reversible), when a gap is zero, how much slack an audit grants and
-which sizes are refused live here, so that one place documents what
-"equal" means for each kind of quantity. A few literals stay local to
-their code: the 1e-15 tie and improvement windows of the Cheeger
-enumeration and search in ``bounds``, the 1e-12 rise that
-``bounds._check_monotone`` allows along the worst-case TV curve, and
-the 1e-10 mean-zero and unit-norm checks on a test function in
-``empirical``.
+reversible), when a gap is zero, how much slack an audit grants, which
+sizes are refused and how many entries a block holds live here, so that
+one place documents what "equal" means for each kind of quantity. A few
+literals stay local to their code: the 1e-15 tie and improvement
+windows of the Cheeger enumeration and search in ``bounds``, the 1e-12
+rise that ``bounds._check_monotone`` allows along the worst-case TV
+curve, and the 1e-10 mean-zero and unit-norm checks on a test function
+in ``empirical``.
 """
 
 # Row sums of a transition matrix, and sums of probability vectors.
@@ -43,3 +43,14 @@ CHEEGER_ENUM_LIMIT = 20
 # also caps its longest orbit block at DENSE_LIMIT states, and card_chain its
 # deck at 7 cards, the largest with N! <= DENSE_LIMIT.
 DENSE_LIMIT = 6000
+
+# The one block budget, read here by each blocked loop when it runs. No
+# Monte Carlo draw buffer, nor on the inverse-CDF route a gathered block of
+# CDF rows, holds more than this many entries (512 KiB of float64), nor do
+# the Philox rounds that fill a block's draws, or a stack of deviation grams
+# and its temporary, between them. families._character_gap reduces its
+# frequency grid, and _doubling_gap sends its orbit blocks to the SVD, in
+# blocks of this many entries; experiments._ensemble_taus draws as many
+# walks as fill one such block; bounds.cheeger_exact scores this many pairs
+# of half-subsets per GEMM and rescores at most this many masks at once.
+BLOCK_ENTRIES = 1 << 16

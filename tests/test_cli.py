@@ -194,22 +194,26 @@ def test_scan_refuses_deck_past_seven(tmp_path, capsys):
 
 def test_gap_runs_the_seven_card_deck(tmp_path, capsys, monkeypatch):
     # no flag gates N = 7; the build and the 5040-state SVD are stubbed out
+    import numpy as np
+
     from chaingap import cli
     from chaingap.families import ChainSpec
+    from chaingap.spectral import SingularSpectrum
 
     built = []
-
-    class Spectrum:
-        def to_json(self):
-            return {"gap": 0.5}
-
+    spectrum = SingularSpectrum(
+        values=np.array([0.0, 0.5]), gap=0.5, relaxation=2.0, method="weighted_svd", mu_min=0.25
+    )
     monkeypatch.setattr(ChainSpec, "build", lambda self: built.append(self.N) or "chain")
-    monkeypatch.setattr(cli, "weighted_singular_spectrum", lambda chain: Spectrum())
+    monkeypatch.setattr(cli, "weighted_singular_spectrum", lambda chain: spectrum)
     spec = tmp_path / "card.json"
     spec.write_text(json.dumps({"family": "cardshuffle", "N": 7}))
     assert main(["gap", "--spec", str(spec)]) == 0
     assert built == [7]
-    assert json.loads(capsys.readouterr().out) == {"gap": 0.5}
+    assert json.loads(capsys.readouterr().out) == {
+        "values": [0.0, 0.5], "gap": 0.5, "relaxation": 2.0, "method": "weighted_svd",
+        "mu_min": 0.25,
+    }
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZE_SPECS))
@@ -458,3 +462,29 @@ def test_cli_surface():
         "scan": ["--format", "--n-list", "--out", "--spec"],
         "ensemble": ["--format", "--k", "--l-grid", "--n", "--out", "--p", "--seed", "--trials"],
     }
+
+
+@pytest.mark.parametrize(
+    "prob, message",
+    [(True, "a probability must be a number or a string, got True"),
+     ("1/0", "probability '1/0' divides by zero"),
+     ("1/sqrt(0)", "probability '1/sqrt(0)' divides by zero"),
+     ("1/2/4", "chained division in probability '1/2/4'")],
+    ids=["bool", "zero", "sqrt-zero", "chained"],
+)
+def test_malformed_probability_is_refused_in_one_line(prob, message, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"family": "circulant", "N": 2, "steps": [[1, prob]]}))
+    assert main(["gap", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chaingap: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("grid", ["", ","])
+def test_ensemble_command_refuses_an_empty_l_grid(grid, capsys):
+    code = main(["ensemble", "--n", "5", "--k", "2", "--seed", "1", "--l-grid", grid])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: the L grid is empty\n"

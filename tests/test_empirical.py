@@ -12,7 +12,6 @@ from scipy.linalg.lapack import dsyevx
 import chaingap as cg
 from chaingap import empirical
 from chaingap.empirical import (
-    _BLOCK_ENTRIES,
     ALIAS_THRESHOLD,
     _alias_tables,
     _deviation_values,
@@ -288,7 +287,7 @@ def test_stacked_grams_match_lone_grams_bitwise(name, monkeypatch):
         assert got_value == value, n
         assert np.array_equal(got_g, g), n
     # three grams per stack, so the stacks split the requested n
-    monkeypatch.setattr(empirical, "_BLOCK_ENTRIES", 3 * 2 * chain.size**2)
+    monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", 3 * 2 * chain.size**2)
     for point, (value, g) in zip(cg.delta_curve(chain, ns).entries, lone):
         assert point.delta_exact == value, point.n
         assert np.array_equal(point.maximizer, g), point.n
@@ -316,7 +315,7 @@ def test_audit_values_equal_curve_values_across_stacks(matrix, n_max, per_stack)
     chain = cg.build_chain(matrix)
     want = _curve_values(chain, n_max)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(empirical, "_BLOCK_ENTRIES", per_stack * 2 * chain.size**2)
+        patch.setattr(cg.tolerances, "BLOCK_ENTRIES", per_stack * 2 * chain.size**2)
         assert np.array_equal(_deviation_values(chain, n_max), want)
         assert np.array_equal(_curve_values(chain, n_max), want)
 
@@ -526,7 +525,7 @@ def test_lockstep_sampler_matches_scalar_walk(name):
 def test_lockstep_sampler_matches_scalar_walk_across_blocks(name, n, reps):
     chain = MC_CHAINS[name]()
     width = max(n - 1, chain.size if chain.size <= ALIAS_THRESHOLD else 1)
-    assert reps > 2 * (_BLOCK_ENTRIES // width)  # at least three blocks
+    assert reps > 2 * (cg.tolerances.BLOCK_ENTRIES // width)  # at least three blocks
     _, g = cg.delta_exact(chain, n)
     got = cg.delta_monte_carlo(chain, g, n, reps, seed=-11)
     assert got == scalar_delta_monte_carlo(chain, g, n, reps, seed=-11)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chaingap as cg
-from chaingap import experiments, families
+from chaingap import experiments
 from chaingap.errors import InsufficientData, InvalidSteps, NotPrime
 from chaingap.experiments import ExperimentRow, render_report
 
@@ -159,6 +159,11 @@ def test_ensemble_refuses_an_l_that_is_not_a_number_at_least_zero(L):
         cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [1.0, L], seed=0)
 
 
+def test_ensemble_refuses_an_empty_l_grid():
+    with pytest.raises(ValueError, match="the L grid is empty"):
+        cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [], seed=0)
+
+
 def test_ensemble_accepts_zero_and_infinite_l():
     rows = cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [0.0, math.inf], seed=0)
     assert [(r.L, r.fraction) for r in rows] == [(0.0, 1.0), (math.inf, 0.0)]
@@ -218,8 +223,7 @@ def test_ensemble_batch_matches_per_trial_closed_forms(N, p, walks_per_block):
     trials, seed = 40, 17
     with pytest.MonkeyPatch.context() as mp:
         if walks_per_block:
-            mp.setattr(experiments, "_BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
-            mp.setattr(families, "_BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
+            mp.setattr(cg.tolerances, "BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
         taus = experiments._ensemble_taus(N, np.array(p), trials, seed)
     assert np.array_equal(taus, loop_ensemble_taus(N, p, trials, seed))
 
@@ -262,6 +266,22 @@ def test_report_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     cg.emit_report([], path, "csv")
     assert path.read_text() == "family,params_digest,N,gamma,tau,method,wall_ms\n"
+
+
+def test_report_nests_a_dict_of_audits_as_their_json_bodies():
+    # the bytes the battery script wrote by parsing each audit's report back
+    audits = {
+        "flip": cg.inequality_audit(cg.build_chain([[0.0, 1.0], [1.0, 0.0]])),
+        "fair": cg.inequality_audit(cg.build_chain(np.full((2, 2), 0.5))),
+    }
+    bodies = {name: json.loads(render_report(a, "json")) for name, a in audits.items()}
+    assert any(c["lhs"] is None for c in bodies["flip"]["checks"])  # a skipped check's nan
+    assert render_report(audits, "json") == render_report(bodies, "json")
+
+
+def test_report_refuses_an_unknown_result():
+    with pytest.raises(TypeError, match="no report serializer for BoundCheck"):
+        render_report(cg.inequality_audit(cg.build_chain(np.full((2, 2), 0.5))).checks[0], "json")
 
 
 def test_report_byte_identical(tmp_path):

@@ -294,7 +294,7 @@ def test_character_gap_matches_per_step_exp_route_bitwise(spec, rows):
     assert spec.closed_form() == expected
     width = spec.N ** ((spec.d or 1) - 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, "_BLOCK_ENTRIES", rows * width)
+        mp.setattr(cg.tolerances, "BLOCK_ENTRIES", rows * width)
         assert spec.closed_form() == expected
 
 
@@ -474,6 +474,32 @@ def test_parse_prob():
     assert parse_prob("sqrt(2)/2") == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
     assert parse_prob("1 - 1/sqrt(2)") == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), rel=1e-15)
     assert parse_prob("1e-3") == pytest.approx(0.001)
+
+
+@pytest.mark.parametrize("value", [True, False, "1/0", "1/sqrt(0)", "sqrt(1/0)", "0/0", "1/2/4",
+                                   "1-1/2/4", "sqrt(2)/2/4"])
+def test_parse_prob_refuses_malformed_probabilities(value):
+    with pytest.raises(ValueError):
+        parse_prob(value)
+
+
+def test_parse_prob_keeps_a_fraction_under_a_root_in_the_denominator():
+    assert parse_prob("1/sqrt(1/4)") == 2.0
+
+
+def test_params_digest_and_json_are_pinned():
+    # scan rows are keyed by params_digest, so its bytes must not move
+    torus = cg.ChainSpec.from_json({"family": "torus", "N": 5, "d": 2, "probs": {
+        "hold": 0, "plus": ["1/sqrt(2)", 0], "minus": [0, "1-1/sqrt(2)"]}})
+    assert torus.to_json() == {"family": "torus", "N": 5, "d": 2, "probs": {
+        "hold": 0.0, "plus": [0.7071067811865475, 0.0], "minus": [0.0, 0.29289321881345254]}}
+    circulant = cg.ChainSpec.from_json(
+        {"family": "circulant", "N": 7, "steps": [[1, "1/3"], [2, "2/3"]]})
+    explicit = cg.ChainSpec.from_json({"family": "explicit", "matrix": [[0.5, 0.5], [0.5, 0.5]]})
+    assert explicit.to_json() == {"family": "explicit", "matrix": [[0.5, 0.5], [0.5, 0.5]]}
+    digests = [s.params_digest() for s in (torus, circulant, cg.ChainSpec("cdg", 101))]
+    assert digests == ["30dfdacf68e8", "d57fefb1de53", "93b9ce937bc0"]
+    assert torus.with_size(9) == cg.ChainSpec("torus", 9, d=2, probs=torus.probs)
 
 
 def test_chain_spec_round_trip():

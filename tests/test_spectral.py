@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from scipy.linalg import eig, eigvalsh
 
 import chaingap as cg
+from chaingap.experiments import render_report
 from chaingap.spectral import _conjugated, _reversibilized_gaps
 
 from conftest import (
@@ -290,10 +292,14 @@ def test_pseudo_gap_lower_bounds_gap(battery):
 
 def test_spectrum_serializes():
     spec = cg.weighted_singular_spectrum(cg.circulant_chain(3, [(1, 1.0)]))
-    payload = spec.to_json()
+    payload = json.loads(render_report(spec, "json"))
+    assert sorted(payload) == ["gap", "method", "mu_min", "relaxation", "values"]
     assert payload["method"] == "weighted_svd"
-    assert len(payload["values"]) == 3
+    assert payload["values"] == spec.values.tolist() and len(payload["values"]) == 3
     assert payload["gap"] == pytest.approx(SQRT3, rel=1e-12)
+    assert payload["relaxation"] == spec.relaxation and payload["mu_min"] == spec.mu_min
+    with pytest.raises(ValueError, match="SingularSpectrum reports are json only"):
+        render_report(spec, "csv")
 
 
 def test_singular_values_invariant_under_relabeling(battery):
