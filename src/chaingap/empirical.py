@@ -23,19 +23,19 @@ Every randomized routine keys numpy's Philox4x64-10 with the one seed
 rule (seed mod 2^64, stream), so any integer seed runs and a seed in
 [0, 2^64) keys what Philox(key=np.uint64(seed)) keys. Monte Carlo
 replicate r is stream r, and its words are laid out as numpy's Generator
-consumes them: word 0 is the start uniform (w >> 11) 2^-53; on the alias
-route the next ceil((n-1)/2) words split, low half first, into the 32-bit
-bucket draws h, each (h * size) >> 32 by Lemire's method; then come the
-n - 1 coin words. Philox is counter-based: word 4(c - 1) + i of a stream
-is word i of ten rounds applied to the counter (c, 0, 0, 0) under the key
-(Salmon et al., SC 2011), so while a replicate needs at most 48 words the
-words of a block of replicates come from those rounds in numpy integer
-arithmetic; past that, from numpy's Philox re-keyed per replicate, which
-then costs less. Both sources give the same word array, decoded in one
-place. A replicate whose bucket draws include one that Lemire's method
-rejects ((h * size) mod 2^32 < 2^32 mod size, never at a power-of-two
-size) is drawn again from numpy's generator, so every draw is numpy's,
-bit for bit.
+consumes them: word 0 is the start uniform (w >> 11) 2^-53; the next
+ceil((n-1)/2) words split, low half first, into the 32-bit bucket draws
+h of the alias tables, each (h * size) >> 32 by Lemire's method; then
+come the n - 1 coin words. Philox is counter-based: word 4(c - 1) + i
+of a stream is word i of ten rounds applied to the counter (c, 0, 0, 0)
+under the key (Salmon et al., SC 2011), so while a replicate needs at
+most 48 words the words of a block of replicates come from those rounds
+in numpy integer arithmetic; past that, from numpy's Philox re-keyed per
+replicate, which then costs less. Both sources give the same word array,
+decoded in one place. A replicate whose bucket draws include one that
+Lemire's method rejects ((h * size) mod 2^32 < 2^32 mod size, never at a
+power-of-two size) is drawn again from numpy's generator, so every draw
+is numpy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ __all__ = [
     "delta_bounds_audit",
 ]
 
-# Rows of the transition matrix switch from inverse-CDF sampling to alias
-# tables above this state count (reps * n draws dominate MC runtime).
-ALIAS_THRESHOLD = 64
-
 # Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -73,9 +69,9 @@ _LOW32 = 0xFFFFFFFF
 # for a block of replicates at once, while it needs at most this many
 # counters (4 words each); past that, re-keying numpy's own Philox for each
 # replicate is cheaper. The rounds cost about 0.3 us a counter, re-keying
-# and one random_raw call 2.5-5 us a replicate on either route (one thread
-# of a 2-core x86-64 Xeon, timings spread by the host); the two cross
-# between 12 and 17 counters.
+# and one random_raw call 2.5-5 us a replicate (one thread of a 2-core
+# x86-64 Xeon, timings spread by the host); the two cross between 12 and
+# 17 counters.
 _ROUND_COUNTERS = 12
 
 
@@ -310,28 +306,26 @@ def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int
     """(u0, bucket, coin) of replicates first .. first + count - 1, bit for bit.
 
     Replicate r draws as rng = np.random.Generator(np.random.Philox(
-    key=_philox_key(seed, r))) would: u0 = rng.random(), then, when
-    buckets > 0, bucket = rng.integers(0, buckets, size=steps) (else None),
-    then coin = rng.random(steps). Its words, laid out as the module
+    key=_philox_key(seed, r))) would: u0 = rng.random(), then
+    bucket = rng.integers(0, buckets, size=steps), then
+    coin = rng.random(steps). Its words, laid out as the module
     docstring says, come from _philox_words while it needs at most
     _ROUND_COUNTERS counters, else from _rekeyed_words, as many replicates
     at a time as keep the rounds within tol.BLOCK_ENTRIES entries. A
     replicate with a rejected bucket draw is drawn again from rng.
     """
-    half = (steps + 1) // 2 if buckets else 0  # two 32-bit bucket draws per word
+    half = (steps + 1) // 2  # two 32-bit bucket draws per word
     counters = -(-(1 + half + steps) // 4)
     source = _philox_words if counters <= _ROUND_COUNTERS else _rekeyed_words
     per = max(1, tol.BLOCK_ENTRIES // (16 * counters))  # the rounds hold about 16 lanes of words
     u0 = np.empty(count)
     coin = np.empty((count, steps))
-    bucket = np.empty((count, steps), dtype=np.int64) if buckets else None
+    bucket = np.empty((count, steps), dtype=np.int64)
     for start in range(0, count, per):
         stop = min(start + per, count)
         words = source(seed, first + start, stop - start, counters)
         _unit(words[:, 0], u0[start:stop])
         _unit(words[:, 1 + half : 1 + half + steps], coin[start:stop])
-        if not buckets:
-            continue
         # the 32-bit draws, low half of each word first: the words' little-endian halves
         h = words[:, 1 : 1 + half].astype("<u8", copy=False).view("<u4")[:, :steps]
         product = np.multiply(h, buckets, dtype=np.uint64)  # a dense chain has < 2^32 states
@@ -348,19 +342,15 @@ def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int
 def _monte_carlo(chain: FiniteChain, points, reps: int, seed: int):
     """Yield delta_monte_carlo's (estimate, stderr) for each (n, g) in points.
 
-    The start CDF and the step sampler (alias tables above ALIAS_THRESHOLD
-    states, row CDFs up to it) are built once for all the points.
+    The start CDF and the step sampler, Walker alias tables (Walker, ACM
+    TOMS 3, 1977), are built once for all the points.
     """
     _require_spectral(chain)
     _require_reps(reps)
     size = chain.size
     mu = chain.stationary
     mu_cdf = np.cumsum(mu)
-    buckets = size if size > ALIAS_THRESHOLD else 0  # alias tables draw buckets
-    if buckets:
-        accept, alias = _alias_tables(chain.transition)
-    else:
-        row_cdf = np.cumsum(chain.transition, axis=1)
+    accept, alias = _alias_tables(chain.transition)
     for n, g in points:
         g = np.asarray(g, dtype=float)
         if abs(g @ mu) > 1e-10:
@@ -370,21 +360,16 @@ def _monte_carlo(chain: FiniteChain, points, reps: int, seed: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         steps = n - 1
-        width = steps if buckets else max(steps, size)  # the (block, size) gather of row_cdf[x]
-        block = max(1, tol.BLOCK_ENTRIES // max(width, 1))
+        block = max(1, tol.BLOCK_ENTRIES // max(steps, 1))
         squares = np.empty(reps)
         for first in range(0, reps, block):
             count = min(block, reps - first)
-            u0, bucket, coin = _replicate_draws(seed, first, count, steps, buckets)
+            u0, bucket, coin = _replicate_draws(seed, first, count, steps, size)
             x = np.minimum(np.searchsorted(mu_cdf, u0, side="right"), size - 1)
             acc = g[x]
             for i in range(steps):
-                if buckets:
-                    b = bucket[:, i]
-                    x = np.where(coin[:, i] < accept[x, b], b, alias[x, b])
-                else:
-                    # rows of row_cdf are nondecreasing: the count is searchsorted(side="right")
-                    x = np.minimum((row_cdf[x] <= coin[:, i, None]).sum(axis=1), size - 1)
+                b = bucket[:, i]
+                x = np.where(coin[:, i] < accept[x, b], b, alias[x, b])
                 acc = acc + g[x]
             # float_power calls libm pow like a scalar ``** 2``; an array ``** 2``
             # squares instead, which differs in the last bit about once in a thousand.

@@ -69,10 +69,13 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     Uses the family's closed form where available (circulant, torus,
     doubling) and weighted_singular_spectrum otherwise (card, explicit).
     Values are deterministic; only the wall-clock column varies between
-    runs.
+    runs. Refuses an empty size list with ValueError.
     """
+    sizes = sorted(int(n) for n in N_list)
+    if not sizes:
+        raise ValueError("the size list is empty")
     rows = []
-    for N in sorted(int(n) for n in N_list):
+    for N in sizes:
         spec = template.with_size(N)
         start = time.perf_counter()
         closed = spec.closed_form()

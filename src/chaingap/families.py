@@ -339,9 +339,10 @@ def parse_prob(value) -> float:
     """A probability given as a number or a small exact expression.
 
     Strings may use rationals and square roots, e.g. "1/2", "1/sqrt(2)",
-    "sqrt(2)/2", "1 - 1/sqrt(2)", so that irrational parameters are
-    stated exactly and evaluated once to double precision. A bool, a
-    division by zero and a chained division ("1/2/4") are ValueErrors.
+    "sqrt(1/2)", "sqrt(2)/2", "1 - 1/sqrt(2)", so that irrational
+    parameters are stated exactly and evaluated once to double precision.
+    A bool, a division by zero and a chained division ("1/2/4") are
+    ValueErrors.
     """
     if isinstance(value, bool):
         raise ValueError(f"a probability must be a number or a string, got {value!r}")
@@ -352,8 +353,12 @@ def parse_prob(value) -> float:
         raise ValueError("empty probability expression")
 
     def term(expr: str) -> float:
-        num, _, den = expr.partition("/")
-        return _atom(num) / (_atom(den) if den else 1.0)
+        depth = 0  # split at the first "/" outside every sqrt( )
+        for i, c in enumerate(expr):
+            depth += (c == "(") - (c == ")")
+            if c == "/" and depth == 0:
+                return _atom(expr[:i]) / _atom(expr[i + 1 :])
+        return _atom(expr)
 
     def _atom(expr: str) -> float:
         if expr.startswith("sqrt(") and expr.endswith(")"):

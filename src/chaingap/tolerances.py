@@ -45,12 +45,12 @@ CHEEGER_ENUM_LIMIT = 20
 DENSE_LIMIT = 6000
 
 # The one block budget, read here by each blocked loop when it runs. No
-# Monte Carlo draw buffer, nor on the inverse-CDF route a gathered block of
-# CDF rows, holds more than this many entries (512 KiB of float64), nor do
-# the Philox rounds that fill a block's draws, or a stack of deviation grams
-# and its temporary, between them. families._character_gap reduces its
-# frequency grid, and _doubling_gap sends its orbit blocks to the SVD, in
-# blocks of this many entries; experiments._ensemble_taus draws as many
-# walks as fill one such block; bounds.cheeger_exact scores this many pairs
-# of half-subsets per GEMM and rescores at most this many masks at once.
+# Monte Carlo draw buffer holds more than this many entries (512 KiB of
+# float64), nor do the Philox rounds that fill a block's draws, or a stack
+# of deviation grams and its temporary, between them.
+# families._character_gap reduces its frequency grid, and _doubling_gap
+# sends its orbit blocks to the SVD, in blocks of this many entries;
+# experiments._ensemble_taus draws as many walks as fill one such block;
+# bounds.cheeger_exact scores this many pairs of half-subsets per GEMM and
+# rescores at most this many masks at once.
 BLOCK_ENTRIES = 1 << 16

@@ -107,28 +107,38 @@ def test_delta_command_refuses_before_the_curve(walk_spec, monkeypatch, capsys):
     assert second.startswith("chaingap: error: --trials draws trajectories")
 
 
-def test_delta_command_builds_the_sampler_once(tmp_path, monkeypatch, capsys):
-    # 96 states: the alias route, at a size where Lemire's method can reject
+def _assert_delta_builds_the_sampler_once(N, steps, tmp_path, monkeypatch, capsys):
     import chaingap as cg
     from chaingap import empirical
     from chaingap.empirical import DeltaCurve, DeltaPoint
     from chaingap.experiments import render_report
 
-    steps = [[0, 0.2], [1, 0.5], [17, 0.3]]
-    path = tmp_path / "circ96.json"
-    path.write_text(json.dumps({"family": "circulant", "N": 96, "steps": steps}))
+    path = tmp_path / f"circ{N}.json"
+    path.write_text(json.dumps({"family": "circulant", "N": N, "steps": steps}))
     builds = []
     build = empirical._alias_tables
     monkeypatch.setattr(empirical, "_alias_tables", lambda P: builds.append(1) or build(P))
     assert main(["delta", "--spec", str(path), "--n-max", "5", "--trials", "50",
                  "--seed", "3"]) == 0
     assert len(builds) == 1
-    chain = cg.circulant_chain(96, steps)
+    chain = cg.circulant_chain(N, steps)
     points = []
     for e in cg.delta_curve(chain, range(1, 6)).entries:
         est, se = cg.delta_monte_carlo(chain, e.maximizer, e.n, 50, 3)
         points.append(DeltaPoint(n=e.n, delta_exact=e.delta_exact, delta_mc=est, mc_stderr=se))
     assert capsys.readouterr().out == render_report(DeltaCurve(tuple(points)), "csv")
+
+
+def test_delta_command_builds_the_sampler_once(tmp_path, monkeypatch, capsys):
+    # 96 states: a size where Lemire's method can reject a bucket draw
+    _assert_delta_builds_the_sampler_once(
+        96, [[0, 0.2], [1, 0.5], [17, 0.3]], tmp_path, monkeypatch, capsys)
+
+
+def test_delta_command_builds_the_sampler_once_on_a_small_chain(tmp_path, monkeypatch, capsys):
+    # 32 states: small chains step by alias tables too
+    _assert_delta_builds_the_sampler_once(
+        32, [[1, 0.5], [5, 0.3], [-3, 0.2]], tmp_path, monkeypatch, capsys)
 
 
 def test_delta_command_without_trials_needs_no_seed(walk_spec, capsys):
@@ -479,6 +489,14 @@ def test_malformed_probability_is_refused_in_one_line(prob, message, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"chaingap: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("sizes", ["", ","])
+def test_scan_command_refuses_an_empty_size_list(sizes, walk_spec, capsys):
+    assert main(["scan", "--spec", walk_spec, "--n-list", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: the size list is empty\n"
 
 
 @pytest.mark.parametrize("grid", ["", ","])

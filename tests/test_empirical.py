@@ -12,7 +12,6 @@ from scipy.linalg.lapack import dsyevx
 import chaingap as cg
 from chaingap import empirical
 from chaingap.empirical import (
-    ALIAS_THRESHOLD,
     _alias_tables,
     _deviation_values,
     _philox_key,
@@ -398,7 +397,6 @@ def test_monte_carlo_is_deterministic(uniform5):
 
 
 def test_monte_carlo_alias_route_matches_exact():
-    # force the alias-table path with a >64-state circle walk
     chain = cg.circulant_chain(96, [(0, 0.5), (1, 0.5)])
     value, g = cg.delta_exact(chain, 3)
     estimate, stderr = cg.delta_monte_carlo(chain, g, n=3, reps=3000, seed=5)
@@ -434,31 +432,20 @@ def row_alias(prob):
 def scalar_delta_monte_carlo(chain, g, n, reps, seed):
     """Reference sampler: one replicate at a time, one Python step per draw."""
     size = chain.size
-    P = chain.transition
     mu_cdf = np.cumsum(chain.stationary)
-    use_alias = size > ALIAS_THRESHOLD
-    if use_alias:
-        tables = [row_alias(P[x]) for x in range(size)]
-    else:
-        row_cdf = np.cumsum(P, axis=1)
+    tables = [row_alias(row) for row in chain.transition]
     squares = np.empty(reps)
     for rep in range(reps):
         rng = _replicate_rng(seed, rep)
         x = min(int(np.searchsorted(mu_cdf, rng.random(), side="right")), size - 1)
         acc = g[x]
-        if use_alias:
-            bucket = rng.integers(0, size, size=n - 1)
-            coin = rng.random(n - 1)
-            for i in range(n - 1):
-                accept, alias = tables[x]
-                b = int(bucket[i])
-                x = b if coin[i] < accept[b] else int(alias[b])
-                acc += g[x]
-        else:
-            u = rng.random(n - 1)
-            for i in range(n - 1):
-                x = min(int(np.searchsorted(row_cdf[x], u[i], side="right")), size - 1)
-                acc += g[x]
+        bucket = rng.integers(0, size, size=n - 1)
+        coin = rng.random(n - 1)
+        for i in range(n - 1):
+            accept, alias = tables[x]
+            b = int(bucket[i])
+            x = b if coin[i] < accept[b] else int(alias[b])
+            acc += g[x]
         squares[rep] = (acc / n) ** 2
     mean_sq = float(squares.mean())
     if mean_sq <= 0.0:
@@ -520,11 +507,11 @@ def test_lockstep_sampler_matches_scalar_walk(name):
 
 @pytest.mark.parametrize(
     "name, n, reps",
-    [("circulant-32", 3, 4500), ("circulant-96", 100, 1400)],
+    [("circulant-32", 65, 2100), ("circulant-96", 100, 1400)],
 )
 def test_lockstep_sampler_matches_scalar_walk_across_blocks(name, n, reps):
     chain = MC_CHAINS[name]()
-    width = max(n - 1, chain.size if chain.size <= ALIAS_THRESHOLD else 1)
+    width = n - 1
     assert reps > 2 * (cg.tolerances.BLOCK_ENTRIES // width)  # at least three blocks
     _, g = cg.delta_exact(chain, n)
     got = cg.delta_monte_carlo(chain, g, n, reps, seed=-11)
@@ -562,12 +549,12 @@ def test_reset_philox_state_equals_fresh_stream():
 def _numpy_draws(k0, rep, steps, buckets):
     rng = np.random.Generator(np.random.Philox(key=np.array([k0, rep], dtype=np.uint64)))
     u0 = rng.random()
-    bucket = rng.integers(0, buckets, size=steps) if buckets else None
+    bucket = rng.integers(0, buckets, size=steps)
     return u0, bucket, rng.random(steps)
 
 
 @pytest.mark.parametrize("k0", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("buckets", [0, 65, 96, 128, 244])
+@pytest.mark.parametrize("buckets", [32, 65, 96, 128, 244])
 def test_block_draws_equal_numpy_generator(k0, buckets, monkeypatch):
     first, count = 5, 3
     # every walk from re-keyed words, every walk from rounds, then the default
@@ -576,14 +563,12 @@ def test_block_draws_equal_numpy_generator(k0, buckets, monkeypatch):
         monkeypatch.setattr(empirical, "_ROUND_COUNTERS", round_counters)
         for steps in (0, 1, 2, 7, 8, 33, 80):
             u0, bucket, coin = _replicate_draws(k0, first, count, steps, buckets)
-            assert u0.dtype == coin.dtype == np.float64
-            assert bucket is None if not buckets else bucket.dtype == np.int64
+            assert u0.dtype == coin.dtype == np.float64 and bucket.dtype == np.int64
             for j in range(count):
                 ref_u0, ref_bucket, ref_coin = _numpy_draws(k0, first + j, steps, buckets)
                 assert u0[j] == ref_u0
                 assert np.array_equal(coin[j], ref_coin), (round_counters, steps, j)
-                if buckets:
-                    assert np.array_equal(bucket[j], ref_bucket), (round_counters, steps, j)
+                assert np.array_equal(bucket[j], ref_bucket), (round_counters, steps, j)
 
 
 def test_block_words_equal_numpy_raw_words():

@@ -43,7 +43,8 @@ def test_scan_torus_values():
 
 
 def test_scan_empty():
-    assert cg.scan(lazy_right_template(), []) == []
+    with pytest.raises(ValueError, match="the size list is empty"):
+        cg.scan(lazy_right_template(), [])
 
 
 def test_scan_closed_form_agrees_with_dense_svd():

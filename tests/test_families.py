@@ -476,10 +476,23 @@ def test_parse_prob():
     assert parse_prob("1e-3") == pytest.approx(0.001)
 
 
+def test_parse_prob_takes_a_fraction_under_a_root_in_the_numerator():
+    root_half = math.sqrt(0.5)
+    assert parse_prob("sqrt(1/2)") == root_half
+    assert parse_prob("sqrt(1/2)/2") == root_half / 2.0
+    assert parse_prob("1-sqrt(1/2)") == 1.0 - root_half
+
+
 @pytest.mark.parametrize("value", [True, False, "1/0", "1/sqrt(0)", "sqrt(1/0)", "0/0", "1/2/4",
                                    "1-1/2/4", "sqrt(2)/2/4"])
 def test_parse_prob_refuses_malformed_probabilities(value):
     with pytest.raises(ValueError):
+        parse_prob(value)
+
+
+@pytest.mark.parametrize("value", ["1/2/4", "sqrt(1/2)/2/3"])
+def test_parse_prob_refuses_chained_division(value):
+    with pytest.raises(ValueError, match="chained division"):
         parse_prob(value)
 
 
