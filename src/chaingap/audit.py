@@ -68,20 +68,3 @@ class BoundAudit:
 
     def merged(self, other: "BoundAudit") -> "BoundAudit":
         return BoundAudit(self.checks + other.checks)
-
-    def to_table(self) -> str:
-        """Human-readable fixed-width table, one line per check."""
-        lines = [
-            f"{'check':44s} {'lhs':>13s} {'rel':3s} {'rhs':>13s} "
-            f"{'margin':>10s} {'status':6s}"
-        ]
-        for c in self.checks:
-            if not c.applicable:
-                lines.append(f"{c.name:44s} {'-':>13s} {'-':3s} {'-':>13s} {'-':>10s} n/a")
-                continue
-            status = "ok" if c.passed else "FAIL"
-            lines.append(
-                f"{c.name:44s} {c.lhs:13.6g} {c.relation:3s} {c.rhs:13.6g} "
-                f"{c.margin:10.3g} {status:6s}"
-            )
-        return "\n".join(lines)

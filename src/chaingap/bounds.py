@@ -29,7 +29,7 @@ from .errors import (
     NotIrreducible,
     TooLargeForEnumeration,
 )
-from .spectral import _reversibilized_gaps, pseudo_spectral_gap, spectral_gap
+from .spectral import _reversibilized_gaps, pseudo_spectral_gap, relaxation_time, spectral_gap
 
 __all__ = [
     "CheegerResult",
@@ -494,11 +494,13 @@ def inequality_audit(
     else:
         checks.append(skipped_check("multiplicative_gap_upper", "min diag < 1/2"))
 
-    if group_walk:
-        if gamma_add > 0:
-            checks.append(make_check("group_walk_doubling", tau, 2.0 / gamma_add, "<="))
-        else:
+    if group_walk:  # I - (P + P*)/2 has its spectrum in [0, 2]
+        if not math.isfinite(tau):
+            checks.append(skipped_check("group_walk_doubling", "relaxation time infinite"))
+        elif not math.isfinite(relaxation_time(gamma_add, 2.0)):
             checks.append(skipped_check("group_walk_doubling", "symmetrized walk has gap 0"))
+        else:
+            checks.append(make_check("group_walk_doubling", tau, 2.0 / gamma_add, "<="))
 
     mix = mixing_time(chain, eps)
     tmix = mix.tmix

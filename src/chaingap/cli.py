@@ -4,10 +4,11 @@ Subcommands: gap, delta, cheeger, path-bound, audit, scan, ensemble.
 Chains come in as JSON chain-spec files (see families.ChainSpec);
 results go to stdout and, with --out, to a file, both written by
 experiments.render_report. gap, cheeger and path-bound report JSON
-only; audit, delta, scan and ensemble write --out in --format (csv or
-json). The randomized commands (delta, cheeger, ensemble) take --seed
-and are bit-reproducible. Sizes are capped by tolerances.DENSE_LIMIT
-alone: a chain or closed form past it is refused with TooLarge.
+only; audit, delta, scan and ensemble print CSV and write --out in
+--format (csv or json). The randomized commands (delta, cheeger,
+ensemble) take --seed and are bit-reproducible. Sizes are capped by
+tolerances.DENSE_LIMIT alone: a chain or closed form past it is refused
+with TooLarge.
 
 Exit codes: 0 on success; 1 when an audit check fails; 2 when the input
 is refused (a bad spec, file or option, or a chain the computation does
@@ -44,10 +45,9 @@ def _chain(args) -> tuple[ChainSpec, FiniteChain]:
     return spec, spec.build()
 
 
-def _write(args, result, stdout_fmt: str | None) -> None:
-    """Print the result as stdout_fmt (None: the caller prints) and write --out as --format."""
-    if stdout_fmt is not None:
-        sys.stdout.write(render_report(result, stdout_fmt))
+def _write(args, result, stdout_fmt: str) -> None:
+    """Print the result as stdout_fmt and write --out as --format."""
+    sys.stdout.write(render_report(result, stdout_fmt))
     if args.out:
         emit_report(result, args.out, args.format)
 
@@ -117,8 +117,7 @@ def cmd_audit(args) -> int:
     )
     if args.n_max:
         audit = audit.merged(delta_bounds_audit(chain, args.n_max))
-    print(audit.to_table())
-    _write(args, audit, None)
+    _write(args, audit, "csv")
     return 0 if audit.all_pass else 1
 
 

@@ -173,10 +173,12 @@ def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
 
 
 def delta_curve(chain: FiniteChain, n_list) -> DeltaCurve:
-    """Batch of delta_exact sharing one incremental power accumulation."""
+    """Batch of delta_exact sharing one power accumulation; n >= 1, at least one."""
     _require_spectral(chain)
     ns = sorted({int(n) for n in n_list})
-    if ns and ns[0] < 1:
+    if not ns:
+        raise ValueError("the n list is empty")
+    if ns[0] < 1:
         raise ValueError("all n must be >= 1")
     pts = []
     for n, value, g in _deviations(chain, ns, True):

@@ -341,8 +341,8 @@ def parse_prob(value) -> float:
     Strings may use rationals and square roots, e.g. "1/2", "1/sqrt(2)",
     "sqrt(1/2)", "sqrt(2)/2", "1 - 1/sqrt(2)", so that irrational
     parameters are stated exactly and evaluated once to double precision.
-    A bool, a division by zero and a chained division ("1/2/4") are
-    ValueErrors.
+    A bool, a division by zero, a value past the double range ("1e400")
+    and a chained division ("1/2/4") are ValueErrors.
     """
     if isinstance(value, bool):
         raise ValueError(f"a probability must be a number or a string, got {value!r}")
@@ -376,6 +376,8 @@ def parse_prob(value) -> float:
         return term(text)
     except ZeroDivisionError:
         raise ValueError(f"probability {value!r} divides by zero") from None
+    except OverflowError:
+        raise ValueError(f"probability {value!r} overflows a double") from None
 
 
 def _integer(value, name: str) -> int:

@@ -500,6 +500,12 @@ def test_mixing_time_examples(flip):
     assert cg.mixing_time(flip, 0.6).tmix == 0
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
+def test_mixing_time_refuses_eps_outside_zero_one(flip, eps):
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+        cg.mixing_time(flip, eps)
+
+
 def test_mixing_cap_exceeded_for_slow_aperiodic_chain():
     leak = 1e-7
     chain = cg.build_chain([[1 - leak, leak], [leak, 1 - leak]])
@@ -576,6 +582,21 @@ def test_inequality_audit_group_walk_flag():
     assert audit.all_pass
 
 
+def test_group_walk_doubling_is_skipped_when_tau_is_infinite():
+    # the walk on Z/2 x Z/2 by (1, 0) at 1 - d and (1, 1) at d: gap 2d, below
+    # relaxation_time's floor, so tau is infinite and there is no bound to check
+    d = 1e-10
+    P = np.zeros((4, 4))
+    for a, b in itertools.product(range(2), repeat=2):
+        P[2 * a + b, 2 * (1 - a) + b] += 1.0 - d
+        P[2 * a + b, 2 * (1 - a) + (1 - b)] += d
+    audit = cg.inequality_audit(cg.build_chain(P), group_walk=True)
+    (check,) = [c for c in audit.checks if c.name.startswith("group_walk_doubling")]
+    assert check.name == "group_walk_doubling [skipped: relaxation time infinite]"
+    assert not check.applicable
+    assert audit.all_pass
+
+
 def test_inequality_audit_eps_gates(flip):
     audit = cg.inequality_audit(cg.lazy(flip, 0.5), eps=0.3)
     by_name = {c.name.split(" ")[0]: c for c in audit.checks}
@@ -588,7 +609,7 @@ def test_audit_serialization_and_exit_semantics():
     payload = json.loads(render_report(good, "json"))
     assert payload["all_pass"] is True
     assert all("margin" in c for c in payload["checks"])
-    table = good.to_table()
+    table = render_report(good, "csv")
     assert "cheeger_lower" in table
 
     failing = BoundAudit((make_check("synthetic", 2.0, 1.0, "<="),))

@@ -291,6 +291,60 @@ def test_ensemble_command_refuses_k_outside_one_to_n(k, capsys):
     assert lines[0].startswith("chaingap: error: --k must lie in 1..5")
 
 
+def test_audit_stdout_is_the_csv_report(walk_spec, tmp_path, capsys):
+    import chaingap as cg
+    from chaingap.experiments import render_report
+    from chaingap.families import ChainSpec
+
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--spec", walk_spec, "--n-max", "4", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    with open(walk_spec, encoding="utf-8") as fh:
+        chain = ChainSpec.from_json(json.load(fh)).build()
+    audit = cg.inequality_audit(chain).merged(cg.delta_bounds_audit(chain, 4))
+    assert text == render_report(audit, "csv")
+    assert text.split("\n")[0] == "name,lhs,relation,rhs,margin,applicable,pass"
+    assert out.read_text() == text
+
+
+def test_audit_command_refuses_k_max_zero(walk_spec, capsys):
+    assert main(["audit", "--spec", walk_spec, "--k-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: k_max must be >= 1\n"
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+@pytest.mark.parametrize("trials", [[], ["--trials", "10", "--seed", "1"]], ids=["exact", "mc"])
+def test_delta_command_refuses_an_empty_n_range(n_max, trials, walk_spec, capsys):
+    assert main(["delta", "--spec", walk_spec, "--n-max", n_max] + trials) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: ValueError: the n list is empty\n"
+
+
+def test_ensemble_command_needs_a_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--n", "5", "--k", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chaingap: error: ensemble sampling is randomized; give --seed\n"
+
+
+def test_cheeger_search_needs_a_seed(tmp_path, capsys):
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({"family": "circulant", "N": 24, "steps": [[1, 0.5], [-1, 0.5]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["cheeger", "--spec", str(spec)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "chaingap: error: search beyond 20 states is randomized; give --seed\n"
+    )
+
+
 def test_audit_exit_code_on_failure(monkeypatch, walk_spec):
     from chaingap import cli
     from chaingap.audit import BoundAudit, make_check
@@ -479,8 +533,9 @@ def test_cli_surface():
     [(True, "a probability must be a number or a string, got True"),
      ("1/0", "probability '1/0' divides by zero"),
      ("1/sqrt(0)", "probability '1/sqrt(0)' divides by zero"),
-     ("1/2/4", "chained division in probability '1/2/4'")],
-    ids=["bool", "zero", "sqrt-zero", "chained"],
+     ("1/2/4", "chained division in probability '1/2/4'"),
+     ("1e400", "probability '1e400' overflows a double")],
+    ids=["bool", "zero", "sqrt-zero", "chained", "overflow"],
 )
 def test_malformed_probability_is_refused_in_one_line(prob, message, tmp_path, capsys):
     spec = tmp_path / "bad.json"

@@ -121,6 +121,11 @@ def test_curve_accepts_unsorted_duplicated_n(flip):
         cg.delta_curve(flip, [0, 1])
 
 
+def test_curve_refuses_an_empty_n_list(flip):
+    with pytest.raises(ValueError, match="the n list is empty"):
+        cg.delta_curve(flip, [])
+
+
 def test_maximizer_attains_value():
     chain = cg.build_chain([[0.9, 0.1], [0.2, 0.8]])
     n = 4

@@ -149,6 +149,12 @@ def test_ensemble_requires_prime():
         cg.random_steps_ensemble(100, 2, [0.5, 0.5], 10, [1.0], seed=0)
 
 
+@pytest.mark.parametrize("N", [1, 9])  # below 2; odd with a factor
+def test_ensemble_refuses_odd_non_primes(N):
+    with pytest.raises(NotPrime, match=f"{N} is not prime"):
+        cg.random_steps_ensemble(N, 1, [1.0], 10, [1.0], seed=0)
+
+
 def test_ensemble_refuses_nan_probability():
     with pytest.raises(InvalidSteps):
         cg.random_steps_ensemble(101, 2, [math.nan, 0.5], 10, [1.0], seed=0)
@@ -283,6 +289,12 @@ def test_report_nests_a_dict_of_audits_as_their_json_bodies():
 def test_report_refuses_an_unknown_result():
     with pytest.raises(TypeError, match="no report serializer for BoundCheck"):
         render_report(cg.inequality_audit(cg.build_chain(np.full((2, 2), 0.5))).checks[0], "json")
+
+
+def test_report_refuses_an_unknown_format():
+    audit = cg.inequality_audit(cg.build_chain(np.full((2, 2), 0.5)))
+    with pytest.raises(ValueError, match="format must be 'csv' or 'json'"):
+        render_report(audit, "xml")
 
 
 def test_report_byte_identical(tmp_path):

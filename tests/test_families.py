@@ -484,7 +484,7 @@ def test_parse_prob_takes_a_fraction_under_a_root_in_the_numerator():
 
 
 @pytest.mark.parametrize("value", [True, False, "1/0", "1/sqrt(0)", "sqrt(1/0)", "0/0", "1/2/4",
-                                   "1-1/2/4", "sqrt(2)/2/4"])
+                                   "1-1/2/4", "sqrt(2)/2/4", "1e400", "sqrt(1e400)"])
 def test_parse_prob_refuses_malformed_probabilities(value):
     with pytest.raises(ValueError):
         parse_prob(value)
