@@ -4,11 +4,13 @@ The gap of a chain is the second-smallest singular value of I - P in the
 stationary-weighted inner product, and tau = 1/gap is the time scale on
 which empirical averages of test functions converge. The package
 computes these exactly for dense chains and, through
-ChainSpec.closed_form(), from character sums for the circulant and torus
-walks on (Z/NZ)^d; it evaluates the worst-case deviation of length-n
-running averages, and audits the standard comparison inequalities
-(reversibilizations, mixing time, Cheeger constant, canonical paths,
-pseudo-spectral gap).
+ChainSpec.closed_form(), without a dense chain for every family with a
+size: from character sums for the circulant and torus walks on
+(Z/NZ)^d, from orbit blocks for the doubling chain, and from the blocks
+of the irreducible representations of S_N for the card shuffle. It
+evaluates the worst-case deviation of length-n running averages, and
+audits the standard comparison inequalities (reversibilizations, mixing
+time, Cheeger constant, canonical paths, pseudo-spectral gap).
 
 All values are immutable and all operations are pure functions, so
 everything here is safe to share across threads and to parallelize over

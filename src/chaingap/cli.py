@@ -8,7 +8,8 @@ only; audit, delta, scan and ensemble print CSV and write --out in
 --format (csv or json). The randomized commands (delta, cheeger,
 ensemble) take --seed and are bit-reproducible. Sizes are capped by
 tolerances.DENSE_LIMIT alone: a chain or closed form past it is refused
-with TooLarge.
+with TooLarge, except that gap reports closed_form_gap alone for a chain
+too large to build whose closed form is not.
 
 Exit codes: 0 on success; 1 when an audit check fails; 2 when the input
 is refused (a bad spec, file or option, or a chain the computation does
@@ -27,7 +28,7 @@ from .chains import FiniteChain
 from .empirical import (
     DeltaCurve, DeltaPoint, _monte_carlo, _require_reps, delta_bounds_audit, delta_curve,
 )
-from .errors import ChainError
+from .errors import ChainError, TooLarge
 from .experiments import emit_report, random_steps_ensemble, render_report, scan
 from .families import ChainSpec
 from .spectral import weighted_singular_spectrum
@@ -61,9 +62,18 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def cmd_gap(args) -> int:
-    spec, chain = _chain(args)
-    payload = dict(vars(weighted_singular_spectrum(chain)))  # a copy of the spectrum's fields
+    """The dense spectrum's fields plus closed_form_gap where the family has
+    one; a chain past the dense cap with a closed form reports that alone."""
+    spec = _load_spec(args.spec)
     closed = spec.closed_form()
+    try:
+        chain = spec.build()
+    except TooLarge:
+        if closed is None:
+            raise
+        payload = {}
+    else:
+        payload = dict(vars(weighted_singular_spectrum(chain)))  # a copy of the spectrum's fields
     if closed is not None:
         payload["closed_form_gap"] = closed[0]
     _write(args, payload, "json")

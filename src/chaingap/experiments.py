@@ -1,8 +1,8 @@
 """Scaling scans, ensemble tails, least-squares fits, and report files.
 
-The scan runs one family template over a grid of sizes, preferring the
-closed-form gap where the family has one and the dense SVD otherwise; the
-fit quantifies power-law growth of the relaxation time. Reports are
+The scan runs one family template over a grid of sizes through the
+family's closed-form gap, which every sized family has; the fit
+quantifies power-law growth of the relaxation time. Reports are
 bit-stable: fixed header order, LF line endings, 17-significant-digit
 floats, CSV cells quoted only when they hold a comma, quote or newline
 (RFC 4180), JSON with sorted keys.
@@ -25,7 +25,7 @@ from .bounds import CheegerResult, PathBoundResult
 from .empirical import DeltaCurve, _philox_key
 from .errors import InsufficientData, NotPrime
 from .families import ChainSpec, _character_gap, _normalize_steps
-from .spectral import SingularSpectrum, weighted_singular_spectrum
+from .spectral import SingularSpectrum
 
 __all__ = [
     "ExperimentRow",
@@ -66,10 +66,11 @@ class EnsembleRow:
 def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     """One row of (gamma, tau, timing) per size, sorted by N.
 
-    Uses the family's closed form where available (circulant, torus,
-    doubling) and weighted_singular_spectrum otherwise (card, explicit).
-    Values are deterministic; only the wall-clock column varies between
-    runs. Refuses an empty size list with ValueError.
+    Every family with a size (circulant, torus, doubling, card) has a
+    closed form, ChainSpec.closed_form(), and no dense chain is built;
+    with_size refuses an explicit template with ValueError. Values are
+    deterministic; only the wall-clock column varies between runs.
+    Refuses an empty size list with ValueError.
     """
     sizes = sorted(int(n) for n in N_list)
     if not sizes:
@@ -78,12 +79,7 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     for N in sizes:
         spec = template.with_size(N)
         start = time.perf_counter()
-        closed = spec.closed_form()
-        if closed is None:
-            spectrum = weighted_singular_spectrum(spec.build())
-            gap, tau, method = spectrum.gap, spectrum.relaxation, spectrum.method
-        else:
-            (gap, tau), method = closed, "closed_form"
+        gap, tau = spec.closed_form()
         wall_ms = 1000.0 * (time.perf_counter() - start)
         rows.append(
             ExperimentRow(
@@ -92,7 +88,7 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
                 N=N,
                 gamma=float(gap),
                 tau=tau,
-                method=method,
+                method="closed_form",
                 wall_ms=wall_ms,
             )
         )

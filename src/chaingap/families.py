@@ -10,8 +10,11 @@ from one table of N-th roots of unity and are reduced in blocks of 2^16
 frequencies; the random-steps ensemble sends whole blocks of walks through
 the same kernel, of which closed_form() is the batch of one. The doubling
 chain maps each character to a multiple of another, so closed_form()
-gets its gap from one small block per orbit of m -> 2m mod N; only the
-card shuffle has no closed form.
+gets its gap from one small block per orbit of m -> 2m mod N. The card
+shuffle is a walk on S_N: closed_form() gets its gap from one block per
+irreducible representation, in Young's orthogonal form, up to 10 cards,
+and card_chain (up to 7) stays as the dense oracle. Only explicit
+chains have no closed form.
 """
 
 from __future__ import annotations
@@ -309,26 +312,127 @@ def _doubling_gap(N: int) -> tuple[float, float]:
 # Card shuffle on S_N
 
 
+def _require_deck(N: int) -> int:
+    """N!, the orderings of an N-card deck. Refuses fewer than 3 cards with
+    ValueError, and more than DENSE_LIMIT**2 orderings through
+    _require_entries; the product stops at the first k! past the cap, so a
+    huge deck is refused at once."""
+    if N < 3:
+        raise ValueError(f"a deck needs at least 3 cards, got {N}")
+    orderings = 1
+    for k in range(2, N + 1):
+        orderings *= k
+        _require_entries(orderings, f"orderings of {k} cards")
+    return orderings
+
+
 def card_chain(N: int) -> FiniteChain:
     """Three-move shuffle of an N-card deck, one state per permutation.
 
     With probability 1/3 each: do nothing, swap the top two cards, or
     move the bottom card to the top. States are deck orderings indexed
     by lexicographic (Lehmer-code) rank, top card first. Doubly
-    stochastic since every move permutes the deck.
+    stochastic since every move permutes the deck. The dense oracle of
+    _card_gap: past DENSE_LIMIT states (N > 7) it is refused before the
+    decks are listed.
     """
-    if not 3 <= N <= 7:
-        raise TooLarge(f"deck size must be in [3, 7], got {N}")
+    size = _require_deck(N)
+    P = _dense_zeros(size)
     decks = list(permutations(range(N)))  # lexicographic == Lehmer rank order
     rank = {deck: i for i, deck in enumerate(decks)}
-    size = len(decks)
-    P = np.zeros((size, size))
     for deck in decks:
         i = rank[deck]
         P[i, i] += 1.0 / 3.0
         P[i, rank[(deck[1], deck[0]) + deck[2:]]] += 1.0 / 3.0
         P[i, rank[(deck[-1],) + deck[:-1]]] += 1.0 / 3.0
     return build_chain(P, stationary=np.full(size, 1.0 / size))
+
+
+def _young_orthogonal_form(N: int):
+    """Yield each partition lambda of N with rho_lambda(t_k), k = 0..N-2, in
+    Young's orthogonal form (James & Kerber 1981; Diaconis 1988, ch. 3).
+
+    The basis of rho_lambda is the standard tableaux of shape lambda, each
+    held as its word, the row of each entry 0..N-1, in lexicographic order.
+    t_k swaps the entries k and k+1. With a the axial distance, the content
+    (column - row) of k+1 less that of k,
+    rho(t_k) e_T = e_T / a + sqrt(1 - 1/a^2) e_{t_k T}; |a| = 1 when k and
+    k+1 share a row or a column, and then the second term is zero. Each
+    factor is the arrays (diag, off, swap) of _apply_factor: at most two
+    nonzeros per row.
+    """
+    level = [((), ())]  # (word, row lengths) of every standard tableau so far
+    for _ in range(N):
+        level = [
+            (word + (r,), rows[:r] + (length + 1,) + rows[r + 1 :])
+            for word, rows in level
+            for r, length in enumerate(rows + (0,))
+            if r == 0 or rows[r - 1] > length
+        ]
+    shapes: dict[tuple, list] = {}
+    for word, rows in level:
+        shapes.setdefault(rows, []).append(word)
+    place = N ** np.arange(N - 1, -1, -1)  # a word as a base-N number keeps its order
+    for shape, words in shapes.items():
+        W = np.array(words)
+        d, keys, basis = len(words), W @ place, np.arange(len(words))
+        column = np.zeros_like(W)
+        for k in range(1, N):
+            column[:, k] = (W[:, :k] == W[:, k : k + 1]).sum(axis=1)
+        content = column - W
+        factors = []
+        for k in range(N - 1):
+            a = (content[:, k + 1] - content[:, k]).astype(float)
+            swapped = W.copy()
+            swapped[:, [k, k + 1]] = W[:, [k + 1, k]]
+            partner = np.minimum(np.searchsorted(keys, swapped @ place), d - 1)
+            swap = np.where(np.abs(a) == 1.0, basis, partner)
+            factors.append((1.0 / a, np.sqrt(1.0 - 1.0 / a**2), swap))
+        yield shape, factors
+
+
+def _apply_factor(factor, M: np.ndarray) -> np.ndarray:
+    """rho(t_k) M from the factor's two nonzeros per row, in O(d^2)."""
+    diag, off, swap = factor
+    return diag[:, None] * M + off[:, None] * M[swap]
+
+
+def _card_blocks(N: int):
+    """Yield (lambda, I - K_lambda) for each partition lambda of N.
+
+    A move permutes positions, deck -> deck o pi, with pi the identity,
+    t_0 (swap the top two cards) or c = t_{N-2} o ... o t_0 (bottom card
+    to the top), each with probability 1/3; K_lambda = (I + rho(t_0) +
+    rho(c)) / 3. rho(c) is formed by applying each rho(t_k) in turn, with
+    no dense d x d product.
+    """
+    for shape, factors in _young_orthogonal_form(N):
+        eye = np.eye(factors[0][0].size)
+        swap = cycle = _apply_factor(factors[0], eye)
+        for factor in factors[1:]:
+            cycle = _apply_factor(factor, cycle)
+        yield shape, eye - (eye + swap + cycle) / 3.0
+
+
+def _card_gap(N: int) -> tuple[float, float]:
+    """(gap, tau) of card_chain(N) from one block per irreducible representation of S_N.
+
+    The walk is invariant under the right action of S_N and mu is uniform,
+    so I - P is unitarily equivalent to the direct sum of the blocks
+    I - K_lambda of _card_blocks, each repeated d_lambda times. gamma is
+    the least sigma_min(I - K_lambda) over lambda != (N), whose 1 x 1
+    block is the zero singular value, and sigma_max is taken over every
+    block. The blocks hold sum d_lambda^2 = N! entries together, so a deck
+    with N! past DENSE_LIMIT**2 (N > 10) is refused before any array.
+    """
+    _require_deck(N)
+    gap, sigma_max = np.inf, 0.0
+    for shape, block in _card_blocks(N):
+        values = np.linalg.svd(block, compute_uv=False)
+        sigma_max = max(sigma_max, float(values.max()))
+        if len(shape) > 1:
+            gap = min(gap, float(values.min()))
+    return gap, relaxation_time(gap, sigma_max)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +603,14 @@ class ChainSpec:
         return card_chain(self.N)
 
     def closed_form(self) -> tuple[float, float] | None:
-        """(gap, tau) from the characters of Z/NZ, or None for card and explicit chains.
+        """(gap, tau) without the dense chain, or None for an explicit chain.
 
         Circulant and torus walks from their character sums, the doubling
-        chain from its blocks on the orbits of m -> 2m (_doubling_gap).
-        The one closed-form route: scan and the CLI call it, and the
-        random-steps ensemble batches its walks through the same kernel.
+        chain from its blocks on the orbits of m -> 2m (_doubling_gap), the
+        card shuffle from one block per irreducible representation of S_N
+        (_card_gap). The one closed-form route: scan and the CLI call it,
+        and the random-steps ensemble batches its walks through the same
+        kernel.
         """
         if self.family == "circulant":
             axes = [_batch_of_one(_normalize_steps(self.N, self.steps))]
@@ -514,4 +620,6 @@ class ChainSpec:
             return _character_gap(self.N, axes, self.probs.hold)[0]
         if self.family == "cdg":
             return _doubling_gap(self.N)
+        if self.family == "cardshuffle":
+            return _card_gap(self.N)
         return None

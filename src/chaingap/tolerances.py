@@ -40,8 +40,9 @@ CHEEGER_ENUM_LIMIT = 20
 # entries, the largest dense matrix: the constructors refuse more than
 # DENSE_LIMIT states, and the closed forms more than DENSE_LIMIT**2 frequencies
 # on an axis (or N^(d-1) on a torus's other axes). The doubling closed form
-# also caps its longest orbit block at DENSE_LIMIT states, and card_chain its
-# deck at 7 cards, the largest with N! <= DENSE_LIMIT.
+# also caps its longest orbit block at DENSE_LIMIT states. The card closed
+# form refuses more than DENSE_LIMIT**2 orderings, N! in all its blocks, so
+# decks of up to 10 cards; card_chain, by the states rule, up to 7.
 DENSE_LIMIT = 6000
 
 # The one block budget, read here by each blocked loop when it runs. No

@@ -13,6 +13,7 @@ from chaingap.chains import _is_reversible
 OVERSIZE_SPECS = {
     "circulant": {"family": "circulant", "N": cg.tolerances.DENSE_LIMIT**2 + 1,
                   "steps": [[0, 0.5], [1, 0.5]]},
+    "cardshuffle": {"family": "cardshuffle", "N": 11},  # 11! orderings
     "cdg": {"family": "cdg", "N": 2**61 - 1},  # ord 61: passes the orbit-block cap
     "torus": {"family": "torus", "N": 2, "d": 40,
               "probs": {"hold": 0, "plus": [1] + [0] * 39, "minus": [0] * 40}},

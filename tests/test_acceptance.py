@@ -1,12 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the lines. The
-extended card-shuffle deck (N=7, 5040 states) is gated behind the
-environment variable CHAINGAP_EXTENDED=1.
+Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -187,19 +184,16 @@ def test_criterion_07_doubling_chain_log_scaling():
 
 def test_criterion_08_card_shuffle_cubic():
     start = time.perf_counter()
-    sizes = [3, 4, 5, 6]
-    if os.environ.get("CHAINGAP_EXTENDED"):
-        sizes.append(7)
+    sizes = list(range(3, 9))
     rows = cg.scan(cg.ChainSpec("cardshuffle", 3), sizes)
-    assert [r.method for r in rows] == ["weighted_svd"] * len(sizes)
+    assert [r.method for r in rows] == ["closed_form"] * len(sizes)
     bound_ok = all(r.tau <= 41.0 * r.N**3 for r in rows)
     slope = cg.fit_scaling(rows[:4]).slope
     elapsed = time.perf_counter() - start
-    budget = 900.0 if len(sizes) == 5 else 180.0
     _report(
         8,
         "card shuffle: tau <= 41 N^3 and cubic slope",
-        bound_ok and 2.5 <= slope <= 3.5 and elapsed < budget,
+        bound_ok and 2.5 <= slope <= 3.5 and elapsed < 180.0,
         f"slope={slope:.3f}, sizes={sizes}, {elapsed:.1f}s",
     )
 

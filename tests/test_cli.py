@@ -33,11 +33,9 @@ def test_gap_command(walk_spec, capsys):
     assert payload["closed_form_gap"] == pytest.approx(payload["gap"], rel=1e-9)
 
 
-def test_gap_command_without_closed_form(tmp_path, capsys):
-    spec = tmp_path / "card.json"
-    spec.write_text(json.dumps({"family": "cardshuffle", "N": 3}))
+def test_gap_command_without_closed_form(flip_spec, tmp_path, capsys):
     out = tmp_path / "gap.json"
-    assert main(["gap", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["gap", "--spec", flip_spec, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     payload = json.loads(printed)
     assert payload["method"] == "weighted_svd"
@@ -54,14 +52,32 @@ def test_gap_command_doubling_closed_form(tmp_path, capsys):
     assert payload["closed_form_gap"] == pytest.approx(payload["gap"], rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("N", [100000, -1])
-def test_gap_refuses_deck_size_without_factorial(tmp_path, capsys, N):
+@pytest.mark.parametrize(
+    "N, message",
+    [
+        (100000, "TooLarge: 39916800 orderings of 11 cards exceed the 36000000-entry cap"),
+        (-1, "ValueError: a deck needs at least 3 cards, got -1"),
+    ],
+    ids=["100000", "-1"],
+)
+def test_gap_refuses_deck_size_without_factorial(tmp_path, capsys, N, message):
     spec = tmp_path / "card.json"
     spec.write_text(json.dumps({"family": "cardshuffle", "N": N}))
     assert main(["gap", "--spec", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"chaingap: TooLarge: deck size must be in [3, 7], got {N}\n"
+    assert captured.err == f"chaingap: {message}\n"
+
+
+@pytest.mark.parametrize("family, N", [("cdg", 131071), ("cardshuffle", 8)])
+def test_gap_past_the_dense_cap_reports_the_closed_form(tmp_path, capsys, family, N):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": family, "N": N}))
+    assert main(["gap", "--spec", str(spec)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["scan", "--spec", str(spec), "--n-list", str(N)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert payload == {"closed_form_gap": float(row[3])}  # 17 digits: the same bits
 
 
 def test_delta_command(flip_spec, tmp_path, capsys):
@@ -193,13 +209,25 @@ def test_scan_command(walk_spec, tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_scan_refuses_deck_past_seven(tmp_path, capsys):
+def test_scan_refuses_deck_past_ten(tmp_path, capsys):
     spec = tmp_path / "card.json"
     spec.write_text(json.dumps({"family": "cardshuffle", "N": 3}))
-    assert main(["scan", "--spec", str(spec), "--n-list", "3,8"]) == 2
+    assert main(["scan", "--spec", str(spec), "--n-list", "3,11"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "chaingap: TooLarge: deck size must be in [3, 7], got 8\n"
+    assert captured.err == (
+        "chaingap: TooLarge: 39916800 orderings of 11 cards exceed the 36000000-entry cap\n"
+    )
+
+
+@pytest.mark.parametrize("N", [2, -3])
+def test_scan_refuses_a_deck_of_fewer_than_three_cards(tmp_path, capsys, N):
+    spec = tmp_path / "card.json"
+    spec.write_text(json.dumps({"family": "cardshuffle", "N": 3}))
+    assert main(["scan", "--spec", str(spec), "--n-list", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chaingap: ValueError: a deck needs at least 3 cards, got {N}\n"
 
 
 def test_gap_runs_the_seven_card_deck(tmp_path, capsys, monkeypatch):
@@ -222,7 +250,7 @@ def test_gap_runs_the_seven_card_deck(tmp_path, capsys, monkeypatch):
     assert built == [7]
     assert json.loads(capsys.readouterr().out) == {
         "values": [0.0, 0.5], "gap": 0.5, "relaxation": 2.0, "method": "weighted_svd",
-        "mu_min": 0.25,
+        "mu_min": 0.25, "closed_form_gap": ChainSpec("cardshuffle", 7).closed_form()[0],
     }
 
 
@@ -232,6 +260,18 @@ def test_scan_refuses_closed_forms_past_the_cap(name, tmp_path, capsys):
     spec.write_text(json.dumps(OVERSIZE_SPECS[name]))
     N = OVERSIZE_SPECS[name]["N"]
     assert main(["scan", "--spec", str(spec), "--n-list", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chaingap: TooLarge: ")
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE_SPECS))
+def test_gap_refuses_closed_forms_past_the_cap(name, tmp_path, capsys):
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(OVERSIZE_SPECS[name]))
+    assert main(["gap", "--spec", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -76,9 +76,9 @@ def test_zero_rule_is_the_same_on_every_route():
     assert row.tau == tau == math.inf
 
 
-def test_scan_dense_families_use_svd():
+def test_scan_card_matches_dense_svd():
     rows = cg.scan(cg.ChainSpec.from_json({"family": "cardshuffle", "N": 3}), [3, 4])
-    assert all(r.method == "weighted_svd" for r in rows)
+    assert all(r.method == "closed_form" for r in rows)
     gamma, _ = cg.spectral_gap(cg.card_chain(3))
     assert rows[0].gamma == pytest.approx(gamma, rel=1e-12)
 
@@ -94,6 +94,21 @@ def test_scan_doubling_builds_no_chain(monkeypatch):
     assert all(r.method == "closed_form" for r in rows)
     monkeypatch.undo()
     gamma, tau = cg.spectral_gap(cg.cdg_chain(11))
+    assert rows[1].gamma == pytest.approx(gamma, rel=1e-13)
+    assert rows[1].tau == pytest.approx(tau, rel=1e-13)
+
+
+def test_scan_card_builds_no_chain(monkeypatch):
+    from chaingap import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan built a dense chain")
+
+    monkeypatch.setattr(families, "build_chain", refuse)
+    rows = cg.scan(cg.ChainSpec.from_json({"family": "cardshuffle", "N": 3}), [3, 5, 9])
+    assert all(r.method == "closed_form" for r in rows)
+    monkeypatch.undo()
+    gamma, tau = cg.spectral_gap(cg.card_chain(5))
     assert rows[1].gamma == pytest.approx(gamma, rel=1e-13)
     assert rows[1].tau == pytest.approx(tau, rel=1e-13)
 

@@ -446,12 +446,62 @@ def test_card_chain_relaxation_within_cubic_bound():
 
 
 def test_card_chain_size_limits():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match="at least 3 cards"):
         cg.card_chain(2)
     with pytest.raises(TooLarge):
         cg.card_chain(8)
     # 7 is the largest deck whose N! states fit under the dense cap
     assert math.factorial(7) <= cg.tolerances.DENSE_LIMIT < math.factorial(8)
+
+
+def test_card_closed_form_size_limits():
+    with pytest.raises(ValueError, match="at least 3 cards"):
+        families._card_gap(2)
+    with pytest.raises(TooLarge, match="-entry cap"):
+        families._card_gap(10**9)  # refused at 11 cards, long before 10**9!
+    # 10 is the largest deck whose N! orderings fit under the closed-form cap
+    cap = cg.tolerances.DENSE_LIMIT**2
+    assert math.factorial(10) <= cap < math.factorial(11)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_card_closed_form_matches_dense_svd(N):
+    gap, tau = cg.ChainSpec("cardshuffle", N).closed_form()
+    dense_gap, dense_tau = cg.spectral_gap(cg.card_chain(N))
+    assert gap == pytest.approx(dense_gap, rel=1e-13, abs=0)
+    assert tau == pytest.approx(dense_tau, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_card_blocks_repeated_by_dimension_give_the_dense_spectrum(N):
+    values = [
+        v
+        for _, block in families._card_blocks(N)
+        for v in np.linalg.svd(block, compute_uv=False)
+        for _ in range(block.shape[0])
+    ]
+    dense = cg.weighted_singular_spectrum(cg.card_chain(N)).values
+    assert len(values) == math.factorial(N)
+    assert np.abs(np.sort(values) - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_young_orthogonal_form_is_a_representation(N):
+    dims = []
+    for shape, factors in families._young_orthogonal_form(N):
+        assert sum(shape) == N and list(shape) == sorted(shape, reverse=True)
+        d = factors[0][0].size
+        dims.append(d)
+        eye = np.eye(d)
+        rho = [families._apply_factor(f, eye) for f in factors]
+        for k, t in enumerate(rho):
+            assert np.abs(t @ t - eye).max() <= 1e-13
+            if k + 1 < len(rho):
+                braid = np.linalg.matrix_power(t @ rho[k + 1], 3)
+                assert np.abs(braid - eye).max() <= 1e-13
+            for u in rho[k + 2 :]:
+                assert np.abs(t @ u - u @ t).max() <= 1e-13
+    assert sum(d * d for d in dims) == math.factorial(N)
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZE_SPECS))

@@ -27,6 +27,7 @@ def _load(name):
         ("circle", ["circle_lazy_right.csv"]),
         ("torus", ["torus_half.csv", "torus_irr.csv"]),
         ("doubling", ["doubling.csv"]),
+        ("card", ["card.csv"]),
     ],
 )
 def test_run_scaling_closed_form_tables(tmp_path, capsys, only, reports):
