@@ -14,8 +14,9 @@ transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,12 +44,22 @@ class FiniteChain:
         irreducible: positive-entry digraph is strongly connected.
         unique_stationary: exactly one communicating class is closed, so
             the kernel of (P^T - I) is one-dimensional.
+
+    A group walk with uniform mu also carries ``_blocks``, a zero-argument
+    callable returning a generator of the real blocks K of P in stacks of
+    one size: P is unitarily equivalent to the direct sum of the blocks,
+    each repeated, and of the constants' 1 x 1 block, which is left out.
+    empirical._deviations reads it. It is None on every other chain, and
+    is not compared.
     """
 
     transition: np.ndarray
     stationary: np.ndarray
     irreducible: bool
     unique_stationary: bool
+    _blocks: Callable[[], Iterator[np.ndarray]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def size(self) -> int:
@@ -242,7 +253,8 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     """The chain theta*I + (1 - theta)*P that holds with probability theta.
 
     Scales the generator by (1 - theta), so every singular value of L,
-    and in particular the gap, scales by exactly (1 - theta).
+    and in particular the gap, scales by exactly (1 - theta). A chain's
+    blocks K become theta I + (1 - theta) K.
     """
     if not 0.0 <= hold < 1.0:
         raise ValueError(f"hold probability must be in [0, 1), got {hold}")
@@ -251,5 +263,12 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     P = hold * np.eye(chain.size) + (1.0 - hold) * chain.transition
     # Self-loops change neither the communicating classes nor mu, so the
     # flags carry over.
-    return replace(chain, transition=_freeze(P))
+    blocks = chain._blocks and partial(_lazy_blocks, chain._blocks, hold)
+    return replace(chain, transition=_freeze(P), _blocks=blocks)
+
+
+def _lazy_blocks(blocks: Callable[[], Iterator[np.ndarray]], hold: float):
+    """The stacks of ``blocks()``, each K mapped to hold I + (1 - hold) K."""
+    for stack in blocks():
+        yield hold * np.eye(stack.shape[-1]) + (1.0 - hold) * stack
 

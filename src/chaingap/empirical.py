@@ -19,6 +19,13 @@ of a gram formed alone, so the stacking moves no bit. delta_curve and
 delta_exact also take the eigenvector (the maximizer); the bound audit
 takes eigenvalues only, and its values equal delta_curve's bit for bit.
 
+The doubling and card-shuffle chains carry their blocks K (families):
+mu is uniform and P is unitarily equivalent to the direct sum of the
+blocks, so M_n splits into the same blocks, and Delta_n is taken from
+the grams of the blocks, the constants' left out, with no N x N array.
+Their maximizers still come from the dense gram, and every route
+reports the block value (_deviations).
+
 Every randomized routine keys numpy's Philox4x64-10 with the one seed
 rule (seed mod 2^64, stream), so any integer seed runs and a seed in
 [0, 2^64) keys what Philox(key=np.uint64(seed)) keys. Monte Carlo
@@ -94,6 +101,89 @@ class DeltaCurve:
 def _deviations(chain: FiniteChain, ns, maximizer: bool):
     """Yield (n, Delta_n, g) for the sorted distinct n >= 1 in ns.
 
+    n^2 Delta_n^2 is the top eigenvalue of n^2 M_n = n I + A + A^T on the
+    mean-zero functions, A = sum_{k<n} (n - k) P^k in the conjugated
+    coordinates (_dense_deviations). A chain that carries blocks K takes
+    the block route (_block_tops): n^2 Delta_n^2 is the largest top
+    eigenvalue over the blocks of n I + A_K + A_K^T, A_K formed from K as A
+    is from P, and no N x N array is touched. This is exact: mu is
+    uniform, so the conjugation is the identity and P is unitarily
+    equivalent to the direct sum of the blocks, each repeated; n^2 M_n is
+    a polynomial in P and P^T (= P^*, P being real), so it splits into
+    the same blocks, and the constants' block, left out, is the deflated
+    direction. M_n(K^T) = M_n(K)^T has the same eigenvalues, so whether a
+    block acts on columns or rows does not matter, and a half-turn that
+    commutes with K commutes with M_n(K), so splitting a block by it
+    keeps the spectrum. g, the maximizing test function when maximizer
+    is true, else None, always comes from the dense gram; on a block
+    chain its dense value is dropped for the block value, so delta_curve,
+    delta_exact and the bound audit report the same bits.
+    """
+    if chain._blocks is None:
+        yield from _dense_deviations(chain, ns, maximizer)
+        return
+    tops = _block_tops(chain._blocks, ns)
+    dense = _dense_deviations(chain, ns, True) if maximizer else ((n, 0.0, None) for n in ns)
+    for (n, _, g), top in zip(dense, tops):
+        yield n, _top_to_delta(top, n), g
+
+
+def _top_to_delta(top: float, n: int):
+    """Delta_n from the top eigenvalue of n^2 M_n on sqrt(mu)-perp.
+
+    M_1 is the identity there, so Delta_1 = 1; an eigenvalue of M_n below
+    tol.DELTA_SQ_FLOOR is a zero, and Delta_n is at most 1.
+    """
+    top /= n * n
+    if n == 1:
+        top = 1.0
+    elif top < tol.DELTA_SQ_FLOOR:
+        top = 0.0
+    return min(np.sqrt(max(top, 0.0)), 1.0)
+
+
+def _block_tops(blocks, ns) -> list[float]:
+    """The top eigenvalue of n^2 M_n on sqrt(mu)-perp for each n in ns, from the blocks.
+
+    ``blocks()`` yields stacks of blocks K of one size. Each stack runs
+    its own powers and running sums, as _dense_deviations does for P, and
+    the grams n I + A_K + A_K^T of consecutive n go to one eigvalsh call,
+    with no more than tol.BLOCK_ENTRIES entries in the grams and their
+    one temporary (a single n excepted). A stack is done before the
+    next is built.
+    """
+    ns = np.asarray(ns)
+    best = np.full(len(ns), -np.inf)
+    for K in blocks():
+        diag = np.arange(K.shape[-1])
+        bk = np.zeros_like(K)
+        bk[:, diag, diag] = 1.0
+        spare = np.empty_like(K)
+        ssum = np.zeros_like(K)
+        sum_of_sums = np.zeros_like(K)
+        k = 0
+        per = max(1, tol.BLOCK_ENTRIES // (2 * K.size))
+        stack = np.empty((min(per, len(ns)),) + K.shape)
+        for first in range(0, len(ns), per):
+            chunk = ns[first : first + per]
+            grams = stack[: len(chunk)]
+            for gram, n in zip(grams, chunk):
+                while k < n - 1:
+                    k += 1
+                    np.matmul(bk, K, out=spare)
+                    bk, spare = spare, bk
+                    ssum += bk
+                    sum_of_sums += ssum
+                np.add(sum_of_sums, sum_of_sums.swapaxes(1, 2), out=gram)
+            grams[:, :, diag, diag] += chunk[:, None, None]
+            top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
+            np.maximum(best[first : first + len(chunk)], top, out=best[first : first + len(chunk)])
+    return best.tolist()
+
+
+def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
+    """_deviations from the dense N x N grams.
+
     Works in the conjugated coordinates B = D^{1/2} P D^{-1/2}, where
     d = sqrt(mu) is a left and right eigenvector of B with eigenvalue 1.
     There n^2 M_n = n I + A + A^T with A = sum_{k<n} (n - k) B^k, which is
@@ -144,13 +234,7 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
                 # is degenerate across the whole spectrum, as for I - 2 d d^T
                 w, vec = np.linalg.eigh(gram)
                 top, u = float(w[-1]), vec[:, -1]
-            top /= n * n
-            if n == 1:
-                top = 1.0  # M_1 is the identity on sqrt(mu)-perp
-            elif top < tol.DELTA_SQ_FLOOR:
-                top = 0.0
-            value = min(np.sqrt(max(top, 0.0)), 1.0)
-            yield n, value, u / d if maximizer else None
+            yield n, _top_to_delta(top, n), u / d if maximizer else None
 
 
 def _deviation_values(chain: FiniteChain, n_max: int) -> np.ndarray:

@@ -14,7 +14,10 @@ gets its gap from one small block per orbit of m -> 2m mod N. The card
 shuffle is a walk on S_N: closed_form() gets its gap from one block per
 irreducible representation, in Young's orthogonal form, up to 10 cards,
 and card_chain (up to 7) stays as the dense oracle. Only explicit
-chains have no closed form.
+chains have no closed form. One generator per group walk yields these
+blocks (_doubling_blocks, _card_blocks), and the gap and Delta_n share
+it: cdg_chain and card_chain carry it, and empirical takes their Delta_n
+curves from the blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -240,34 +244,36 @@ def cdg_chain(N: int) -> FiniteChain:
 
     Requires odd N >= 3 (so that doubling is a bijection and the chain
     is doubly stochastic). Irreducible for every odd N: n steps reach a
-    full interval of width 2^{n+1} - 1 around 2^n x.
+    full interval of width 2^{n+1} - 1 around 2^n x. The chain carries
+    its blocks (_doubling_blocks), built only when a Delta_n curve asks.
     """
     _require_odd_modulus(N)
     P = _dense_zeros(N)
     x = np.arange(N)
     for e in (-1, 0, 1):
         P[x, (2 * x + e) % N] += 1.0 / 3.0
-    return build_chain(P, stationary=np.full(N, 1.0 / N))
+    chain = build_chain(P, stationary=np.full(N, 1.0 / N))
+    return replace(chain, _blocks=partial(_doubling_blocks, N))
 
 
-def _doubling_gap(N: int) -> tuple[float, float]:
-    """(gap, tau) of cdg_chain(N) from small blocks on the orbits of m -> 2m.
+def _doubling_blocks(N: int):
+    """Yield the nontrivial blocks K of cdg_chain(N), as stacks of one size.
 
     On the characters chi_m(x) = e^{2 pi i m x / N} the chain acts as
     P chi_m = c_m chi_{2m}, with c_m = (1 + 2 cos(2 pi m / N)) / 3 the
-    (real) character of the noise law. So I - P is unitarily similar to
-    the direct sum over the orbits m, 2m, ..., 2^{r-1} m of the real
-    r x r blocks I - K, K the cyclic shift weighted by c along the orbit,
-    and gamma is the least sigma_min(I - K) over the nonzero orbits.
+    (real) character of the noise law. So P is unitarily similar to the
+    direct sum over the orbits m, 2m, ..., 2^{r-1} m of the real r x r
+    blocks K, the cyclic shift weighted by c along the orbit
+    (K e_j = c_j e_{j+1}); the orbit of m = 0, the constants, is left out.
     c_m is computed from min(m, N - m), so c_{-m} = c_m bitwise: the
     orbit of -m has the same block and is skipped, and an orbit that
     holds -m = 2^p m has weights of period p, so the half-turn
-    e_j -> e_{j+p} splits its block into two p x p cyclic blocks whose
-    wrap weight is +c and -c. Blocks of one size go to the SVD together,
-    at most tol.BLOCK_ENTRIES entries at a time, twice that when every orbit
-    splits (the blocks of one orbit excepted). The longest orbit has
-    ord_N(2) states; past DENSE_LIMIT it is refused before anything is
-    allocated, as is N past DENSE_LIMIT**2 (the labels are N-long arrays).
+    e_j -> e_{j+p}, which commutes with K, splits its block into two
+    p x p cyclic blocks whose wrap weight is +c and -c. A stack holds at
+    most tol.BLOCK_ENTRIES entries (a single block excepted), and only one
+    batch of orbits is built at a time. The longest orbit has ord_N(2)
+    states; past DENSE_LIMIT it is refused before anything is allocated,
+    as is N past DENSE_LIMIT**2 (the labels are N-long arrays).
     """
     _require_odd_modulus(N)
     _require_entries(N, "frequencies")
@@ -285,7 +291,6 @@ def _doubling_gap(N: int) -> tuple[float, float]:
         jump, span = jump[jump], 2 * span
     reps, counts = np.unique(label, return_counts=True)
     reps, periods = reps[1:], counts[1:] // 2  # the orbits of +-m hold 2p states
-    gap, sigma_max = np.inf, 0.0
     for p in np.unique(periods).tolist():
         starts, diag = reps[periods == p], np.arange(p)
         per_batch = max(1, tol.BLOCK_ENTRIES // (p * p))
@@ -299,12 +304,25 @@ def _doubling_gap(N: int) -> tuple[float, float]:
             c = (1.0 + 2.0 * np.cos(2.0 * np.pi * phase / N)) / 3.0
             c = np.concatenate([c, c[half_turn]])
             c[orbit.shape[0] :, -1] *= -1.0  # the wrap weight of the odd half
-            blocks = np.zeros((c.shape[0], p, p))
-            blocks[:, diag, diag] = 1.0
-            blocks[:, (diag + 1) % p, diag] -= c  # K e_j = c_j e_{j+1}
-            values = np.linalg.svd(blocks, compute_uv=False)
-            gap = min(gap, float(values.min()))
-            sigma_max = max(sigma_max, float(values.max()))
+            for at in range(0, c.shape[0], per_batch):
+                weights = c[at : at + per_batch]
+                blocks = np.zeros((weights.shape[0], p, p))
+                blocks[:, (diag + 1) % p, diag] = weights  # K e_j = c_j e_{j+1}
+                yield blocks
+
+
+def _doubling_gap(N: int) -> tuple[float, float]:
+    """(gap, tau) of cdg_chain(N) from the blocks of _doubling_blocks.
+
+    I - P is unitarily similar to the direct sum of the blocks I - K, so
+    gamma is the least sigma_min(I - K) over the nonzero orbits, and
+    sigma_max the largest over them (the orbit of 0 gives 0).
+    """
+    gap, sigma_max = np.inf, 0.0
+    for blocks in _doubling_blocks(N):
+        values = np.linalg.svd(np.eye(blocks.shape[1]) - blocks, compute_uv=False)
+        gap = min(gap, float(values.min()))
+        sigma_max = max(sigma_max, float(values.max()))
     return gap, relaxation_time(gap, sigma_max)
 
 
@@ -334,7 +352,8 @@ def card_chain(N: int) -> FiniteChain:
     by lexicographic (Lehmer-code) rank, top card first. Doubly
     stochastic since every move permutes the deck. The dense oracle of
     _card_gap: past DENSE_LIMIT states (N > 7) it is refused before the
-    decks are listed.
+    decks are listed. The chain carries its blocks (_card_blocks), built
+    only when a Delta_n curve asks.
     """
     size = _require_deck(N)
     P = _dense_zeros(size)
@@ -345,7 +364,8 @@ def card_chain(N: int) -> FiniteChain:
         P[i, i] += 1.0 / 3.0
         P[i, rank[(deck[1], deck[0]) + deck[2:]]] += 1.0 / 3.0
         P[i, rank[(deck[-1],) + deck[:-1]]] += 1.0 / 3.0
-    return build_chain(P, stationary=np.full(size, 1.0 / size))
+    chain = build_chain(P, stationary=np.full(size, 1.0 / size))
+    return replace(chain, _blocks=partial(_card_blocks, N))
 
 
 def _young_orthogonal_form(N: int):
@@ -398,40 +418,43 @@ def _apply_factor(factor, M: np.ndarray) -> np.ndarray:
 
 
 def _card_blocks(N: int):
-    """Yield (lambda, I - K_lambda) for each partition lambda of N.
+    """Yield K_lambda for each partition lambda != (N) of N, each as a stack of one.
 
     A move permutes positions, deck -> deck o pi, with pi the identity,
     t_0 (swap the top two cards) or c = t_{N-2} o ... o t_0 (bottom card
     to the top), each with probability 1/3; K_lambda = (I + rho(t_0) +
     rho(c)) / 3. rho(c) is formed by applying each rho(t_k) in turn, with
-    no dense d x d product.
+    no dense d x d product. The walk is invariant under the right action
+    of S_N and mu is uniform, so P is unitarily equivalent to the direct
+    sum of the K_lambda, each repeated d_lambda times; K_(N) = 1 is the
+    constants and is left out.
     """
     for shape, factors in _young_orthogonal_form(N):
+        if len(shape) == 1:
+            continue
         eye = np.eye(factors[0][0].size)
         swap = cycle = _apply_factor(factors[0], eye)
         for factor in factors[1:]:
             cycle = _apply_factor(factor, cycle)
-        yield shape, eye - (eye + swap + cycle) / 3.0
+        yield ((eye + swap + cycle) / 3.0)[None]
 
 
 def _card_gap(N: int) -> tuple[float, float]:
     """(gap, tau) of card_chain(N) from one block per irreducible representation of S_N.
 
-    The walk is invariant under the right action of S_N and mu is uniform,
-    so I - P is unitarily equivalent to the direct sum of the blocks
-    I - K_lambda of _card_blocks, each repeated d_lambda times. gamma is
-    the least sigma_min(I - K_lambda) over lambda != (N), whose 1 x 1
-    block is the zero singular value, and sigma_max is taken over every
-    block. The blocks hold sum d_lambda^2 = N! entries together, so a deck
-    with N! past DENSE_LIMIT**2 (N > 10) is refused before any array.
+    I - P is unitarily equivalent to the direct sum of the blocks
+    I - K_lambda of _card_blocks, each repeated d_lambda times, and the
+    zero of the trivial block. gamma is the least sigma_min(I - K_lambda)
+    over lambda != (N), and sigma_max the largest. The blocks hold
+    sum d_lambda^2 = N! entries together, so a deck with N! past
+    DENSE_LIMIT**2 (N > 10) is refused before any array.
     """
     _require_deck(N)
     gap, sigma_max = np.inf, 0.0
-    for shape, block in _card_blocks(N):
-        values = np.linalg.svd(block, compute_uv=False)
+    for block in _card_blocks(N):
+        values = np.linalg.svd(np.eye(block.shape[1]) - block, compute_uv=False)
         sigma_max = max(sigma_max, float(values.max()))
-        if len(shape) > 1:
-            gap = min(gap, float(values.min()))
+        gap = min(gap, float(values.min()))
     return gap, relaxation_time(gap, sigma_max)
 
 

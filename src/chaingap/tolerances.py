@@ -49,8 +49,9 @@ DENSE_LIMIT = 6000
 # Monte Carlo draw buffer holds more than this many entries (512 KiB of
 # float64), nor do the Philox rounds that fill a block's draws, or a stack
 # of deviation grams and its temporary, between them.
-# families._character_gap reduces its frequency grid, and _doubling_gap
-# sends its orbit blocks to the SVD, in blocks of this many entries;
+# families._character_gap reduces its frequency grid, and _doubling_blocks
+# stacks its orbit blocks, in blocks of this many entries, and
+# empirical._block_tops its block grams with their temporary;
 # experiments._ensemble_taus draws as many walks as fill one such block;
 # bounds.cheeger_exact scores this many pairs of half-subsets per GEMM and
 # rescores at most this many masks at once.

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.linalg.lapack import dsyevx
@@ -197,6 +197,11 @@ def householder_curve(chain, ns):
         yield n, value, gram, basis
 
 
+def explicit_twin(chain):
+    """The same matrix and uniform mu as an explicit chain, which carries no blocks."""
+    return cg.build_chain(chain.transition, stationary=np.full(chain.size, 1.0 / chain.size))
+
+
 KERNEL_CHAINS = {
     "birth-death-21-0.9": lambda: cg.build_chain(birth_death_matrix(21, 0.9)),
     "birth-death-40-0.75": lambda: cg.build_chain(birth_death_matrix(40, 0.75)),
@@ -206,9 +211,18 @@ KERNEL_CHAINS = {
     "bipartite-skewed": lambda: cg.build_chain(
         bipartite_walk_matrix([[1e4, 0.3, 1.0], [0.2, 1.0, 0.7]])
     ),
-    "cdg-31": lambda: cg.cdg_chain(31),
-    "cdg-101": lambda: cg.cdg_chain(101),
+    "cdg-31": lambda: explicit_twin(cg.cdg_chain(31)),
+    "cdg-101": lambda: explicit_twin(cg.cdg_chain(101)),
     "uniform-200": lambda: cg.build_chain(np.full((200, 200), 1.0 / 200)),
+}
+
+# The family-built group walks, which carry their blocks: their Delta_n
+# values come from the blocks, their maximizers from the dense gram.
+BLOCK_CHAINS = {
+    "cdg-family-31": lambda: cg.cdg_chain(31),
+    "cdg-family-101": lambda: cg.cdg_chain(101),
+    "cdg-family-201": lambda: cg.cdg_chain(201),
+    "card-family-5": lambda: cg.card_chain(5),
 }
 
 
@@ -297,10 +311,78 @@ def test_stacked_grams_match_lone_grams_bitwise(name, monkeypatch):
         assert np.array_equal(point.maximizer, g), point.n
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS | BLOCK_CHAINS))
 def test_audit_values_equal_curve_values_on_kernel_chains(name):
-    chain = KERNEL_CHAINS[name]()
+    chain = (KERNEL_CHAINS | BLOCK_CHAINS)[name]()
     assert np.array_equal(_deviation_values(chain, 40), _curve_values(chain, 40))
+
+
+def assert_block_curve_matches_explicit_twin(chain, n_max=60):
+    want = _deviation_values(explicit_twin(chain), n_max)
+    got = _deviation_values(chain, n_max)
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-12
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 200).map(lambda h: 2 * h + 1))
+@example(5)  # orbits that hold -m, split by the half-turn
+@example(11)
+@example(7)  # orbits of m and -m apart
+@example(31)
+def test_doubling_block_curve_matches_dense_curve(N):
+    assert_block_curve_matches_explicit_twin(cg.cdg_chain(N))
+
+
+TWINNED_BLOCK_CHAINS = {
+    **{f"card-{N}": lambda N=N: cg.card_chain(N) for N in (3, 4, 5, 6)},
+    # lazy must map the blocks too, or the curve is the eager chain's
+    "lazy-card-4": lambda: cg.lazy(cg.card_chain(4), 0.3),
+    "lazy-cdg-11": lambda: cg.lazy(cg.cdg_chain(11), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWINNED_BLOCK_CHAINS))
+def test_block_curve_matches_dense_curve(name):
+    assert_block_curve_matches_explicit_twin(TWINNED_BLOCK_CHAINS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_block_chain_maximizers_are_the_dense_ones(name):
+    chain = BLOCK_CHAINS[name]()
+    ns = [1, 2, 3, 7, 8, 30]
+    twin = cg.delta_curve(explicit_twin(chain), ns).entries
+    for point, want in zip(cg.delta_curve(chain, ns).entries, twin):
+        assert np.array_equal(point.maximizer, want.maximizer), point.n
+        assert point.delta_exact == cg.delta_exact(chain, point.n)[0], point.n
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_block_values_do_not_depend_on_the_stacks(name, monkeypatch):
+    chain = BLOCK_CHAINS[name]()
+    want = _deviation_values(chain, 30)
+    # one block per stack and one n per eigvalsh call
+    monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", 1)
+    assert np.array_equal(_deviation_values(chain, 30), want)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_audit_on_a_block_chain_forms_no_dense_gram(name, monkeypatch):
+    chain = BLOCK_CHAINS[name]()
+
+    def refuse(fn):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (chain.size, chain.size):
+                raise AssertionError("an N x N input")
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(empirical, "dsyevx", refuse(empirical.dsyevx))
+    monkeypatch.setattr(empirical, "_conjugated", refuse(empirical._conjugated))
+    audit = cg.delta_bounds_audit(chain, 40)
+    assert audit.checks
+    with pytest.raises(AssertionError, match="an N x N input"):
+        cg.delta_exact(chain, 5)  # the maximizer still comes from the dense gram
 
 
 def test_audit_values_equal_curve_values_on_battery(battery):

@@ -474,11 +474,12 @@ def test_card_closed_form_matches_dense_svd(N):
 
 @pytest.mark.parametrize("N", [4, 5])
 def test_card_blocks_repeated_by_dimension_give_the_dense_spectrum(N):
-    values = [
+    # the trivial block I - K_(N) = 0 is not yielded; it is the one zero
+    values = [0.0] + [
         v
-        for _, block in families._card_blocks(N)
-        for v in np.linalg.svd(block, compute_uv=False)
-        for _ in range(block.shape[0])
+        for K in families._card_blocks(N)
+        for v in np.linalg.svd(np.eye(K.shape[1]) - K[0], compute_uv=False)
+        for _ in range(K.shape[1])
     ]
     dense = cg.weighted_singular_spectrum(cg.card_chain(N)).values
     assert len(values) == math.factorial(N)
