@@ -23,12 +23,7 @@ from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
 from .chains import FiniteChain, _bfs_tree, period
 from .empirical import _philox_key
-from .errors import (
-    MixingCapExceeded,
-    NoPathExists,
-    NotIrreducible,
-    TooLargeForEnumeration,
-)
+from .errors import MixingCapExceeded, NotIrreducible, TooLargeForEnumeration
 from .spectral import _reversibilized_gaps, pseudo_spectral_gap, relaxation_time, spectral_gap
 
 __all__ = [
@@ -330,22 +325,21 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
 def _bfs_congestion(chain: FiniteChain) -> float:
     """B = max_e (1/Q(e)) sum_{paths through e} mu(x) mu(y) |path| over BFS paths.
 
-    The paths are shortest directed paths in E = {(x, y): Q(x, y) > 0},
-    ties resolved lexicographically. The path from s to t crosses the tree
-    edge (pred[v], v) exactly when t is in the subtree of v, and has
-    depth(t) edges: from source s that edge carries
-    mu(s) sum_{t in subtree(v)} mu(t) depth(t). No path is built.
+    The paths are shortest directed paths in E = {(x, y): P(x, y) > 0},
+    ties resolved lexicographically; an irreducible chain connects every
+    pair. The path from s to t crosses the tree edge (pred[v], v) exactly
+    when t is in the subtree of v, and has depth(t) edges: from source s
+    that edge carries mu(s) sum_{t in subtree(v)} mu(t) depth(t). No path
+    is built. An edge whose Q(e) = mu(x) P(x, y) underflows to zero has
+    congestion inf, and gamma >= 1/B = 0 still holds.
     """
     n = chain.size
     q = chain.edge_measure()
     mu = chain.stationary.tolist()
-    graph = csr_matrix(q > 0, dtype=float)
+    graph = csr_matrix(chain.transition > 0, dtype=float)
     heads, tails, loads = [], [], []
     for s in range(n):
         order, pred, depth = _bfs_tree(graph, s)
-        if len(order) < n:
-            t = min(set(range(n)) - set(order))
-            raise NoPathExists(f"no directed path from {s} to {t}")
         subtree = [m * d for m, d in zip(mu, depth)]
         for v in reversed(order[1:]):
             subtree[pred[v]] += subtree[v]
@@ -355,7 +349,10 @@ def _bfs_congestion(chain: FiniteChain) -> float:
     edges = np.array(heads) * n + np.array(tails)
     used = np.unique(edges)
     load = np.bincount(edges, weights=loads, minlength=n * n)[used]
-    return float((load / q.ravel()[used]).max())
+    weight = q.ravel()[used]
+    if (weight == 0).any():
+        return math.inf  # a tree edge whose mu(x) P(x, y) underflowed
+    return float((load / weight).max())
 
 
 def path_bound(chain: FiniteChain) -> PathBoundResult:

@@ -46,11 +46,13 @@ class FiniteChain:
             the kernel of (P^T - I) is one-dimensional.
 
     A group walk with uniform mu also carries ``_blocks``, a zero-argument
-    callable returning a generator of the real blocks K of P in stacks of
-    one size: P is unitarily equivalent to the direct sum of the blocks,
-    each repeated, and of the constants' 1 x 1 block, which is left out.
-    empirical._deviations reads it. It is None on every other chain, and
-    is not compared.
+    callable returning a generator of the blocks K of P in stacks of one
+    size: P is unitarily equivalent to the direct sum of the blocks, each
+    repeated, and of the constants' 1 x 1 block, which is left out. The
+    blocks are real, or complex 1 x 1 characters lambda_m on a circulant
+    or torus walk, one of each conjugate pair (lambda_{-m} is
+    conj(lambda_m)). empirical._deviations reads it. It is None on every
+    other chain, and is not compared.
     """
 
     transition: np.ndarray

@@ -26,7 +26,8 @@ from typing import NoReturn
 from .bounds import _require_iters, cheeger_exact, cheeger_search, inequality_audit, path_bound
 from .chains import FiniteChain
 from .empirical import (
-    DeltaCurve, DeltaPoint, _monte_carlo, _require_reps, delta_bounds_audit, delta_curve,
+    DeltaCurve, DeltaPoint, _curve_ns, _deviations, _monte_carlo, _require_reps,
+    delta_bounds_audit, delta_curve,
 )
 from .errors import ChainError, TooLarge
 from .experiments import emit_report, random_steps_ensemble, render_report, scan
@@ -86,14 +87,19 @@ def cmd_delta(args) -> int:
             _usage("--trials draws trajectories; give an explicit --seed")
         _require_reps(args.trials)
     _, chain = _chain(args)
-    curve = delta_curve(chain, range(1, args.n_max + 1))
+    ns = range(1, args.n_max + 1)
     if args.trials:
+        curve = delta_curve(chain, ns)
         points = [(e.n, e.maximizer) for e in curve.entries]
         mc = _monte_carlo(chain, points, args.trials, args.seed)
         curve = DeltaCurve(entries=tuple(
             DeltaPoint(n=e.n, delta_exact=e.delta_exact, delta_mc=est, mc_stderr=se)
             for e, (est, se) in zip(curve.entries, mc)
         ))
+    else:
+        # the report has no maximizer column, so only the draws need one
+        exact = _deviations(chain, _curve_ns(chain, ns), False)
+        curve = DeltaCurve(entries=tuple(DeltaPoint(n, value) for n, value, _ in exact))
     _write(args, curve, "csv")
     return 0
 

@@ -19,12 +19,16 @@ of a gram formed alone, so the stacking moves no bit. delta_curve and
 delta_exact also take the eigenvector (the maximizer); the bound audit
 takes eigenvalues only, and its values equal delta_curve's bit for bit.
 
-The doubling and card-shuffle chains carry their blocks K (families):
-mu is uniform and P is unitarily equivalent to the direct sum of the
-blocks, so M_n splits into the same blocks, and Delta_n is taken from
-the grams of the blocks, the constants' left out, with no N x N array.
-Their maximizers still come from the dense gram, and every route
-reports the block value (_deviations).
+The group walks carry their blocks K (families): real orbit blocks for
+the doubling chain, one block per irreducible representation for the
+card shuffle, and the 1 x 1 complex characters lambda_m for circulant
+and torus walks. mu is uniform and P is unitarily equivalent to the
+direct sum of the blocks, so M_n splits into the same blocks, and
+Delta_n is taken from the grams of the blocks, the constants' left out,
+with no N x N array; a chunk of consecutive powers is formed at a time,
+and its running sums by cumsum in the additions' own order. Their
+maximizers still come from the dense gram, and every route reports the
+block value (_deviations).
 
 Every randomized routine keys numpy's Philox4x64-10 with the one seed
 rule (seed mod 2^64, stream), so any integer seed runs and a seed in
@@ -105,19 +109,26 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
     mean-zero functions, A = sum_{k<n} (n - k) P^k in the conjugated
     coordinates (_dense_deviations). A chain that carries blocks K takes
     the block route (_block_tops): n^2 Delta_n^2 is the largest top
-    eigenvalue over the blocks of n I + A_K + A_K^T, A_K formed from K as A
+    eigenvalue over the blocks of n I + A_K + A_K^H, A_K formed from K as A
     is from P, and no N x N array is touched. This is exact: mu is
-    uniform, so the conjugation is the identity and P is unitarily
-    equivalent to the direct sum of the blocks, each repeated; n^2 M_n is
-    a polynomial in P and P^T (= P^*, P being real), so it splits into
-    the same blocks, and the constants' block, left out, is the deflated
-    direction. M_n(K^T) = M_n(K)^T has the same eigenvalues, so whether a
-    block acts on columns or rows does not matter, and a half-turn that
-    commutes with K commutes with M_n(K), so splitting a block by it
-    keeps the spectrum. g, the maximizing test function when maximizer
-    is true, else None, always comes from the dense gram; on a block
-    chain its dense value is dropped for the block value, so delta_curve,
-    delta_exact and the bound audit report the same bits.
+    uniform, so the conjugation is the identity, and P = U (sum of the
+    blocks, each repeated) U^H with U unitary. n^2 M_n = n I + A + A^H
+    (P real, so A^T = A^H), and A is a polynomial in P, so
+    U^H A U = sum of the A_K and, K^H being the block of P^H = P^T,
+    U^H (n^2 M_n) U = sum of the n I + A_K + A_K^H: M_n splits with K and
+    K^H, over complex blocks as over real ones, and the constants' block,
+    left out, is the deflated direction. Real g suffices, since the top
+    eigenvalue of the real symmetric n^2 M_n has a real eigenvector. A 1 x 1
+    character block gives n + 2 Re sum_{k<n} (n - k) lambda^k, and
+    lambda_{-m} = conj(lambda_m) gives the same, so one character of each
+    conjugate pair stands for both. M_n(K^T) = M_n(K)^T has the same
+    eigenvalues, so whether a real block acts on columns or rows does not
+    matter, and a half-turn that commutes with K commutes with M_n(K), so
+    splitting a block by it keeps the spectrum. g, the maximizing test
+    function when maximizer is true, else None, always comes from the
+    dense gram; on a block chain its dense value is dropped for the block
+    value, so delta_curve, delta_exact and the bound audit report the
+    same bits.
     """
     if chain._blocks is None:
         yield from _dense_deviations(chain, ns, maximizer)
@@ -145,39 +156,52 @@ def _top_to_delta(top: float, n: int):
 def _block_tops(blocks, ns) -> list[float]:
     """The top eigenvalue of n^2 M_n on sqrt(mu)-perp for each n in ns, from the blocks.
 
-    ``blocks()`` yields stacks of blocks K of one size. Each stack runs
-    its own powers and running sums, as _dense_deviations does for P, and
-    the grams n I + A_K + A_K^T of consecutive n go to one eigvalsh call,
-    with no more than tol.BLOCK_ENTRIES entries in the grams and their
-    one temporary (a single n excepted). A stack is done before the
-    next is built.
+    ``blocks()`` yields stacks of blocks K of one size, real or complex.
+    Each stack runs its own powers and running sums, as _dense_deviations
+    does for P, a chunk of consecutive k at a time: one matmul per k puts
+    K^k into the chunk's array, behind the carried S_{k0-1}, and a cumsum
+    turns them into S_{k0-1}, ..., S_k; the carried SS_{k0-1} in front,
+    a second cumsum gives SS_{k0-1}, ..., SS_k, SS_j = S_1 + ... + S_j.
+    Each sum takes the additions of a one-k-at-a-time loop, in the same
+    order. The grams n I + A_K + A_K^H, A_K = SS_{n-1}, of every requested
+    n in the chunk go to one eigvalsh call. The chunk's array, its grams
+    and their one temporary hold no more than tol.BLOCK_ENTRIES entries
+    (a single power excepted), and no power past max(ns) - 1 is formed. A
+    stack is done before the next is built.
     """
     ns = np.asarray(ns)
+    top_k = int(ns[-1]) - 1
     best = np.full(len(ns), -np.inf)
     for K in blocks():
         diag = np.arange(K.shape[-1])
         bk = np.zeros_like(K)
         bk[:, diag, diag] = 1.0
-        spare = np.empty_like(K)
-        ssum = np.zeros_like(K)
-        sum_of_sums = np.zeros_like(K)
-        k = 0
-        per = max(1, tol.BLOCK_ENTRIES // (2 * K.size))
-        stack = np.empty((min(per, len(ns)),) + K.shape)
-        for first in range(0, len(ns), per):
-            chunk = ns[first : first + per]
-            grams = stack[: len(chunk)]
-            for gram, n in zip(grams, chunk):
-                while k < n - 1:
-                    k += 1
-                    np.matmul(bk, K, out=spare)
-                    bk, spare = spare, bk
-                    ssum += bk
-                    sum_of_sums += ssum
-                np.add(sum_of_sums, sum_of_sums.swapaxes(1, 2), out=gram)
-            grams[:, :, diag, diag] += chunk[:, None, None]
+        ssum = np.zeros_like(K)  # S_{k0-1}
+        sum_of_sums = np.zeros_like(K)  # SS_{k0-1}
+        per = max(1, tol.BLOCK_ENTRIES // (3 * K.size) - 1)
+        run = np.empty((min(per, top_k) + 1,) + K.shape, dtype=K.dtype)
+        first = 0  # the first n not yet taken
+        for k0 in range(1, max(top_k, 1) + 1, per):
+            count = min(per, top_k + 1 - k0)
+            rows = run[: count + 1]
+            power = bk
+            for j in range(1, count + 1):
+                power = np.matmul(power, K, out=rows[j])
+            np.copyto(bk, power)
+            rows[0] = ssum
+            np.cumsum(rows, axis=0, out=rows)
+            ssum[...] = rows[count]
+            rows[0] = sum_of_sums
+            np.cumsum(rows, axis=0, out=rows)
+            sum_of_sums[...] = rows[count]
+            stop = int(np.searchsorted(ns, k0 + count, side="right"))
+            chunk = ns[first:stop]
+            grams = rows[chunk - k0]  # rows[j] = SS_{k0-1+j}
+            grams += grams.conj().swapaxes(-1, -2)
+            grams[..., diag, diag] += chunk[:, None, None]
             top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
-            np.maximum(best[first : first + len(chunk)], top, out=best[first : first + len(chunk)])
+            np.maximum(best[first:stop], top, out=best[first:stop])
+            first = stop
     return best.tolist()
 
 
@@ -256,14 +280,20 @@ def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
     return value, g
 
 
-def delta_curve(chain: FiniteChain, n_list) -> DeltaCurve:
-    """Batch of delta_exact sharing one power accumulation; n >= 1, at least one."""
+def _curve_ns(chain: FiniteChain, n_list) -> list[int]:
+    """The sorted distinct n of n_list, refused when there are none or one is below 1."""
     _require_spectral(chain)
     ns = sorted({int(n) for n in n_list})
     if not ns:
         raise ValueError("the n list is empty")
     if ns[0] < 1:
         raise ValueError("all n must be >= 1")
+    return ns
+
+
+def delta_curve(chain: FiniteChain, n_list) -> DeltaCurve:
+    """Batch of delta_exact sharing one power accumulation; n >= 1, at least one."""
+    ns = _curve_ns(chain, n_list)
     pts = []
     for n, value, g in _deviations(chain, ns, True):
         g.setflags(write=False)

@@ -34,10 +34,6 @@ class InvalidSteps(ChainError):
     """Circulant step set is empty, non-distinct mod N, or has bad probabilities."""
 
 
-class NoPathExists(ChainError):
-    """Positive-probability edge set does not strongly connect the states."""
-
-
 class BadTestFunction(ChainError):
     """Monte Carlo test function is not mean-zero with unit mu-norm."""
 

@@ -15,9 +15,10 @@ shuffle is a walk on S_N: closed_form() gets its gap from one block per
 irreducible representation, in Young's orthogonal form, up to 10 cards,
 and card_chain (up to 7) stays as the dense oracle. Only explicit
 chains have no closed form. One generator per group walk yields these
-blocks (_doubling_blocks, _card_blocks), and the gap and Delta_n share
-it: cdg_chain and card_chain carry it, and empirical takes their Delta_n
-curves from the blocks.
+blocks (_character_blocks, 1 x 1 complex, for circulant and torus walks;
+_doubling_blocks; _card_blocks), and the gap and Delta_n read the same
+values: every family chain carries its generator, and empirical takes
+its Delta_n curve from the blocks.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
 
     ``axes[j]`` lists the (a, p) pairs of axis j; ``hold`` is the
     probability of staying put. States are in row-major order. The walk
-    is doubly stochastic, so mu is uniform, and normal.
+    is doubly stochastic, so mu is uniform, and normal. The chain carries
+    its characters as 1 x 1 blocks (_character_blocks), built only when a
+    Delta_n curve asks.
     """
     d = len(axes)
     states = N**d
@@ -87,25 +90,25 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
             shifted = coords.copy()
             shifted[axis] = (shifted[axis] + a) % N
             P[idx, np.ravel_multi_index(tuple(shifted), (N,) * d)] += p
-    return build_chain(P, stationary=np.full(states, 1.0 / states))
+    chain = build_chain(P, stationary=np.full(states, 1.0 / states))
+    return replace(chain, _blocks=partial(_character_blocks, N, axes, hold))
 
 
-def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]:
-    """(gap, tau) of each walk in a batch of _abelian_chain walks, from their character sums.
+def _character_sums(N: int, axes, hold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first, tail): the characters of a batch of walks, lambda = first[b, m_1] + tail[b, rest].
 
     ``axes[j]`` is a pair (a, p) of arrays of shape (B, k_j): the residues
     and probabilities of axis j's steps in each of B walks that share N,
     the axis count and ``hold``. Walk b has
     lambda_m = hold + sum_j sum_r p[b, r] e^{2 pi i m_j a[b, r] / N}, each
     term gathered from one table of the N-th roots of unity at the exact
-    residue (m_j a) mod N, and gamma = min over nonzero m of |1 - lambda_m|.
-    Needs no dense matrix, so it runs far beyond the explicit-chain limit.
-    lambda_{-m} is the conjugate of lambda_m, so the first coordinate runs
-    over 0..N//2 only. The frequency grid is reduced in blocks of at most
-    tol.BLOCK_ENTRIES entries, whole walks at a time while a walk fits, into
-    two reused buffers; min and max are exact, so the blocks move no bit.
-    An axis has N frequencies and the other axes N^(d-1) together; past
-    DENSE_LIMIT**2 either is refused before anything is allocated.
+    residue (m_j a) mod N. lambda_{-m} is the conjugate of lambda_m, so
+    the first coordinate runs over 0..N//2 only: ``first`` is hold plus
+    the first axis's sums, shape (B, N//2 + 1), and ``tail`` the other
+    axes' sums over their N^(d-1) frequencies in row-major order (a
+    single zero when d = 1). An axis has N frequencies and the other axes
+    N^(d-1) together; past DENSE_LIMIT**2 either is refused before
+    anything is allocated.
     """
     _require_entries(N ** max(1, len(axes) - 1), "character sums")
     roots = np.exp(2j * np.pi * np.arange(N) / N)
@@ -117,10 +120,24 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
             t += p[:, r, None] * roots[(m * a[:, r, None]) % N]
         terms.append(t)
     first = hold + terms[0]
-    batch, rows = first.shape
-    tail = np.zeros((batch, 1), dtype=complex)  # the other axes' sums, row-major
+    tail = np.zeros((first.shape[0], 1), dtype=complex)  # the other axes' sums, row-major
     for t in terms[1:]:
-        tail = (tail[:, :, None] + t[:, None, :]).reshape(batch, -1)
+        tail = (tail[:, :, None] + t[:, None, :]).reshape(first.shape[0], -1)
+    return first, tail
+
+
+def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]:
+    """(gap, tau) of each walk in a batch of _abelian_chain walks, from their character sums.
+
+    The characters lambda_m are first + tail of _character_sums, and
+    gamma = min over nonzero m of |1 - lambda_m|. Needs no dense matrix,
+    so it runs far beyond the explicit-chain limit. The frequency grid is
+    reduced in blocks of at most tol.BLOCK_ENTRIES entries, whole walks at
+    a time while a walk fits, into two reused buffers; min and max are
+    exact, so the blocks move no bit.
+    """
+    first, tail = _character_sums(N, axes, hold)
+    batch, rows = first.shape
     width = tail.shape[1]
     per_row = max(1, min(rows, tol.BLOCK_ENTRIES // width))
     per_walk = max(1, tol.BLOCK_ENTRIES // (rows * width)) if per_row == rows else 1
@@ -140,6 +157,29 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
                 vals_b[:, 0, 0] = np.inf  # the trivial character m = 0
             np.minimum(gap[walks], vals_b.min(axis=(1, 2)), out=gap[walks])
     return [(g, relaxation_time(g, s)) for g, s in zip(gap.tolist(), sigma_max.tolist())]
+
+
+def _character_blocks(N: int, axes, hold: float):
+    """Yield the nontrivial characters of _abelian_chain(N, axes, hold) as one stack of 1 x 1 blocks.
+
+    The characters chi_m(x) = e^{2 pi i m.x / N} are an orthonormal
+    eigenbasis of the walk, P chi_m = lambda_m chi_m, so P is unitarily
+    similar to the diagonal of the lambda_m; chi_0, the constants, is
+    left out. The values are _character_sums' first + tail, the very bits
+    _character_gap reads. lambda_{-m} = conj(lambda_m), and the stack
+    holds one character of each pair {m, -m}: m itself when its
+    row-major index is at most that of -m.
+    """
+    first, tail = _character_sums(N, [_batch_of_one(steps) for steps in axes], hold)
+    lam = first[0, :, None] + tail[0, None, :]
+    rows, width = lam.shape
+    negated = np.zeros(1, dtype=np.int64)  # the row-major index of -m over the other axes
+    for _ in axes[1:]:
+        negated = (negated[:, None] * N + (-np.arange(N)) % N).ravel()
+    index = np.arange(rows * width).reshape(rows, width)
+    keep = index <= (-np.arange(rows) % N)[:, None] * width + negated
+    keep[0, 0] = False  # the trivial character
+    yield lam[keep].reshape(-1, 1, 1)
 
 
 def _batch_of_one(steps) -> tuple[np.ndarray, np.ndarray]:

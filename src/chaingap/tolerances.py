@@ -51,7 +51,8 @@ DENSE_LIMIT = 6000
 # of deviation grams and its temporary, between them.
 # families._character_gap reduces its frequency grid, and _doubling_blocks
 # stacks its orbit blocks, in blocks of this many entries, and
-# empirical._block_tops its block grams with their temporary;
+# empirical._block_tops forms its chunks of block powers, with their grams
+# and one temporary;
 # experiments._ensemble_taus draws as many walks as fill one such block;
 # bounds.cheeger_exact scores this many pairs of half-subsets per GEMM and
 # rescores at most this many masks at once.

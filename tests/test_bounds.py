@@ -443,6 +443,17 @@ def test_path_bound_uniform3_single_edges():
     assert gap_lower == pytest.approx(1.0, abs=1e-12)
 
 
+def test_path_bound_keeps_an_edge_whose_edge_measure_underflows():
+    # irreducible, but Q(1, 2) = mu(1) P(1, 2) = 2e-330 underflows to 0.0
+    P = [[1 - 1e-300, 1e-300, 0.0], [0.5, 0.5 - 1e-30, 1e-30], [0.0, 1e-30, 1 - 1e-30]]
+    chain = cg.build_chain(P)
+    assert chain.irreducible
+    assert chain.edge_measure()[1, 2] == 0.0
+    congestion, gap_lower = cg.path_bound(chain)
+    assert congestion == math.inf
+    assert gap_lower == 0.0
+
+
 def test_path_bound_rejects_disconnected():
     chain = cg.build_chain([[1.0, 0.0], [0.5, 0.5]])
     with pytest.raises(NotIrreducible):

@@ -162,6 +162,44 @@ def test_delta_command_without_trials_needs_no_seed(walk_spec, capsys):
     assert capsys.readouterr().out.startswith("n,delta_exact,delta_mc,mc_stderr")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "cdg", "N": 101},
+        {"family": "circulant", "N": 24, "steps": [[0, 0.2], [1, 0.5], [-5, 0.3]]},
+        {"family": "torus", "N": 5, "d": 2,
+         "probs": {"hold": 0.1, "plus": [0.4, 0.2], "minus": [0.2, 0.1]}},
+    ],
+)
+def test_delta_command_without_trials_forms_no_dense_gram(spec, tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from chaingap import empirical
+    from chaingap.empirical import DeltaCurve, DeltaPoint, delta_curve
+    from chaingap.experiments import render_report
+    from chaingap.families import ChainSpec
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    chain = ChainSpec.from_json(spec).build()
+    want = render_report(DeltaCurve(tuple(
+        DeltaPoint(e.n, e.delta_exact) for e in delta_curve(chain, range(1, 41)).entries
+    )), "csv")
+
+    def refuse(fn):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (chain.size, chain.size):
+                raise AssertionError("an N x N input")
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(empirical, "dsyevx", refuse(empirical.dsyevx))
+    monkeypatch.setattr(empirical, "_conjugated", refuse(empirical._conjugated))
+    assert main(["delta", "--spec", str(path), "--n-max", "40"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_cheeger_command(flip_spec, capsys):
     assert main(["cheeger", "--spec", flip_spec]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.linalg.lapack import dsyevx
@@ -223,6 +223,9 @@ BLOCK_CHAINS = {
     "cdg-family-101": lambda: cg.cdg_chain(101),
     "cdg-family-201": lambda: cg.cdg_chain(201),
     "card-family-5": lambda: cg.card_chain(5),
+    "circulant-family-24": lambda: cg.circulant_chain(24, [(0, 0.2), (1, 0.5), (-5, 0.3)]),
+    "torus-family-5": lambda: cg.torus_chain(5, 2, cg.TorusProbs(0.1, (0.4, 0.2), (0.2, 0.1))),
+    "lazy-circulant-family-16": lambda: cg.lazy(cg.circulant_chain(16, [(1, 0.7), (3, 0.3)]), 0.4),
 }
 
 
@@ -344,6 +347,101 @@ TWINNED_BLOCK_CHAINS = {
 @pytest.mark.parametrize("name", sorted(TWINNED_BLOCK_CHAINS))
 def test_block_curve_matches_dense_curve(name):
     assert_block_curve_matches_explicit_twin(TWINNED_BLOCK_CHAINS[name]())
+
+
+@st.composite
+def abelian_walks(draw):
+    """Circulant walks (a hold among the steps, even N included), periodic
+    shifts and 2-d tori, each made lazy or not."""
+    kind = draw(st.sampled_from(["circulant", "shift", "torus"]))
+    if kind == "torus":
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))
+        assume(w.sum() > 0.1)
+        w /= w.sum()
+        chain = cg.torus_chain(draw(st.integers(2, 7)), 2, cg.TorusProbs(w[0], w[1:3], w[3:]))
+    else:
+        N = draw(st.integers(2, 40))
+        if kind == "shift":
+            a = draw(st.integers(1, N - 1).filter(lambda a: math.gcd(a, N) == 1))
+            steps = [(a, 1.0)]
+        else:
+            residues = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=4, unique=True))
+            w = draw(st.lists(st.floats(0.05, 1.0), min_size=len(residues), max_size=len(residues)))
+            steps = [(a, p / sum(w)) for a, p in zip(residues, w)]
+        chain = cg.circulant_chain(N, steps)
+    return cg.lazy(chain, draw(st.sampled_from([0.0, 0.3, 0.75])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(abelian_walks())
+@example(cg.circulant_chain(3, [(1, 1.0)]))  # the shift: Delta_n = 0 at every multiple of 3
+@example(cg.circulant_chain(12, [(1, 1.0)]))
+@example(cg.circulant_chain(16, [(0, 0.5), (1, 0.5)]))  # a hold; the real character at N/2
+@example(cg.lazy(cg.circulant_chain(10, [(1, 0.5), (-1, 0.5)]), 0.3))
+@example(cg.torus_chain(6, 2, cg.up_right_probs(0.5)))
+@example(cg.torus_chain(4, 2, cg.TorusProbs(0.2, (0.2, 0.2), (0.2, 0.2))))
+def test_character_curve_matches_dense_curve(chain):
+    want = _deviation_values(explicit_twin(chain), 60)
+    got = _deviation_values(chain, 60)
+    # 1e-13 absolute where the dense value is a rounded zero
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * want, 1e-13))
+
+
+def test_shift_deviation_is_exact():
+    # the shift on Z/3: |sum_{k<29} omega^k| = |1 + omega| = 1, so Delta_29 = 1/29
+    chain = cg.circulant_chain(3, [(1, 1.0)])
+    assert abs(_deviation_values(chain, 29)[-1] - 1.0 / 29.0) <= 1e-15
+
+
+def per_n_block_tops(blocks, ns):
+    """The block evaluator before the powers were formed a chunk at a time,
+    kept as the bitwise reference: one power, one running-sum update and
+    one gram per step, and the grams of one stack of n to one eigvalsh call."""
+    ns = np.asarray(ns)
+    best = np.full(len(ns), -np.inf)
+    for K in blocks():
+        diag = np.arange(K.shape[-1])
+        bk = np.zeros_like(K)
+        bk[:, diag, diag] = 1.0
+        spare = np.empty_like(K)
+        ssum = np.zeros_like(K)
+        sum_of_sums = np.zeros_like(K)
+        k = 0
+        per = max(1, cg.tolerances.BLOCK_ENTRIES // (2 * K.size))
+        stack = np.empty((min(per, len(ns)),) + K.shape)
+        for first in range(0, len(ns), per):
+            chunk = ns[first : first + per]
+            grams = stack[: len(chunk)]
+            for gram, n in zip(grams, chunk):
+                while k < n - 1:
+                    k += 1
+                    np.matmul(bk, K, out=spare)
+                    bk, spare = spare, bk
+                    ssum += bk
+                    sum_of_sums += ssum
+                np.add(sum_of_sums, sum_of_sums.swapaxes(1, 2), out=gram)
+            grams[:, :, diag, diag] += chunk[:, None, None]
+            top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
+            np.maximum(best[first : first + len(chunk)], top, out=best[first : first + len(chunk)])
+    return best.tolist()
+
+
+REAL_BLOCK_CHAINS = {
+    "cdg-201": lambda: cg.cdg_chain(201),
+    "cdg-11": lambda: cg.cdg_chain(11),
+    "card-5": lambda: cg.card_chain(5),
+    "lazy-card-4": lambda: cg.lazy(cg.card_chain(4), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_BLOCK_CHAINS))
+@pytest.mark.parametrize("entries", [1, 1 << 10, None])
+def test_chunked_block_tops_match_per_n_loop_bitwise(name, entries, monkeypatch):
+    blocks = REAL_BLOCK_CHAINS[name]()._blocks
+    if entries is not None:
+        monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+    for ns in (range(1, 101), [1], [2, 8, 32], [5, 6, 40, 41, 99]):
+        assert empirical._block_tops(blocks, ns) == per_n_block_tops(blocks, ns)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
