@@ -106,9 +106,21 @@ def _near_minimal(chain: FiniteChain) -> np.ndarray:
     Meet in the middle: split the states into L = [0, h) and H = [h, n).
     A set A = A_L + A_H has mu(A) = mu(A_L) + mu(A_H) and
     Q(A, A) = Q(A_L, A_L) + Q(A_H, A_H) + a_L^T C a_H with
-    C = Q[L, H] + Q[H, L]^T, so every pair of half-subsets is scored by
-    one GEMM of the L half-subsets times C against a block of H
-    half-subsets.
+    C = Q[L, H] + Q[H, L]^T, so a block of pairs of half-subsets is
+    scored by one GEMM of L half-subsets times C against H half-subsets.
+
+    Only pairs whose screened mass fl(mu(A_L) + mu(A_H)) is at most
+    cap + m, cap = 1/2 + ROW_SUM, can be kept or lower the running
+    minimum, so both halves are sorted by mass (sorted halves, as in
+    Horowitz & Sahni, J. ACM 21, 1974) and the H half-subsets are taken
+    in ascending blocks. A block scores only the prefix of L rows whose
+    pair with the block's lightest H set passes, and the walk stops at the
+    first block with no such row. Rounded addition is monotone, so every
+    pair skipped has a screened mass above cap + m and would have failed
+    the mass test. The kept set does not depend on the order of the walk:
+    the running minimum ends as the exact minimum over every sure pair,
+    and the last filter keeps every passing pair within m of it, so, for
+    the same screened values, it is the set a walk over every pair keeps.
 
     Here and in _subset_values every sum adds nonnegative terms: at most
     n^2 of them for Q(A, A) and n for mu(A). Each therefore carries a
@@ -135,27 +147,39 @@ def _near_minimal(chain: FiniteChain) -> np.ndarray:
     q_low = ((low @ q[:h, :h]) * low).sum(axis=1)
     q_high = ((high @ q[h:, h:]) * high).sum(axis=1)
     cross = low @ (q[:h, h:] + q[h:, :h].T)
+    # each half by ascending mass; a half-subset's mask is its index before sorting
+    low_masks = np.argsort(mass_low, kind="stable").astype(np.uint32)
+    high_masks = np.argsort(mass_high, kind="stable").astype(np.uint32)
+    mass_low, q_low, cross = mass_low[low_masks], q_low[low_masks], cross[low_masks]
+    mass_high, q_high, high = mass_high[high_masks], q_high[high_masks], high[high_masks]
 
     best = np.inf
     kept = np.empty(0, dtype=np.uint32)
     kept_ratio = np.empty(0)
     step = max(1, tol.BLOCK_ENTRIES >> h)
     for start in range(0, 1 << (n - h), step):
-        block = slice(start, min(start + step, 1 << (n - h)))
-        mass = mass_low[:, None] + mass_high[None, block]
-        inside = q_low[:, None] + q_high[None, block] + cross @ high[block].T
+        # the L rows whose pair with the block's lightest H set can pass
+        rows = int(np.count_nonzero(mass_low + mass_high[start] <= cap + margin))
+        if not rows:
+            break
+        block = slice(start, start + step)
+        mass = mass_low[:rows, None] + mass_high[None, block]
+        inside = q_low[:rows, None] + q_high[None, block] + cross[:rows] @ high[block].T
         ok = (mass > 0) & (mass <= cap + margin)
         ratio = np.where(ok, 1.0 - inside / np.where(ok, mass, 1.0), np.inf)
         sure = ratio[mass <= cap - margin]
         if sure.size:
             best = min(best, float(sure.min()))
         near = np.nonzero(ok & (ratio <= best + margin))
-        masks = near[0].astype(np.uint32) + ((near[1] + start).astype(np.uint32) << h)
+        masks = low_masks[near[0]] + (high_masks[near[1] + start] << np.uint32(h))
         kept = np.concatenate([kept, masks])
         kept_ratio = np.concatenate([kept_ratio, ratio[near]])
         keep = kept_ratio <= best + margin
         kept, kept_ratio = kept[keep], kept_ratio[keep]
-    return kept
+    # the order of a walk over unsorted halves (H block, L set, H set): a
+    # small batch's BLAS rounding in _subset_values depends on that order
+    low_of, high_of = kept & np.uint32((1 << h) - 1), kept >> np.uint32(h)
+    return kept[np.lexsort((high_of, low_of, high_of // step))]
 
 
 def _lex_smallest(masks: np.ndarray) -> int:
@@ -177,9 +201,10 @@ def cheeger_exact(chain: FiniteChain) -> CheegerResult:
     """Exact bottleneck ratio over all 2^size subsets.
 
     All subsets are screened by meet in the middle, one GEMM per block of
-    half-subset pairs (see _near_minimal); the few that could be minimal
-    are rescored exactly by _subset_values. xi is the least exact score,
-    and ties (within 1e-15 * max(1, xi)) are broken by the
+    half-subset pairs, and the pairs whose mass cannot pass the 1/2 cap
+    are skipped unscored (see _near_minimal); the few that could be
+    minimal are rescored exactly by _subset_values. xi is the least exact
+    score, and ties (within 1e-15 * max(1, xi)) are broken by the
     lexicographically smallest sorted state tuple. Refuses chains beyond
     tol.CHEEGER_ENUM_LIMIT states (about a million subsets), and
     one-state chains, which have no subset of mass at most 1/2.

@@ -133,24 +133,30 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
     if chain._blocks is None:
         yield from _dense_deviations(chain, ns, maximizer)
         return
-    tops = _block_tops(chain._blocks, ns)
+    deltas = _tops_to_deltas(_block_tops(chain._blocks, ns), ns)
     dense = _dense_deviations(chain, ns, True) if maximizer else ((n, 0.0, None) for n in ns)
-    for (n, _, g), top in zip(dense, tops):
-        yield n, _top_to_delta(top, n), g
+    for (n, _, g), value in zip(dense, deltas):
+        yield n, value, g
 
 
-def _top_to_delta(top: float, n: int):
-    """Delta_n from the top eigenvalue of n^2 M_n on sqrt(mu)-perp.
+def _tops_to_deltas(tops, ns) -> list:
+    """Delta_n from the top eigenvalue of n^2 M_n on sqrt(mu)-perp, for each n in ns.
 
     M_1 is the identity there, so Delta_1 = 1; an eigenvalue of M_n below
-    tol.DELTA_SQ_FLOOR is a zero, and Delta_n is at most 1.
+    tol.DELTA_SQ_FLOOR is a zero, and Delta_n is at most 1. Every step is
+    elementwise and correctly rounded, so a value does not depend on the
+    others beside it. The values are numpy float64 scalars, and a root
+    that rounded past 1 is the float 1.0.
     """
-    top /= n * n
-    if n == 1:
-        top = 1.0
-    elif top < tol.DELTA_SQ_FLOOR:
-        top = 0.0
-    return min(np.sqrt(max(top, 0.0)), 1.0)
+    ns = np.asarray(ns)
+    top = np.asarray(tops, dtype=float) / (ns * ns)
+    top[ns == 1] = 1.0
+    top[top < tol.DELTA_SQ_FLOOR] = 0.0
+    root = np.sqrt(top)
+    values = list(root)
+    for i in np.flatnonzero(root > 1.0):
+        values[i] = 1.0
+    return values
 
 
 def _block_tops(blocks, ns) -> list[float]:
@@ -247,7 +253,8 @@ def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
         grams.reshape(len(chunk), -1)[:, :: size + 1] += chunk[:, None]
         shift = np.vecdot(d @ grams, d) + chunk * chunk
         grams -= (shift[:, None] * d)[:, :, None] * d
-        for gram, n in zip(grams, chunk.tolist()):
+        tops, vectors = [], []
+        for gram in grams:
             w, vec, found, _, info = dsyevx(
                 gram, compute_v=int(maximizer), range="I", il=size, iu=size
             )
@@ -258,7 +265,10 @@ def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
                 # is degenerate across the whole spectrum, as for I - 2 d d^T
                 w, vec = np.linalg.eigh(gram)
                 top, u = float(w[-1]), vec[:, -1]
-            yield n, _top_to_delta(top, n), u / d if maximizer else None
+            tops.append(top)
+            vectors.append(u)
+        for n, value, u in zip(chunk.tolist(), _tops_to_deltas(tops, chunk), vectors):
+            yield n, value, u / d if maximizer else None
 
 
 def _deviation_values(chain: FiniteChain, n_max: int) -> np.ndarray:

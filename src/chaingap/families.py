@@ -568,6 +568,27 @@ def _array(value, name: str) -> list:
     return value
 
 
+def _matrix_rows(value) -> tuple[tuple[float, ...], ...]:
+    """An explicit matrix's rows as float tuples, all of one length.
+
+    A row of JSON ints and floats converts at once; any other row goes
+    through _real entry by entry, which names the entry it refuses.
+    """
+    rows = []
+    for i, row in enumerate(_array(value, "explicit 'matrix'")):
+        row = _array(row, "a matrix row")
+        if set(map(type, row)) <= {int, float}:
+            rows.append(tuple(map(float, row)))
+        else:
+            rows.append(tuple(_real(v, "a matrix entry") for v in row))
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"explicit 'matrix' is ragged: row {i} has {len(row)} entries, "
+                f"row 0 has {len(rows[0])}"
+            )
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Serializable chain description, the JSON surface of the CLI.
@@ -603,12 +624,7 @@ class ChainSpec:
         if family not in ChainSpec.FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {ChainSpec.FAMILIES}")
         if family == "explicit":
-            rows = _array(payload.get("matrix"), "explicit 'matrix'")
-            matrix = tuple(
-                tuple(_real(v, "a matrix entry") for v in _array(row, "a matrix row"))
-                for row in rows
-            )
-            return ChainSpec(family=family, matrix=matrix)
+            return ChainSpec(family=family, matrix=_matrix_rows(payload.get("matrix")))
         N = _integer(payload.get("N"), f"{family} 'N'")
         if family == "circulant":
             steps = []

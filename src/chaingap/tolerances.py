@@ -54,6 +54,8 @@ DENSE_LIMIT = 6000
 # empirical._block_tops forms its chunks of block powers, with their grams
 # and one temporary;
 # experiments._ensemble_taus draws as many walks as fill one such block;
-# bounds.cheeger_exact scores this many pairs of half-subsets per GEMM and
-# rescores at most this many masks at once.
+# bounds.cheeger_exact scores at most this many pairs of half-subsets per
+# GEMM (a block of H half-subsets of this many over 2^h, against the L
+# half-subsets whose mass can pass the cap) and rescores at most this many
+# masks at once.
 BLOCK_ENTRIES = 1 << 16

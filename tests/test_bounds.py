@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import chaingap as cg
 from chaingap import tolerances as tol
 from chaingap.audit import BoundAudit, make_check
-from chaingap.bounds import _first_improvement
+from chaingap.bounds import _first_improvement, _members, _near_minimal, _subset_values
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
 from chaingap.experiments import render_report
 
@@ -160,6 +160,111 @@ def test_cheeger_set_just_over_the_mass_cap_does_not_hide_the_minimum():
     assert chain.stationary[:2].sum() > 0.5 + tol.ROW_SUM
     assert_cheeger_matches_oracle(chain)
     assert cg.cheeger_exact(chain).argmin_set == (2, 3)
+
+
+def unpruned_near_minimal(chain):
+    """The former _near_minimal, kept as the reference: every pair of
+    half-subsets is scored, the H half-subsets taken in index order."""
+    n = chain.size
+    h = n // 2
+    mu, q = chain.stationary, chain.edge_measure()
+    margin = 4 * (n * n + 2 * n + 8) * np.finfo(float).eps
+    cap = 0.5 + tol.ROW_SUM
+
+    low = _members(np.arange(1 << h, dtype=np.uint32), h)
+    high = _members(np.arange(1 << (n - h), dtype=np.uint32), n - h)
+    mass_low, mass_high = low @ mu[:h], high @ mu[h:]
+    q_low = ((low @ q[:h, :h]) * low).sum(axis=1)
+    q_high = ((high @ q[h:, h:]) * high).sum(axis=1)
+    cross = low @ (q[:h, h:] + q[h:, :h].T)
+
+    best = np.inf
+    kept = np.empty(0, dtype=np.uint32)
+    kept_ratio = np.empty(0)
+    step = max(1, tol.BLOCK_ENTRIES >> h)
+    for start in range(0, 1 << (n - h), step):
+        block = slice(start, min(start + step, 1 << (n - h)))
+        mass = mass_low[:, None] + mass_high[None, block]
+        inside = q_low[:, None] + q_high[None, block] + cross @ high[block].T
+        ok = (mass > 0) & (mass <= cap + margin)
+        ratio = np.where(ok, 1.0 - inside / np.where(ok, mass, 1.0), np.inf)
+        sure = ratio[mass <= cap - margin]
+        if sure.size:
+            best = min(best, float(sure.min()))
+        near = np.nonzero(ok & (ratio <= best + margin))
+        masks = near[0].astype(np.uint32) + ((near[1] + start).astype(np.uint32) << h)
+        kept = np.concatenate([kept, masks])
+        kept_ratio = np.concatenate([kept_ratio, ratio[near]])
+        keep = kept_ratio <= best + margin
+        kept, kept_ratio = kept[keep], kept_ratio[keep]
+    return kept
+
+
+def _cap_edge_chain(m, excess):
+    """2m states in two cliques joined by one edge. The first clique, the L
+    half exactly, has mass 1/2 + excess and the lower ratio of the two, of
+    the same cut: just past the 1/2 + ROW_SUM cap the second is the
+    minimizer, just inside it the first, whose screened mass is then
+    within the margin of the cap."""
+    over = excess / m
+    mu = np.array([0.5 / m + over] * m + [0.5 / m - over] * m)
+    inner, cut = 0.2 / (m * m), 0.01 / m
+    clique = np.kron(np.eye(2), np.ones((m, m)) - np.eye(m)) * inner
+    clique[m - 1, m] = clique[m, m - 1] = cut
+    W = clique + np.diag(mu - clique.sum(axis=1))
+    return cg.build_chain(W / mu[:, None], stationary=mu)
+
+
+PRUNED_CHEEGER_CHAINS = {
+    **{f"dense-{n}": (lambda n=n: _random_chain(n, 1.0, n)) for n in (13, 16, 17, 20)},
+    **{f"sparse-{n}": (lambda n=n: _random_chain(n, 0.2, n + 100)) for n in (13, 15, 18, 20)},
+    "birth-death-20-0.9": lambda: cg.build_chain(birth_death_matrix(20, 0.9)),
+    "uniform-16": lambda: cg.build_chain(np.full((16, 16), 1.0 / 16.0)),
+    "just-over-cap-14": lambda: _cap_edge_chain(7, 1.01e-12),
+    "just-over-cap-20": lambda: _cap_edge_chain(10, 1.01e-12),
+    "just-inside-cap-14": lambda: _cap_edge_chain(7, 0.99e-12),
+    "just-inside-cap-20": lambda: _cap_edge_chain(10, 0.99e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_CHEEGER_CHAINS))
+def test_pruned_enumeration_matches_the_unpruned_one(name, monkeypatch):
+    """Past the oracle's 12 states: the mass-sorted walk gives the bits of
+    the walk over every pair, and keeps every set whose exact score is
+    within the screening margin of xi."""
+    chain = PRUNED_CHEEGER_CHAINS[name]()
+    n = chain.size
+    pruned = _near_minimal(chain)
+    # here every pair screens to the same bits in both walks, so the masks
+    # come out alike, in the order _subset_values's rounding depends on
+    assert np.array_equal(pruned, unpruned_near_minimal(chain))
+    kept = set(pruned.tolist())
+    got = cg.cheeger_exact(chain)
+    with monkeypatch.context() as patch:
+        patch.setattr("chaingap.bounds._near_minimal", unpruned_near_minimal)
+        want = cg.cheeger_exact(chain)
+    assert (got.xi, got.argmin_set) == (want.xi, want.argmin_set)
+
+    margin = 4 * (n * n + 2 * n + 8) * np.finfo(float).eps
+    every = np.arange(1 << n, dtype=np.uint32)
+    for i in range(0, len(every), tol.BLOCK_ENTRIES):
+        masks, ratio = _subset_values(chain, every[i:i + tol.BLOCK_ENTRIES])
+        assert set(masks[ratio <= got.xi + margin].tolist()) <= kept
+
+
+def test_pruned_enumeration_cases_are_the_hard_ones():
+    """The cases above do what their names say."""
+    uniform = PRUNED_CHEEGER_CHAINS["uniform-16"]()
+    assert len(_near_minimal(uniform)) >= math.comb(16, 8)  # every tied half
+    for m in (7, 10):
+        margin = 4 * (4 * m * m + 4 * m + 8) * np.finfo(float).eps
+        over, inside = _cap_edge_chain(m, 1.01e-12), _cap_edge_chain(m, 0.99e-12)
+        assert 0.5 + tol.ROW_SUM < over.stationary[:m].sum() <= 0.5 + tol.ROW_SUM + margin
+        assert cg.cheeger_exact(over).argmin_set == tuple(range(m, 2 * m))
+        assert 0.5 + tol.ROW_SUM - margin < inside.stationary[:m].sum() <= 0.5 + tol.ROW_SUM
+        assert cg.cheeger_exact(inside).argmin_set == tuple(range(m))
+    mu = PRUNED_CHEEGER_CHAINS["birth-death-20-0.9"]().stationary
+    assert mu.max() / mu.min() > 0.5 * 9.0**19
 
 
 def test_cheeger_refuses_one_state_chains():

@@ -495,32 +495,39 @@ def test_audit_accepts_chain_with_subnormal_mu(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        {"family": "torus", "N": 4, "probs": {"hold": 0}},
-        {"family": "explicit", "matrix": 5},
-        {"family": "explicit", "matrix": [[0, 1], [1, None]]},
-        {"family": "circulant", "N": 5, "steps": [1, 2]},
-        {"family": "circulant", "N": 5, "steps": [[1.7, 1.0]]},
-        {"family": "circulant", "N": 5, "steps": [[True, 1.0]]},
-        {"family": "cdg", "N": [3]},
-        {"family": "cdg", "N": 101.9},
-        {"family": "cdg", "N": True},
-        {"family": "torus", "N": 4, "d": 1.5, "probs": {"plus": [0.5], "minus": [0.5]}},
-        [{"family": "cdg", "N": 5}],
+        ({"family": "torus", "N": 4, "probs": {"hold": 0}},
+         "'probs.plus' must be a JSON array, got None"),
+        ({"family": "explicit", "matrix": 5}, "explicit 'matrix' must be a JSON array, got 5"),
+        ({"family": "explicit", "matrix": [[0, 1], [1, None]]},
+         "a matrix entry must be a number, got None"),
+        ({"family": "explicit", "matrix": [[1.0], [0.5, 0.5]]},
+         "explicit 'matrix' is ragged: row 1 has 2 entries, row 0 has 1"),
+        ({"family": "circulant", "N": 5, "steps": [1, 2]},
+         "a circulant step must be a pair [a, p], got 1"),
+        ({"family": "circulant", "N": 5, "steps": [[1.7, 1.0]]},
+         "a step residue must be an integer, got 1.7"),
+        ({"family": "circulant", "N": 5, "steps": [[True, 1.0]]},
+         "a step residue must be an integer, got True"),
+        ({"family": "cdg", "N": [3]}, "cdg 'N' must be an integer, got [3]"),
+        ({"family": "cdg", "N": 101.9}, "cdg 'N' must be an integer, got 101.9"),
+        ({"family": "cdg", "N": True}, "cdg 'N' must be an integer, got True"),
+        ({"family": "torus", "N": 4, "d": 1.5, "probs": {"plus": [0.5], "minus": [0.5]}},
+         "torus 'd' must be an integer, got 1.5"),
+        ([{"family": "cdg", "N": 5}], "a chain spec must be a JSON object"),
     ],
-    ids=["torus-no-plus", "matrix-scalar", "matrix-null", "step-scalar", "step-fraction",
-         "step-bool", "N-list", "N-fraction", "N-bool", "d-fraction", "top-level-list"],
+    ids=["torus-no-plus", "matrix-scalar", "matrix-null", "matrix-ragged", "step-scalar",
+         "step-fraction", "step-bool", "N-list", "N-fraction", "N-bool", "d-fraction",
+         "top-level-list"],
 )
-def test_malformed_spec_is_refused(payload, tmp_path, capsys):
+def test_malformed_spec_is_refused(payload, message, tmp_path, capsys):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(payload))
     assert main(["gap", "--spec", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("chaingap: ValueError: ")
+    assert captured.err.splitlines() == [f"chaingap: ValueError: {message}"]
 
 
 def test_integral_float_size_is_accepted(tmp_path, capsys):

@@ -444,6 +444,32 @@ def test_chunked_block_tops_match_per_n_loop_bitwise(name, entries, monkeypatch)
         assert empirical._block_tops(blocks, ns) == per_n_block_tops(blocks, ns)
 
 
+def per_n_top_to_delta(top, n):
+    """The former one-n-at-a-time rounding of a top eigenvalue to Delta_n,
+    kept as the reference."""
+    top /= n * n
+    if n == 1:
+        top = 1.0
+    elif top < cg.tolerances.DELTA_SQ_FLOOR:
+        top = 0.0
+    return min(np.sqrt(max(top, 0.0)), 1.0)
+
+
+def test_tops_round_to_deltas_as_one_n_at_a_time():
+    """Values, to the bit, and types: float64 scalars, the float 1.0 where
+    the root passed 1."""
+    rng = np.random.default_rng(4)
+    ns = np.concatenate([[1, 1, 2, 2, 3, 3, 3, 7, 7, 400, 400], rng.integers(1, 5000, 200)])
+    floor = cg.tolerances.DELTA_SQ_FLOOR
+    tops = [0.7, -1e-3, 4 * floor, 4 * floor * (1 - 1e-15), -0.0, 9 * (1 + 2e-16),
+            9 * (1 - 1e-16), 49.0, math.nan, 160000 * (1 + 1e-15), 1e-9]
+    tops += (rng.random(200) * ns[11:] ** 2 * rng.choice([1e-14, 1e-6, 1.0], 200)).tolist()
+    got = empirical._tops_to_deltas(tops, ns)
+    want = [per_n_top_to_delta(t, int(n)) for t, n in zip(tops, ns)]
+    assert [(type(v), float(v).hex()) for v in got] == [(type(v), float(v).hex()) for v in want]
+    assert {type(v) for v in want} == {float, np.float64}
+
+
 @pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
 def test_block_chain_maximizers_are_the_dense_ones(name):
     chain = BLOCK_CHAINS[name]()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -182,6 +183,22 @@ def test_torus_spec_refuses_nan_hold():
     text += ' "probs": {"hold": NaN, "plus": [0.5], "minus": [0.5]}}'  # json accepts NaN
     with pytest.raises(ValueError):
         cg.ChainSpec.from_json(json.loads(text))
+
+
+def test_explicit_matrix_parses_to_the_floats_of_each_entry():
+    """Rows of ints and floats convert at once; numpy scalars take the
+    per-entry route, which keeps float64 and refuses int64 and bools."""
+    rng = np.random.default_rng(1)
+    rows = rng.random((30, 30)).tolist()
+    rows[2][7], rows[5][0] = 1, 0
+    rows[9] = [np.float64(v) for v in rows[9]]
+    spec = cg.ChainSpec.from_json({"family": "explicit", "matrix": rows})
+    assert spec.matrix == tuple(tuple(float(v) for v in row) for row in rows)
+    assert {type(v) for row in spec.matrix for v in row} == {float}
+    for entry in (np.int64(1), True):
+        message = re.escape(f"a matrix entry must be a number, got {entry!r}")
+        with pytest.raises(ValueError, match=message):
+            cg.ChainSpec.from_json({"family": "explicit", "matrix": [[0.5, 0.5], [entry, 0]]})
 
 
 def test_torus_spec_refuses_axis_count_mismatch():
