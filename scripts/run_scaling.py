@@ -5,7 +5,9 @@ Four experiments, each emitting a CSV into --out-dir and printing a fit:
 
   circle   lazy-right walk on Z/NZ: tau = 1/sin(pi/N), slope ~ 1
   torus    up/right walk on (Z/NZ)^2: slope ~ 2 for drift 1/2,
-           slope ~ 4/3 for drift 1/sqrt(2) (closed-form scan, N up to 1024)
+           slope ~ 4/3 for drift 1/sqrt(2) (closed-form scan, N up to 1024;
+           each size forms only the frequency rows near m_1 = 0 that can
+           hold the gap)
   doubling x -> 2x + {-1,0,1} mod prime N: tau/ln N roughly constant
            (closed-form scan from the blocks on the orbits of m -> 2m, up
            to the Mersenne primes 8191 and 131071, blocks of 13 and 17)

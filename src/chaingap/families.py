@@ -6,15 +6,16 @@ chain x -> 2x + {-1, 0, 1} mod N, and the three-move card shuffle on the
 symmetric group. Circulant and torus chains are both walks on (Z/NZ)^d:
 one constructor builds them, and ChainSpec.closed_form() gets their gaps
 from the character sums, far past the dense-matrix limit. The sums gather
-from one table of N-th roots of unity and are reduced in blocks of 2^16
-frequencies; the random-steps ensemble sends whole blocks of walks through
-the same kernel, of which closed_form() is the batch of one. The doubling
-chain maps each character to a multiple of another, so closed_form()
-gets its gap from one small block per orbit of m -> 2m mod N. The card
-shuffle is a walk on S_N: closed_form() gets its gap from one block per
-irreducible representation, in Young's orthogonal form, up to 10 cards,
-and card_chain (up to 7) stays as the dense oracle. Only explicit
-chains have no closed form. One generator per group walk yields these
+from one table of N-th roots of unity; a lower bound on each row of the
+frequency grid picks the few rows that can hold the gap, and only those
+are formed, in blocks of 2^16 frequencies. The random-steps ensemble sends
+whole blocks of walks through the same kernel, of which closed_form() is
+the batch of one. The doubling chain maps each character to a multiple
+of another, so closed_form() gets its gap from one small block per orbit
+of m -> 2m mod N. The card shuffle is a walk on S_N: closed_form() gets
+its gap from one block per irreducible representation, in Young's
+orthogonal form, up to 10 cards, and card_chain (up to 7) stays as the
+dense oracle. Only explicit chains have no closed form. One generator per group walk yields these
 blocks (_character_blocks, 1 x 1 complex, for circulant and torus walks;
 _doubling_blocks; _card_blocks), and the gap and Delta_n read the same
 values: every family chain carries its generator, and empirical takes
@@ -131,32 +132,95 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
 
     The characters lambda_m are first + tail of _character_sums, and
     gamma = min over nonzero m of |1 - lambda_m|. Needs no dense matrix,
-    so it runs far beyond the explicit-chain limit. The frequency grid is
-    reduced in blocks of at most tol.BLOCK_ENTRIES entries, whole walks at
-    a time while a walk fits, into two reused buffers; min and max are
-    exact, so the blocks move no bit.
+    so it runs far beyond the explicit-chain limit, and it forms only the
+    rows m_1 of the (N//2 + 1) x N^(d-1) frequency grid that can hold the
+    minimum; one axis forms lambda = first, each row a single entry, and
+    every walk of the batch goes through the same array operations.
+
+    Each value in row (b, m_1) is fl|fl(1 - fl(first + tail))|, at least
+    its real part: hypot(x, y) >= |x| under any faithful rounding, and
+    complex addition and subtraction round each component alone. So the
+    row's values are bounded below by low = fl(fl(1 - Re first[b, m_1])
+    - max_w Re tail[b, w]), up to the rounding. Let S be the largest S_hi
+    (below) in the batch; it exceeds 1 + max |first| + max |tail|, and
+    every value. The two roundings in a value and the two in low move
+    them apart by at most 5 S eps / 2, so a row holding a computed value v
+    has low <= v + 5 S eps / 2 < fl(v + 8 S eps).
+
+    Each walk's least-low row with m_1 >= 1 is formed first. Its minimum
+    U is a computed value, so at least the gap; every other row with
+    low <= fl(U + 8 S eps) is formed next, and a row left out has no
+    value at or below U. Rows are formed by the operations of the full
+    grid (first + tail, 1 - ., abs), in blocks of at most
+    tol.BLOCK_ENTRIES entries (a single row excepted), and min is exact,
+    so gamma keeps the bits of the minimum over every frequency.
+
+    sigma_max is read only by relaxation_time's floor ZERO_SV *
+    max(1, sigma_max), which grows with it. No computed value exceeds
+    S_hi = (1 + hold + sum p)(1 + 4 (K + d + 8) eps), K steps in all:
+    the K + d + 6 or so roundings on the way to a value, the roots
+    table's included, each grow a modulus by at most a factor 1 + eps.
+    When relaxation_time gives one tau at sigma_max = 0 and at S_hi, that
+    is tau. Otherwise the gap lies within about twice the floor, and the
+    walk's whole grid is formed for its exact sigma_max.
     """
     first, tail = _character_sums(N, axes, hold)
+    tail = tail if len(axes) > 1 else None  # one axis: _character_sums' single zero
     batch, rows = first.shape
-    width = tail.shape[1]
-    per_row = max(1, min(rows, tol.BLOCK_ENTRIES // width))
-    per_walk = max(1, tol.BLOCK_ENTRIES // (rows * width)) if per_row == rows else 1
-    lam = np.empty((min(per_walk, batch), per_row, width), dtype=complex)
-    vals = np.empty(lam.shape)
-    gap, sigma_max = np.full(batch, np.inf), np.zeros(batch)
-    for b in range(0, batch, per_walk):
-        walks = slice(b, b + per_walk)
-        for r in range(0, rows, per_row):
-            block = first[walks, r : r + per_row, None]
-            walks_b, rows_b = block.shape[:2]
-            lam_b, vals_b = lam[:walks_b, :rows_b], vals[:walks_b, :rows_b]
-            np.add(block, tail[walks, None, :], out=lam_b)
-            np.abs(np.subtract(1.0, lam_b, out=lam_b), out=vals_b)
-            np.maximum(sigma_max[walks], vals_b.max(axis=(1, 2)), out=sigma_max[walks])
-            if r == 0:
-                vals_b[:, 0, 0] = np.inf  # the trivial character m = 0
-            np.minimum(gap[walks], vals_b.min(axis=(1, 2)), out=gap[walks])
-    return [(g, relaxation_time(g, s)) for g, s in zip(gap.tolist(), sigma_max.tolist())]
+    eps = np.finfo(float).eps
+    K = sum(a.shape[1] for a, _ in axes)
+    s_hi = 1.0 + hold + sum(p.sum(axis=1) for _, p in axes)
+    s_hi *= 1.0 + 4 * (K + len(axes) + 8) * eps
+    low = 1.0 - first.real
+    if tail is not None:
+        low -= tail.real.max(axis=1)[:, None]
+    walk = np.arange(batch)
+    least = low[:, 1:].argmin(axis=1) + 1
+    gap = _row_minima(first, tail, walk, least)
+    keep = low <= (gap + 8 * s_hi.max() * eps)[:, None]
+    keep[walk, least] = False
+    b, m = np.divmod(np.flatnonzero(keep), rows)
+    np.minimum.at(gap, b, _row_minima(first, tail, b, m))
+
+    gap = gap.tolist()
+    taus = [relaxation_time(g, s) for g, s in zip(gap, s_hi.tolist())]
+    # a finite tau at S_hi is tau at every sigma_max below it
+    unsure = [i for i, t in enumerate(taus) if t == np.inf and relaxation_time(gap[i], 0.0) != t]
+    if unsure:
+        b = np.repeat(unsure, rows)
+        sigma_max = np.zeros(batch)
+        for start, vals in _row_values(first, tail, b, np.tile(np.arange(rows), len(unsure))):
+            np.maximum.at(sigma_max, b[start : start + len(vals)], vals.max(axis=1))
+        for i in unsure:
+            taus[i] = relaxation_time(gap[i], float(sigma_max[i]))
+    return list(zip(gap, taus))
+
+
+def _row_values(first, tail, walks, rows):
+    """Yield (start, |1 - lambda|) for the grid rows (walks[k], rows[k]), k >= start.
+
+    Each yield is a (count, width) block of at most tol.BLOCK_ENTRIES
+    entries, or a single row; tail is None for one axis, where
+    lambda = first.
+    """
+    per = max(1, tol.BLOCK_ENTRIES // (1 if tail is None else tail.shape[1]))
+    for start in range(0, walks.size, per):
+        b, m = walks[start : start + per], rows[start : start + per]
+        if tail is None:
+            lam = first[b, m, None]
+        else:
+            lam = tail[b]
+            lam += first[b, m, None]
+        yield start, np.abs(np.subtract(1.0, lam, out=lam))
+
+
+def _row_minima(first, tail, walks, rows) -> np.ndarray:
+    """The least |1 - lambda| in each grid row (walks[k], rows[k]), leaving out m = 0."""
+    out = np.empty(walks.size)
+    for start, vals in _row_values(first, tail, walks, rows):
+        vals[rows[start : start + len(vals)] == 0, 0] = np.inf  # the trivial character m = 0
+        vals.min(axis=1, out=out[start : start + len(vals)])
+    return out
 
 
 def _character_blocks(N: int, axes, hold: float):

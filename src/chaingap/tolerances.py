@@ -49,10 +49,11 @@ DENSE_LIMIT = 6000
 # Monte Carlo draw buffer holds more than this many entries (512 KiB of
 # float64), nor do the Philox rounds that fill a block's draws, or a stack
 # of deviation grams and its temporary, between them.
-# families._character_gap reduces its frequency grid, and _doubling_blocks
-# stacks its orbit blocks, in blocks of this many entries, and
-# empirical._block_tops forms its chunks of block powers, with their grams
-# and one temporary;
+# families._character_gap forms the rows of its frequency grid that its
+# row bound cannot rule out (a row wider than this alone), _doubling_blocks
+# stacks its orbit blocks, and empirical._block_tops forms its chunks of
+# block powers, with their grams and one temporary, in blocks of this many
+# entries;
 # experiments._ensemble_taus draws as many walks as fill one such block;
 # bounds.cheeger_exact scores at most this many pairs of half-subsets per
 # GEMM (a block of H half-subsets of this many over 2^h, against the L

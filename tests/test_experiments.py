@@ -236,8 +236,8 @@ def loop_ensemble_taus(N, p, trials, seed):
 @pytest.mark.parametrize(
     "N, p",
     [(101, [0.5, 0.5]), (101, [0.2, 0.3, 0.5]), (101, [1.0]), (101, [1.0 / 101] * 101),
-     (7, [0.1, 0.2, 0.3, 0.4])],
-    ids=["equal", "unequal", "k1", "kN", "small-N"],
+     (7, [0.1, 0.2, 0.3, 0.4]), (499, [0.3, 0.1, 0.25, 0.15, 0.2])],
+    ids=["equal", "unequal", "k1", "kN", "small-N", "k5-unequal-499"],
 )
 @pytest.mark.parametrize("walks_per_block", [None, 3])
 def test_ensemble_batch_matches_per_trial_closed_forms(N, p, walks_per_block):

@@ -327,6 +327,184 @@ def test_torus_closed_form_reduces_in_small_blocks():
     assert peak < 8 * 2**20
     assert 0 < gap and tau == 1.0 / gap
 
+
+def full_grid_character_gap(N, axes, hold=0.0):
+    """(gap, tau) of each walk from every value of its frequency grid, as
+    _character_gap computed them before it bounded the rows."""
+    first, tail = families._character_sums(N, axes, hold)
+    batch, rows = first.shape
+    width = tail.shape[1]
+    per_row = max(1, min(rows, cg.tolerances.BLOCK_ENTRIES // width))
+    per_walk = max(1, cg.tolerances.BLOCK_ENTRIES // (rows * width)) if per_row == rows else 1
+    lam = np.empty((min(per_walk, batch), per_row, width), dtype=complex)
+    vals = np.empty(lam.shape)
+    gap, sigma_max = np.full(batch, np.inf), np.zeros(batch)
+    for b in range(0, batch, per_walk):
+        walks = slice(b, b + per_walk)
+        for r in range(0, rows, per_row):
+            block = first[walks, r : r + per_row, None]
+            walks_b, rows_b = block.shape[:2]
+            lam_b, vals_b = lam[:walks_b, :rows_b], vals[:walks_b, :rows_b]
+            np.add(block, tail[walks, None, :], out=lam_b)
+            np.abs(np.subtract(1.0, lam_b, out=lam_b), out=vals_b)
+            np.maximum(sigma_max[walks], vals_b.max(axis=(1, 2)), out=sigma_max[walks])
+            if r == 0:
+                vals_b[:, 0, 0] = np.inf  # the trivial character m = 0
+            np.minimum(gap[walks], vals_b.min(axis=(1, 2)), out=gap[walks])
+    return [(g, cg.relaxation_time(g, s)) for g, s in zip(gap.tolist(), sigma_max.tolist())]
+
+
+def character_args(spec):
+    """(N, axes, hold) as ChainSpec.closed_form passes them to _character_gap."""
+    if spec.family == "circulant":
+        steps = families._normalize_steps(spec.N, spec.steps)
+        return spec.N, [families._batch_of_one(steps)], 0.0
+    axes = families._torus_axes(spec.N, spec.d, spec.probs)
+    return spec.N, [families._batch_of_one(s) for s in axes], spec.probs.hold
+
+
+def assert_pruned_gap_is_full_grid_gap(N, axes, hold, rows_per_block):
+    """_character_gap equals the full grid bit for bit, by default and with blocks
+    of 1 entry, of rows_per_block grid rows and of one walk's whole grid."""
+    expected = full_grid_character_gap(N, axes, hold)
+    assert families._character_gap(N, axes, hold) == expected
+    width = N ** (len(axes) - 1)
+    for entries in {1, max(1, rows_per_block * width), (N // 2 + 1) * width}:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+            assert families._character_gap(N, axes, hold) == expected
+
+
+@st.composite
+def tiny_weight_specs(draw):
+    """Circulant and torus walks that move with weights of 1e-9 to 1e-6 and hold
+    or jump otherwise, so their gaps fall near the zero floor ZERO_SV."""
+    tiny = draw(st.floats(1e-9, 1e-6))
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 400))
+        big = draw(st.integers(0, N - 1))  # the heavy residue: 0 holds, N/2 flips
+        small = draw(st.lists(st.integers(0, N - 1).filter(lambda a: a != big),
+                              min_size=1, max_size=3, unique=True))
+        steps = ((big, 1.0 - tiny * len(small)),) + tuple((a, tiny) for a in small)
+        return cg.ChainSpec("circulant", N, steps=steps)
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(2, int(4000 ** (1 / d) + 1e-9)))
+    w = draw(st.lists(st.integers(0, 2), min_size=2 * d, max_size=2 * d).filter(any))
+    moves = [tiny * x for x in w]
+    probs = cg.TorusProbs(1.0 - sum(moves), tuple(moves[:d]), tuple(moves[d:]))
+    return cg.ChainSpec("torus", N, d, probs=probs)
+
+
+@st.composite
+def three_axis_tori(draw):
+    N = draw(st.integers(2, 24))
+    w = draw(st.lists(st.integers(0, 5), min_size=7, max_size=7).filter(any))
+    total = sum(w)
+    probs = cg.TorusProbs(w[0] / total, tuple(x / total for x in w[1:4]),
+                          tuple(x / total for x in w[4:]))
+    return cg.ChainSpec("torus", N, 3, probs=probs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(abelian_specs(), tiny_weight_specs(), three_axis_tori()), st.integers(0, 3))
+def test_pruned_character_gap_matches_full_grid_bitwise(spec, rows):
+    assert_pruned_gap_is_full_grid_gap(*character_args(spec), rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 600), st.integers(1, 6), st.integers(1, 40),
+       st.randoms(use_true_random=False), st.integers(0, 1))
+def test_pruned_character_gap_matches_full_grid_on_ensemble_batches(N, k, batch, rand, rows):
+    # one batch of circulant walks with unequal p, their steps sorted with
+    # their p as _ensemble_taus sorts them
+    k = min(k, N)
+    p = np.array([rand.uniform(0.1, 1.0) for _ in range(k)])
+    p /= p.sum()
+    a = np.array([rand.sample(range(N), k) for _ in range(batch)])
+    order = np.argsort(a, axis=1)
+    axes = [(np.take_along_axis(a, order, axis=1), p[order])]
+    assert_pruned_gap_is_full_grid_gap(N, axes, 0.0, rows * (N // 2 + 1))
+
+
+def test_pruned_character_gap_keeps_rows_tied_up_to_rounding():
+    # on (Z/31Z)^2, stepping +-2^j along either axis (1/40 and 3/40 each):
+    # doubling m_1 permutes the steps, so the rows m_1 = 1, 2, 4, 8, 15 have
+    # one exact character sum, rounded differently; only the margin keeps
+    # every row that can still hold the computed minimum
+    N, steps = 31, np.array([[1, 2, 4, 8, 15, 16, 23, 27, 29, 30]])
+    axes = [(steps, np.full((1, 10), 0.025)), (steps, np.full((1, 10), 0.075))]
+    first, _ = families._character_sums(N, axes, 0.0)
+    assert len(set(first[0, [1, 2, 4, 8, 15]].real.tolist())) > 1
+    assert_pruned_gap_is_full_grid_gap(N, axes, 0.0, 1)
+
+
+NEAR_FLOOR_WALKS = {
+    # sigma_max = 2e-8 < 1: the floor is ZERO_SV and tau = 1/gap
+    "hold": cg.ChainSpec("circulant", 4, steps=((0, 1.0 - 1e-8), (1, 1e-8))),
+    # the flip N/2 puts sigma_max near 2, above gap / ZERO_SV: tau = inf
+    "flip": cg.ChainSpec("circulant", 8, steps=((4, 1.0 - 1.06e-8), (1, 1.06e-8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_FLOOR_WALKS))
+def test_pruned_character_gap_matches_full_grid_between_one_and_two_floors(name):
+    spec = NEAR_FLOOR_WALKS[name]
+    N, axes, hold = character_args(spec)
+    (gap, tau), = full_grid_character_gap(N, axes, hold)
+    # sigma_max decides tau here: the gap lies in (ZERO_SV, 2 ZERO_SV]
+    assert cg.relaxation_time(gap, 0.0) != cg.relaxation_time(gap, 2.0)
+    assert math.isinf(tau) == (name == "flip")
+    assert_pruned_gap_is_full_grid_gap(N, axes, hold, 1)
+    assert spec.closed_form() == (gap, tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(0.0, 2.0), st.floats(1e-9, 1e-7)),
+       st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+def test_relaxation_time_is_monotone_in_sigma_max(gap, s, t):
+    # _character_gap takes tau from sigma_max = 0 and an upper bound when they agree
+    lo, hi = sorted((s, t))
+    assert cg.relaxation_time(gap, lo) <= cg.relaxation_time(gap, hi)
+
+
+def counted_character_gap(spec):
+    """(closed_form(), entries): the frequencies _character_gap forms for spec."""
+    formed = []
+    row_values = families._row_values
+
+    def counting(*args):
+        for start, vals in row_values(*args):
+            formed.append(vals.size)
+            yield start, vals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_row_values", counting)
+        result = spec.closed_form()
+    return result, sum(formed)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0 / math.sqrt(2.0)], ids=["half", "irr"])
+def test_torus_closed_form_forms_few_grid_rows(alpha):
+    # the up/right tori of the scaling tables at N = 4096: 2049 x 4096 frequencies
+    spec = cg.ChainSpec("torus", 4096, 2, probs=cg.up_right_probs(alpha))
+    (gap, tau), formed = counted_character_gap(spec)
+    assert (gap, tau) == full_grid_character_gap(*character_args(spec))[0]
+    assert 0 < formed <= 0.05 * 2049 * 4096
+
+
+def test_three_axis_torus_closed_form_stays_blocked():
+    # 129 x 65,536 frequencies, one grid row per block
+    spec = cg.ChainSpec("torus", 256, 3, probs=cg.TorusProbs(0.1, (0.4, 0.2, 0.1), (0.1, 0.0, 0.1)))
+    tracemalloc.start()
+    try:
+        gap, tau = spec.closed_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert (gap, tau) == full_grid_character_gap(*character_args(spec))[0]
+    assert 0 < gap and tau == 1.0 / gap
+
 def step_law(spec):
     """{(axis, a mod N): probability} of a circulant or torus spec's positive steps."""
     N = spec.N
