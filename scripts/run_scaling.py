@@ -9,8 +9,9 @@ Four experiments, each emitting a CSV into --out-dir and printing a fit:
            each size forms only the frequency rows near m_1 = 0 that can
            hold the gap)
   doubling x -> 2x + {-1,0,1} mod prime N: tau/ln N roughly constant
-           (closed-form scan from the blocks on the orbits of m -> 2m, up
-           to the Mersenne primes 8191 and 131071, blocks of 13 and 17)
+           (closed-form scan from banded eigensolves of the blocks on the
+           orbits of m -> 2m: 4099 has two blocks of 2049 states, about
+           0.2 s; the Mersenne primes 8191 and 131071 blocks of 13 and 17)
   card     three-move shuffle on S_N: tau <= 41 N^3, cubic slope fitted
            on N = 3..6 (closed-form scan from one block per irreducible
            representation of S_N, N = 3..10; N = 10 takes about 0.75 s)
@@ -46,7 +47,7 @@ def run_torus(out_dir):
 
 
 def run_doubling(out_dir):
-    primes = [101, 211, 401, 809, 1601, 8191, 131071]
+    primes = [101, 211, 401, 809, 1601, 4099, 8191, 131071]
     rows = cg.scan(cg.ChainSpec(family="cdg", N=3), primes)
     cg.emit_report(rows, os.path.join(out_dir, "doubling.csv"))
     ratios = [r.tau / math.log(r.N) for r in rows]

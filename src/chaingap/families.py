@@ -11,15 +11,20 @@ frequency grid picks the few rows that can hold the gap, and only those
 are formed, in blocks of 2^16 frequencies. The random-steps ensemble sends
 whole blocks of walks through the same kernel, of which closed_form() is
 the batch of one. The doubling chain maps each character to a multiple
-of another, so closed_form() gets its gap from one small block per orbit
-of m -> 2m mod N. The card shuffle is a walk on S_N: closed_form() gets
-its gap from one block per irreducible representation, in Young's
-orthogonal form, up to 10 cards, and card_chain (up to 7) stays as the
-dense oracle. Only explicit chains have no closed form. One generator per group walk yields these
-blocks (_character_blocks, 1 x 1 complex, for circulant and torus walks;
-_doubling_blocks; _card_blocks), and the gap and Delta_n read the same
-values: every family chain carries its generator, and empirical takes
-its Delta_n curve from the blocks.
+of another, so closed_form() gets its gap from one cyclic weighted shift
+per orbit of m -> 2m mod N: LAPACK's banded eigensolver on folded
+pentadiagonal bands screens the blocks by their Gram matrices and takes
+the gap from the Golub-Kahan matrices of the few that can hold it, in
+O(p^2) time and O(p) memory a block. The card shuffle is a walk on S_N:
+closed_form() gets its gap from one block per irreducible
+representation, in Young's orthogonal form, up to 10 cards, and
+card_chain (up to 7) stays as the dense oracle. Only explicit chains
+have no closed form. One generator per group walk yields these blocks
+(_character_blocks, 1 x 1 complex, for circulant and torus walks;
+_doubling_blocks, dense stacks of the weights of _doubling_weights;
+_card_blocks), and the gap and Delta_n read the same values: every
+family chain carries its generator, and empirical takes its Delta_n
+curve from the blocks.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from functools import partial
 from itertools import permutations
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dsbevx
 
 from . import tolerances as tol
 from .chains import FiniteChain, build_chain
@@ -49,6 +56,8 @@ __all__ = [
     "card_chain",
     "parse_prob",
 ]
+
+_TINY = np.finfo(float).tiny
 
 
 def _require_entries(entries: int, what: str) -> None:
@@ -360,8 +369,8 @@ def cdg_chain(N: int) -> FiniteChain:
     return replace(chain, _blocks=partial(_doubling_blocks, N))
 
 
-def _doubling_blocks(N: int):
-    """Yield the nontrivial blocks K of cdg_chain(N), as stacks of one size.
+def _doubling_weights(N: int):
+    """Yield the weights of the nontrivial blocks K of cdg_chain(N), as (b, p) batches.
 
     On the characters chi_m(x) = e^{2 pi i m x / N} the chain acts as
     P chi_m = c_m chi_{2m}, with c_m = (1 + 2 cos(2 pi m / N)) / 3 the
@@ -369,23 +378,25 @@ def _doubling_blocks(N: int):
     direct sum over the orbits m, 2m, ..., 2^{r-1} m of the real r x r
     blocks K, the cyclic shift weighted by c along the orbit
     (K e_j = c_j e_{j+1}); the orbit of m = 0, the constants, is left out.
-    c_m is computed from min(m, N - m), so c_{-m} = c_m bitwise: the
-    orbit of -m has the same block and is skipped, and an orbit that
-    holds -m = 2^p m has weights of period p, so the half-turn
-    e_j -> e_{j+p}, which commutes with K, splits its block into two
-    p x p cyclic blocks whose wrap weight is +c and -c. A stack holds at
-    most tol.BLOCK_ENTRIES entries (a single block excepted), and only one
-    batch of orbits is built at a time. The longest orbit has ord_N(2)
-    states; past DENSE_LIMIT it is refused before anything is allocated,
-    as is N past DENSE_LIMIT**2 (the labels are N-long arrays).
+    Row k of a batch is one block's c_0, ..., c_{p-1}. c_m is computed
+    from min(m, N - m), so c_{-m} = c_m bitwise: the orbit of -m has the
+    same block and is skipped, and an orbit that holds -m = 2^p m has
+    weights of period p, so the half-turn e_j -> e_{j+p}, which commutes
+    with K, splits its block into two p x p cyclic blocks whose wrap
+    weight c_{p-1} is +c and -c. A batch holds the blocks of at most
+    tol.BLOCK_ENTRIES dense entries (a single block excepted), and only
+    one batch of orbits is built at a time. The longest orbit has
+    ord_N(2) states; past DENSE_LIMIT it is refused before anything is
+    allocated, as is N past DENSE_LIMIT**2 (the labels are N-long arrays).
     """
     _require_odd_modulus(N)
     _require_entries(N, "frequencies")
-    order, x = 1, 2  # order = ord_N(2)
-    while x != 1:
-        if order == tol.DENSE_LIMIT:
+    powers = [1, 2]  # 2^j mod N up to j = ord_N(2), where it is 1 again
+    while powers[-1] != 1:
+        if len(powers) > tol.DENSE_LIMIT:
             raise TooLarge(f"ord_{N}(2) exceeds dense limit {tol.DENSE_LIMIT}")
-        order, x = order + 1, 2 * x % N
+        powers.append(2 * powers[-1] % N)
+    order = len(powers) - 1
     # label m by the least min(x, N - x) over its orbit, by pointer jumping,
     # so that the orbits of m and -m share one label; label 0 is m = 0 alone
     m = np.arange(N)
@@ -396,38 +407,139 @@ def _doubling_blocks(N: int):
     reps, counts = np.unique(label, return_counts=True)
     reps, periods = reps[1:], counts[1:] // 2  # the orbits of +-m hold 2p states
     for p in np.unique(periods).tolist():
-        starts, diag = reps[periods == p], np.arange(p)
+        starts = reps[periods == p]
         per_batch = max(1, tol.BLOCK_ENTRIES // (p * p))
         for lo in range(0, starts.size, per_batch):
-            orbit = np.empty((min(per_batch, starts.size - lo), p + 1), dtype=np.int64)
-            orbit[:, 0] = starts[lo : lo + per_batch]
-            for j in range(1, p + 1):
-                orbit[:, j] = 2 * orbit[:, j - 1] % N
+            # m 2^j mod N, j = 0..p; below N^2 <= DENSE_LIMIT**4 < 2^63
+            orbit = starts[lo : lo + per_batch, None] * np.array(powers[: p + 1]) % N
             half_turn = orbit[:, p] != orbit[:, 0]  # 2^p m = -m
             phase = np.minimum(orbit[:, :p], N - orbit[:, :p])
             c = (1.0 + 2.0 * np.cos(2.0 * np.pi * phase / N)) / 3.0
             c = np.concatenate([c, c[half_turn]])
             c[orbit.shape[0] :, -1] *= -1.0  # the wrap weight of the odd half
             for at in range(0, c.shape[0], per_batch):
-                weights = c[at : at + per_batch]
-                blocks = np.zeros((weights.shape[0], p, p))
-                blocks[:, (diag + 1) % p, diag] = weights  # K e_j = c_j e_{j+1}
-                yield blocks
+                yield c[at : at + per_batch]
+
+
+def _doubling_blocks(N: int):
+    """Yield the blocks K of _doubling_weights(N) as dense (b, p, p) stacks."""
+    for weights in _doubling_weights(N):
+        p = weights.shape[1]
+        diag = np.arange(p)
+        blocks = np.zeros((weights.shape[0], p, p))
+        blocks[:, (diag + 1) % p, diag] = weights  # K e_j = c_j e_{j+1}
+        yield blocks
+
+
+def _folded_bands(diag, coupling) -> np.ndarray:
+    """The lower bands (kd = 2) of a batch of symmetric cyclic tridiagonals.
+
+    Row k of coupling joins j and j + 1 mod n by coupling[k, j], and row k
+    of diag is the diagonal. Under the order 0, n-1, 1, n-2, 2, ... each
+    edge joins positions at most 2 apart, so the matrix is pentadiagonal.
+    Edges that meet one entry add up: for n = 2 both edges join 0 and 1,
+    and for n = 1 the self-loop and its mirror both land on the diagonal.
+    Entry k of the (b, n, 3) result holds A[j + i, j] at [j, i], the
+    transpose of the band (ldab = 3) that dsbevx takes.
+    """
+    b, n = coupling.shape
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    ends = np.stack([pos, np.roll(pos, -1)])  # the positions of j and j + 1
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    loop = hi == lo
+    bands = np.zeros((b, n, 3))
+    bands[:, pos, 0] = diag
+    np.add.at(bands, (slice(None), lo, hi - lo), coupling)
+    np.add.at(bands, (slice(None), lo[loop], 0), coupling[:, loop])
+    return bands
+
+
+def _band_eigenvalues(band: np.ndarray, lo=0.0, hi=0.0, index: int = 0) -> np.ndarray:
+    """Eigenvalues of a _folded_bands entry by dsbevx, which overwrites it.
+
+    With index > 0 the index-th least (1-based) alone; otherwise every one
+    in (lo, hi], none when the Sturm counts at lo and hi agree. abstol =
+    2 * tiny, the value LAPACK gives for the most accurate bisection.
+    """
+    il, select = (index, 2) if index else (1, 1)  # range "I" reads il = iu, "V" lo and hi
+    # positional: ldab, compute_v = 0, range, lower = 1, abstol, mmax = 1, overwrite
+    w, _, found, _, info = dsbevx(band.T, lo, hi, il, il, 3, 0, select, 1, 2.0 * _TINY, 1, 1)
+    if info != 0 or (index and found != 1):
+        raise LinAlgError(f"dsbevx failed (info={info}, m={found})")
+    return w[:found]
+
+
+def _golub_kahan_min(weights: np.ndarray) -> float:
+    """sigma_min(I - K) of one block, from its Golub-Kahan band.
+
+    [[0, I - K], [(I - K)^T, 0]] has the eigenvalues +-sigma_i of I - K.
+    In the order s_0, r_1, s_1, r_2, ..., s_{p-1}, r_0 of the columns s_j
+    and rows r_j of I - K it is the zero-diagonal 2p-cycle
+    s_j -(-c_j)- r_{j+1} -(1)- s_{j+1}, and its eigenvalue p + 1 is
+    sigma_min; |.| because the computed +-sigma_min pair straddles 0.
+    """
+    p = weights.size
+    coupling = np.empty((1, 2 * p))
+    coupling[0, 0::2] = -weights
+    coupling[0, 1::2] = 1.0
+    return abs(float(_band_eigenvalues(_folded_bands(0.0, coupling)[0], index=p + 1)[0]))
 
 
 def _doubling_gap(N: int) -> tuple[float, float]:
-    """(gap, tau) of cdg_chain(N) from the blocks of _doubling_blocks.
+    """(gap, tau) of cdg_chain(N) from the weights of _doubling_weights.
 
     I - P is unitarily similar to the direct sum of the blocks I - K, so
     gamma is the least sigma_min(I - K) over the nonzero orbits, and
-    sigma_max the largest over them (the orbit of 0 gives 0).
+    sigma_max the largest over them (the orbit of 0 gives 0). A block
+    costs O(p^2) time and O(p) memory, in dsbevx calls on folded bands.
+
+    The Gram band T = (I - K)^T (I - K) (diagonal 1 + c_j^2, couplings
+    -c_j) gives sigma_max = sqrt(lambda_p(T)), to eps relative as it is
+    the norm. Its lambda_1 = sigma_min^2 only screens, as squaring loses
+    the relative accuracy of a small sigma_min. The first block asks for
+    lambda_1 and lambda_p by index; they start the running least lambda_1
+    and top lambda_p. Every later block asks only for its eigenvalues in
+    (-1, least + delta], delta = 1e-8, and in (top, 8] (T is positive
+    semidefinite, ||T|| <= 4); the Sturm counts mostly find none. The gap
+    is the least _golub_kahan_min over the candidates, the blocks whose
+    lambda_1 is at most the final least + delta.
+
+    A dsbevx eigenvalue lies within e = p(n) eps ||A|| of the exact one of
+    its band, and a Sturm count is exact for a band that close; p(n) is a
+    modest function of n <= 2 DENSE_LIMIT (take n). So e_T <= 4 n eps
+    (||T|| <= 4, and each rounded 1 + c_j^2 adds 2 eps) and e_GK <= 2 n eps
+    (||GK|| = sigma_max <= 1 + max|c| <= 2): 2 e_T + 8 e_GK + 4 e_GK^2 <
+    7e-11 < delta. The running cut never falls below the final one, so a
+    block B that is not a candidate has lambda_1(B) > least + delta - e_T.
+    With A the candidate that holds least, sigma_B^2 > sigma_A^2 + delta -
+    2 e_T. Were B's computed sigma at most A's, sigma_B - e_GK <= sigma_A
+    + e_GK, so sigma_B^2 <= sigma_A^2 + 8 e_GK + 4 e_GK^2 (sigma_A <= 2),
+    against the margin. So gamma keeps the bits of the least Golub-Kahan
+    value over every block. Likewise top is within e_T of the largest
+    lambda_p.
     """
-    gap, sigma_max = np.inf, 0.0
-    for blocks in _doubling_blocks(N):
-        values = np.linalg.svd(np.eye(blocks.shape[1]) - blocks, compute_uv=False)
-        gap = min(gap, float(values.min()))
-        sigma_max = max(sigma_max, float(values.max()))
-    return gap, relaxation_time(gap, sigma_max)
+    hits, least, top = [], np.inf, -np.inf
+    for weights in _doubling_weights(N):
+        p = weights.shape[1]
+        bands = _folded_bands(1.0 + weights * weights, -weights)
+        for w, band, spare in zip(weights, bands, bands.copy()):
+            if least == np.inf:  # the first block sets both thresholds
+                low = _band_eigenvalues(band, index=1)
+                high = _band_eigenvalues(spare, index=p)
+            else:
+                low = _band_eigenvalues(band, -1.0, least + 1e-8)
+                high = _band_eigenvalues(spare, top, 8.0)
+            if low.size:
+                least = min(least, float(low[0]))
+                hits.append((float(low[0]), w))
+            if high.size:
+                top = float(high[-1])
+    gap = min(_golub_kahan_min(w) for lam, w in hits if lam <= least + 1e-8)
+    return gap, relaxation_time(gap, math.sqrt(top))
 
 
 # ---------------------------------------------------------------------------

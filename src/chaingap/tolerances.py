@@ -7,8 +7,9 @@ one place documents what "equal" means for each kind of quantity. A few
 literals stay local to their code: the 1e-15 tie and improvement
 windows of the Cheeger enumeration and search in ``bounds``, the 1e-12
 rise that ``bounds._check_monotone`` allows along the worst-case TV
-curve, and the 1e-10 mean-zero and unit-norm checks on a test function
-in ``empirical``.
+curve, the 1e-10 mean-zero and unit-norm checks on a test function
+in ``empirical``, and the 1e-8 screen margin of
+``families._doubling_gap``, whose docstring derives it.
 """
 
 # Row sums of a transition matrix, and sums of probability vectors.
@@ -50,10 +51,11 @@ DENSE_LIMIT = 6000
 # float64), nor do the Philox rounds that fill a block's draws, or a stack
 # of deviation grams and its temporary, between them.
 # families._character_gap forms the rows of its frequency grid that its
-# row bound cannot rule out (a row wider than this alone), _doubling_blocks
-# stacks its orbit blocks, and empirical._block_tops forms its chunks of
-# block powers, with their grams and one temporary, in blocks of this many
-# entries;
+# row bound cannot rule out (a row wider than this alone), _doubling_weights
+# batches the orbit blocks that _doubling_blocks stacks densely (the gap
+# reads only their weights, p a block), and empirical._block_tops forms its
+# chunks of block powers, with their grams and one temporary, in blocks of
+# this many entries;
 # experiments._ensemble_taus draws as many walks as fill one such block;
 # bounds.cheeger_exact scores at most this many pairs of half-subsets per
 # GEMM (a block of H half-subsets of this many over 2^h, against the L

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaingap as cg
@@ -604,8 +604,8 @@ def test_cdg_closed_form_refuses_long_orbits(monkeypatch):
 
 
 def test_cdg_closed_form_batches_small_blocks():
-    # ord_131071(2) = 17: 3855 orbits of 17 x 17 blocks, sent to the SVD in
-    # batches of at most 2^16 entries
+    # ord_131071(2) = 17: 3855 orbits of 17-state blocks, their weights read in
+    # batches of at most 2^16 dense entries
     tracemalloc.start()
     try:
         gap, tau = families._doubling_gap(131071)
@@ -614,6 +614,67 @@ def test_cdg_closed_form_batches_small_blocks():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert 0 < gap and math.isfinite(tau)
+
+
+@st.composite
+def cyclic_shifts(draw):
+    """Weights c_0..c_{p-1} of a cyclic weighted shift K e_j = c_j e_{j+1},
+    either sign of the wrap weight."""
+    p = draw(st.integers(1, 40))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    c[-1] *= draw(st.sampled_from([1.0, -1.0]))
+    return c
+
+
+@settings(max_examples=120, deadline=None)
+@given(cyclic_shifts())
+@example(np.array([1.0 / 3.0]))
+@example(np.array([-1.0 / 3.0]))
+@example(np.array([0.7, -0.2]))
+@example(np.array([0.7, 0.2]))
+def test_folded_bands_match_dense_svd(c):
+    # the whole Gram and Golub-Kahan spectra of the folded bands, and the
+    # values _doubling_gap reads, against the SVD of I - K
+    p = c.size
+    K = np.zeros((p, p))
+    K[(np.arange(p) + 1) % p, np.arange(p)] = c
+    values = np.linalg.svd(np.eye(p) - K, compute_uv=False)[::-1]
+    scale = 1e-13 * values[-1]
+    gram = families._folded_bands(1.0 + c * c, -c[None])[0]
+    spectrum = families._band_eigenvalues(gram.copy(), -1.0, 8.0)
+    assert np.abs(spectrum - values**2).max() <= scale * values[-1]
+    least = families._band_eigenvalues(gram.copy(), index=1)
+    top = families._band_eigenvalues(gram.copy(), index=p)
+    assert abs(least[0] - values[0] ** 2) <= scale * values[-1]
+    assert abs(math.sqrt(top[0]) - values[-1]) <= scale
+    coupling = np.empty((1, 2 * p))
+    coupling[0, 0::2], coupling[0, 1::2] = -c, 1.0
+    gk = families._band_eigenvalues(families._folded_bands(0.0, coupling)[0], -3.0, 3.0)
+    assert np.abs(gk - np.concatenate([-values[::-1], values])).max() <= scale
+    assert abs(families._golub_kahan_min(c) - values[0]) <= scale
+
+
+def test_doubling_gap_screen_keeps_every_block_bits():
+    # the Gram screen sends only the candidate blocks to Golub-Kahan; the gap
+    # is the one of sending every block there, to the bit
+    for N in [*range(3, 400, 2), 2187, 4099, 8191, 131071]:
+        every = min(
+            families._golub_kahan_min(w)
+            for weights in families._doubling_weights(N)
+            for w in weights
+        )
+        gap, tau = families._doubling_gap(N)
+        assert gap == every and tau == 1.0 / every, N
+
+
+def test_doubling_gap_refuses_failed_band_solves(monkeypatch):
+    # dsbevx's info != 0, or an index call that finds no eigenvalue
+    from scipy.linalg import LinAlgError
+
+    for found, info in ((1, 2), (0, 0)):
+        monkeypatch.setattr(families, "dsbevx", lambda *args: (np.zeros(3), None, found, None, info))
+        with pytest.raises(LinAlgError, match="dsbevx"):
+            families._doubling_gap(7)
 
 
 def test_card_chain_row_of_identity():
