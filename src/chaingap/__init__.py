@@ -18,7 +18,7 @@ experiment grids.
 """
 
 from .audit import BoundAudit, BoundCheck
-from .battery import BatteryChain, random_dense_chain, reference_battery
+from .battery import BatteryChain, reference_battery
 from .chains import (
     FiniteChain,
     build_chain,

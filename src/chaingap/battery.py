@@ -15,7 +15,7 @@ import numpy as np
 from .chains import FiniteChain, build_chain, lazy
 from .families import card_chain, cdg_chain, circulant_chain, torus_chain, up_right_probs
 
-__all__ = ["BatteryChain", "reference_battery", "random_dense_chain", "flip_chain", "uniform_chain"]
+__all__ = ["BatteryChain", "reference_battery"]
 
 RANDOM_CHAIN_SEED = 0x8812
 CIRCLE_SIZES = (3, 4, 8, 16)
@@ -37,7 +37,7 @@ def uniform_chain(n: int) -> FiniteChain:
     return build_chain(np.full((n, n), 1.0 / n))
 
 
-def random_dense_chain(size: int, rng: np.random.Generator) -> FiniteChain:
+def _random_dense_chain(size: int, rng: np.random.Generator) -> FiniteChain:
     """Strictly positive rows (hence irreducible and aperiodic)."""
     m = rng.uniform(0.05, 1.0, size=(size, size))
     return build_chain(m / m.sum(axis=1, keepdims=True))
@@ -66,5 +66,5 @@ def reference_battery(n_random: int = 20, random_size: int = 8) -> list[BatteryC
         out.append(BatteryChain(f"card-{n}", card_chain(n), group_walk=True))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(RANDOM_CHAIN_SEED)))
     for i in range(n_random):
-        out.append(BatteryChain(f"random-{i}", random_dense_chain(random_size, rng)))
+        out.append(BatteryChain(f"random-{i}", _random_dense_chain(random_size, rng)))
     return out

@@ -59,7 +59,7 @@ from scipy.linalg.lapack import dsyevx
 from . import tolerances as tol
 from .audit import BoundAudit, make_check, skipped_check
 from .chains import FiniteChain
-from .errors import BadTestFunction, DegenerateKernel
+from .errors import BadTestFunction
 from .spectral import _conjugated, _require_spectral, spectral_gap
 
 __all__ = [
@@ -544,13 +544,14 @@ def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:
     for every n <= tau/3; and that for every n with 2n <= n_max the
     window max over n <= k <= 2n is at least tau / (2n + 3 tau). Each
     inequality is reported once with its worst margin (and the n where
-    that occurs).
+    that occurs). An infinite tau gives three skipped checks, never a raise.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     gamma, tau = spectral_gap(chain)
     if not np.isfinite(tau):
-        raise DegenerateKernel("deviation bounds need a finite relaxation time")
+        names = ("avg_dev_upper", "avg_dev_floor", "avg_dev_window_lower")
+        return BoundAudit(tuple(skipped_check(n, "relaxation time infinite") for n in names))
     delta = _deviation_values(chain, n_max)
     ns = np.arange(1, n_max + 1)
 

@@ -18,10 +18,6 @@ class MultipleInvariantMeasures(ChainError):
     spectral quantities are ill-posed."""
 
 
-class DegenerateKernel(ChainError):
-    """Second-smallest singular value is numerically zero; relaxation time is infinite."""
-
-
 class TooLarge(ChainError):
     """Requested dense construction exceeds the state-count cap."""
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,19 @@ def birth_death_matrix(n, up):
     for x in range(n):
         P[x, min(x + 1, n - 1)] += up
         P[x, max(x - 1, 0)] += 1.0 - up
+    return P
+
+
+def z2_squared_walk_matrix(d):
+    """The walk on Z/2 x Z/2 stepping by (1, 0) at 1 - d and by (1, 1) at d.
+
+    Its gap is 2d, so a d below relaxation_time's floor gives an
+    irreducible chain with an infinite tau.
+    """
+    P = np.zeros((4, 4))
+    for a, b in itertools.product(range(2), repeat=2):
+        P[2 * a + b, 2 * (1 - a) + b] += 1.0 - d
+        P[2 * a + b, 2 * (1 - a) + (1 - b)] += d
     return P
 
 

@@ -14,7 +14,12 @@ from chaingap.bounds import _first_improvement, _members, _near_minimal, _subset
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
 from chaingap.experiments import render_report
 
-from conftest import birth_death_chains, birth_death_matrix, stochastic_matrices
+from conftest import (
+    birth_death_chains,
+    birth_death_matrix,
+    stochastic_matrices,
+    z2_squared_walk_matrix,
+)
 
 
 def cheeger_oracle_tied(chain):
@@ -614,6 +619,8 @@ def test_mixing_time_examples(flip):
     assert cg.mixing_time(cg.lazy(flip, 0.5), 0.25).tmix == 1
     # large eps can be met at n = 0
     assert cg.mixing_time(flip, 0.6).tmix == 0
+    # d(n) = 2^-(n+1) exactly, so the bisection probe n = 3 meets eps with equality
+    assert cg.mixing_time(cg.build_chain([[0.75, 0.25], [0.25, 0.75]]), 1 / 16).tmix == 3
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
@@ -636,20 +643,79 @@ def test_mixing_curve_monotone(battery):
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_mixing_against_reference_walk():
-    # brute-force check: first n with max_x TV <= eps, scanned linearly
-    chain = cg.circulant_chain(8, [(0, 0.5), (1, 0.5)])
-    eps = 1.0 / 6.0
+MIXING_EPS = (1.0 / 6.0, 0.25, 0.01, 0.6)
+
+
+def reference_mixing(chain, eps):
+    """(tmix, probes, d) from a linear scan of d(n) = max_x TV(P^n_x, mu).
+
+    The probes are those of a doubling search (n = 0, 1, 2, 4, ... while
+    2n stays within the cap 10 N^2 + 1000) followed by a bisection of the
+    last doubling step, both read off the scanned values. tmix is the first
+    scanned n with d(n) <= eps, and None when the doubling never reaches
+    eps: then mixing_time must report infinity or raise.
+    """
+    cap = 10 * chain.size**2 + 1000
     mu = chain.stationary
-    step = np.eye(8)
-    expected = None
-    for n in range(200):
-        tv = 0.5 * np.abs(step - mu).sum(axis=1).max()
-        if tv <= eps:
-            expected = n
+    d, power = [], np.eye(chain.size)
+
+    def tv(n):
+        nonlocal power
+        while len(d) <= n:
+            d.append(0.5 * np.abs(power - mu).sum(axis=1).max())
+            power = power @ chain.transition
+        return d[n]
+
+    probes = [0]
+    if tv(0) <= eps:
+        return 0, probes, d
+    step = 1
+    while True:
+        probes.append(step)
+        if tv(step) <= eps:
             break
-        step = step @ chain.transition
-    assert cg.mixing_time(chain, eps).tmix == expected
+        if 2 * step > cap:
+            return None, probes, d
+        step *= 2
+    lo, hi = step // 2, step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probes.append(mid)
+        if tv(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    tmix = next(n for n, value in enumerate(d) if value <= eps)
+    return tmix, sorted(probes), d
+
+
+def assert_mixing_matches_reference(chain):
+    for eps in MIXING_EPS:
+        tmix, probes, d = reference_mixing(chain, eps)
+        if tmix is None and cg.period(chain) == 1:
+            with pytest.raises(cg.errors.MixingCapExceeded):
+                cg.mixing_time(chain, eps)
+            continue
+        result = cg.mixing_time(chain, eps)
+        assert result.tmix == (math.inf if tmix is None else tmix)
+        assert [n for n, _ in result.tv_curve] == probes
+        for n, value in result.tv_curve:
+            assert value == pytest.approx(d[n], rel=1e-9, abs=1e-12)
+
+
+def test_mixing_against_reference_walk(battery, flip):
+    # brute-force check: first n with max_x TV <= eps, scanned linearly, and
+    # the probes of doubling then bisection
+    chains = [item.chain for item in battery]
+    chains += [cg.lazy(flip, 0.5), cg.circulant_chain(7, [(3, 1.0)])]
+    for chain in chains:
+        assert_mixing_matches_reference(chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stochastic_matrices(max_size=6))
+def test_mixing_against_reference_walk_on_random_chains(P):
+    assert_mixing_matches_reference(cg.build_chain(P))
 
 
 def test_inequality_audit_flip(flip):
@@ -701,12 +767,7 @@ def test_inequality_audit_group_walk_flag():
 def test_group_walk_doubling_is_skipped_when_tau_is_infinite():
     # the walk on Z/2 x Z/2 by (1, 0) at 1 - d and (1, 1) at d: gap 2d, below
     # relaxation_time's floor, so tau is infinite and there is no bound to check
-    d = 1e-10
-    P = np.zeros((4, 4))
-    for a, b in itertools.product(range(2), repeat=2):
-        P[2 * a + b, 2 * (1 - a) + b] += 1.0 - d
-        P[2 * a + b, 2 * (1 - a) + (1 - b)] += d
-    audit = cg.inequality_audit(cg.build_chain(P), group_walk=True)
+    audit = cg.inequality_audit(cg.build_chain(z2_squared_walk_matrix(1e-10)), group_walk=True)
     (check,) = [c for c in audit.checks if c.name.startswith("group_walk_doubling")]
     assert check.name == "group_walk_doubling [skipped: relaxation time infinite]"
     assert not check.applicable
@@ -718,6 +779,9 @@ def test_inequality_audit_eps_gates(flip):
     by_name = {c.name.split(" ")[0]: c for c in audit.checks}
     assert not by_name["relaxation_vs_mixing"].applicable  # eps outside (0, 1/5)
     assert by_name["mixing_vs_relaxation"].applicable  # allowed up to 1/2
+    audit = cg.inequality_audit(cg.lazy(flip, 0.5), eps=0.5)
+    (check,) = [c for c in audit.checks if c.name.startswith("mixing_vs_relaxation")]
+    assert check.name == "mixing_vs_relaxation [skipped: eps outside (0, 1/2)]"
 
 
 def test_audit_serialization_and_exit_semantics():
@@ -730,6 +794,8 @@ def test_audit_serialization_and_exit_semantics():
 
     failing = BoundAudit((make_check("synthetic", 2.0, 1.0, "<="),))
     assert not failing.all_pass
+    with pytest.raises(ValueError, match="relation must be '<=' or '>=', got '<'"):
+        make_check("synthetic", 1.0, 2.0, "<")
 
 
 @settings(max_examples=10, deadline=None)

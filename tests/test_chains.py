@@ -263,8 +263,23 @@ def test_transition_arrays_are_immutable(flip):
         flip.stationary[0] = 0.9
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.5, 0.5]], r"transition matrix must be square, got \(1, 2\)"),
+        ([[math.nan, 1.0], [0.5, 0.5]], "transition matrix has non-finite entries"),
+    ],
+    ids=["non-square", "non-finite"],
+)
+def test_build_chain_refuses_malformed_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        cg.build_chain(matrix)
+
+
 def test_distribution_validation():
     P = np.array([[0.25, 0.75], [0.25, 0.75]])
+    with pytest.raises(ValueError, match="distribution must be a finite 1-d vector"):
+        cg.build_chain(P, stationary=np.array([[0.25, 0.75]]))
     with pytest.raises(ValueError):
         cg.build_chain(P, stationary=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):

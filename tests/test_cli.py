@@ -5,7 +5,7 @@ import pytest
 
 from chaingap.cli import build_parser, main
 
-from conftest import OVERSIZE_SPECS, birth_death_matrix
+from conftest import OVERSIZE_SPECS, birth_death_matrix, z2_squared_walk_matrix
 
 
 @pytest.fixture()
@@ -385,6 +385,26 @@ def test_audit_stdout_is_the_csv_report(walk_spec, tmp_path, capsys):
     assert out.read_text() == text
 
 
+def test_audit_reports_skipped_deviation_rows_for_infinite_tau(tmp_path, capsys):
+    import chaingap as cg
+    from chaingap.experiments import render_report
+
+    P = z2_squared_walk_matrix(1e-10)
+    spec = tmp_path / "z2.json"
+    spec.write_text(json.dumps({"family": "explicit", "matrix": P.tolist()}))
+    assert main(["audit", "--spec", str(spec), "--n-max", "5"]) == 0
+    text = capsys.readouterr().out
+    chain = cg.build_chain(P)
+    assert text == render_report(
+        cg.inequality_audit(chain).merged(cg.delta_bounds_audit(chain, 5)), "csv"
+    )
+    tail = [line.split(",")[0] for line in text.strip().split("\n")[-3:]]
+    assert tail == [
+        f"{name} [skipped: relaxation time infinite]"
+        for name in ("avg_dev_upper", "avg_dev_floor", "avg_dev_window_lower")
+    ]
+
+
 def test_audit_command_refuses_k_max_zero(walk_spec, capsys):
     assert main(["audit", "--spec", walk_spec, "--k-max", "0"]) == 2
     captured = capsys.readouterr()
@@ -516,10 +536,12 @@ def test_audit_accepts_chain_with_subnormal_mu(tmp_path, capsys):
         ({"family": "torus", "N": 4, "d": 1.5, "probs": {"plus": [0.5], "minus": [0.5]}},
          "torus 'd' must be an integer, got 1.5"),
         ([{"family": "cdg", "N": 5}], "a chain spec must be a JSON object"),
+        ({"family": "circulant", "N": 5, "steps": []}, "circulant family requires 'steps'"),
+        ({"family": "torus", "N": 4, "d": 1}, "torus family requires 'probs' as a JSON object"),
     ],
     ids=["torus-no-plus", "matrix-scalar", "matrix-null", "matrix-ragged", "step-scalar",
          "step-fraction", "step-bool", "N-list", "N-fraction", "N-bool", "d-fraction",
-         "top-level-list"],
+         "top-level-list", "steps-empty", "torus-no-probs"],
 )
 def test_malformed_spec_is_refused(payload, message, tmp_path, capsys):
     spec = tmp_path / "bad.json"
@@ -619,8 +641,9 @@ def test_cli_surface():
      ("1/0", "probability '1/0' divides by zero"),
      ("1/sqrt(0)", "probability '1/sqrt(0)' divides by zero"),
      ("1/2/4", "chained division in probability '1/2/4'"),
-     ("1e400", "probability '1e400' overflows a double")],
-    ids=["bool", "zero", "sqrt-zero", "chained", "overflow"],
+     ("1e400", "probability '1e400' overflows a double"),
+     ("", "empty probability expression")],
+    ids=["bool", "zero", "sqrt-zero", "chained", "overflow", "empty"],
 )
 def test_malformed_probability_is_refused_in_one_line(prob, message, tmp_path, capsys):
     spec = tmp_path / "bad.json"

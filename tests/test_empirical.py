@@ -832,6 +832,21 @@ def test_monte_carlo_rejects_bad_test_function(flip):
         cg.delta_monte_carlo(flip, np.array([2.0, -2.0]), n=2, reps=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (lambda c: cg.delta_exact(c, 0), "n must be >= 1"),
+        (lambda c: cg.delta_monte_carlo(c, np.array([1.0, -1.0]), n=0, reps=10, seed=0),
+         "n must be >= 1"),
+        (lambda c: cg.delta_bounds_audit(c, 0), "n_max must be >= 1"),
+    ],
+    ids=["exact", "monte-carlo", "bounds-audit"],
+)
+def test_deviation_routes_refuse_n_below_one(route, message, flip):
+    with pytest.raises(ValueError, match=message):
+        route(flip)
+
+
 def test_delta_bounds_audit_flip(flip):
     audit = cg.delta_bounds_audit(flip, n_max=8)
     assert audit.all_pass
@@ -841,6 +856,9 @@ def test_delta_bounds_audit_flip(flip):
     # tau = 1/2 < 3, so the floor bound has no qualifying n
     floor = [c for c in audit.checks if c.name.startswith("avg_dev_floor")][0]
     assert not floor.applicable
+    window = cg.delta_bounds_audit(flip, n_max=1).checks[-1]
+    assert window.name == "avg_dev_window_lower [skipped: n_max < 2]"
+    assert not window.applicable
 
 
 def test_delta_bounds_audit_slow_chain_hits_floor():
@@ -851,11 +869,16 @@ def test_delta_bounds_audit_slow_chain_hits_floor():
     assert audit.all_pass
 
 
-def test_delta_bounds_audit_rejects_degenerate_kernel():
+def test_delta_bounds_audit_skips_infinite_tau():
     leak = 1e-12
     chain = cg.build_chain([[1 - leak, leak], [leak, 1 - leak]])
-    with pytest.raises(cg.errors.DegenerateKernel):
-        cg.delta_bounds_audit(chain, 4)
+    audit = cg.delta_bounds_audit(chain, 4)
+    assert [c.name for c in audit.checks] == [
+        f"{name} [skipped: relaxation time infinite]"
+        for name in ("avg_dev_upper", "avg_dev_floor", "avg_dev_window_lower")
+    ]
+    assert not any(c.applicable for c in audit.checks)
+    assert audit.all_pass
 
 
 def test_curve_csv_round_trip(flip):

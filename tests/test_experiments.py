@@ -186,6 +186,17 @@ def test_ensemble_refuses_an_empty_l_grid():
         cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [], seed=0)
 
 
+@pytest.mark.parametrize(
+    "p, trials, message",
+    [([0.5, 0.25, 0.25], 10, "p must list k = 2 probabilities"),
+     ([0.5, 0.5], 0, "trials must be >= 1")],
+    ids=["p-length", "no-trials"],
+)
+def test_ensemble_refuses_bad_p_or_trials(p, trials, message):
+    with pytest.raises(ValueError, match=message):
+        cg.random_steps_ensemble(101, 2, p, trials, [1.0], seed=0)
+
+
 def test_ensemble_accepts_zero_and_infinite_l():
     rows = cg.random_steps_ensemble(101, 2, [0.5, 0.5], 10, [0.0, math.inf], seed=0)
     assert [(r.L, r.fraction) for r in rows] == [(0.0, 1.0), (math.inf, 0.0)]

@@ -62,6 +62,11 @@ def test_spectral_gap_closed_form_anchors():
         assert tau == pytest.approx(1.0 / (1.0 - math.cos(2 * math.pi / n)), rel=1e-12)
 
 
+def test_spectral_gap_refuses_one_state_chain():
+    with pytest.raises(ValueError, match="spectral gap needs at least two states"):
+        cg.spectral_gap(cg.build_chain([[1.0]]))
+
+
 def test_spectral_gap_near_degenerate_flags_infinity():
     eps = 1e-12
     chain = cg.build_chain([[1 - eps, eps], [eps, 1 - eps]])
