@@ -428,6 +428,19 @@ def _unit(words: np.ndarray, out: np.ndarray) -> None:
     np.multiply(words >> 11, 2.0**-53, out=out)
 
 
+def _lemire(h: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """(draw, rejected): numpy's bounded integer in [0, bound) from each 32-bit word h.
+
+    Lemire's method (ACM TOMACS 29, 2019), as numpy's Generator takes a
+    draw below bound <= 2^32 from one 32-bit word: the draw is
+    (h * bound) >> 32, and numpy rejects it, taking the next word instead,
+    when (h * bound) mod 2^32 < 2^32 mod bound. bound is an int or a
+    uint64 array that broadcasts against h.
+    """
+    product = np.multiply(h, bound, dtype=np.uint64)
+    return product >> 32, (product & _LOW32) < (1 << 32) % bound
+
+
 def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int):
     """(u0, bucket, coin) of replicates first .. first + count - 1, bit for bit.
 
@@ -454,9 +467,8 @@ def _replicate_draws(seed: int, first: int, count: int, steps: int, buckets: int
         _unit(words[:, 1 + half : 1 + half + steps], coin[start:stop])
         # the 32-bit draws, low half of each word first: the words' little-endian halves
         h = words[:, 1 : 1 + half].astype("<u8", copy=False).view("<u4")[:, :steps]
-        product = np.multiply(h, buckets, dtype=np.uint64)  # a dense chain has < 2^32 states
-        bucket[start:stop] = product >> 32
-        rejected = ((product & _LOW32) < (1 << 32) % buckets).any(axis=1)
+        bucket[start:stop], rejected = _lemire(h, buckets)  # a dense chain has < 2^32 states
+        rejected = rejected.any(axis=1)
         for r in (start + np.flatnonzero(rejected)).tolist():
             rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, first + r)))
             rng.random()  # u0 comes before any bucket draw

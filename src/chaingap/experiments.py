@@ -22,7 +22,7 @@ import numpy as np
 from . import tolerances as tol
 from .audit import BoundAudit
 from .bounds import CheegerResult, PathBoundResult
-from .empirical import DeltaCurve, _philox_key
+from .empirical import DeltaCurve, _lemire, _philox_key
 from .errors import InsufficientData, NotPrime
 from .families import ChainSpec, _character_gap, _normalize_steps
 from .spectral import SingularSpectrum
@@ -141,9 +141,12 @@ def random_steps_ensemble(
     Z/NZ (without replacement), computes each tau from the circulant
     closed form, and reports the fraction exceeding L * N^{2/(k+1)} for
     each L. Deterministic given the seed, which keys Philox by
-    empirical._philox_key; fractions are automatically non-increasing
-    in L. Refuses an empty grid and an L that is not a number >= 0 (inf
-    is one) with ValueError.
+    empirical._philox_key: trial t's steps are the t-th
+    rng.choice(N, size=k, replace=False) of a Generator on that Philox,
+    decoded from its raw words a block of trials at a time
+    (_choice_blocks). Fractions are automatically non-increasing in L.
+    Refuses an empty grid and an L that is not a number >= 0 (inf is
+    one) with ValueError.
     """
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
@@ -169,22 +172,82 @@ def random_steps_ensemble(
 def _ensemble_taus(N: int, p: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """tau of each trial's circulant walk, trials drawn and solved in blocks.
 
-    Each trial draws its len(p) residues with rng.choice, in trial order,
-    so the Philox stream is a loop's. A block holds as many trials as fit
-    tol.BLOCK_ENTRIES frequencies 0..N//2; its steps are sorted with their p
-    as _normalize_steps sorts them and go to _character_gap as one batch,
-    so each tau is the bits of ChainSpec("circulant", ...).closed_form().
+    Trial t's residues are the t-th rng.choice(N, size=len(p),
+    replace=False) of one Generator, bit for bit (_choice_blocks). A
+    block holds as many trials as fit tol.BLOCK_ENTRIES frequencies
+    0..N//2; its steps are sorted with their p as _normalize_steps sorts
+    them and go to _character_gap as one batch, so each tau is the bits
+    of ChainSpec("circulant", ...).closed_form().
     """
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
     per = max(1, tol.BLOCK_ENTRIES // (N // 2 + 1))
     taus = np.empty(trials)
-    for first in range(0, trials, per):
-        count = min(per, trials - first)
-        a = np.array([rng.choice(N, size=p.size, replace=False) for _ in range(count)])
+    first = 0
+    for a in _choice_blocks(N, p.size, trials, seed, per):
         order = np.argsort(a, axis=1)
         walks = _character_gap(N, [(np.take_along_axis(a, order, axis=1), p[order])])
-        taus[first : first + count] = [tau for _, tau in walks]
+        taus[first : first + len(a)] = [tau for _, tau in walks]
+        first += len(a)
     return taus
+
+
+def _choice_blocks(N: int, k: int, trials: int, seed: int, per: int):
+    """Yield the trials' residues in blocks of at most per rows, row t being
+    the t-th rng.choice(N, size=k, replace=False) of
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed))).
+
+    numpy draws such a choice by Floyd's algorithm (Bentley & Floyd,
+    CACM 30, 1987) unless N > 10000 and k > N // 50: for j = N - k .. N - 1
+    one draw t in 0..j (none at j = 0, where t = 0), and the value is t,
+    or j when t is already taken; then it shuffles the k values, swapping
+    value i with a draw in 0..i for i = k - 1 .. 1. Each draw is Lemire's
+    from one 32-bit word (empirical._lemire), and the words are Philox's
+    64-bit words split low half first, across calls, so a block's draws
+    are decoded at once from random_raw, an odd half carried to the next.
+
+    The per-trial loop stays where decoding would not be numpy's stream:
+    numpy's other branch, for N > 10000 and k > N // 50, shuffles the
+    tail of arange(N) instead; and a rejected draw takes one more word,
+    so every trial from the first one whose draws hold a rejection is
+    drawn by rng after a fresh Generator replays the trials before it.
+    """
+    key = _philox_key(seed)
+    done = 0
+    if not (N > 10000 and k > N // 50):
+        # the bound j + 1 of each draw: Floyd's j = N - k .. N - 1 (none at 0), then the shuffle's i
+        bounds = np.r_[max(N - k, 1) + 1 : N + 1, k:1:-1].astype(np.uint64)
+        bitgen = np.random.Philox(key=key)
+        spare = np.empty(0, dtype="<u4")  # the high half of a word a block left unused
+        while done < trials:
+            count = min(per, trials - done)
+            need = count * bounds.size - spare.size
+            words = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")
+            halves = np.concatenate((spare, words))
+            spare = halves[count * bounds.size :]
+            draws, rejected = _lemire(halves[: count * bounds.size].reshape(count, -1), bounds)
+            draws = draws.astype(np.int64)
+            a = np.zeros((count, k), dtype=np.int64)  # Floyd's t = 0 at j = 0 when k = N
+            for s, j in enumerate(range(N - k, N)):
+                if j:
+                    t = draws[:, s - (k == N)]
+                    a[:, s] = np.where((a[:, :s] == t[:, None]).any(axis=1), j, t)
+            rows = np.arange(count)
+            for i, j in zip(range(k - 1, 0, -1), draws.T[bounds.size - k + 1 :]):
+                a[rows, i], a[rows, j] = a[rows, j], a[rows, i]
+            bad = np.flatnonzero(rejected.any(axis=1))
+            if bad.size:
+                if bad[0]:
+                    yield a[: bad[0]]
+                done += int(bad[0])
+                break
+            yield a
+            done += count
+    if done < trials:
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(done):
+            rng.choice(N, size=k, replace=False)
+        for start in range(done, trials, per):
+            count = min(per, trials - start)
+            yield np.array([rng.choice(N, size=k, replace=False) for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ symmetric group. Circulant and torus chains are both walks on (Z/NZ)^d:
 one constructor builds them, and ChainSpec.closed_form() gets their gaps
 from the character sums, far past the dense-matrix limit. The sums gather
 from one table of N-th roots of unity; a lower bound on each row of the
-frequency grid picks the few rows that can hold the gap, and only those
-are formed, in blocks of 2^16 frequencies. The random-steps ensemble sends
+frequency grid, summed from the table's real parts, picks the few rows
+that can hold the gap, and only those are formed, in blocks of 2^16
+frequencies. The random-steps ensemble sends
 whole blocks of walks through the same kernel, of which closed_form() is
 the batch of one. The doubling chain maps each character to a multiple
 of another, so closed_form() gets its gap from one cyclic weighted shift
@@ -104,6 +105,44 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
     return replace(chain, _blocks=partial(_character_blocks, N, axes, hold))
 
 
+def _roots_of_unity(N: int, axes) -> np.ndarray:
+    """The table e^{2 pi i r / N}, r = 0..N-1, that every character sum gathers from.
+
+    An axis has N frequencies and the other axes N^(d-1) together; past
+    DENSE_LIMIT**2 either is refused before anything is allocated.
+    """
+    _require_entries(N ** max(1, len(axes) - 1), "character sums")
+    return np.exp(2j * np.pi * np.arange(N) / N)
+
+
+def _axis_sums(table: np.ndarray, a: np.ndarray, p: np.ndarray, m) -> np.ndarray:
+    """sum_r p[:, r] * table[(m a[:, r]) mod N], added in step order from zero.
+
+    One axis's character sums for a batch of walks: a and p are the
+    residues and probabilities of its steps, shape (B, k), and m is a
+    row of frequencies shared by the batch or a (B, 1) column of one
+    frequency a walk. table is _roots_of_unity's, or its real parts: p
+    is real, so the real part of p * root is fl(p cos) under any
+    complex-multiply loop, complex addition adds the parts separately,
+    and the real table gives the real parts of the complex sums' bits.
+    """
+    N = table.size
+    out = np.zeros(np.broadcast_shapes((a.shape[0], 1), np.shape(m)), dtype=table.dtype)
+    for r in range(a.shape[1]):
+        out += p[:, r, None] * table[(m * a[:, r, None]) % N]
+    return out
+
+
+def _tail_sums(table: np.ndarray, axes, batch: int) -> np.ndarray:
+    """The sums of axes 2..d over their N^(d-1) frequencies in row-major order,
+    shape (batch, N^(d-1)), added axis by axis; a single zero for one axis."""
+    tail = np.zeros((batch, 1), dtype=table.dtype)
+    for a, p in axes[1:]:
+        t = _axis_sums(table, a, p, np.arange(table.size))
+        tail = (tail[:, :, None] + t[:, None, :]).reshape(batch, -1)
+    return tail
+
+
 def _character_sums(N: int, axes, hold: float) -> tuple[np.ndarray, np.ndarray]:
     """(first, tail): the characters of a batch of walks, lambda = first[b, m_1] + tail[b, rest].
 
@@ -112,28 +151,15 @@ def _character_sums(N: int, axes, hold: float) -> tuple[np.ndarray, np.ndarray]:
     the axis count and ``hold``. Walk b has
     lambda_m = hold + sum_j sum_r p[b, r] e^{2 pi i m_j a[b, r] / N}, each
     term gathered from one table of the N-th roots of unity at the exact
-    residue (m_j a) mod N. lambda_{-m} is the conjugate of lambda_m, so
-    the first coordinate runs over 0..N//2 only: ``first`` is hold plus
-    the first axis's sums, shape (B, N//2 + 1), and ``tail`` the other
-    axes' sums over their N^(d-1) frequencies in row-major order (a
-    single zero when d = 1). An axis has N frequencies and the other axes
-    N^(d-1) together; past DENSE_LIMIT**2 either is refused before
-    anything is allocated.
+    residue (m_j a) mod N (_axis_sums). lambda_{-m} is the conjugate of
+    lambda_m, so the first coordinate runs over 0..N//2 only: ``first``
+    is hold plus the first axis's sums, shape (B, N//2 + 1), and ``tail``
+    the other axes' sums (_tail_sums).
     """
-    _require_entries(N ** max(1, len(axes) - 1), "character sums")
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    terms = []
-    for j, (a, p) in enumerate(axes):
-        m = np.arange(N // 2 + 1 if j == 0 else N)
-        t = np.zeros((a.shape[0], m.size), dtype=complex)
-        for r in range(a.shape[1]):
-            t += p[:, r, None] * roots[(m * a[:, r, None]) % N]
-        terms.append(t)
-    first = hold + terms[0]
-    tail = np.zeros((first.shape[0], 1), dtype=complex)  # the other axes' sums, row-major
-    for t in terms[1:]:
-        tail = (tail[:, :, None] + t[:, None, :]).reshape(first.shape[0], -1)
-    return first, tail
+    roots = _roots_of_unity(N, axes)
+    a, p = axes[0]
+    first = hold + _axis_sums(roots, a, p, np.arange(N // 2 + 1))
+    return first, _tail_sums(roots, axes, a.shape[0])
 
 
 def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]:
@@ -150,19 +176,24 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
     its real part: hypot(x, y) >= |x| under any faithful rounding, and
     complex addition and subtraction round each component alone. So the
     row's values are bounded below by low = fl(fl(1 - Re first[b, m_1])
-    - max_w Re tail[b, w]), up to the rounding. Let S be the largest S_hi
-    (below) in the batch; it exceeds 1 + max |first| + max |tail|, and
-    every value. The two roundings in a value and the two in low move
-    them apart by at most 5 S eps / 2, so a row holding a computed value v
-    has low <= v + 5 S eps / 2 < fl(v + 8 S eps).
+    - max_w Re tail[b, w]), up to the rounding. Re first is summed from
+    the real parts of the roots (_axis_sums), the bits of the complex
+    sum's real part, so the screen forms no complex first; the complex
+    tail, needed by every formed row, is formed whole. Let S be the
+    largest S_hi (below) in the batch; it exceeds 1 + max |first| +
+    max |tail|, and every value. The two roundings in a value and the two
+    in low move them apart by at most 5 S eps / 2, so a row holding a
+    computed value v has low <= v + 5 S eps / 2 < fl(v + 8 S eps).
 
     Each walk's least-low row with m_1 >= 1 is formed first. Its minimum
     U is a computed value, so at least the gap; every other row with
     low <= fl(U + 8 S eps) is formed next, and a row left out has no
-    value at or below U. Rows are formed by the operations of the full
-    grid (first + tail, 1 - ., abs), in blocks of at most
-    tol.BLOCK_ENTRIES entries (a single row excepted), and min is exact,
-    so gamma keeps the bits of the minimum over every frequency.
+    value at or below U. A formed row's complex first[b, m_1] is the
+    first axis's sum at that one frequency, and the row's values come
+    from the operations of the full grid (first + tail, 1 - ., abs), in
+    blocks of at most tol.BLOCK_ENTRIES entries (a single row excepted);
+    every operation is elementwise and min is exact, so gamma keeps the
+    bits of the minimum over every frequency.
 
     sigma_max is read only by relaxation_time's floor ZERO_SV *
     max(1, sigma_max), which grows with it. No computed value exceeds
@@ -173,23 +204,25 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
     is tau. Otherwise the gap lies within about twice the floor, and the
     walk's whole grid is formed for its exact sigma_max.
     """
-    first, tail = _character_sums(N, axes, hold)
-    tail = tail if len(axes) > 1 else None  # one axis: _character_sums' single zero
-    batch, rows = first.shape
+    roots = _roots_of_unity(N, axes)
+    a, p = axes[0]
+    batch, rows = a.shape[0], N // 2 + 1
+    tail = _tail_sums(roots, axes, batch) if len(axes) > 1 else None
     eps = np.finfo(float).eps
-    K = sum(a.shape[1] for a, _ in axes)
-    s_hi = 1.0 + hold + sum(p.sum(axis=1) for _, p in axes)
+    K = sum(steps.shape[1] for steps, _ in axes)
+    s_hi = 1.0 + hold + sum(probs.sum(axis=1) for _, probs in axes)
     s_hi *= 1.0 + 4 * (K + len(axes) + 8) * eps
-    low = 1.0 - first.real
+    low = 1.0 - (hold + _axis_sums(roots.real, a, p, np.arange(rows)))
     if tail is not None:
         low -= tail.real.max(axis=1)[:, None]
+    grid = (roots, a, p, hold, tail)
     walk = np.arange(batch)
     least = low[:, 1:].argmin(axis=1) + 1
-    gap = _row_minima(first, tail, walk, least)
+    gap = _row_minima(grid, walk, least)
     keep = low <= (gap + 8 * s_hi.max() * eps)[:, None]
     keep[walk, least] = False
     b, m = np.divmod(np.flatnonzero(keep), rows)
-    np.minimum.at(gap, b, _row_minima(first, tail, b, m))
+    np.minimum.at(gap, b, _row_minima(grid, b, m))
 
     gap = gap.tolist()
     taus = [relaxation_time(g, s) for g, s in zip(gap, s_hi.tolist())]
@@ -198,35 +231,38 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
     if unsure:
         b = np.repeat(unsure, rows)
         sigma_max = np.zeros(batch)
-        for start, vals in _row_values(first, tail, b, np.tile(np.arange(rows), len(unsure))):
+        for start, vals in _row_values(grid, b, np.tile(np.arange(rows), len(unsure))):
             np.maximum.at(sigma_max, b[start : start + len(vals)], vals.max(axis=1))
         for i in unsure:
             taus[i] = relaxation_time(gap[i], float(sigma_max[i]))
     return list(zip(gap, taus))
 
 
-def _row_values(first, tail, walks, rows):
+def _row_values(grid, walks, rows):
     """Yield (start, |1 - lambda|) for the grid rows (walks[k], rows[k]), k >= start.
 
-    Each yield is a (count, width) block of at most tol.BLOCK_ENTRIES
-    entries, or a single row; tail is None for one axis, where
-    lambda = first.
+    grid is (roots, a, p, hold, tail): the first axis's steps and the
+    other axes' sums (None for one axis, where lambda = first). Each
+    yield is a (count, width) block of at most tol.BLOCK_ENTRIES entries,
+    or a single row.
     """
+    roots, a, p, hold, tail = grid
     per = max(1, tol.BLOCK_ENTRIES // (1 if tail is None else tail.shape[1]))
     for start in range(0, walks.size, per):
         b, m = walks[start : start + per], rows[start : start + per]
+        first = hold + _axis_sums(roots, a[b], p[b], m[:, None])
         if tail is None:
-            lam = first[b, m, None]
+            lam = first
         else:
             lam = tail[b]
-            lam += first[b, m, None]
+            lam += first
         yield start, np.abs(np.subtract(1.0, lam, out=lam))
 
 
-def _row_minima(first, tail, walks, rows) -> np.ndarray:
+def _row_minima(grid, walks, rows) -> np.ndarray:
     """The least |1 - lambda| in each grid row (walks[k], rows[k]), leaving out m = 0."""
     out = np.empty(walks.size)
-    for start, vals in _row_values(first, tail, walks, rows):
+    for start, vals in _row_values(grid, walks, rows):
         vals[rows[start : start + len(vals)] == 0, 0] = np.inf  # the trivial character m = 0
         vals.min(axis=1, out=out[start : start + len(vals)])
     return out

@@ -9,6 +9,7 @@ import pytest
 
 import chaingap as cg
 from chaingap import experiments
+from chaingap.empirical import _lemire, _philox_key
 from chaingap.errors import InsufficientData, InvalidSteps, NotPrime
 from chaingap.experiments import ExperimentRow, render_report
 
@@ -259,6 +260,60 @@ def test_ensemble_batch_matches_per_trial_closed_forms(N, p, walks_per_block):
             mp.setattr(cg.tolerances, "BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
         taus = experiments._ensemble_taus(N, np.array(p), trials, seed)
     assert np.array_equal(taus, loop_ensemble_taus(N, p, trials, seed))
+
+
+def choice_loop_taus(N, p, trials, seed):
+    """The former _ensemble_taus: one rng.choice call a trial, each block of
+    trials solved as one batch. The reference for the decoded stream."""
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
+    per = max(1, cg.tolerances.BLOCK_ENTRIES // (N // 2 + 1))
+    taus = np.empty(trials)
+    for first in range(0, trials, per):
+        count = min(per, trials - first)
+        a = np.array([rng.choice(N, size=p.size, replace=False) for _ in range(count)])
+        order = np.argsort(a, axis=1)
+        walks = experiments._character_gap(N, [(np.take_along_axis(a, order, axis=1), p[order])])
+        taus[first : first + count] = [tau for _, tau in walks]
+    return taus
+
+
+def assert_ensemble_is_choice_loop(N, k, trials, seed, walks_per_block=None):
+    p = np.arange(1.0, k + 1.0)
+    p /= p.sum()
+    with pytest.MonkeyPatch.context() as mp:
+        if walks_per_block:
+            mp.setattr(cg.tolerances, "BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
+        expected = choice_loop_taus(N, p, trials, seed)
+        taus = experiments._ensemble_taus(N, p, trials, seed)
+    assert taus.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("N, k", [(2, 1), (2, 2), (3, 3), (7, 7), (101, 3), (499, 2), (10007, 2)])
+@pytest.mark.parametrize("seed", [-1, 0, 9, 2**64 + 9])
+def test_ensemble_draws_are_the_choice_loop_bitwise(N, k, seed):
+    # 3-walk blocks end on an odd 32-bit half when 2k - 1 - [k = N] draws a
+    # trial is odd, and 10 trials are no multiple of them; 1300 trials at
+    # N = 101 leave one past 1285-walk blocks of 5 draws a trial
+    assert_ensemble_is_choice_loop(N, k, 10, seed, walks_per_block=3)
+    assert_ensemble_is_choice_loop(N, k, 1300 if N == 101 else 40, seed)
+
+
+def test_ensemble_redraws_from_a_rejected_draw_on():
+    # seed 140 at N = 10007, k = 2: trial 485's draws hold one that Lemire's
+    # method rejects, inside a block of 13 walks and at the start of one of 97
+    N, seed = 10007, 140
+    words = np.random.Philox(key=_philox_key(seed)).random_raw(750)
+    h = words.astype("<u8").view("<u4")[: 500 * 3].reshape(500, 3)
+    _, rejected = _lemire(h, np.array([N - 1, N, 2], dtype=np.uint64))
+    assert np.flatnonzero(rejected.any(axis=1)).tolist() == [485]
+    assert_ensemble_is_choice_loop(N, 2, 500, seed)
+    assert_ensemble_is_choice_loop(N, 2, 500, seed, walks_per_block=97)
+
+
+@pytest.mark.parametrize("k", [200, 201], ids=["floyd", "tail-shuffle"])
+def test_ensemble_draws_past_ten_thousand_states_are_the_choice_loop(k):
+    # numpy shuffles the tail of arange(N) once N > 10000 and k > N // 50
+    assert_ensemble_is_choice_loop(10007, k, 3, 5)
 
 
 def test_ensemble_memory_stays_blocked():

@@ -426,6 +426,16 @@ def test_pruned_character_gap_matches_full_grid_on_ensemble_batches(N, k, batch,
     assert_pruned_gap_is_full_grid_gap(N, axes, 0.0, rows * (N // 2 + 1))
 
 
+def test_pruned_character_gap_matches_full_grid_on_a_whole_ensemble():
+    # the README ensemble's size as one batch: 2000 walks on Z/499Z, p unequal
+    rng = np.random.default_rng(11)
+    a = np.array([rng.choice(499, size=2, replace=False) for _ in range(2000)])
+    p = np.array([0.2, 0.8])
+    order = np.argsort(a, axis=1)
+    axes = [(np.take_along_axis(a, order, axis=1), p[order])]
+    assert_pruned_gap_is_full_grid_gap(499, axes, 0.0, 1)
+
+
 def test_pruned_character_gap_keeps_rows_tied_up_to_rounding():
     # on (Z/31Z)^2, stepping +-2^j along either axis (1/40 and 3/40 each):
     # doubling m_1 permutes the steps, so the rows m_1 = 1, 2, 4, 8, 15 have
@@ -632,20 +642,26 @@ def cyclic_shifts(draw):
 @example(np.array([-1.0 / 3.0]))
 @example(np.array([0.7, -0.2]))
 @example(np.array([0.7, 0.2]))
+@example(np.array([0.9999999999999999]))
 def test_folded_bands_match_dense_svd(c):
     # the whole Gram and Golub-Kahan spectra of the folded bands, and the
-    # values _doubling_gap reads, against the SVD of I - K
+    # values _doubling_gap reads, against the SVD of I - K. The bands hold
+    # entries of size 1 (1 + c^2 on the Gram's diagonal), so their
+    # eigenvalues err by about eps absolutely: the bounds scale with
+    # max(1, sigma_max), which is sigma_max for p >= 2, where every column
+    # of I - K has norm >= 1
     p = c.size
     K = np.zeros((p, p))
     K[(np.arange(p) + 1) % p, np.arange(p)] = c
     values = np.linalg.svd(np.eye(p) - K, compute_uv=False)[::-1]
-    scale = 1e-13 * values[-1]
+    size = max(1.0, values[-1])
+    scale = 1e-13 * size
     gram = families._folded_bands(1.0 + c * c, -c[None])[0]
     spectrum = families._band_eigenvalues(gram.copy(), -1.0, 8.0)
-    assert np.abs(spectrum - values**2).max() <= scale * values[-1]
+    assert np.abs(spectrum - values**2).max() <= scale * size
     least = families._band_eigenvalues(gram.copy(), index=1)
     top = families._band_eigenvalues(gram.copy(), index=p)
-    assert abs(least[0] - values[0] ** 2) <= scale * values[-1]
+    assert abs(least[0] - values[0] ** 2) <= scale * size
     assert abs(math.sqrt(top[0]) - values[-1]) <= scale
     coupling = np.empty((1, 2 * p))
     coupling[0, 0::2], coupling[0, 1::2] = -c, 1.0
