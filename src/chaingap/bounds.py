@@ -484,8 +484,9 @@ def inequality_audit(
     which for a group walk is its additive reversibilization.
 
     Inapplicable checks, such as those that need a finite tau when tau is
-    infinite, are recorded with ``applicable=False``, never silently
-    dropped or raised.
+    infinite, or a mixing time that mixing_time refuses at its step cap
+    (MixingCapExceeded), are recorded with ``applicable=False``, never
+    silently dropped or raised.
     """
     _require_irreducible(chain)
     gamma, tau = spectral_gap(chain)
@@ -515,9 +516,14 @@ def inequality_audit(
         else:
             checks.append(make_check("group_walk_doubling", tau, 2.0 / gamma_add, "<="))
 
-    mix = mixing_time(chain, eps)
-    tmix = mix.tmix
-    if not math.isfinite(tmix):
+    try:
+        tmix = mixing_time(chain, eps).tmix
+    except MixingCapExceeded:
+        tmix = None  # an aperiodic chain slower than the step cap
+    capped = "mixing time beyond the step cap"
+    if tmix is None:
+        checks.append(skipped_check("relaxation_vs_mixing", capped))
+    elif not math.isfinite(tmix):
         checks.append(skipped_check("relaxation_vs_mixing", "mixing time infinite"))
     elif not (0.0 < eps < 0.2):
         checks.append(skipped_check("relaxation_vs_mixing", "eps outside (0, 1/5)"))
@@ -528,11 +534,13 @@ def inequality_audit(
         checks.append(make_check("relaxation_vs_mixing", tau, factor * tmix, "<="))
 
     # a lazy chain has a self-loop at every state, so it is aperiodic and
-    # mixing_time gave it a finite tmix (or raised)
+    # mixing_time gave it a finite tmix (or met the cap)
     if not is_lazy:
         checks.append(skipped_check("mixing_vs_relaxation", "min diag < 1/2"))
     elif not eps < 0.5:
         checks.append(skipped_check("mixing_vs_relaxation", "eps outside (0, 1/2)"))
+    elif tmix is None:
+        checks.append(skipped_check("mixing_vs_relaxation", capped))
     else:
         bound = 1.0 + 12.0 * tau * tau * math.log(1.0 / (2.0 * eps * mu_min))
         checks.append(make_check("mixing_vs_relaxation", tmix, bound, "<="))
@@ -551,13 +559,14 @@ def inequality_audit(
     ps = pseudo_spectral_gap(chain, k_max=k_max)
     checks.append(make_check(f"pseudo_gap[k={ps.k}]", 0.5 * ps.value, gamma, "<="))
 
-    if is_lazy and eps < 0.5 and chain.reversible:
+    applies = is_lazy and eps < 0.5 and chain.reversible
+    if applies and tmix is not None:
         lhs = (tau - 1.0) * math.log(1.0 / (2.0 * eps))
         checks.append(make_check("reversible_mixing_lower", lhs, tmix, "<="))
         rhs = tau * math.log(1.0 / (eps * mu_min))
         checks.append(make_check("reversible_mixing_upper", tmix, rhs, "<="))
     else:
-        reason = "needs reversible, lazy, finite mixing, eps < 1/2"
+        reason = capped if applies else "needs reversible, lazy, finite mixing, eps < 1/2"
         checks.append(skipped_check("reversible_mixing_lower", reason))
         checks.append(skipped_check("reversible_mixing_upper", reason))
 

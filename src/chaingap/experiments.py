@@ -144,7 +144,11 @@ def random_steps_ensemble(
     empirical._philox_key: trial t's steps are the t-th
     rng.choice(N, size=k, replace=False) of a Generator on that Philox,
     decoded from its raw words a block of trials at a time
-    (_choice_blocks). Fractions are automatically non-increasing in L.
+    (_choice_blocks). For a unit u mod N the walk with steps u S is the
+    walk with steps S relabelled by x -> u x, so it has the same tau;
+    one closed form serves every trial of such a class, and each tau
+    keeps the bits of its own trial's closed form (_ensemble_taus).
+    Fractions are automatically non-increasing in L.
     Refuses an empty grid and an L that is not a number >= 0 (inf is
     one) with ValueError.
     """
@@ -170,24 +174,80 @@ def random_steps_ensemble(
 
 
 def _ensemble_taus(N: int, p: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """tau of each trial's circulant walk, trials drawn and solved in blocks.
+    """tau of each trial's circulant walk, one closed form per class of trials.
 
     Trial t's residues are the t-th rng.choice(N, size=len(p),
-    replace=False) of one Generator, bit for bit (_choice_blocks). A
-    block holds as many trials as fit tol.BLOCK_ENTRIES frequencies
-    0..N//2; its steps are sorted with their p as _normalize_steps sorts
-    them and go to _character_gap as one batch, so each tau is the bits
-    of ChainSpec("circulant", ...).closed_form().
+    replace=False) of one Generator, bit for bit (_choice_blocks). Its
+    steps are sorted with their p as _normalize_steps sorts them, the
+    order in which _character_gap sums them. The trial's key is that list
+    of (residue, weight) steps with every residue times u, the inverse
+    mod N of the list's first nonzero residue (u = 1 when there is
+    none); when the first two steps have equal weights, the lesser of
+    that key and the key of the list with those two steps swapped
+    (_unit_keys). Trials are drawn and keyed a chunk of at most
+    tol.BLOCK_ENTRIES steps at a time, and a chunk's keys are grouped by
+    integer ids. The first trial of each key not met before goes to
+    _character_gap, as many a batch as fit tol.BLOCK_ENTRIES frequencies
+    0..N//2, and every trial with that key takes its tau, kept by key
+    across chunks.
+
+    Why the bits hold. _axis_sums adds the first two terms as
+    fl(fl(0 + t_1) + t_2), which is commutative, signed zeros included:
+    swapping two steps of equal weight keeps every sum's bits and the
+    weights, so S_hi. Now let trials s and t have one key, from lists
+    (a_r, p_r) and (b_r, p_r) with multipliers u and v. Then
+    b_r = w a_r mod N with w = u / v a unit (N is prime), and t's sum at
+    m adds p_r table[(m b_r) mod N] = p_r table[(m w a_r) mod N] in the
+    order of s's sum at m w: lambda_m(t) and lambda_{m w}(s) have the
+    same bits for every m, and m -> m w permutes the frequencies, fixing
+    0. The table is conjugate-symmetric (families._roots_of_unity), so
+    the sum at -m is the conjugate of the sum at m, with the same bits of
+    |1 - lambda|, and the half grid 0..N//2 that _character_gap reads
+    holds the value of every frequency: its least value over m != 0 and
+    its largest value are those of the whole grid, the same for s and t,
+    and so is S_hi. So every tau has the bits of its own trial's
+    ChainSpec("circulant", ...).closed_form().
     """
+    k = p.size
     per = max(1, tol.BLOCK_ENTRIES // (N // 2 + 1))
-    taus = np.empty(trials)
-    first = 0
-    for a in _choice_blocks(N, p.size, trials, seed, per):
+    codes = np.unique(p, return_inverse=True)[1]  # equal p, equal codes
+    known = {}  # a key's bytes -> its tau
+    taus = []
+    for a in _choice_blocks(N, k, trials, seed, max(1, tol.BLOCK_ENTRIES // k)):
         order = np.argsort(a, axis=1)
-        walks = _character_gap(N, [(np.take_along_axis(a, order, axis=1), p[order])])
-        taus[first : first + len(a)] = [tau for _, tau in walks]
-        first += len(a)
-    return taus
+        a = np.take_along_axis(a, order, axis=1)
+        key = _unit_keys(N, a, codes[order])
+        cls = np.zeros(len(a), dtype=np.int64)
+        for column in key.T:  # cls < len(a) and column < N, so no overflow
+            _, first, cls = np.unique(cls * N + column, return_index=True, return_inverse=True)
+        names = [row.tobytes() for row in key[first]]
+        new = [i for i, name in enumerate(names) if name not in known]
+        for start in range(0, len(new), per):
+            batch = new[start : start + per]
+            b = first[batch]
+            walks = _character_gap(N, [(a[b], p[order[b]])])
+            known.update((names[i], tau) for i, (_, tau) in zip(batch, walks))
+        taus.append(np.array([known[name] for name in names])[cls])
+    return np.concatenate(taus)
+
+
+def _unit_keys(N: int, a: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The class keys of _ensemble_taus: rows of sorted residues a, each
+    times the inverse mod N of its first nonzero residue, then their
+    weight codes; where the first two weights tie, the lesser of that and
+    the same for the first two steps swapped."""
+    k = a.shape[1]
+    swapped = np.concatenate((a[:, 1::-1], a[:, 2:]), axis=1)  # a itself when k = 1
+    leads = [np.where(s[:, 0] > 0, s[:, 0], s[:, min(1, k - 1)]) for s in (a, swapped)]
+    inverse = np.ones(N, dtype=np.int64)
+    for x in np.unique(np.concatenate(leads)).tolist():
+        inverse[x] = pow(x, -1, N) if x else 1
+    key, other = (s * inverse[lead, None] % N for s, lead in zip((a, swapped), leads))
+    col = (key != other).argmax(axis=1)[:, None]  # where the two keys first differ
+    lesser = np.take_along_axis(other, col, axis=1) < np.take_along_axis(key, col, axis=1)
+    swap = (weight[:, 0] == weight[:, min(1, k - 1)]) & lesser[:, 0]
+    key[swap] = other[swap]
+    return np.concatenate((key, weight), axis=1)
 
 
 def _choice_blocks(N: int, k: int, trials: int, seed: int, per: int):

@@ -9,10 +9,11 @@ from the character sums, far past the dense-matrix limit. The sums gather
 from one table of N-th roots of unity; a lower bound on each row of the
 frequency grid, summed from the table's real parts, picks the few rows
 that can hold the gap, and only those are formed, in blocks of 2^16
-frequencies. The random-steps ensemble sends
-whole blocks of walks through the same kernel, of which closed_form() is
-the batch of one. The doubling chain maps each character to a multiple
-of another, so closed_form() gets its gap from one cyclic weighted shift
+frequencies. The random-steps ensemble sends whole blocks of walks
+through the same kernel, of which closed_form() is the batch of one, one
+walk for each class of step sets that are unit multiples of each other.
+The doubling chain maps each character to a multiple of another, so
+closed_form() gets its gap from one cyclic weighted shift
 per orbit of m -> 2m mod N: LAPACK's banded eigensolver on folded
 pentadiagonal bands screens the blocks by their Gram matrices and takes
 the gap from the Golub-Kahan matrices of the few that can hold it, in
@@ -108,11 +109,21 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
 def _roots_of_unity(N: int, axes) -> np.ndarray:
     """The table e^{2 pi i r / N}, r = 0..N-1, that every character sum gathers from.
 
+    np.exp forms r = 0..N//2 only; r = N/2 (N even) is -1, and each
+    r > N//2 is the exact conjugate of N - r. So the table is symmetric
+    bit for bit, table[N - r] = conj(table[r]) up to the sign of a zero:
+    a character sum at -m has the bits of the conjugate of its sum at m,
+    with the same |1 - lambda|, as the half grid of _character_sums
+    assumes.
+
     An axis has N frequencies and the other axes N^(d-1) together; past
     DENSE_LIMIT**2 either is refused before anything is allocated.
     """
     _require_entries(N ** max(1, len(axes) - 1), "character sums")
-    return np.exp(2j * np.pi * np.arange(N) / N)
+    half = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    if N % 2 == 0:
+        half[N // 2] = -1.0
+    return np.concatenate((half, half[(N + 1) // 2 - 1 : 0 : -1].conj()))
 
 
 def _axis_sums(table: np.ndarray, a: np.ndarray, p: np.ndarray, m) -> np.ndarray:
@@ -151,10 +162,11 @@ def _character_sums(N: int, axes, hold: float) -> tuple[np.ndarray, np.ndarray]:
     the axis count and ``hold``. Walk b has
     lambda_m = hold + sum_j sum_r p[b, r] e^{2 pi i m_j a[b, r] / N}, each
     term gathered from one table of the N-th roots of unity at the exact
-    residue (m_j a) mod N (_axis_sums). lambda_{-m} is the conjugate of
-    lambda_m, so the first coordinate runs over 0..N//2 only: ``first``
-    is hold plus the first axis's sums, shape (B, N//2 + 1), and ``tail``
-    the other axes' sums (_tail_sums).
+    residue (m_j a) mod N (_axis_sums). The table is conjugate-symmetric
+    bit for bit (_roots_of_unity), so the computed lambda_{-m} is the
+    conjugate of the computed lambda_m, and the first coordinate runs
+    over 0..N//2 only: ``first`` is hold plus the first axis's sums,
+    shape (B, N//2 + 1), and ``tail`` the other axes' sums (_tail_sums).
     """
     roots = _roots_of_unity(N, axes)
     a, p = axes[0]

@@ -405,6 +405,24 @@ def test_audit_reports_skipped_deviation_rows_for_infinite_tau(tmp_path, capsys)
     ]
 
 
+def test_audit_skips_mixing_rows_beyond_the_step_cap(tmp_path, capsys):
+    # tau = 5e6, but mixing_time's cap of 10 N^2 + 1000 steps refuses the
+    # aperiodic chain: the audit skips what needs t_mix and reports the rest
+    leak = 1e-7
+    spec = tmp_path / "slow.json"
+    spec.write_text(json.dumps({"family": "explicit",
+                                "matrix": [[1 - leak, leak], [leak, 1 - leak]]}))
+    assert main(["audit", "--spec", str(spec)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    skipped = [name for name, *_, applicable, _ in rows if applicable == "false"]
+    assert skipped == [
+        f"{name} [skipped: mixing time beyond the step cap]"
+        for name in ("relaxation_vs_mixing", "mixing_vs_relaxation",
+                     "reversible_mixing_lower", "reversible_mixing_upper")
+    ]
+    assert all(passed == "true" for *_, passed in rows)
+
+
 def test_audit_command_refuses_k_max_zero(walk_spec, capsys):
     assert main(["audit", "--spec", walk_spec, "--k-max", "0"]) == 2
     captured = capsys.readouterr()

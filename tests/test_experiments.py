@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chaingap as cg
-from chaingap import experiments
+from chaingap import experiments, families
 from chaingap.empirical import _lemire, _philox_key
 from chaingap.errors import InsufficientData, InvalidSteps, NotPrime
 from chaingap.experiments import ExperimentRow, render_report
@@ -235,9 +235,9 @@ def test_ensemble_draws_every_residue_when_k_is_n():
     assert [r.fraction for r in rows] == [0.0, 0.0, 0.0]
 
 
-def loop_ensemble_taus(N, p, trials, seed):
+def per_trial_taus(N, p, trials, seed):
     """tau of each trial by one draw and one circulant closed form per trial."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
     taus = []
     for _ in range(trials):
         steps = tuple(zip(rng.choice(N, size=len(p), replace=False).tolist(), p))
@@ -259,7 +259,52 @@ def test_ensemble_batch_matches_per_trial_closed_forms(N, p, walks_per_block):
         if walks_per_block:
             mp.setattr(cg.tolerances, "BLOCK_ENTRIES", walks_per_block * (N // 2 + 1))
         taus = experiments._ensemble_taus(N, np.array(p), trials, seed)
-    assert np.array_equal(taus, loop_ensemble_taus(N, p, trials, seed))
+    assert np.array_equal(taus, per_trial_taus(N, p, trials, seed))
+
+
+def counting_gap(solved):
+    """families._character_gap, appending each batch's walk count to solved."""
+    def counted(N, axes, hold=0.0):
+        solved.append(len(axes[0][0]))
+        return families._character_gap(N, axes, hold)
+    return counted
+
+
+@pytest.mark.parametrize(
+    "N, k", [(N, k) for N in (2, 3, 5, 11, 31, 101, 211) for k in range(1, min(N, 4) + 1)]
+)
+def test_ensemble_classes_keep_each_trials_bits(N, k):
+    # p = (2, 1, 1, 3) cut to k and normalized: unequal weights, with a tied
+    # pair from k = 3 on, so sorted steps lead with equal and with unequal
+    # weights; blocks of 7 walks, and 150 trials are no multiple of 7
+    p = np.array([2.0, 1.0, 1.0, 3.0][:k])
+    p /= p.sum()
+    trials, seed = 150, 23
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg.tolerances, "BLOCK_ENTRIES", 7 * (N // 2 + 1))
+        mp.setattr(experiments, "_character_gap", counting_gap(solved))
+        taus = experiments._ensemble_taus(N, p, trials, seed)
+    assert taus.tobytes() == per_trial_taus(N, p, trials, seed).tobytes()
+    assert max(solved) <= 7 and sum(solved) <= trials
+    if N <= 31:  # the draws hold residue 0, a trial keyed by its second step
+        rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
+        assert any(0 in rng.choice(N, size=k, replace=False) for _ in range(trials))
+
+
+@pytest.mark.parametrize("entries", [None, 7 * 250], ids=["one-chunk", "chunks-of-875"])
+def test_ensemble_solves_one_walk_per_unit_multiple_class(entries):
+    # k = 2, equal p on Z/499Z: the classes of {a, b} under x -> u x (and
+    # the order of the two terms) are {0, 1} and the pairs {1, c}, c ~ 1/c;
+    # in chunks of 875 trials a class met in an earlier chunk is not solved again
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        if entries:
+            mp.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+        mp.setattr(experiments, "_character_gap", counting_gap(solved))
+        taus = experiments._ensemble_taus(499, np.array([0.5, 0.5]), 2000, 1)
+    assert sum(solved) == len(np.unique(taus)) <= 1 + 499 // 2
+    assert taus.tobytes() == per_trial_taus(499, [0.5, 0.5], 2000, 1).tobytes()
 
 
 def choice_loop_taus(N, p, trials, seed):

@@ -277,8 +277,16 @@ def test_abelian_route_matches_dense_and_reference(spec):
         assert math.isinf(tau)
 
 
+def mirrored_roots(r, N):
+    """e^{2 pi i r / N} by np.exp for r <= N/2, with r = N/2 at -1, and for
+    r > N/2 the conjugate of N - r: the symmetric table, root by root."""
+    low = np.minimum(r, N - r)
+    z = np.where(2 * low == N, -1.0, np.exp(2j * np.pi * low / N))
+    return np.where(low < r, z.conj(), z)
+
+
 def reference_character_gap(spec):
-    """(gap, tau) by the per-step np.exp route that _character_gap once took."""
+    """(gap, tau) by the per-step route that _character_gap once took, on the symmetric table."""
     N = spec.N
     if spec.family == "circulant":
         axes, hold = [sorted((int(a) % N, float(p)) for a, p in spec.steps)], 0.0
@@ -290,7 +298,7 @@ def reference_character_gap(spec):
     for steps in axes:
         t = np.zeros(N, dtype=complex)
         for a, p in steps:
-            t += p * np.exp(2j * np.pi * ((m * a) % N) / N)
+            t += p * mirrored_roots((m * a) % N, N)
         terms.append(t)
     tail = np.zeros(1, dtype=complex)
     for t in terms[1:]:
@@ -313,6 +321,44 @@ def test_character_gap_matches_per_step_exp_route_bitwise(spec, rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cg.tolerances, "BLOCK_ENTRIES", rows * width)
         assert spec.closed_form() == expected
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 499, 4096])
+def test_roots_table_is_conjugate_symmetric_bitwise(N):
+    table = families._roots_of_unity(N, [None])
+    r = np.arange(1, N)
+    assert table.size == N and table[0] == 1.0
+    assert table[N - r].real.tobytes() == table[r].real.tobytes()
+    mirror = r[2 * r != N]  # r = N/2 is its own mirror: -1, a zero imaginary part
+    assert table[N - mirror].imag.tobytes() == (-table[mirror].imag).tobytes()
+    assert N % 2 or table[N // 2] == -1.0
+    # below N/2 the table is np.exp's own roots
+    low = np.arange((N + 1) // 2)
+    assert table[low].tobytes() == np.exp(2j * np.pi * low / N).tobytes()
+
+
+def full_circle_values(N, axes, hold):
+    """|1 - lambda_m| at every frequency m of (Z/NZ)^d, m_1 = 0..N-1, in row-major order."""
+    roots = families._roots_of_unity(N, axes)
+    a, p = axes[0]
+    first = hold + families._axis_sums(roots, a, p, np.arange(N))
+    lam = first[:, :, None] + families._tail_sums(roots, axes, a.shape[0])[:, None, :]
+    return np.abs(1.0 - lam).reshape(a.shape[0], -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(abelian_specs())
+@example(cg.ChainSpec("circulant", 10, steps=((1, 0.75), (5, 0.25))))  # an e^{i pi} term at m = 1
+def test_half_grid_holds_the_full_grid_extremes_bitwise(spec):
+    # the symmetric table makes |1 - lambda_{-m}| the bits of |1 - lambda_m|,
+    # so the rows m_1 = 0..N//2 that _character_gap reads lose no value
+    N, axes, hold = character_args(spec)
+    vals = full_circle_values(N, axes, hold)[0]
+    sigma_max = float(vals.max())
+    vals[0] = np.inf  # the trivial character m = 0
+    gap = float(vals.min())
+    assert spec.closed_form() == (gap, cg.relaxation_time(gap, sigma_max))
+    assert full_grid_character_gap(N, axes, hold) == [(gap, cg.relaxation_time(gap, sigma_max))]
 
 
 def test_torus_closed_form_reduces_in_small_blocks():
