@@ -12,12 +12,20 @@ so Delta_n^2 is the largest eigenvalue of M_n restricted to the
 mu-orthogonal complement of the constants, over real g. The powers
 accumulate incrementally in the conjugated (symmetric) coordinates, the
 constants are deflated to eigenvalue -1, and only the top eigenvalue is
-computed, so a whole curve costs one matrix product per power and one
-top-eigenvalue solve per n. The grams of consecutive n are formed as one
-stack of at most 2^16 entries, temporary included, with the operations
-of a gram formed alone, so the stacking moves no bit. delta_curve and
-delta_exact also take the eigenvector (the maximizer); the bound audit
-takes eigenvalues only, and its values equal delta_curve's bit for bit.
+computed, so a curve from delta_curve costs one matrix product per power
+and one top-eigenvalue solve per n. The grams of consecutive n are
+formed as one stack of at most 2^16 entries, temporary included, with
+the operations of a gram formed alone, so the stacking moves no bit.
+delta_curve and delta_exact also take the eigenvector (the maximizer).
+
+The bound audit reports three n, so it solves only a few: n = 1, n_max,
+h = n_max // 2 and every n <= tau/3. Every other n gets proved bounds
+in a second pass over the powers: a Cholesky factorization of a shifted
+gram that runs to completion proves the computed top eigenvalue below a
+target (Rump, BIT 46, 2006), and a Rayleigh quotient with the top vector
+at h bounds it below. A check's worst n is decided when every other n
+is excluded by its bounds; else the whole curve is solved. The reported
+values are delta_curve's, bit for bit, either way.
 
 The group walks carry their blocks K (families): real orbit blocks for
 the doubling chain, one block per irreducible representation for the
@@ -26,7 +34,7 @@ and torus walks. mu is uniform and P is unitarily equivalent to the
 direct sum of the blocks, so M_n splits into the same blocks, and
 Delta_n is taken from the grams of the blocks, the constants' left out,
 with no N x N array; a chunk of consecutive powers is formed at a time,
-and its running sums by cumsum in the additions' own order. Their
+and its running sums in the additions' own order. Their
 maximizers still come from the dense gram, and every route reports the
 block value (_deviations).
 
@@ -51,7 +59,8 @@ is numpy's, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dsyevx
@@ -75,6 +84,10 @@ __all__ = [
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
+
+# The unit roundoff of float64 and its least normal number
+_U = 2.0**-53
+_TINY = 2.0**-1022
 
 # A replicate's Philox words come from rounds in numpy integer arithmetic,
 # for a block of replicates at once, while it needs at most this many
@@ -159,32 +172,35 @@ def _tops_to_deltas(tops, ns) -> list:
     return values
 
 
-def _block_tops(blocks, ns) -> list[float]:
-    """The top eigenvalue of n^2 M_n on sqrt(mu)-perp for each n in ns, from the blocks.
+def _block_grams(blocks, ns):
+    """Yield (stack, first, grams) for each stack of ``blocks()`` and each chunk of ns.
 
-    ``blocks()`` yields stacks of blocks K of one size, real or complex.
-    Each stack runs its own powers and running sums, as _dense_deviations
-    does for P, a chunk of consecutive k at a time: one matmul per k puts
-    K^k into the chunk's array, behind the carried S_{k0-1}, and a cumsum
-    turns them into S_{k0-1}, ..., S_k; the carried SS_{k0-1} in front,
-    a second cumsum gives SS_{k0-1}, ..., SS_k, SS_j = S_1 + ... + S_j.
-    Each sum takes the additions of a one-k-at-a-time loop, in the same
-    order. The grams n I + A_K + A_K^H, A_K = SS_{n-1}, of every requested
-    n in the chunk go to one eigvalsh call. The chunk's array, its grams
-    and their one temporary hold no more than tol.BLOCK_ENTRIES entries
-    (a single power excepted), and no power past max(ns) - 1 is formed. A
-    stack is done before the next is built.
+    grams[i] holds the grams n I + A_K + A_K^H of the stack's blocks at
+    n = ns[first + i], A_K formed from K as A is from P; stack counts the
+    stacks from 0. ``blocks()`` yields stacks of blocks K of one size,
+    real or complex. Each stack runs its own powers and running sums, as
+    _dense_grams does for P, a chunk of consecutive k at a time: one
+    matmul per k puts K^k into the chunk's array, behind the carried
+    S_{k0-1}, and running sums (_running_sums) turn them into S_{k0-1},
+    ..., S_k; the carried SS_{k0-1} in front, a second running sum gives
+    SS_{k0-1}, ..., SS_k, SS_j = S_1 + ... + S_j. Each sum takes the
+    additions of a one-k-at-a-time loop, in the same order, and each gram
+    S + S^H is
+    Hermitian to the bit. The chunk's array, its grams and one more array
+    of the grams' size (their temporary, or the probe's copy and factor in
+    delta_bounds_audit, half the grams at a time) hold no more than
+    tol.BLOCK_ENTRIES entries (a single power excepted), and no power past
+    max(ns) - 1 is formed. A stack is done before the next is built.
     """
     ns = np.asarray(ns)
     top_k = int(ns[-1]) - 1
-    best = np.full(len(ns), -np.inf)
-    for K in blocks():
+    for stack, K in enumerate(blocks()):
         diag = np.arange(K.shape[-1])
         bk = np.zeros_like(K)
         bk[:, diag, diag] = 1.0
         ssum = np.zeros_like(K)  # S_{k0-1}
         sum_of_sums = np.zeros_like(K)  # SS_{k0-1}
-        per = max(1, tol.BLOCK_ENTRIES // (3 * K.size) - 1)
+        per = _chunk_powers(K)
         run = np.empty((min(per, top_k) + 1,) + K.shape, dtype=K.dtype)
         first = 0  # the first n not yet taken
         for k0 in range(1, max(top_k, 1) + 1, per):
@@ -195,24 +211,56 @@ def _block_tops(blocks, ns) -> list[float]:
                 power = np.matmul(power, K, out=rows[j])
             np.copyto(bk, power)
             rows[0] = ssum
-            np.cumsum(rows, axis=0, out=rows)
+            _running_sums(rows)
             ssum[...] = rows[count]
             rows[0] = sum_of_sums
-            np.cumsum(rows, axis=0, out=rows)
+            _running_sums(rows)
             sum_of_sums[...] = rows[count]
             stop = int(np.searchsorted(ns, k0 + count, side="right"))
-            chunk = ns[first:stop]
-            grams = rows[chunk - k0]  # rows[j] = SS_{k0-1+j}
-            grams += grams.conj().swapaxes(-1, -2)
-            grams[..., diag, diag] += chunk[:, None, None]
-            top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
-            np.maximum(best[first:stop], top, out=best[first:stop])
+            if stop > first:
+                chunk = ns[first:stop]
+                grams = rows[chunk - k0]  # rows[j] = SS_{k0-1+j}
+                grams += grams.conj().swapaxes(-1, -2)
+                grams[..., diag, diag] += chunk[:, None, None]
+                yield stack, first, grams
             first = stop
+
+
+def _running_sums(rows: np.ndarray) -> None:
+    """rows[j] = rows[j - 1] + rows[j] for j = 1, 2, ... in turn, in place.
+
+    The additions of np.cumsum along the first axis, in its order; cumsum
+    makes one inner-loop call per entry of a row, so a stack with fewer
+    rows than entries a row adds whole rows instead, one call a row.
+    """
+    if len(rows) <= rows[0].size:
+        for j in range(1, len(rows)):
+            np.add(rows[j - 1], rows[j], out=rows[j])
+    else:
+        np.cumsum(rows, axis=0, out=rows)
+
+
+def _chunk_powers(K: np.ndarray) -> int:
+    """How many powers of the stack K a chunk of _block_grams holds."""
+    return max(1, tol.BLOCK_ENTRIES // (3 * K.size) - 1)
+
+
+def _block_tops(blocks, ns) -> list[float]:
+    """The top eigenvalue of n^2 M_n on sqrt(mu)-perp for each n in ns, from the blocks.
+
+    The largest over the stacks of one eigvalsh call on each chunk's
+    grams (_block_grams).
+    """
+    best = np.full(len(ns), -np.inf)
+    for _, first, grams in _block_grams(blocks, ns):
+        top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
+        section = best[first : first + len(top)]
+        np.maximum(section, top, out=section)
     return best.tolist()
 
 
-def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
-    """_deviations from the dense N x N grams.
+def _dense_grams(chain: FiniteChain, ns):
+    """Yield (first, grams): the dense grams of n = ns[first], ns[first + 1], ...
 
     Works in the conjugated coordinates B = D^{1/2} P D^{-1/2}, where
     d = sqrt(mu) is a left and right eigenvector of B with eigenvalue 1.
@@ -221,13 +269,16 @@ def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
     term is nonnegative, so nothing cancels. Subtracting
     (d^T (n^2 M_n) d + n^2) d d^T moves the constant direction to -n^2,
     below the rest of the spectrum, which is nonnegative; so the top
-    eigenvalue belongs to sqrt(mu)-perp and is the only one computed.
+    eigenvalue belongs to sqrt(mu)-perp.
 
     The grams of consecutive requested n are formed as one stack, with no
-    more than tol.BLOCK_ENTRIES entries in the stack and its one temporary
-    (a single gram excepted), and every entry takes the same elementwise
-    operations as a gram formed alone, so the stacking moves no bit. g is
-    the maximizing test function when maximizer is true, else None.
+    more than tol.BLOCK_ENTRIES entries in the stack and one more array of
+    its size (its temporary, or the probe's copy and factor in
+    delta_bounds_audit, half the stack at a time), a single gram excepted;
+    every entry takes the same elementwise operations as a gram formed
+    alone, so the stacking moves no bit. The deflation rounds
+    (shift d_i) d_j and (shift d_j) d_i apart, so a gram is symmetric only
+    to a few ulps of the shift; its upper triangle is the one solved.
     """
     d = np.sqrt(chain.stationary)
     size = len(d)
@@ -253,20 +304,30 @@ def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
         grams.reshape(len(chunk), -1)[:, :: size + 1] += chunk[:, None]
         shift = np.vecdot(d @ grams, d) + chunk * chunk
         grams -= (shift[:, None] * d)[:, :, None] * d
-        tops, vectors = [], []
-        for gram in grams:
-            w, vec, found, _, info = dsyevx(
-                gram, compute_v=int(maximizer), range="I", il=size, iu=size
-            )
-            if info == 0 and found == 1:
-                top, u = float(w[0]), (vec[:, 0] if maximizer else None)
-            else:
-                # dsyevx finds no eigenvalue (m = 0, info = 0) when the top one
-                # is degenerate across the whole spectrum, as for I - 2 d d^T
-                w, vec = np.linalg.eigh(gram)
-                top, u = float(w[-1]), vec[:, -1]
-            tops.append(top)
-            vectors.append(u)
+        yield first, grams
+
+
+def _dense_top(gram: np.ndarray, maximizer: bool):
+    """(top, u): the top eigenvalue of gram's upper triangle by dsyevx, and
+    its eigenvector u when maximizer is true, else None."""
+    size = len(gram)
+    w, vec, found, _, info = dsyevx(gram, compute_v=int(maximizer), range="I", il=size, iu=size)
+    if info == 0 and found == 1:
+        return float(w[0]), (vec[:, 0] if maximizer else None)
+    # dsyevx finds no eigenvalue (m = 0, info = 0) when the top one is
+    # degenerate across the whole spectrum, as for I - 2 d d^T
+    w, vec = np.linalg.eigh(gram)
+    return float(w[-1]), vec[:, -1]
+
+
+def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
+    """_deviations from the dense N x N grams (_dense_grams), one dsyevx
+    call a gram; g is the maximizing test function when maximizer is
+    true, else None."""
+    d = np.sqrt(chain.stationary)
+    for first, grams in _dense_grams(chain, ns):
+        chunk = np.array(ns[first : first + len(grams)])
+        tops, vectors = zip(*(_dense_top(gram, maximizer) for gram in grams))
         for n, value, u in zip(chunk.tolist(), _tops_to_deltas(tops, chunk), vectors):
             yield n, value, u / d if maximizer else None
 
@@ -276,6 +337,15 @@ def _deviation_values(chain: FiniteChain, n_max: int) -> np.ndarray:
     return np.array([value for _, value, _ in _deviations(chain, range(1, n_max + 1), False)])
 
 
+def _whole(value, name: str) -> int:
+    """value as an int: a Python or numpy integer; anything else, a float
+    such as 4.0 included, is refused with ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
     """Worst-case L2 deviation of the length-n empirical average.
 
@@ -283,7 +353,7 @@ def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
     ||g||_mu = 1, with the start drawn from mu.
     """
     _require_spectral(chain)
-    n = int(n)
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     _, value, g = next(_deviations(chain, [n], True))
@@ -293,7 +363,7 @@ def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
 def _curve_ns(chain: FiniteChain, n_list) -> list[int]:
     """The sorted distinct n of n_list, refused when there are none or one is below 1."""
     _require_spectral(chain)
-    ns = sorted({int(n) for n in n_list})
+    ns = sorted({_whole(n, "n") for n in n_list})
     if not ns:
         raise ValueError("the n list is empty")
     if ns[0] < 1:
@@ -348,7 +418,7 @@ def _alias_tables(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_reps(reps: int) -> None:
-    if reps < 2:
+    if _whole(reps, "reps") < 2:
         raise ValueError("reps must be >= 2: the standard error needs two replicates")
 
 
@@ -491,10 +561,13 @@ def _monte_carlo(chain: FiniteChain, points, reps: int, seed: int):
     accept, alias = _alias_tables(chain.transition)
     for n, g in points:
         g = np.asarray(g, dtype=float)
+        if g.shape != (size,) or not np.isfinite(g).all():
+            raise BadTestFunction(f"test function must be {size} finite values, one a state")
         if abs(g @ mu) > 1e-10:
             raise BadTestFunction("test function must have mu-average 0")
         if abs(np.sqrt(g * g @ mu) - 1.0) > 1e-10:
             raise BadTestFunction("test function must have unit mu-norm")
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         steps = n - 1
@@ -542,10 +615,298 @@ def delta_monte_carlo(
     result.
 
     Raises:
-        BadTestFunction: g is not mean-zero with unit mu-norm (to 1e-10).
-        ValueError: n < 1, or reps < 2.
+        BadTestFunction: g is not one finite value a state, or not
+            mean-zero with unit mu-norm (to 1e-10).
+        ValueError: n or reps is not an integer, n < 1, or reps < 2.
     """
     return next(_monte_carlo(chain, [(n, g)], reps, seed))
+
+
+def _top_bounds(chain: FiniteChain, ns, targets, keep=None, probe=None):
+    """Bounds on the computed top eigenvalue of n^2 M_n for each n of ns, in one pass.
+
+    The computed top is the one _deviations rounds to Delta_n: the largest
+    over the stacks of the blocks' eigvalsh tops on a block chain, the
+    dsyevx top of the dense gram otherwise (a stack of one block). A
+    stack's grams at n are certified below targets[i] when the target is
+    positive (_certified); those the certificate does not clear, and all
+    grams when the target is NaN, are solved with the call _deviations
+    makes, as the gram is in hand. A stack of 1 x 1 blocks is read, not
+    solved: eigvalsh returns a 1 x 1 Hermitian matrix's real diagonal.
+
+    Returns (exact, bound, low, kept). exact[i] is the largest top solved
+    over the stacks (-inf when none was), bound[i] the target when some
+    stack was certified (else -inf): so the computed top is exact[i] when
+    exact[i] >= bound[i], and lies in [exact[i], bound[i]] otherwise.
+    low[i] is a lower bound for n <= last from probe = (stack, block, v,
+    last), the Rayleigh quotient of v on that block's gram
+    (_rayleigh_lower), and -inf elsewhere. kept is (stack, block, v), v
+    the top eigenvector of the block whose top wins at n = keep among the
+    blocks larger than 1 x 1, when keep is in ns and is solved; else None.
+    """
+    ns = np.asarray(ns)
+    exact = np.full(len(ns), -np.inf)
+    bound = np.full(len(ns), -np.inf)
+    low = np.full(len(ns), -np.inf)
+    kept, best = None, -np.inf
+    if chain._blocks is None:
+        stacks = ((0, first, grams[:, None]) for first, grams in _dense_grams(chain, ns))
+    else:
+        stacks = _block_grams(chain._blocks, ns)
+    for stack, first, grams in stacks:
+        count = len(grams)
+        rows = slice(first, first + count)
+        if grams.shape[-1] == 1 and chain._blocks is not None:
+            solve = np.ones(count, dtype=bool)
+            tops = grams[..., 0, 0].real
+        else:
+            solve = ~_certified(grams, targets[rows])
+            np.maximum(bound[rows], np.where(solve, -np.inf, targets[rows]), out=bound[rows])
+            tops = np.full(grams.shape[:2], -np.inf)
+            if chain._blocks is None:
+                for i in np.flatnonzero(solve):
+                    tops[i, 0] = _dense_top(grams[i, 0], False)[0]
+            elif solve.any():
+                tops[solve] = np.linalg.eigvalsh(grams[solve])[..., -1]
+        np.maximum(exact[rows], tops.max(axis=1), out=exact[rows])
+        at = np.flatnonzero(ns[rows] == keep) if keep is not None else ()
+        if len(at) and grams.shape[-1] > 1 and solve[at[0]] and tops[at[0]].max() > best:
+            row, block = at[0], int(np.argmax(tops[at[0]]))
+            best = tops[row, block]
+            if grams.dtype.kind == "f":
+                v = _dense_top(grams[row, block], True)[1]
+            else:
+                v = np.linalg.eigh(grams[row, block])[1][:, -1]
+            kept = (stack, block, v)
+        if probe is not None and probe[0] == stack:
+            _, block, v, last = probe
+            take = int(np.searchsorted(ns[rows], last, side="right"))
+            section = low[first : first + take]
+            np.maximum(section, _rayleigh_lower(grams[:take, block], v), out=section)
+    return exact, bound, low, kept
+
+
+def _certified(grams, targets) -> np.ndarray:
+    """Whether a floating-point Cholesky proves every block's computed top below its row's target.
+
+    grams is a (count, M, m, m) stack; row i is certified when targets[i]
+    > 0 and, for each of its blocks G, LAPACK's Cholesky of
+    A = fl(s I - G^T), s = fl(t - c), runs to completion, with t =
+    targets[i], u = 2^-53 and, from the computed Z = ||G||_F >= ||G||_2,
+
+        c = 4 (m + 2)^2 (u (|t| + Z) + 2^-1022).
+
+    Proof that the computed top of G is then below t. A Cholesky that
+    runs to completion has R^H R = A + E with |E| <= g |R^H| |R|,
+    g = gamma_{m+2} = (m + 2) u / (1 - (m + 2) u), whatever the order of
+    its inner products (Demmel; Higham, Accuracy and Stability, 2nd ed.,
+    Thm 10.3, with the complex inner product's gamma_{m+2}); the bound
+    needs no definiteness. As Rump does ("Verification of positive
+    definiteness", BIT 46, 2006), bound ||E||_2 <= g sum_j ||r_j||^2 and
+    sum_j ||r_j||^2 = tr(A + E) <= tr(A) + g sum_j ||r_j||^2, so
+    lambda_min(A) >= -g tr(A) / (1 - g), with tr(A) <= (1 + u) m (|s| +
+    Z). Underflow adds at most a few 2^-1074 an operation, which the
+    2^-1022 term covers. A differs from s I - G^T only by the rounding of
+    its diagonal (at most u (|s| + Z)), and s from t - c by u |t|. The
+    Cholesky reads A's lower triangle, that of -G^T: on the dense gram
+    that is the symmetric matrix of G's upper triangle, the one dsyevx
+    reads; on a block, Hermitian to the bit, it is conj(G), which has G's
+    eigenvalues. So lambda_max of that matrix is
+    below t - c + (m (m + 2) + 2) u (|t| + Z) (1 + 4 (m + 2) u). The
+    solver's top is within p(m) eps ||G||_2 = 2 m u Z of it (p(m) = m, as
+    _doubling_gap takes it), and within 6 u Z more on the dense gram,
+    whose lower triangle, read by the eigh fallback, differs from the
+    upper by the deflation's rounding: 2 gamma_2 |shift| d_i d_j + u
+    (|G_ij| + |G_ji|) an entry, |shift| <= 2 ||G||_2, ||d|| = 1. The sum,
+    (m^2 + 4 m + 8) u (|t| + Z) and a little, is under half of c, and the
+    half left covers the rounding of Z and of c itself. So the computed
+    top is below t: a target the certificate clears is a proved bound,
+    whatever steered its choice. The probe works on half the rows at a
+    time, so its copy and the factor together hold no more than the
+    grams.
+    """
+    count, _, m, _ = grams.shape
+    ok = np.zeros(count, dtype=bool)
+    rows = np.flatnonzero(targets > 0)
+    half = max(1, -(-len(rows) // 2))
+    diag = np.arange(m)
+    for part in (rows[:half], rows[half:]):
+        if not len(part):
+            continue
+        t = targets[part][:, None]
+        probe = grams[part]  # the probe's copy, negated and transposed in place
+        z = np.sqrt(np.vecdot(probe, probe).real.sum(axis=-1))
+        shift = t - 4.0 * (m + 2) ** 2 * (_U * (np.abs(t) + z) + _TINY)
+        probe = np.negative(probe, out=probe).swapaxes(-1, -2)
+        probe[..., diag, diag] += shift[..., None]
+        try:
+            np.linalg.cholesky(probe)
+            ok[part] = True
+        except np.linalg.LinAlgError:
+            for i, one in zip(part, probe):
+                try:
+                    np.linalg.cholesky(one)
+                    ok[i] = True
+                except np.linalg.LinAlgError:
+                    pass
+    return ok
+
+
+def _rayleigh_lower(grams, v) -> np.ndarray:
+    """A lower bound on the computed top eigenvalue of each gram of a (count, m, m) stack, from v.
+
+    r = fl(v^H G v) / fl(v^H v) is a Rayleigh quotient up to rounding,
+    and the top eigenvalue of the matrix a solver reads is at least the
+    exact quotient. The returned r - 8 (m + 8) u (Z + |r|), u = 2^-53,
+    Z = ||G||_F, covers: the matvec and the dot product, gamma_{2m+2}
+    |v|^T |G| |v| <= gamma_{2m+2} Z ||v||^2 (complex products included);
+    fl(v^H v) = ||v||^2 (1 + theta), |theta| <= gamma_m, which moves r by
+    2 gamma_m |r|; the dense gram's triangles, which differ by at most
+    (8 gamma_2 + 2 u) Z in this form (see _certified); the solver's
+    2 m u Z; and the few roundings of the bound, each under 4 u of its
+    terms. That is (4 m + 28) u (Z + |r|) and a little, under half the
+    slack taken.
+    """
+    m = grams.shape[-1]
+    r = np.vecdot(v, grams @ v).real / np.vecdot(v, v).real
+    z = np.sqrt(np.vecdot(grams, grams).real.sum(axis=-1))
+    return r - 8.0 * (m + 8) * _U * (z + np.abs(r))
+
+
+def _window_maxima(values: np.ndarray, count: int) -> np.ndarray:
+    """max(values[..., n - 1 : 2n]) for n = 1 .. count, from a sparse table.
+
+    At step j, span[..., i] = max(values[..., i : i + 2^j]), and the n + 1
+    entries of window n are covered by span[n - 1] and span[2n - 2^j] for
+    the n with 2^j <= n + 1 < 2^(j+1), that is 2^j - 1 <= n <= 2^(j+1) - 2.
+    A maximum rounds nothing, so the bits are those of any other order.
+    """
+    out = np.empty(values.shape[:-1] + (count,))
+    span = values
+    half, first = 1, 1  # half = 2^(j-1); first = 2^j - 1, the level's least n
+    while first <= count:
+        span = np.maximum(span[..., :-half], span[..., half:])
+        last = min(2 * first, count)
+        ends = span[..., 2 * (first - half) : 2 * (last - half) + 1 : 2]
+        np.maximum(span[..., first - 1 : last], ends, out=out[..., first - 1 : last])
+        half, first = 2 * half, 2 * first + 1
+    return out
+
+
+def _first_worst(margin: np.ndarray, known: np.ndarray) -> int | None:
+    """The first index of least margin, or None when that cannot be decided.
+
+    margin is exact where known and a lower bound elsewhere. The first
+    least known margin is the first least of all when every other margin
+    lies strictly above it; else None.
+    """
+    if known.all():
+        return int(np.argmin(margin))
+    exact = np.where(known, margin, np.inf)
+    worst = int(np.argmin(exact))
+    if known[worst] and np.all(margin[~known] > exact[worst]):
+        return worst
+    return None
+
+
+def _deviation_bounds(chain: FiniteChain, n_max: int, tau: float):
+    """(lo, hi): bounds on Delta_1 .. Delta_{n_max}, _deviation_values' bits where lo == hi.
+
+    A group walk whose stacks are all 1 x 1 or fit one chunk of powers
+    (_chunk_powers) is solved whole: a 1 x 1 gram is its own top, and one
+    batched eigvalsh call on a stack that small costs less than a second
+    pass over its powers. Otherwise its stacks are built once for both
+    passes.
+
+    Pass 1 solves the anchors n = 1, h = n_max // 2, n_max and every
+    n <= tau/3 (_top_bounds), and keeps the top eigenvector v of the block
+    (or dense gram) that wins at h. Every other n aims at a target: the
+    Delta_n that would leave it no worse than the anchors on a check,
+    sqrt(4 tau / n) - m_u with m_u the anchors' least upper-check margin,
+    and for h < n <= 2h at most Delta_h, so that the window at h reads
+    Delta_h. The target is shaded by 2^-30, so that a bound at it clears
+    the check strictly. Pass 2 certifies each n's grams below its target
+    or solves them, and bounds each n <= h below by v's Rayleigh quotient.
+    _tops_to_deltas is monotone, each of its steps being (a division by
+    n^2, a floor to 0, a correctly rounded sqrt, a clamp at 1), so it maps
+    bounds on the computed top to bounds on Delta_n. The targets only
+    steer; correctness rests on the certified bounds.
+    """
+    if chain._blocks is not None:
+        stacks = list(chain._blocks())  # built once for both passes
+        chain = replace(chain, _blocks=lambda: iter(stacks))
+        if all(K.shape[-1] == 1 or _chunk_powers(K) >= n_max - 1 for K in stacks):
+            values = _deviation_values(chain, n_max)
+            return values, values
+    ns = np.arange(1, n_max + 1)
+    h = max(n_max // 2, 1)
+    solved = ns <= tau / 3.0
+    solved[[0, h - 1, n_max - 1]] = True
+    anchors, rest = ns[solved], ns[~solved]
+    exact, _, _, kept = _top_bounds(chain, anchors, np.full(len(anchors), np.nan), keep=h)
+    lo = np.zeros(n_max)
+    hi = np.full(n_max, np.inf)
+    lo[solved] = hi[solved] = _tops_to_deltas(exact, anchors)
+    if not len(rest):
+        return lo, hi
+    upper = np.sqrt(4.0 * tau / ns)
+    aim = upper - np.min(upper[solved] - lo[solved])
+    aim[h : 2 * h] = np.minimum(aim[h : 2 * h], lo[h - 1])
+    aim = aim[~solved]
+    targets = np.square(rest * aim) * (1.0 - 2.0**-30)
+    targets[aim <= 0.0] = np.nan
+    probe = kept and kept + (h,)
+    exact, bound, low, _ = _top_bounds(chain, rest, targets, probe=probe)
+    known = exact >= bound
+    lo[~solved] = _tops_to_deltas(np.where(known, exact, np.maximum(exact, low)), rest)
+    hi[~solved] = _tops_to_deltas(np.where(known, exact, bound), rest)
+    return lo, hi
+
+
+def _deviation_checks(lo: np.ndarray, hi: np.ndarray, tau: float):
+    """The three checks of delta_bounds_audit from bounds on its Delta_n, or None if undecided.
+
+    Each worst n is the first of least margin among the n whose value the
+    bounds fix (lo == hi), when every other n's margin, from its bounds,
+    lies strictly above it (_first_worst); a window max is fixed when the
+    maxima of the window's lower and upper bounds agree. Rounding is
+    monotone, so a margin from a bound is a bound on the margin. With
+    lo == hi everywhere these are the checks of the full curve.
+    """
+    n_max = len(lo)
+    ns = np.arange(1, n_max + 1)
+    checks = []
+    upper = np.sqrt(4.0 * tau / ns)
+    worst = _first_worst(upper - hi, lo == hi)
+    if worst is None:
+        return None
+    checks.append(make_check(f"avg_dev_upper[n={ns[worst]}]", hi[worst], upper[worst], "<="))
+
+    floor_ns = ns[ns <= tau / 3.0]
+    if len(floor_ns) == 0:
+        checks.append(skipped_check("avg_dev_floor", "no n <= tau/3"))
+    else:
+        vals = lo[: len(floor_ns)]
+        worst = _first_worst(vals, vals == hi[: len(floor_ns)])
+        if worst is None:
+            return None
+        checks.append(
+            make_check(f"avg_dev_floor[n={floor_ns[worst]}]", vals[worst], 1.0 / 132.0, ">=")
+        )
+
+    if n_max < 2:
+        checks.append(skipped_check("avg_dev_window_lower", "n_max < 2"))
+    else:
+        wn = np.arange(1, n_max // 2 + 1)
+        lhs, lhs_hi = _window_maxima(np.stack((lo, hi)), len(wn))
+        rhs = tau / (2.0 * wn + 3.0 * tau)
+        worst = _first_worst(lhs - rhs, lhs == lhs_hi)
+        if worst is None:
+            return None
+        checks.append(
+            make_check(f"avg_dev_window_lower[n={wn[worst]}]", lhs[worst], rhs[worst], ">=")
+        )
+    return tuple(checks)
 
 
 def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:
@@ -555,53 +916,25 @@ def delta_bounds_audit(chain: FiniteChain, n_max: int) -> BoundAudit:
     the deviation is at most sqrt(4 tau / n); that it stays above 1/132
     for every n <= tau/3; and that for every n with 2n <= n_max the
     window max over n <= k <= 2n is at least tau / (2n + 3 tau). Each
-    inequality is reported once with its worst margin (and the n where
-    that occurs). An infinite tau gives three skipped checks, never a raise.
+    inequality is reported once with its worst margin (and the first n
+    where that occurs). An infinite tau gives three skipped checks, never
+    a raise.
+
+    Delta_n is solved exactly only where a check can report it; every
+    other n is bounded by a Cholesky certificate and a Rayleigh quotient
+    (_deviation_bounds). When the bounds leave a check undecided, the
+    whole curve is solved (_deviation_values), so the report is always
+    that of the full curve, bit for bit.
     """
+    n_max = _whole(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     gamma, tau = spectral_gap(chain)
     if not np.isfinite(tau):
         names = ("avg_dev_upper", "avg_dev_floor", "avg_dev_window_lower")
         return BoundAudit(tuple(skipped_check(n, "relaxation time infinite") for n in names))
-    delta = _deviation_values(chain, n_max)
-    ns = np.arange(1, n_max + 1)
-
-    checks = []
-    upper = np.sqrt(4.0 * tau / ns)
-    worst = int(np.argmin(upper - delta))
-    checks.append(
-        make_check(f"avg_dev_upper[n={ns[worst]}]", delta[worst], upper[worst], "<=")
-    )
-
-    floor_ns = ns[ns <= tau / 3.0]
-    if len(floor_ns) == 0:
-        checks.append(skipped_check("avg_dev_floor", "no n <= tau/3"))
-    else:
-        vals = delta[: len(floor_ns)]
-        worst = int(np.argmin(vals))
-        checks.append(
-            make_check(f"avg_dev_floor[n={floor_ns[worst]}]", vals[worst], 1.0 / 132.0, ">=")
-        )
-
-    if n_max < 2:
-        checks.append(skipped_check("avg_dev_window_lower", "n_max < 2"))
-    else:
-        # lhs[n - 1] = max(delta[n - 1 : 2n]) from a sparse table: at step j,
-        # span[i] = max(delta[i : i + 2^j]), and the n + 1 entries of window n
-        # are covered by two such spans when 2^j <= n + 1 < 2^(j+1)
-        wn = np.arange(1, n_max // 2 + 1)
-        level = np.frexp(wn + 1)[1] - 1
-        lhs = np.empty(len(wn))
-        span = delta
-        for j in range(1, int(level[-1]) + 1):
-            half = 1 << (j - 1)
-            span = np.maximum(span[:-half], span[half:])
-            at = level == j
-            lhs[at] = np.maximum(span[wn[at] - 1], span[2 * (wn[at] - half)])
-        rhs = tau / (2.0 * wn + 3.0 * tau)
-        worst = int(np.argmin(lhs - rhs))  # the first n of least margin
-        checks.append(
-            make_check(f"avg_dev_window_lower[n={wn[worst]}]", lhs[worst], rhs[worst], ">=")
-        )
-    return BoundAudit(tuple(checks))
+    checks = _deviation_checks(*_deviation_bounds(chain, n_max, tau), tau)
+    if checks is None:
+        values = _deviation_values(chain, n_max)
+        checks = _deviation_checks(values, values, tau)
+    return BoundAudit(checks)

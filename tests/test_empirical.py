@@ -19,6 +19,7 @@ from chaingap.empirical import (
     _rekeyed_words,
     _replicate_draws,
 )
+from chaingap.audit import BoundAudit, make_check, skipped_check
 from chaingap.errors import BadTestFunction
 from chaingap.experiments import render_report
 
@@ -26,6 +27,7 @@ from conftest import (
     bipartite_walk_matrix,
     birth_death_matrix,
     cyclic_classes_matrix,
+    periodic_matrices,
     stochastic_matrices,
 )
 
@@ -543,29 +545,227 @@ def test_audit_values_fall_back_to_eigh_without_vectors(monkeypatch):
 
 
 def test_window_check_matches_a_loop_over_windows(battery):
-    # the former loop over n, with its first-strict-minimum rule
-    for item in battery[:30]:
+    # the former loops over n, with their first-strict-minimum rule
+    for item in battery:
         _, tau = cg.spectral_gap(item.chain)
         if not math.isfinite(tau):
             continue
         n_max = math.ceil(50.0 * tau)
         delta = _deviation_values(item.chain, n_max)
-        worst_margin, worst_n, worst_lhs, worst_rhs = np.inf, 1, 0.0, 0.0
+        want = []
+        worst = (np.inf, 1)
+        for n in range(1, n_max + 1):
+            upper = math.sqrt(4.0 * tau / n)
+            if upper - delta[n - 1] < worst[0]:
+                worst = (upper - delta[n - 1], n, delta[n - 1], upper)
+        want.append((f"avg_dev_upper[n={worst[1]}]", worst[2], worst[3]))
+        worst = (np.inf, 1)
+        for n in range(1, n_max + 1):
+            if n <= tau / 3.0 and delta[n - 1] < worst[0]:
+                worst = (delta[n - 1], n)
+        if worst[0] < np.inf:
+            want.append((f"avg_dev_floor[n={worst[1]}]", worst[0], 1.0 / 132.0))
+        else:
+            want.append(("avg_dev_floor [skipped: no n <= tau/3]", math.nan, math.nan))
+        worst = (np.inf, 1)
         for n in range(1, n_max // 2 + 1):
             lhs = float(delta[n - 1 : 2 * n].max())
             rhs = tau / (2.0 * n + 3.0 * tau)
-            if lhs - rhs < worst_margin:
-                worst_margin, worst_n, worst_lhs, worst_rhs = lhs - rhs, n, lhs, rhs
-        check = [
-            c
-            for c in cg.delta_bounds_audit(item.chain, n_max).checks
-            if c.name.startswith("avg_dev_window_lower")
-        ][0]
-        assert (check.name, check.lhs, check.rhs) == (
-            f"avg_dev_window_lower[n={worst_n}]",
-            worst_lhs,
-            worst_rhs,
-        ), item.name
+            if lhs - rhs < worst[0]:
+                worst = (lhs - rhs, n, lhs, rhs)
+        want.append((f"avg_dev_window_lower[n={worst[1]}]", worst[2], worst[3]))
+        got = [(c.name, c.lhs, c.rhs) for c in cg.delta_bounds_audit(item.chain, n_max).checks]
+        assert [(name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in got] == [
+            (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in want
+        ], item.name
+
+
+def full_curve_audit(chain, n_max):
+    """The audit's checks over the whole curve: its check code before the
+    certified bounds, over _deviation_values, kept as the reference."""
+    _, tau = cg.spectral_gap(chain)
+    if not np.isfinite(tau):
+        names = ("avg_dev_upper", "avg_dev_floor", "avg_dev_window_lower")
+        return BoundAudit(tuple(skipped_check(n, "relaxation time infinite") for n in names))
+    delta = _deviation_values(chain, n_max)
+    ns = np.arange(1, n_max + 1)
+    checks = []
+    upper = np.sqrt(4.0 * tau / ns)
+    worst = int(np.argmin(upper - delta))
+    checks.append(
+        make_check(f"avg_dev_upper[n={ns[worst]}]", delta[worst], upper[worst], "<=")
+    )
+    floor_ns = ns[ns <= tau / 3.0]
+    if len(floor_ns) == 0:
+        checks.append(skipped_check("avg_dev_floor", "no n <= tau/3"))
+    else:
+        vals = delta[: len(floor_ns)]
+        worst = int(np.argmin(vals))
+        checks.append(
+            make_check(f"avg_dev_floor[n={floor_ns[worst]}]", vals[worst], 1.0 / 132.0, ">=")
+        )
+    if n_max < 2:
+        checks.append(skipped_check("avg_dev_window_lower", "n_max < 2"))
+    else:
+        wn = np.arange(1, n_max // 2 + 1)
+        lhs = np.array([delta[n - 1 : 2 * n].max() for n in wn])
+        rhs = tau / (2.0 * wn + 3.0 * tau)
+        worst = int(np.argmin(lhs - rhs))
+        checks.append(
+            make_check(f"avg_dev_window_lower[n={wn[worst]}]", lhs[worst], rhs[worst], ">=")
+        )
+    return BoundAudit(tuple(checks))
+
+
+AUDITED_BLOCK_CHAINS = [
+    lambda: cg.cdg_chain(9),
+    lambda: cg.cdg_chain(31),
+    lambda: cg.cdg_chain(41),
+    lambda: cg.card_chain(4),
+    lambda: cg.lazy(cg.card_chain(4), 0.3),
+    lambda: cg.circulant_chain(9, [(1, 0.3), (2, 0.7)]),
+    lambda: cg.torus_chain(4, 2, cg.TorusProbs(0.1, (0.4, 0.2), (0.2, 0.1))),
+]
+
+
+@st.composite
+def audited_chains(draw):
+    """Explicit, periodic, skewed birth-death and group-walk chains."""
+    kind = draw(st.sampled_from(["stochastic", "periodic", "birth-death", "blocks"]))
+    if kind == "stochastic":
+        return cg.build_chain(draw(stochastic_matrices(max_size=6)))
+    if kind == "periodic":
+        return cg.build_chain(draw(periodic_matrices()))
+    if kind == "birth-death":
+        up = draw(st.sampled_from([0.1, 0.6, 0.9]))
+        return cg.build_chain(birth_death_matrix(draw(st.integers(2, 12)), up))
+    return draw(st.sampled_from(AUDITED_BLOCK_CHAINS))()
+
+
+@settings(max_examples=60, deadline=None)
+@given(audited_chains(), st.integers(1, 130), st.sampled_from([None, 1 << 9]))
+@example(cg.build_chain(cyclic_classes_matrix(3, 1, [1.0])), 120, None)
+@example(cg.build_chain(cyclic_classes_matrix(4, 1, [1.0])), 40, None)
+@example(cg.cdg_chain(201), 100, None)
+def test_audit_report_equals_the_full_curve_audit(chain, n_max, entries):
+    # small blocks of entries split every stack into chunks, so the block
+    # chains take the certified route too
+    with pytest.MonkeyPatch.context() as patch:
+        if entries is not None:
+            patch.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+        got = render_report(cg.delta_bounds_audit(chain, n_max), "json")
+    assert got == render_report(full_curve_audit(chain, n_max), "json")
+
+
+def hermitian_stacks(rng, count, blocks, m, complex_):
+    grams = rng.standard_normal((count, blocks, m, m)) * rng.choice([1e-3, 1.0, 1e3])
+    if complex_:
+        grams = grams + 1j * rng.standard_normal(grams.shape)
+    return grams + grams.conj().swapaxes(-1, -2)  # Hermitian to the bit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_certificate_never_clears_the_computed_top(m, blocks, complex_, seed):
+    rng = np.random.default_rng(seed)
+    grams = hermitian_stacks(rng, 8, blocks, m, complex_)
+    top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
+    for ulps in (0, 1, 4):
+        target = top + ulps * np.spacing(np.abs(top))
+        assert not empirical._certified(grams, target).any()
+    scale = np.sqrt(np.vecdot(grams, grams).real.sum(axis=(-2, -1)))
+    # not vacuous: a positive target a little further up is cleared
+    cleared = empirical._certified(grams, top + 1e-9 * (np.abs(top) + scale))
+    assert np.array_equal(cleared, top > 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 14), st.integers(0, 2**32 - 1))
+def test_certificate_never_clears_the_dense_top(m, seed):
+    # a dense gram is symmetric only to a few ulps; dsyevx reads its upper triangle
+    rng = np.random.default_rng(seed)
+    grams = hermitian_stacks(rng, 8, 1, m, False)
+    grams *= 1.0 + 4e-16 * np.tril(rng.standard_normal((m, m)), -1)
+    top = np.array([empirical._dense_top(gram[0], False)[0] for gram in grams])
+    for ulps in (0, 1, 4):
+        target = top + ulps * np.spacing(np.abs(top))
+        assert not empirical._certified(grams, target).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 14), st.booleans(), st.integers(0, 2**32 - 1))
+def test_rayleigh_bound_stays_below_the_computed_top(m, complex_, seed):
+    rng = np.random.default_rng(seed)
+    grams = hermitian_stacks(rng, 8, 1, m, complex_)[:, 0]
+    top = np.linalg.eigvalsh(grams)[:, -1]
+    vector = np.linalg.eigh(grams[0])[1][:, -1]
+    noise = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_ else 0.0)
+    for v in (vector, noise):
+        assert np.all(empirical._rayleigh_lower(grams, v) <= top)
+    # not vacuous: the first gram's own top vector comes within its rounding
+    scale = np.linalg.norm(grams[0])
+    assert top[0] - empirical._rayleigh_lower(grams, vector)[0] <= 1e-10 * (abs(top[0]) + scale)
+
+
+def count_solves(monkeypatch):
+    """Count the grams that the audit solves: dsyevx tops and eigvalsh blocks."""
+    solved = {"dense": 0, "blocks": 0}
+    dense_top, eigvalsh = empirical._dense_top, np.linalg.eigvalsh
+
+    def counted_top(gram, maximizer):
+        solved["dense"] += 1
+        return dense_top(gram, maximizer)
+
+    def counted_eigvalsh(a):
+        solved["blocks"] += int(np.prod(np.shape(a)[:-2]))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(empirical, "_dense_top", counted_top)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return solved
+
+
+@pytest.mark.parametrize(
+    "name, n_max, dense, blocks",
+    [
+        # six 33 x 33 blocks at the anchors n = 1, 50, 100, and the top
+        # vector of the block that wins at 50 (a dsyevx call)
+        ("cdg-family-201", 100, 1, 18),
+        # the anchors n = 1, 50, 100 and the vector at 50
+        ("cdg-101", 100, 4, 0),
+        # n = 1, 2 (at most tau/3), 150 and 300, and the vector at 150
+        ("birth-death-40-0.75", 300, 5, 0),
+    ],
+)
+def test_audit_solves_only_the_anchors(name, n_max, dense, blocks, monkeypatch):
+    chain = (KERNEL_CHAINS | BLOCK_CHAINS)[name]()
+    want = render_report(full_curve_audit(chain, n_max), "json")
+    solved = count_solves(monkeypatch)
+    assert render_report(cg.delta_bounds_audit(chain, n_max), "json") == want
+    assert solved == {"dense": dense, "blocks": blocks}
+
+
+def test_rotation_falls_back_to_the_full_curve(monkeypatch):
+    # the 4-cycle rotation: Delta_n = 0 at every multiple of 4, so the
+    # window anchored at h = 20 reads 0 and the bounds decide nothing
+    chain = cg.build_chain(cyclic_classes_matrix(4, 1, [1.0]))
+    want = render_report(full_curve_audit(chain, 40), "json")
+    curves = []
+    values = empirical._deviation_values
+    monkeypatch.setattr(
+        empirical, "_deviation_values", lambda c, n: curves.append(n) or values(c, n)
+    )
+    assert render_report(cg.delta_bounds_audit(chain, 40), "json") == want
+    assert curves == [40]
+
+
+def test_undecided_bounds_fall_back_to_the_full_curve(monkeypatch):
+    chain = KERNEL_CHAINS["birth-death-21-0.9"]()
+    want = render_report(full_curve_audit(chain, 60), "json")
+    monkeypatch.setattr(
+        empirical, "_deviation_bounds", lambda c, n, tau: (np.zeros(n), np.ones(n))
+    )
+    assert render_report(cg.delta_bounds_audit(chain, 60), "json") == want
 
 
 def test_curve_subadditivity(battery):
@@ -830,6 +1030,10 @@ def test_monte_carlo_rejects_bad_test_function(flip):
         cg.delta_monte_carlo(flip, np.array([1.0, 1.0]), n=2, reps=10, seed=0)
     with pytest.raises(BadTestFunction):
         cg.delta_monte_carlo(flip, np.array([2.0, -2.0]), n=2, reps=10, seed=0)
+    with pytest.raises(BadTestFunction, match="finite"):
+        cg.delta_monte_carlo(flip, np.array([math.nan, math.nan]), n=2, reps=10, seed=1)
+    with pytest.raises(BadTestFunction, match="finite"):
+        cg.delta_monte_carlo(flip, np.array([1.0, -1.0, 0.0]), n=2, reps=10, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -845,6 +1049,36 @@ def test_monte_carlo_rejects_bad_test_function(flip):
 def test_deviation_routes_refuse_n_below_one(route, message, flip):
     with pytest.raises(ValueError, match=message):
         route(flip)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda c: cg.delta_exact(c, 2.5),
+        lambda c: cg.delta_exact(c, 2.0),
+        lambda c: cg.delta_curve(c, [2.7]),
+        lambda c: cg.delta_curve(c, [1, 2, 3.0]),
+        lambda c: cg.delta_bounds_audit(c, 4.0),
+        lambda c: cg.delta_monte_carlo(c, np.array([1.0, -1.0]), n=2.5, reps=10, seed=0),
+        lambda c: cg.delta_monte_carlo(c, np.array([1.0, -1.0]), n=2, reps=10.0, seed=0),
+    ],
+    ids=["exact", "exact-whole-float", "curve", "curve-whole-float", "bounds-audit",
+         "monte-carlo-n", "monte-carlo-reps"],
+)
+def test_deviation_routes_refuse_fractional_counts(route, flip):
+    with pytest.raises(ValueError, match="must be an integer"):
+        route(flip)
+
+
+def test_deviation_routes_take_numpy_integers(flip):
+    assert cg.delta_exact(flip, np.int64(3))[0] == cg.delta_exact(flip, 3)[0]
+    curve = cg.delta_curve(flip, np.arange(1, 4)).entries
+    assert [(p.n, p.delta_exact) for p in curve] == [(1, 1.0), (2, 0.0), (3, 1.0 / 3.0)]
+    assert cg.delta_bounds_audit(flip, np.int32(8)) == cg.delta_bounds_audit(flip, 8)
+    g = np.array([1.0, -1.0])
+    assert cg.delta_monte_carlo(flip, g, np.int64(2), np.int64(10), 0) == cg.delta_monte_carlo(
+        flip, g, 2, 10, 0
+    )
 
 
 def test_delta_bounds_audit_flip(flip):
