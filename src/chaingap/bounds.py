@@ -18,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
-from .chains import FiniteChain, _bfs_tree, period
+from .chains import FiniteChain, period
 from .empirical import _philox_key
 from .errors import MixingCapExceeded, NotIrreducible, TooLargeForEnumeration
 from .spectral import _reversibilized_gaps, pseudo_spectral_gap, relaxation_time, spectral_gap
@@ -351,33 +352,51 @@ def _bfs_congestion(chain: FiniteChain) -> float:
     """B = max_e (1/Q(e)) sum_{paths through e} mu(x) mu(y) |path| over BFS paths.
 
     The paths are shortest directed paths in E = {(x, y): P(x, y) > 0},
-    ties resolved lexicographically; an irreducible chain connects every
-    pair. The path from s to t crosses the tree edge (pred[v], v) exactly
-    when t is in the subtree of v, and has depth(t) edges: from source s
-    that edge carries mu(s) sum_{t in subtree(v)} mu(t) depth(t). No path
-    is built. An edge whose Q(e) = mu(x) P(x, y) underflows to zero has
-    congestion inf, and gamma >= 1/B = 0 still holds.
+    ties resolved lexicographically by scipy's breadth_first_order from
+    each source; an irreducible chain connects every pair. The path from
+    s to t crosses the tree edge (pred[v], v) exactly when t is in the
+    subtree of v, and has depth(t) edges: from source s that edge carries
+    mu(s) sum_{t in subtree(v)} mu(t) depth(t). No path is built.
+
+    The trees are held as N x N arrays, order[s, j] the j-th state
+    reached from s, and walked one BFS position at a time across all the
+    sources: depths forward, subtree sums backward, so each source's
+    additions come in the order of a walk of its own tree. The loads are
+    summed by one bincount, which adds them one at a time in (source,
+    position) order; so B is bit for bit that of a per-source loop. A few
+    N x N arrays are held at a time. An edge whose Q(e) = mu(x) P(x, y)
+    underflows to zero has congestion inf, and gamma >= 1/B = 0 still
+    holds.
     """
     n = chain.size
-    q = chain.edge_measure()
-    mu = chain.stationary.tolist()
     graph = csr_matrix(chain.transition > 0, dtype=float)
-    heads, tails, loads = [], [], []
+    order = np.empty((n, n), dtype=np.intp)
+    heads = np.empty((n, n - 1), dtype=np.intp)  # pred[v] of each v = order[s, j], j >= 1
     for s in range(n):
-        order, pred, depth = _bfs_tree(graph, s)
-        subtree = [m * d for m, d in zip(mu, depth)]
-        for v in reversed(order[1:]):
-            subtree[pred[v]] += subtree[v]
-        tails += order[1:]
-        heads += [pred[v] for v in order[1:]]
-        loads += [mu[s] * subtree[v] for v in order[1:]]
-    edges = np.array(heads) * n + np.array(tails)
-    used = np.unique(edges)
-    load = np.bincount(edges, weights=loads, minlength=n * n)[used]
-    weight = q.ravel()[used]
+        order[s], pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
+        heads[s] = pred[order[s, 1:]]
+    sources = np.arange(n)
+    depth = np.zeros((n, n), dtype=np.intp)
+    for j in range(1, n):
+        depth[sources, order[:, j]] = depth[sources, heads[:, j - 1]] + 1
+    mu = chain.stationary
+    subtree = mu * depth
+    del depth
+    for j in range(n - 1, 0, -1):
+        subtree[sources, heads[:, j - 1]] += subtree[sources, order[:, j]]
+    tails = order[:, 1:]
+    loads = mu[:, None] * subtree[sources[:, None], tails]
+    del subtree
+    edges = np.multiply(heads, n, out=heads)
+    edges += tails
+    del order, tails
+    load = np.bincount(edges.ravel(), weights=loads.ravel(), minlength=n * n)
+    used = np.zeros(n * n, dtype=bool)
+    used[edges] = True
+    weight = chain.edge_measure().ravel()[used]
     if (weight == 0).any():
         return math.inf  # a tree edge whose mu(x) P(x, y) underflowed
-    return float((load / weight).max())
+    return float((load[used] / weight).max())
 
 
 def path_bound(chain: FiniteChain) -> PathBoundResult:

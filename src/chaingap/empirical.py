@@ -20,12 +20,14 @@ delta_curve and delta_exact also take the eigenvector (the maximizer).
 
 The bound audit reports three n, so it solves only a few: n = 1, n_max,
 h = n_max // 2 and every n <= tau/3. Every other n gets proved bounds
-in a second pass over the powers: a Cholesky factorization of a shifted
+in the same pass over the powers: a Cholesky factorization of a shifted
 gram that runs to completion proves the computed top eigenvalue below a
 target (Rump, BIT 46, 2006), and a Rayleigh quotient with the top vector
-at h bounds it below. A check's worst n is decided when every other n
-is excluded by its bounds; else the whole curve is solved. The reported
-values are delta_curve's, bit for bit, either way.
+at h bounds it below. The targets and that vector are steered by the
+grams at h and n_max from binary-lifted sums, O(log n_max) products. A
+check's worst n is decided when every other n is excluded by its
+bounds; else the whole curve is solved. The reported values are
+delta_curve's, bit for bit, either way.
 
 The group walks carry their blocks K (families): real orbit blocks for
 the doubling chain, one block per irreducible representation for the
@@ -220,10 +222,16 @@ def _block_grams(blocks, ns):
             if stop > first:
                 chunk = ns[first:stop]
                 grams = rows[chunk - k0]  # rows[j] = SS_{k0-1+j}
-                grams += grams.conj().swapaxes(-1, -2)
-                grams[..., diag, diag] += chunk[:, None, None]
+                _finish_block_grams(grams, chunk)
                 yield stack, first, grams
             first = stop
+
+
+def _finish_block_grams(grams: np.ndarray, chunk: np.ndarray) -> None:
+    """grams[i] = SS_{n-1} becomes n I + SS_{n-1} + SS_{n-1}^H, n = chunk[i], in place."""
+    diag = np.arange(grams.shape[-1])
+    grams += grams.conj().swapaxes(-1, -2)
+    grams[..., diag, diag] += chunk[:, None, None]
 
 
 def _running_sums(rows: np.ndarray) -> None:
@@ -301,10 +309,16 @@ def _dense_grams(chain: FiniteChain, ns):
                 ssum += bk
                 sum_of_sums += ssum
             np.add(sum_of_sums, sum_of_sums.T, out=gram)
-        grams.reshape(len(chunk), -1)[:, :: size + 1] += chunk[:, None]
-        shift = np.vecdot(d @ grams, d) + chunk * chunk
-        grams -= (shift[:, None] * d)[:, :, None] * d
+        _deflate(grams, chunk, d)
         yield first, grams
+
+
+def _deflate(grams: np.ndarray, chunk: np.ndarray, d: np.ndarray) -> None:
+    """grams[i] = A + A^T becomes n I + A + A^T with the constant direction
+    moved to -n^2 (_dense_grams), n = chunk[i], in place; grams is C-contiguous."""
+    grams.reshape(len(chunk), -1)[:, :: len(d) + 1] += chunk[:, None]
+    shift = np.vecdot(d @ grams, d) + chunk * chunk
+    grams -= (shift[:, None] * d)[:, :, None] * d
 
 
 def _dense_top(gram: np.ndarray, maximizer: bool):
@@ -622,7 +636,7 @@ def delta_monte_carlo(
     return next(_monte_carlo(chain, [(n, g)], reps, seed))
 
 
-def _top_bounds(chain: FiniteChain, ns, targets, keep=None, probe=None):
+def _top_bounds(chain: FiniteChain, ns, targets, probe=None):
     """Bounds on the computed top eigenvalue of n^2 M_n for each n of ns, in one pass.
 
     The computed top is the one _deviations rounds to Delta_n: the largest
@@ -634,21 +648,18 @@ def _top_bounds(chain: FiniteChain, ns, targets, keep=None, probe=None):
     makes, as the gram is in hand. A stack of 1 x 1 blocks is read, not
     solved: eigvalsh returns a 1 x 1 Hermitian matrix's real diagonal.
 
-    Returns (exact, bound, low, kept). exact[i] is the largest top solved
-    over the stacks (-inf when none was), bound[i] the target when some
-    stack was certified (else -inf): so the computed top is exact[i] when
+    Returns (exact, bound, low). exact[i] is the largest top solved over
+    the stacks (-inf when none was), bound[i] the target when some stack
+    was certified (else -inf): so the computed top is exact[i] when
     exact[i] >= bound[i], and lies in [exact[i], bound[i]] otherwise.
     low[i] is a lower bound for n <= last from probe = (stack, block, v,
     last), the Rayleigh quotient of v on that block's gram
-    (_rayleigh_lower), and -inf elsewhere. kept is (stack, block, v), v
-    the top eigenvector of the block whose top wins at n = keep among the
-    blocks larger than 1 x 1, when keep is in ns and is solved; else None.
+    (_rayleigh_lower), and -inf elsewhere.
     """
     ns = np.asarray(ns)
     exact = np.full(len(ns), -np.inf)
     bound = np.full(len(ns), -np.inf)
     low = np.full(len(ns), -np.inf)
-    kept, best = None, -np.inf
     if chain._blocks is None:
         stacks = ((0, first, grams[:, None]) for first, grams in _dense_grams(chain, ns))
     else:
@@ -657,7 +668,6 @@ def _top_bounds(chain: FiniteChain, ns, targets, keep=None, probe=None):
         count = len(grams)
         rows = slice(first, first + count)
         if grams.shape[-1] == 1 and chain._blocks is not None:
-            solve = np.ones(count, dtype=bool)
             tops = grams[..., 0, 0].real
         else:
             solve = ~_certified(grams, targets[rows])
@@ -669,21 +679,12 @@ def _top_bounds(chain: FiniteChain, ns, targets, keep=None, probe=None):
             elif solve.any():
                 tops[solve] = np.linalg.eigvalsh(grams[solve])[..., -1]
         np.maximum(exact[rows], tops.max(axis=1), out=exact[rows])
-        at = np.flatnonzero(ns[rows] == keep) if keep is not None else ()
-        if len(at) and grams.shape[-1] > 1 and solve[at[0]] and tops[at[0]].max() > best:
-            row, block = at[0], int(np.argmax(tops[at[0]]))
-            best = tops[row, block]
-            if grams.dtype.kind == "f":
-                v = _dense_top(grams[row, block], True)[1]
-            else:
-                v = np.linalg.eigh(grams[row, block])[1][:, -1]
-            kept = (stack, block, v)
         if probe is not None and probe[0] == stack:
             _, block, v, last = probe
             take = int(np.searchsorted(ns[rows], last, side="right"))
             section = low[first : first + take]
             np.maximum(section, _rayleigh_lower(grams[:take, block], v), out=section)
-    return exact, bound, low, kept
+    return exact, bound, low
 
 
 def _certified(grams, targets) -> np.ndarray:
@@ -809,58 +810,155 @@ def _first_worst(margin: np.ndarray, known: np.ndarray) -> int | None:
     return None
 
 
+def _doubled(sums):
+    """(2m, K^2m, S_2m, SS_2m) from sums = (m, K^m, S_m, SS_m) (_lifted_sums)."""
+    m, power, s, ss = sums
+    if m == 0:
+        return sums
+    return 2 * m, power @ power, s + power @ s, ss + m * s + power @ ss
+
+
+def _stepped(sums, K):
+    """(m + 1, K^(m+1), S_(m+1), SS_(m+1)) from sums = (m, K^m, S_m, SS_m) (_lifted_sums)."""
+    m, power, s, ss = sums
+    power = K if m == 0 else power @ K
+    s = s + power
+    return m + 1, power, s, ss + s
+
+
+def _lifted_sums(K: np.ndarray, k: int):
+    """(k, K^k, S_k, SS_k) for a matrix or a stack of blocks K, by binary lifting.
+
+    S_k = K + ... + K^k and SS_k = S_1 + ... + S_k are the sums that
+    _dense_grams and _block_grams carry one power at a time; here they take
+    O(log k) products. S_{m+i} = S_m + K^m S_i, so S_2m = S_m + K^m S_m and
+    SS_2m = SS_m + m S_m + K^m SS_m, and one step is S_{m+1} = S_m +
+    K^(m+1), SS_{m+1} = SS_m + S_{m+1}; the bits of k, from the top, say
+    when to step after a doubling. The roundings are not those of the
+    power-at-a-time sums, so the values only steer. K^0 is None.
+    """
+    sums = (0, None, np.zeros_like(K), np.zeros_like(K))
+    for bit in bin(k)[2:]:
+        sums = _doubled(sums)
+        if bit == "1":
+            sums = _stepped(sums, K)
+    return sums
+
+
+def _lifted_grams(chain: FiniteChain, h: int, n_max: int):
+    """Yield (stack, grams): each stack's grams at n = h and n = n_max from lifted sums.
+
+    grams is a (2, M, m, m) stack, formed from SS_{h-1} and SS_{n_max-1}
+    (_lifted_sums) as the pass forms them from its sums: the dense gram
+    (_deflate) as a stack of one block, or the blocks' grams
+    (_finish_block_grams). n_max is 2h or 2h + 1, so SS_{n_max-1} is one
+    doubling of the sums at h - 1 and one or two steps.
+    """
+    ns = np.array([h, n_max])
+    if chain._blocks is None:
+        d = np.sqrt(chain.stationary)
+        stacks = [_conjugated(chain.transition, chain.stationary)]
+    else:
+        stacks = chain._blocks()
+    for stack, K in enumerate(stacks):
+        sums = _lifted_sums(K, h - 1)
+        later = _doubled(sums)
+        while later[0] < n_max - 1:
+            later = _stepped(later, K)
+        grams = np.stack((sums[3], later[3]))
+        if chain._blocks is None:
+            grams += grams.swapaxes(-1, -2)
+            _deflate(grams, ns, d)
+            grams = grams[:, None]
+        else:
+            _finish_block_grams(grams, ns)
+        yield stack, grams
+
+
+def _steering(chain: FiniteChain, h: int, n_max: int):
+    """(tops, probe): the steering values of _deviation_bounds, from lifted sums.
+
+    tops holds the top eigenvalues of n^2 M_n at n = h and n = n_max
+    (_lifted_grams), the largest over the stacks, each solved as
+    _top_bounds solves it. probe is (stack, block, v, h), v the top
+    eigenvector of the block larger than 1 x 1 whose top wins at h (the
+    dense gram on a chain without blocks), or None when every block is
+    1 x 1.
+    """
+    tops = np.full(2, -np.inf)
+    probe, best = None, -np.inf
+    for stack, grams in _lifted_grams(chain, h, n_max):
+        v = None
+        if grams.shape[-1] == 1:
+            stack_tops = grams[..., 0, 0].real
+        elif chain._blocks is None:
+            (top_h, v), (top_n, _) = _dense_top(grams[0, 0], True), _dense_top(grams[1, 0], False)
+            stack_tops = np.array([[top_h], [top_n]])
+        else:
+            stack_tops = np.linalg.eigvalsh(grams)[..., -1]
+        np.maximum(tops, stack_tops.max(axis=1), out=tops)
+        block = int(np.argmax(stack_tops[0]))
+        if grams.shape[-1] > 1 and stack_tops[0, block] > best:
+            best, gram = stack_tops[0, block], grams[0, block]
+            if v is None:
+                v = _dense_top(gram, True)[1] if gram.dtype.kind == "f" else np.linalg.eigh(gram)[1][:, -1]
+            probe = (stack, block, v, h)
+    return tops, probe
+
+
 def _deviation_bounds(chain: FiniteChain, n_max: int, tau: float):
     """(lo, hi): bounds on Delta_1 .. Delta_{n_max}, _deviation_values' bits where lo == hi.
 
     A group walk whose stacks are all 1 x 1 or fit one chunk of powers
     (_chunk_powers) is solved whole: a 1 x 1 gram is its own top, and one
-    batched eigvalsh call on a stack that small costs less than a second
-    pass over its powers. Otherwise its stacks are built once for both
-    passes.
+    batched eigvalsh call on a stack that small costs less than
+    certifying its grams one chunk at a time. Otherwise its stacks are
+    built once for the steering and the pass.
 
-    Pass 1 solves the anchors n = 1, h = n_max // 2, n_max and every
-    n <= tau/3 (_top_bounds), and keeps the top eigenvector v of the block
-    (or dense gram) that wins at h. Every other n aims at a target: the
-    Delta_n that would leave it no worse than the anchors on a check,
-    sqrt(4 tau / n) - m_u with m_u the anchors' least upper-check margin,
-    and for h < n <= 2h at most Delta_h, so that the window at h reads
-    Delta_h. The target is shaded by 2^-30, so that a bound at it clears
-    the check strictly. Pass 2 certifies each n's grams below its target
-    or solves them, and bounds each n <= h below by v's Rayleigh quotient.
-    _tops_to_deltas is monotone, each of its steps being (a division by
-    n^2, a floor to 0, a correctly rounded sqrt, a clamp at 1), so it maps
-    bounds on the computed top to bounds on Delta_n. The targets only
-    steer; correctness rests on the certified bounds.
+    The anchors n = 1, h = n_max // 2, n_max and every n <= tau/3 are
+    solved. Every other n aims at a target: the Delta_n that would leave
+    it no worse than the anchors on a check, sqrt(4 tau / n) - m_u with
+    m_u the least upper-check margin at n = 1, h and n_max, and for
+    h < n <= 2h at most Delta_h, so that the window at h reads Delta_h.
+    The steering values of Delta_h and Delta_{n_max}, and the probe v,
+    the top eigenvector at h, come from binary-lifted sums (_steering), in
+    O(log n_max) products; they agree with the pass's values to about
+    1e-12, well inside the shading of the target by 2^-30 that makes a
+    bound at it clear the check strictly. One pass over the powers
+    (_top_bounds) then solves each anchor and certifies every other n's
+    grams below its target or solves them, and bounds each n <= h below by
+    v's Rayleigh quotient. _tops_to_deltas is monotone, each of its steps
+    being (a division by n^2, a floor to 0, a correctly rounded sqrt, a
+    clamp at 1), so it maps bounds on the computed top to bounds on
+    Delta_n. Every reported value comes from the pass: the steering
+    values only choose the targets, and correctness rests on the
+    certified bounds.
     """
     if chain._blocks is not None:
-        stacks = list(chain._blocks())  # built once for both passes
+        stacks = list(chain._blocks())  # built once for the steering and the pass
         chain = replace(chain, _blocks=lambda: iter(stacks))
         if all(K.shape[-1] == 1 or _chunk_powers(K) >= n_max - 1 for K in stacks):
             values = _deviation_values(chain, n_max)
             return values, values
     ns = np.arange(1, n_max + 1)
     h = max(n_max // 2, 1)
-    solved = ns <= tau / 3.0
-    solved[[0, h - 1, n_max - 1]] = True
-    anchors, rest = ns[solved], ns[~solved]
-    exact, _, _, kept = _top_bounds(chain, anchors, np.full(len(anchors), np.nan), keep=h)
-    lo = np.zeros(n_max)
-    hi = np.full(n_max, np.inf)
-    lo[solved] = hi[solved] = _tops_to_deltas(exact, anchors)
-    if not len(rest):
-        return lo, hi
-    upper = np.sqrt(4.0 * tau / ns)
-    aim = upper - np.min(upper[solved] - lo[solved])
-    aim[h : 2 * h] = np.minimum(aim[h : 2 * h], lo[h - 1])
-    aim = aim[~solved]
-    targets = np.square(rest * aim) * (1.0 - 2.0**-30)
-    targets[aim <= 0.0] = np.nan
-    probe = kept and kept + (h,)
-    exact, bound, low, _ = _top_bounds(chain, rest, targets, probe=probe)
+    anchors = ns <= tau / 3.0
+    anchors[[0, h - 1, n_max - 1]] = True
+    targets = np.full(n_max, np.nan)
+    probe = None
+    if not anchors.all():
+        tops, probe = _steering(chain, h, n_max)
+        delta_h, delta_n = _tops_to_deltas(tops, [h, n_max])
+        upper = np.sqrt(4.0 * tau / ns)
+        aim = upper - min(upper[0] - 1.0, upper[h - 1] - delta_h, upper[-1] - delta_n)
+        aim[h : 2 * h] = np.minimum(aim[h : 2 * h], delta_h)
+        targets = np.square(ns * aim) * (1.0 - 2.0**-30)
+        targets[anchors | (aim <= 0.0)] = np.nan
+    exact, bound, low = _top_bounds(chain, ns, targets, probe)
     known = exact >= bound
-    lo[~solved] = _tops_to_deltas(np.where(known, exact, np.maximum(exact, low)), rest)
-    hi[~solved] = _tops_to_deltas(np.where(known, exact, bound), rest)
-    return lo, hi
+    lo = _tops_to_deltas(np.where(known, exact, np.maximum(exact, low)), ns)
+    hi = _tops_to_deltas(np.where(known, exact, bound), ns)
+    return np.array(lo), np.array(hi)
 
 
 def _deviation_checks(lo: np.ndarray, hi: np.ndarray, tau: float):

@@ -165,14 +165,38 @@ def pseudo_spectral_gap(chain: FiniteChain, k_max: int = 10) -> PseudoGapBound:
     chain (P*)^k P^k. Every eigenvalue of (B^k)^T B^k lies in [0, 1], so
     a best value that relaxation_time counts as zero at scale 1 is
     eigensolver noise: it is reported as 0 at k = 1.
+
+    The loop stops at the first k with best > (1 + 10 N u)/k, u = 2^-53:
+    no k' >= k can then beat best, so the result is that of the whole
+    loop. Proof. C, the computed B^k, is nonnegative, and so is every
+    product that forms it: fl(C B) = C B (1 + theta) entrywise,
+    |theta| <= gamma_N = N u / (1 - N u), so C <= (1 + gamma_N)^(k-1)
+    B^k entrywise and ||C||_2^2 <= s = (1 + gamma_N)^(2k) ||B||_2^(2k).
+    The lower triangle of fl(C^T C), which dsyevr reads, is C^T C + E
+    with |E| <= gamma_N C^T C entrywise (sums of nonnegative terms, in
+    any order), so ||E||_2 <= gamma_N s. C^T C is positive semidefinite,
+    so the exact lambda_2 of that matrix is at least -gamma_N s, and the
+    computed one is within p(N) eps ||fl(C^T C)||_2 <= 2 N u (1 +
+    gamma_N) s of it (p(N) = N, as families._doubling_gap takes it):
+    lambda_2 >= -3 N u s (1 + 2 gamma_N). With the roundings of 1 -
+    lambda_2, of the division by k and of the threshold (4 u in all),
+    val_k <= (1 + 10 N u)/k as computed whenever s <= 2 and N >= 2.
+    ||B||_2 = 1 for the exact stationary law, and B as formed from the
+    computed law differs from it by the law's relative error eta (high
+    relative accuracy by GTH) and a few u an entry, so s <= 2 holds for
+    k_max (N u + eta) < 1/4. val_k' <= (1 + 10 N u)/k' < best for every
+    later k' too, and the loop keeps a new best only when val > best.
     """
     _require_spectral(chain)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     B = _conjugated(chain.transition, chain.stationary)
+    ceiling = 1.0 + 10.0 * chain.size * 2.0**-53  # k val_k is below it (docstring)
     best, best_k = -np.inf, 1
     C = np.eye(chain.size)
     for k in range(1, k_max + 1):
+        if best > ceiling / k:
+            break
         C = C @ B  # B^k; (P*)^k P^k conjugates to (B^k)^T B^k
         val = _symmetric_gap(C.T @ C) / k
         if val > best:

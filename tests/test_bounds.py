@@ -6,17 +6,27 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import chaingap as cg
 from chaingap import tolerances as tol
 from chaingap.audit import BoundAudit, make_check
-from chaingap.bounds import _first_improvement, _members, _near_minimal, _subset_values
+from chaingap.bounds import (
+    _bfs_congestion,
+    _first_improvement,
+    _members,
+    _near_minimal,
+    _subset_values,
+)
+from chaingap.chains import _bfs_tree
 from chaingap.errors import NotIrreducible, TooLargeForEnumeration
 from chaingap.experiments import render_report
 
 from conftest import (
     birth_death_chains,
     birth_death_matrix,
+    periodic_matrices,
     stochastic_matrices,
     z2_squared_walk_matrix,
 )
@@ -526,6 +536,64 @@ def test_congestion_bits_are_pinned(name):
     congestion, gap_lower = cg.path_bound(build())
     assert float.hex(congestion) == want
     assert gap_lower == 1.0 / float.fromhex(want)
+
+
+def per_source_congestion(chain):
+    """The congestion by a loop over the sources, one BFS tree at a time in
+    Python lists: the tree sums before the trees became arrays, kept as
+    the reference for their bits."""
+    n = chain.size
+    q = chain.edge_measure()
+    mu = chain.stationary.tolist()
+    graph = csr_matrix(chain.transition > 0, dtype=float)
+    heads, tails, loads = [], [], []
+    for s in range(n):
+        order, pred, depth = _bfs_tree(graph, s)
+        subtree = [m * d for m, d in zip(mu, depth)]
+        for v in reversed(order[1:]):
+            subtree[pred[v]] += subtree[v]
+        tails += order[1:]
+        heads += [pred[v] for v in order[1:]]
+        loads += [mu[s] * subtree[v] for v in order[1:]]
+    edges = np.array(heads) * n + np.array(tails)
+    used = np.unique(edges)
+    load = np.bincount(edges, weights=loads, minlength=n * n)[used]
+    weight = q.ravel()[used]
+    if (weight == 0).any():
+        return math.inf
+    return float((load / weight).max())
+
+
+def assert_congestion_bits(chain):
+    assert float.hex(_bfs_congestion(chain)) == float.hex(per_source_congestion(chain))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(stochastic_matrices(max_size=9), periodic_matrices()))
+def test_congestion_arrays_match_the_per_source_loop(matrix):
+    assert_congestion_bits(cg.build_chain(matrix))
+
+
+def test_congestion_arrays_match_on_a_long_birth_death_chain():
+    chain = cg.build_chain(birth_death_matrix(300, 0.6))  # diameter 299
+    assert_congestion_bits(chain)
+
+
+def test_congestion_arrays_match_where_an_edge_measure_underflows():
+    P = [[1 - 1e-300, 1e-300, 0.0], [0.5, 0.5 - 1e-30, 1e-30], [0.0, 1e-30, 1 - 1e-30]]
+    chain = cg.build_chain(P)
+    assert _bfs_congestion(chain) == per_source_congestion(chain) == math.inf
+
+
+def test_congestion_arrays_match_on_a_sparse_1000_state_chain():
+    # hold, a step around the cycle and a jump along a random map
+    n = 1000
+    x = np.arange(n)
+    P = np.zeros((n, n))
+    np.add.at(P, (x, x), 0.2)
+    np.add.at(P, (x, (x + 1) % n), 0.5)
+    np.add.at(P, (x, np.random.default_rng(5).integers(0, n, size=n)), 0.3)
+    assert_congestion_bits(cg.build_chain(P))
 
 
 def test_path_bound_flip(flip):

@@ -708,30 +708,58 @@ def test_rayleigh_bound_stays_below_the_computed_top(m, complex_, seed):
 
 
 def count_solves(monkeypatch):
-    """Count the grams that the audit solves: dsyevx tops and eigvalsh blocks."""
-    solved = {"dense": 0, "blocks": 0}
-    dense_top, eigvalsh = empirical._dense_top, np.linalg.eigvalsh
+    """Count the grams that the audit solves: dsyevx tops and eigvalsh blocks,
+    the top-only solves of the steering under their own key, and the power
+    products of the pass over the powers."""
+    solved = {"dense": 0, "blocks": 0, "steering": 0, "products": 0}
+    inside = []  # the audit layer being run: "steering", "pass" or none
+    dense_top, eigvalsh, matmul = empirical._dense_top, np.linalg.eigvalsh, np.matmul
+    steering, top_bounds = empirical._steering, empirical._top_bounds
 
     def counted_top(gram, maximizer):
-        solved["dense"] += 1
+        # a vector solve counts with the anchors, as when it came from the pass
+        solved["steering" if inside == ["steering"] and not maximizer else "dense"] += 1
         return dense_top(gram, maximizer)
 
     def counted_eigvalsh(a):
-        solved["blocks"] += int(np.prod(np.shape(a)[:-2]))
+        solved["steering" if inside == ["steering"] else "blocks"] += int(np.prod(np.shape(a)[:-2]))
         return eigvalsh(a)
+
+    def counted_matmul(*args, **kwargs):
+        solved["products"] += inside == ["pass"]
+        return matmul(*args, **kwargs)
+
+    def within(layer, run):
+        def counted(*args):
+            inside.append(layer)
+            try:
+                return run(*args)
+            finally:
+                inside.pop()
+
+        return counted
 
     monkeypatch.setattr(empirical, "_dense_top", counted_top)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    monkeypatch.setattr(empirical, "_steering", within("steering", steering))
+    monkeypatch.setattr(empirical, "_top_bounds", within("pass", top_bounds))
     return solved
+
+
+# The steering's top-only solves (_steering): the six blocks at n = 50 and
+# at n = 100 on cdg(201), the dense gram at n_max on the others (its top
+# at n_max // 2 comes with the probe vector, counted under "dense").
+STEERING_SOLVES = {"cdg-family-201": 12, "cdg-101": 1, "birth-death-40-0.75": 1}
 
 
 @pytest.mark.parametrize(
     "name, n_max, dense, blocks",
     [
-        # six 33 x 33 blocks at the anchors n = 1, 50, 100, and the top
-        # vector of the block that wins at 50 (a dsyevx call)
+        # six 33 x 33 blocks at the anchors n = 1, 50, 100, and the
+        # steering's top vector of the block that wins at 50 (a dsyevx call)
         ("cdg-family-201", 100, 1, 18),
-        # the anchors n = 1, 50, 100 and the vector at 50
+        # the anchors n = 1, 50, 100 and the steering's vector at 50
         ("cdg-101", 100, 4, 0),
         # n = 1, 2 (at most tau/3), 150 and 300, and the vector at 150
         ("birth-death-40-0.75", 300, 5, 0),
@@ -739,10 +767,52 @@ def count_solves(monkeypatch):
 )
 def test_audit_solves_only_the_anchors(name, n_max, dense, blocks, monkeypatch):
     chain = (KERNEL_CHAINS | BLOCK_CHAINS)[name]()
+    stacks = 1 if chain._blocks is None else len(list(chain._blocks()))
     want = render_report(full_curve_audit(chain, n_max), "json")
     solved = count_solves(monkeypatch)
     assert render_report(cg.delta_bounds_audit(chain, n_max), "json") == want
-    assert solved == {"dense": dense, "blocks": blocks}
+    # one pass: each stack's powers K^1 .. K^(n_max - 1) are formed once
+    assert solved == {
+        "dense": dense,
+        "blocks": blocks,
+        "steering": STEERING_SOLVES[name],
+        "products": (n_max - 1) * stacks,
+    }
+
+
+def sequential_sums(K, k):
+    """SS_k = S_1 + ... + S_k, S_j = K + ... + K^j, one power at a time."""
+    power, s, ss = np.zeros_like(K), np.zeros_like(K), np.zeros_like(K)
+    for j in range(1, k + 1):
+        power = K.copy() if j == 1 else power @ K
+        s = s + power
+        ss = ss + s
+    return ss
+
+
+@pytest.mark.parametrize(
+    "name", ["birth-death-40-0.75", "cdg-101", "cyclic-3x4", "cdg-family-201", "card-family-5",
+             "circulant-family-24", "torus-family-5"]
+)
+def test_lifted_sums_agree_with_the_sequential_sums(name):
+    chain = (KERNEL_CHAINS | BLOCK_CHAINS)[name]()
+    if chain._blocks is None:
+        stacks = [empirical._conjugated(chain.transition, chain.stationary)]
+    else:
+        stacks = list(chain._blocks())
+    for K in stacks:
+        for k in (0, 1, 2, 3, 7, 49, 64, 99, 150):
+            got_k, _, _, lifted = empirical._lifted_sums(K, k)
+            want = sequential_sums(K, k)
+            assert got_k == k
+            assert np.abs(lifted - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300), (name, k)
+
+
+def test_lifted_sums_cover_real_and_complex_stacks():
+    # the block chains above hold real (card) and complex (character) stacks
+    kinds = {K.dtype.kind for name in ("card-family-5", "circulant-family-24")
+             for K in BLOCK_CHAINS[name]()._blocks()}
+    assert kinds == {"f", "c"}
 
 
 def test_rotation_falls_back_to_the_full_curve(monkeypatch):

@@ -8,7 +8,8 @@ from scipy.linalg import eig, eigvalsh
 
 import chaingap as cg
 from chaingap.experiments import render_report
-from chaingap.spectral import _conjugated, _reversibilized_gaps
+from chaingap import spectral
+from chaingap.spectral import _conjugated, _reversibilized_gaps, _symmetric_gap
 
 from conftest import (
     bipartite_walk_matrix,
@@ -286,6 +287,57 @@ def test_pseudo_gap_noise_is_reported_as_zero(battery):
 def test_pseudo_gap_of_periodic_chains_is_zero(matrix):
     bound = cg.pseudo_spectral_gap(cg.build_chain(matrix))
     assert (bound.value, bound.k) == (0.0, 1)
+
+
+def pseudo_gap_every_k(chain, k_max=10):
+    """pseudo_spectral_gap without its early stop: every k up to k_max."""
+    B = _conjugated(chain.transition, chain.stationary)
+    best, best_k = -np.inf, 1
+    C = np.eye(chain.size)
+    for k in range(1, k_max + 1):
+        C = C @ B
+        val = _symmetric_gap(C.T @ C) / k
+        if val > best:
+            best, best_k = val, k
+    if cg.relaxation_time(best, 1.0) == np.inf:
+        best, best_k = 0.0, 1
+    return best, best_k
+
+
+def _sparse_nonreversible(n, seed):
+    x = np.arange(n)
+    P = np.zeros((n, n))
+    np.add.at(P, (x, x), 0.2)
+    np.add.at(P, (x, (x + 1) % n), 0.5)
+    np.add.at(P, (x, np.random.default_rng(seed).integers(0, n, size=n)), 0.3)
+    return P
+
+
+def test_pseudo_gap_early_stop_keeps_the_result(battery, monkeypatch):
+    chains = [item.chain for item in battery] + [
+        cg.build_chain(_sparse_nonreversible(200, 1)),
+        cg.cdg_chain(201),
+        cg.card_chain(5),
+    ]
+    solves = []
+    gap = spectral._symmetric_gap
+    monkeypatch.setattr(spectral, "_symmetric_gap", lambda S: solves.append(1) or gap(S))
+    for chain in chains:
+        for k_max in (1, 3, 10, 25):
+            bound = cg.pseudo_spectral_gap(chain, k_max=k_max)
+            value, k = pseudo_gap_every_k(chain, k_max)
+            assert (float.hex(bound.value), bound.k) == (float.hex(value), k)
+    # not vacuous: fewer solves than the k's asked for
+    assert 0 < len(solves) < len(chains) * (1 + 3 + 10 + 25)
+
+
+def test_pseudo_gap_stops_once_no_later_k_can_win(uniform5, monkeypatch):
+    # gap 1 at k = 1: no later k reaches (1 + 10 N u)/k < 1
+    solves = []
+    gap = spectral._symmetric_gap
+    monkeypatch.setattr(spectral, "_symmetric_gap", lambda S: solves.append(1) or gap(S))
+    assert cg.pseudo_spectral_gap(uniform5, k_max=10).k == 1
+    assert len(solves) == 1
 
 
 def test_pseudo_gap_lower_bounds_gap(battery):
