@@ -51,8 +51,10 @@ class FiniteChain:
     repeated, and of the constants' 1 x 1 block, which is left out. The
     blocks are real, or complex 1 x 1 characters lambda_m on a circulant
     or torus walk, one of each conjugate pair (lambda_{-m} is
-    conj(lambda_m)). empirical._deviations reads it. It is None on every
-    other chain, and is not compared.
+    conj(lambda_m)). empirical._stacks reads it: the deviation routes
+    form its stacks' grams in the one loop that takes a chain without
+    blocks as one stack of one block, the conjugated P. It is None on
+    every other chain, and is not compared.
     """
 
     transition: np.ndarray

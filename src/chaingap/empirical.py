@@ -9,25 +9,28 @@ mu-norm, the worst-case L2 size of the running average
     M_n = (1/n^2) sum_{|k| < n} (n - |k|) H_|k|,   H_k = (P^k + (P^k)*)/2,
 
 so Delta_n^2 is the largest eigenvalue of M_n restricted to the
-mu-orthogonal complement of the constants, over real g. The powers
-accumulate incrementally in the conjugated (symmetric) coordinates, the
-constants are deflated to eigenvalue -1, and only the top eigenvalue is
-computed, so a curve from delta_curve costs one matrix product per power
-and one top-eigenvalue solve per n. The grams of consecutive n are
-formed as one stack of at most 2^16 entries, temporary included, with
-the operations of a gram formed alone, so the stacking moves no bit.
-delta_curve and delta_exact also take the eigenvector (the maximizer).
+mu-orthogonal complement of the constants, over real g. Every chain is
+read as stacks of blocks, and one loop forms the grams of every stack
+(_grams): a chunk of consecutive powers at a time, one matrix product a
+power, the running sums in the additions' own order and the grams of
+the chunk's n, at most 2^16 entries a chunk, so the chunking moves no
+bit. A dense chain is one stack of one block, the conjugated
+(symmetric-coordinates) P, whose constants the grams deflate to
+eigenvalue -1; only the top eigenvalue is computed, so a curve from
+delta_curve costs one product per power and one top-eigenvalue solve
+per n. delta_curve and delta_exact also take the eigenvector (the
+maximizer).
 
-The bound audit reports three n, so it solves only a few: n = 1, n_max,
-h = n_max // 2 and every n <= tau/3. Every other n gets proved bounds
-in the same pass over the powers: a Cholesky factorization of a shifted
-gram that runs to completion proves the computed top eigenvalue below a
-target (Rump, BIT 46, 2006), and a Rayleigh quotient with the top vector
-at h bounds it below. The targets and that vector are steered by the
-grams at h and n_max from binary-lifted sums, O(log n_max) products. A
-check's worst n is decided when every other n is excluded by its
-bounds; else the whole curve is solved. The reported values are
-delta_curve's, bit for bit, either way.
+The bound audit reports three n, so it solves only a few: n_max,
+h = n_max // 2 and every n <= tau/3 (Delta_1 = 1 needs none). Every
+other n gets proved bounds in the same pass over the powers: a Cholesky
+factorization of a shifted gram that runs to completion proves the
+computed top eigenvalue below a target (Rump, BIT 46, 2006), and a
+Rayleigh quotient with the top vector at h bounds it below. The targets
+and that vector are steered by the grams at h and n_max from
+binary-lifted sums, O(log n_max) products. A check's worst n is decided
+when every other n is excluded by its bounds; else the whole curve is
+solved. The reported values are delta_curve's, bit for bit, either way.
 
 The group walks carry their blocks K (families): real orbit blocks for
 the doubling chain, one block per irreducible representation for the
@@ -35,10 +38,8 @@ card shuffle, and the 1 x 1 complex characters lambda_m for circulant
 and torus walks. mu is uniform and P is unitarily equivalent to the
 direct sum of the blocks, so M_n splits into the same blocks, and
 Delta_n is taken from the grams of the blocks, the constants' left out,
-with no N x N array; a chunk of consecutive powers is formed at a time,
-and its running sums in the additions' own order. Their
-maximizers still come from the dense gram, and every route reports the
-block value (_deviations).
+with no N x N array. Their maximizers still come from the dense stack,
+and every route reports the block value (_deviations).
 
 Every randomized routine keys numpy's Philox4x64-10 with the one seed
 rule (seed mod 2^64, stream), so any integer seed runs and a seed in
@@ -62,7 +63,7 @@ is numpy's, bit for bit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dsyevx
@@ -122,36 +123,54 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
 
     n^2 Delta_n^2 is the top eigenvalue of n^2 M_n = n I + A + A^T on the
     mean-zero functions, A = sum_{k<n} (n - k) P^k in the conjugated
-    coordinates (_dense_deviations). A chain that carries blocks K takes
-    the block route (_block_tops): n^2 Delta_n^2 is the largest top
-    eigenvalue over the blocks of n I + A_K + A_K^H, A_K formed from K as A
-    is from P, and no N x N array is touched. This is exact: mu is
-    uniform, so the conjugation is the identity, and P = U (sum of the
-    blocks, each repeated) U^H with U unitary. n^2 M_n = n I + A + A^H
-    (P real, so A^T = A^H), and A is a polynomial in P, so
-    U^H A U = sum of the A_K and, K^H being the block of P^H = P^T,
-    U^H (n^2 M_n) U = sum of the n I + A_K + A_K^H: M_n splits with K and
-    K^H, over complex blocks as over real ones, and the constants' block,
-    left out, is the deflated direction. Real g suffices, since the top
-    eigenvalue of the real symmetric n^2 M_n has a real eigenvector. A 1 x 1
-    character block gives n + 2 Re sum_{k<n} (n - k) lambda^k, and
-    lambda_{-m} = conj(lambda_m) gives the same, so one character of each
-    conjugate pair stands for both. M_n(K^T) = M_n(K)^T has the same
-    eigenvalues, so whether a real block acts on columns or rows does not
-    matter, and a half-turn that commutes with K commutes with M_n(K), so
-    splitting a block by it keeps the spectrum. g, the maximizing test
-    function when maximizer is true, else None, always comes from the
-    dense gram; on a block chain its dense value is dropped for the block
-    value, so delta_curve, delta_exact and the bound audit report the
-    same bits.
+    coordinates. Every chain is a list of stacks of blocks K (_stacks),
+    and n^2 Delta_n^2 is the largest top eigenvalue over the blocks of
+    n I + A_K + A_K^H, A_K formed from K as A is from P, in one loop over
+    the stacks (_grams). A dense chain is one stack of one block, the
+    conjugated B = D^{1/2} P D^{-1/2}, whose constant direction the grams
+    deflate. A group walk's blocks touch no N x N array, and they are
+    exact: mu is uniform, so the conjugation is the identity, and
+    P = U (sum of the blocks, each repeated) U^H with U unitary.
+    n^2 M_n = n I + A + A^H (P real, so A^T = A^H), and A is a polynomial
+    in P, so U^H A U = sum of the A_K and, K^H being the block of
+    P^H = P^T, U^H (n^2 M_n) U = sum of the n I + A_K + A_K^H: M_n splits
+    with K and K^H, over complex blocks as over real ones, and the
+    constants' block, left out, is the deflated direction. Real g
+    suffices, since the top eigenvalue of the real symmetric n^2 M_n has a
+    real eigenvector. A 1 x 1 character block gives
+    n + 2 Re sum_{k<n} (n - k) lambda^k, and lambda_{-m} = conj(lambda_m)
+    gives the same, so one character of each conjugate pair stands for
+    both. M_n(K^T) = M_n(K)^T has the same eigenvalues, so whether a real
+    block acts on columns or rows does not matter, and a half-turn that
+    commutes with K commutes with M_n(K), so splitting a block by it keeps
+    the spectrum. g, the maximizing test function when maximizer is true,
+    else None, always comes from the dense stack; on a block chain its
+    dense value is dropped for the block value, so delta_curve,
+    delta_exact and the bound audit report the same bits.
+    """
+    stacks, d = _stacks(chain)
+    tops, vectors = _curve_tops(stacks, d, ns, maximizer and d is not None)
+    if maximizer and d is None:
+        stacks, d = _dense_stack(chain)
+        vectors = _curve_tops(stacks, d, ns, True)[1]
+    for n, value, u in zip(ns, _tops_to_deltas(tops, ns), vectors):
+        yield n, value, None if u is None else u / d
+
+
+def _dense_stack(chain: FiniteChain):
+    """([B[None]], d): the one stack of the one block B = D^{1/2} P D^{-1/2}, and d = sqrt(mu)."""
+    return [_conjugated(chain.transition, chain.stationary)[None]], np.sqrt(chain.stationary)
+
+
+def _stacks(chain: FiniteChain):
+    """(stacks, d): the stacks of blocks that give Delta_n, and the direction their grams deflate.
+
+    A group walk's stacks with d = None, or the dense stack with
+    d = sqrt(mu) (_dense_stack).
     """
     if chain._blocks is None:
-        yield from _dense_deviations(chain, ns, maximizer)
-        return
-    deltas = _tops_to_deltas(_block_tops(chain._blocks, ns), ns)
-    dense = _dense_deviations(chain, ns, True) if maximizer else ((n, 0.0, None) for n in ns)
-    for (n, _, g), value in zip(dense, deltas):
-        yield n, value, g
+        return _dense_stack(chain)
+    return list(chain._blocks()), None
 
 
 def _tops_to_deltas(tops, ns) -> list:
@@ -174,151 +193,111 @@ def _tops_to_deltas(tops, ns) -> list:
     return values
 
 
-def _block_grams(blocks, ns):
-    """Yield (stack, first, grams) for each stack of ``blocks()`` and each chunk of ns.
+def _grams(stacks, d, ns):
+    """Yield (stack, first, grams) for each stack and each chunk of ns.
 
-    grams[i] holds the grams n I + A_K + A_K^H of the stack's blocks at
-    n = ns[first + i], A_K formed from K as A is from P; stack counts the
-    stacks from 0. ``blocks()`` yields stacks of blocks K of one size,
-    real or complex. Each stack runs its own powers and running sums, as
-    _dense_grams does for P, a chunk of consecutive k at a time: one
-    matmul per k puts K^k into the chunk's array, behind the carried
-    S_{k0-1}, and running sums (_running_sums) turn them into S_{k0-1},
-    ..., S_k; the carried SS_{k0-1} in front, a second running sum gives
-    SS_{k0-1}, ..., SS_k, SS_j = S_1 + ... + S_j. Each sum takes the
-    additions of a one-k-at-a-time loop, in the same order, and each gram
-    S + S^H is
-    Hermitian to the bit. The chunk's array, its grams and one more array
-    of the grams' size (their temporary, or the probe's copy and factor in
+    grams[i, b] is the gram n I + A_K + A_K^H of block b of the stack at
+    n = ns[first + i], deflated when d is given (_finish); stack counts
+    the stacks from 0. Each stack K, of one block size, real or complex,
+    runs its own powers and running sums S_k = K + ... + K^k and
+    SS_k = S_1 + ... + S_k, A_K = SS_{n-1}, a chunk of consecutive k at a
+    time (_chunk_sums), and no power past max(ns) - 1 is formed. The
+    power, S and SS a chunk ends on stay in the last rows of their
+    arrays, where the next chunk reads them in place: the power rows
+    alternate between two arrays, and a chunk's grams go to the one its
+    powers did not fill. These four arrays and one more of their size (a
+    temporary of the grams, or the probe's copy and factor in
     delta_bounds_audit, half the grams at a time) hold no more than
-    tol.BLOCK_ENTRIES entries (a single power excepted), and no power past
-    max(ns) - 1 is formed. A stack is done before the next is built.
+    tol.BLOCK_ENTRIES entries, one row each excepted (_chunk_powers). The
+    grams are views that the next chunk overwrites.
     """
     ns = np.asarray(ns)
+    if not len(ns):
+        return
     top_k = int(ns[-1]) - 1
-    for stack, K in enumerate(blocks()):
-        diag = np.arange(K.shape[-1])
-        bk = np.zeros_like(K)
-        bk[:, diag, diag] = 1.0
-        ssum = np.zeros_like(K)  # S_{k0-1}
-        sum_of_sums = np.zeros_like(K)  # SS_{k0-1}
+    for stack, K in enumerate(stacks):
         per = _chunk_powers(K)
-        run = np.empty((min(per, top_k) + 1,) + K.shape, dtype=K.dtype)
+        work = np.empty((4, min(per, max(top_k, 1))) + K.shape, dtype=K.dtype)
+        powers, s, ss = work[:2], work[2], work[3]
+        s[-1] = ss[-1] = 0.0  # S_0 = SS_0 = 0
+        powers[1, -1] = np.eye(K.shape[-1])  # K^0, for the first product
         first = 0  # the first n not yet taken
-        for k0 in range(1, max(top_k, 1) + 1, per):
+        if ns[0] == 1:
+            _finish(powers[0, :1], ss[-1:], ns[:1], d)
+            yield stack, 0, powers[0, :1]
+            first = 1
+        for chunk, k0 in enumerate(range(1, top_k + 1, per)):
             count = min(per, top_k + 1 - k0)
-            rows = run[: count + 1]
-            power = bk
-            for j in range(1, count + 1):
-                power = np.matmul(power, K, out=rows[j])
-            np.copyto(bk, power)
-            rows[0] = ssum
-            _running_sums(rows)
-            ssum[...] = rows[count]
-            rows[0] = sum_of_sums
-            _running_sums(rows)
-            sum_of_sums[...] = rows[count]
+            now, spare = powers[chunk % 2], powers[1 - chunk % 2]
+            _chunk_sums(K, spare[-1], now[:count], s, ss)
             stop = int(np.searchsorted(ns, k0 + count, side="right"))
             if stop > first:
-                chunk = ns[first:stop]
-                grams = rows[chunk - k0]  # rows[j] = SS_{k0-1+j}
-                _finish_block_grams(grams, chunk)
-                yield stack, first, grams
-            first = stop
+                taken = ns[first:stop]
+                picks = taken - (k0 + 1)  # ss[j] = SS_{k0 + j}
+                if picks[-1] - picks[0] == len(picks) - 1:
+                    picks = slice(picks[0], picks[-1] + 1)
+                _finish(spare[: len(taken)], ss[picks], taken, d)
+                yield stack, first, spare[: len(taken)]
+                first = stop
 
 
-def _finish_block_grams(grams: np.ndarray, chunk: np.ndarray) -> None:
-    """grams[i] = SS_{n-1} becomes n I + SS_{n-1} + SS_{n-1}^H, n = chunk[i], in place."""
-    diag = np.arange(grams.shape[-1])
-    grams += grams.conj().swapaxes(-1, -2)
-    grams[..., diag, diag] += chunk[:, None, None]
+def _chunk_sums(K: np.ndarray, power: np.ndarray, rows: np.ndarray, s, ss) -> None:
+    """rows[j] = K^(k0 + j) from power = K^(k0 - 1), and ss[j] = SS_{k0 + j}, for one chunk.
 
-
-def _running_sums(rows: np.ndarray) -> None:
-    """rows[j] = rows[j - 1] + rows[j] for j = 1, 2, ... in turn, in place.
-
-    The additions of np.cumsum along the first axis, in its order; cumsum
-    makes one inner-loop call per entry of a row, so a stack with fewer
-    rows than entries a row adds whole rows instead, one call a row.
+    S and SS run on from S_{k0 - 1} in s[-1] and SS_{k0 - 1} in ss[-1],
+    with the additions of a one-k-at-a-time loop in its order, and leave
+    the chunk's last S in s[-1] (its last SS in ss[-1] when the chunk is
+    full). A chunk with no more rows than entries a row adds one row a
+    call, beside its products. Otherwise np.cumsum along the first axis,
+    one inner-loop call per entry of a row, takes the sums in the same
+    order, the carry first added into the first row, which is then no
+    longer needed: the chunk has at least two rows.
     """
+    matmul, add = np.matmul, np.add
     if len(rows) <= rows[0].size:
-        for j in range(1, len(rows)):
-            np.add(rows[j - 1], rows[j], out=rows[j])
-    else:
-        np.cumsum(rows, axis=0, out=rows)
+        carry, prev = s[-1], ss[-1]
+        for row, out in zip(rows, ss):
+            power = matmul(power, K, row)
+            add(carry, power, carry)
+            prev = add(prev, carry, out)
+        return
+    for row in rows:
+        power = matmul(power, K, row)
+    count = len(rows)
+    add(s[-1], rows[0], rows[0])
+    np.cumsum(rows, axis=0, out=s[:count])
+    add(ss[-1], s[0], s[0])
+    np.cumsum(s[:count], axis=0, out=ss[:count])
+
+
+def _finish(grams: np.ndarray, ss: np.ndarray, ns: np.ndarray, d) -> None:
+    """grams[i] = n I + SS + SS^H from ss[i] = SS_{n-1}, n = ns[i], deflated when d is given.
+
+    grams is a C-contiguous (count, M, m, m) stack, and ss may be grams
+    itself (numpy then adds from a copy). Each gram S + S^H is
+    Hermitian to the bit. With d = sqrt(mu) (a dense stack, M = 1), d is a
+    left and right eigenvector of B with eigenvalue 1, and subtracting
+    (d^T G d + n^2) d d^T from G = n^2 M_n moves the constant direction to
+    -n^2, below the rest of the spectrum, which is nonnegative; so the top
+    eigenvalue belongs to sqrt(mu)-perp. The deflation rounds
+    (shift d_i) d_j and (shift d_j) d_i apart, so a dense gram is
+    symmetric only to a few ulps of the shift; its upper triangle is the
+    one solved (_dense_top). Every entry takes the same operations
+    whatever the count, so the stacking moves no bit.
+    """
+    np.add(ss, ss.conj().swapaxes(-1, -2), out=grams)
+    m = grams.shape[-1]
+    grams.reshape(grams.shape[:2] + (m * m,), copy=False)[..., :: m + 1] += ns[:, None, None]
+    if d is not None:
+        dense = grams[:, 0]
+        shift = np.vecdot(d @ dense, d) + ns * ns
+        dense -= (shift[:, None] * d)[:, :, None] * d
 
 
 def _chunk_powers(K: np.ndarray) -> int:
-    """How many powers of the stack K a chunk of _block_grams holds."""
-    return max(1, tol.BLOCK_ENTRIES // (3 * K.size) - 1)
-
-
-def _block_tops(blocks, ns) -> list[float]:
-    """The top eigenvalue of n^2 M_n on sqrt(mu)-perp for each n in ns, from the blocks.
-
-    The largest over the stacks of one eigvalsh call on each chunk's
-    grams (_block_grams).
-    """
-    best = np.full(len(ns), -np.inf)
-    for _, first, grams in _block_grams(blocks, ns):
-        top = np.linalg.eigvalsh(grams)[..., -1].max(axis=1)
-        section = best[first : first + len(top)]
-        np.maximum(section, top, out=section)
-    return best.tolist()
-
-
-def _dense_grams(chain: FiniteChain, ns):
-    """Yield (first, grams): the dense grams of n = ns[first], ns[first + 1], ...
-
-    Works in the conjugated coordinates B = D^{1/2} P D^{-1/2}, where
-    d = sqrt(mu) is a left and right eigenvector of B with eigenvalue 1.
-    There n^2 M_n = n I + A + A^T with A = sum_{k<n} (n - k) B^k, which is
-    the running sum of the running sums S_j = B + ... + B^j, j < n: every
-    term is nonnegative, so nothing cancels. Subtracting
-    (d^T (n^2 M_n) d + n^2) d d^T moves the constant direction to -n^2,
-    below the rest of the spectrum, which is nonnegative; so the top
-    eigenvalue belongs to sqrt(mu)-perp.
-
-    The grams of consecutive requested n are formed as one stack, with no
-    more than tol.BLOCK_ENTRIES entries in the stack and one more array of
-    its size (its temporary, or the probe's copy and factor in
-    delta_bounds_audit, half the stack at a time), a single gram excepted;
-    every entry takes the same elementwise operations as a gram formed
-    alone, so the stacking moves no bit. The deflation rounds
-    (shift d_i) d_j and (shift d_j) d_i apart, so a gram is symmetric only
-    to a few ulps of the shift; its upper triangle is the one solved.
-    """
-    d = np.sqrt(chain.stationary)
-    size = len(d)
-    b1 = _conjugated(chain.transition, chain.stationary)
-    bk = np.eye(size)
-    spare = np.empty_like(bk)
-    ssum = np.zeros_like(bk)  # S_k
-    sum_of_sums = np.zeros_like(bk)  # S_1 + ... + S_k
-    k = 0  # powers accumulated so far
-    per = max(1, tol.BLOCK_ENTRIES // (2 * size * size))
-    stack = np.empty((min(per, len(ns)), size, size))
-    for first in range(0, len(ns), per):
-        chunk = np.array(ns[first : first + per])
-        grams = stack[: len(chunk)]
-        for gram, n in zip(grams, chunk):
-            while k < n - 1:
-                k += 1
-                np.matmul(bk, b1, out=spare)
-                bk, spare = spare, bk
-                ssum += bk
-                sum_of_sums += ssum
-            np.add(sum_of_sums, sum_of_sums.T, out=gram)
-        _deflate(grams, chunk, d)
-        yield first, grams
-
-
-def _deflate(grams: np.ndarray, chunk: np.ndarray, d: np.ndarray) -> None:
-    """grams[i] = A + A^T becomes n I + A + A^T with the constant direction
-    moved to -n^2 (_dense_grams), n = chunk[i], in place; grams is C-contiguous."""
-    grams.reshape(len(chunk), -1)[:, :: len(d) + 1] += chunk[:, None]
-    shift = np.vecdot(d @ grams, d) + chunk * chunk
-    grams -= (shift[:, None] * d)[:, :, None] * d
+    """How many powers of the stack K a chunk of _grams holds: five arrays of that many rows
+    fill tol.BLOCK_ENTRIES."""
+    return max(1, tol.BLOCK_ENTRIES // (5 * K.size))
 
 
 def _dense_top(gram: np.ndarray, maximizer: bool):
@@ -334,21 +313,47 @@ def _dense_top(gram: np.ndarray, maximizer: bool):
     return float(w[-1]), vec[:, -1]
 
 
-def _dense_deviations(chain: FiniteChain, ns, maximizer: bool):
-    """_deviations from the dense N x N grams (_dense_grams), one dsyevx
-    call a gram; g is the maximizing test function when maximizer is
-    true, else None."""
-    d = np.sqrt(chain.stationary)
-    for first, grams in _dense_grams(chain, ns):
-        chunk = np.array(ns[first : first + len(grams)])
-        tops, vectors = zip(*(_dense_top(gram, maximizer) for gram in grams))
-        for n, value, u in zip(chunk.tolist(), _tops_to_deltas(tops, chunk), vectors):
-            yield n, value, u / d if maximizer else None
+def _solved(grams: np.ndarray, d, maximizer: bool = False):
+    """(tops, vectors) of a (count, M, m, m) stack of grams from _grams.
+
+    tops[i, b] is the computed top eigenvalue of block b of gram i: a
+    1 x 1 block's real entry, which is what eigvalsh returns for it; a
+    dense gram's from _dense_top, one dsyevx call a gram, with vectors[i]
+    its top eigenvector when maximizer is true; eigvalsh's on any other
+    block. vectors is None but for a dense stack.
+    """
+    if d is not None:
+        tops, vectors = zip(*(_dense_top(gram, maximizer) for gram in grams[:, 0]))
+        return np.array(tops)[:, None], vectors
+    if grams.shape[-1] == 1:
+        return grams[..., 0, 0].real, None
+    return np.linalg.eigvalsh(grams)[..., -1], None
+
+
+def _curve_tops(stacks, d, ns, maximizer: bool = False):
+    """(tops, vectors): the top eigenvalue of n^2 M_n on sqrt(mu)-perp for each n in ns, the
+    largest over the stacks' blocks (_solved), and the dense top vectors when maximizer is
+    true (else Nones)."""
+    tops = np.full(len(ns), -np.inf)
+    vectors = [None] * len(ns)
+    for _, first, grams in _grams(stacks, d, ns):
+        found, found_vectors = _solved(grams, d, maximizer)
+        section = tops[first : first + len(grams)]
+        np.maximum(section, found.max(axis=1), out=section)
+        if maximizer:
+            vectors[first : first + len(grams)] = found_vectors
+    return tops, vectors
+
+
+def _curve_values(stacks, d, n_max: int) -> np.ndarray:
+    """Delta_1, ..., Delta_{n_max} from the stacks, bit for bit delta_curve's."""
+    ns = np.arange(1, n_max + 1)
+    return np.array(_tops_to_deltas(_curve_tops(stacks, d, ns)[0], ns))
 
 
 def _deviation_values(chain: FiniteChain, n_max: int) -> np.ndarray:
     """Delta_1, ..., Delta_{n_max}, bit for bit delta_curve's, without maximizers."""
-    return np.array([value for _, value, _ in _deviations(chain, range(1, n_max + 1), False)])
+    return _curve_values(*_stacks(chain), n_max)
 
 
 def _whole(value, name: str) -> int:
@@ -636,17 +641,17 @@ def delta_monte_carlo(
     return next(_monte_carlo(chain, [(n, g)], reps, seed))
 
 
-def _top_bounds(chain: FiniteChain, ns, targets, probe=None):
-    """Bounds on the computed top eigenvalue of n^2 M_n for each n of ns, in one pass.
+def _top_bounds(stacks, d, ns, targets, probe=None):
+    """Bounds on the computed top eigenvalue of n^2 M_n for each n of ns, in one pass (_grams).
 
-    The computed top is the one _deviations rounds to Delta_n: the largest
-    over the stacks of the blocks' eigvalsh tops on a block chain, the
-    dsyevx top of the dense gram otherwise (a stack of one block). A
-    stack's grams at n are certified below targets[i] when the target is
-    positive (_certified); those the certificate does not clear, and all
-    grams when the target is NaN, are solved with the call _deviations
-    makes, as the gram is in hand. A stack of 1 x 1 blocks is read, not
-    solved: eigvalsh returns a 1 x 1 Hermitian matrix's real diagonal.
+    The computed top is the one _deviations rounds to Delta_n, the largest
+    over the stacks of their blocks' tops (_solved). n = 1 is not formed:
+    n^2 M_1 is the identity on sqrt(mu)-perp, whose top is 1, and
+    _tops_to_deltas takes Delta_1 = 1 whatever the top. A stack's grams at
+    n are certified below targets[i] when the target is positive
+    (_certified); those the certificate does not clear, and all grams when
+    the target is NaN, are solved as _deviations solves them, as the gram
+    is in hand. A stack of 1 x 1 blocks is read, not certified.
 
     Returns (exact, bound, low). exact[i] is the largest top solved over
     the stacks (-inf when none was), bound[i] the target when some stack
@@ -660,24 +665,19 @@ def _top_bounds(chain: FiniteChain, ns, targets, probe=None):
     exact = np.full(len(ns), -np.inf)
     bound = np.full(len(ns), -np.inf)
     low = np.full(len(ns), -np.inf)
-    if chain._blocks is None:
-        stacks = ((0, first, grams[:, None]) for first, grams in _dense_grams(chain, ns))
-    else:
-        stacks = _block_grams(chain._blocks, ns)
-    for stack, first, grams in stacks:
-        count = len(grams)
-        rows = slice(first, first + count)
-        if grams.shape[-1] == 1 and chain._blocks is not None:
-            tops = grams[..., 0, 0].real
+    skip = int(ns[0] == 1)
+    exact[:skip] = 1.0
+    for stack, first, grams in _grams(stacks, d, ns[skip:]):
+        first += skip
+        rows = slice(first, first + len(grams))
+        if grams.shape[-1] == 1:
+            tops = _solved(grams, d)[0]
         else:
             solve = ~_certified(grams, targets[rows])
             np.maximum(bound[rows], np.where(solve, -np.inf, targets[rows]), out=bound[rows])
             tops = np.full(grams.shape[:2], -np.inf)
-            if chain._blocks is None:
-                for i in np.flatnonzero(solve):
-                    tops[i, 0] = _dense_top(grams[i, 0], False)[0]
-            elif solve.any():
-                tops[solve] = np.linalg.eigvalsh(grams[solve])[..., -1]
+            if solve.any():
+                tops[solve] = _solved(grams[solve], d)[0]
         np.maximum(exact[rows], tops.max(axis=1), out=exact[rows])
         if probe is not None and probe[0] == stack:
             _, block, v, last = probe
@@ -830,7 +830,7 @@ def _lifted_sums(K: np.ndarray, k: int):
     """(k, K^k, S_k, SS_k) for a matrix or a stack of blocks K, by binary lifting.
 
     S_k = K + ... + K^k and SS_k = S_1 + ... + S_k are the sums that
-    _dense_grams and _block_grams carry one power at a time; here they take
+    _grams carries one power at a time; here they take
     O(log k) products. S_{m+i} = S_m + K^m S_i, so S_2m = S_m + K^m S_m and
     SS_2m = SS_m + m S_m + K^m SS_m, and one step is S_{m+1} = S_m +
     K^(m+1), SS_{m+1} = SS_m + S_{m+1}; the bits of k, from the top, say
@@ -845,63 +845,49 @@ def _lifted_sums(K: np.ndarray, k: int):
     return sums
 
 
-def _lifted_grams(chain: FiniteChain, h: int, n_max: int):
+def _lifted_grams(stacks, d, h: int, n_max: int):
     """Yield (stack, grams): each stack's grams at n = h and n = n_max from lifted sums.
 
-    grams is a (2, M, m, m) stack, formed from SS_{h-1} and SS_{n_max-1}
-    (_lifted_sums) as the pass forms them from its sums: the dense gram
-    (_deflate) as a stack of one block, or the blocks' grams
-    (_finish_block_grams). n_max is 2h or 2h + 1, so SS_{n_max-1} is one
-    doubling of the sums at h - 1 and one or two steps.
+    grams is a (2, M, m, m) stack, finished from SS_{h-1} and SS_{n_max-1}
+    (_lifted_sums) as _grams finishes its sums (_finish). n_max is 2h or
+    2h + 1, so SS_{n_max-1} is one doubling of the sums at h - 1 and one
+    or two steps.
     """
     ns = np.array([h, n_max])
-    if chain._blocks is None:
-        d = np.sqrt(chain.stationary)
-        stacks = [_conjugated(chain.transition, chain.stationary)]
-    else:
-        stacks = chain._blocks()
     for stack, K in enumerate(stacks):
         sums = _lifted_sums(K, h - 1)
         later = _doubled(sums)
         while later[0] < n_max - 1:
             later = _stepped(later, K)
         grams = np.stack((sums[3], later[3]))
-        if chain._blocks is None:
-            grams += grams.swapaxes(-1, -2)
-            _deflate(grams, ns, d)
-            grams = grams[:, None]
-        else:
-            _finish_block_grams(grams, ns)
+        _finish(grams, grams, ns, d)
         yield stack, grams
 
 
-def _steering(chain: FiniteChain, h: int, n_max: int):
+def _steering(stacks, d, h: int, n_max: int):
     """(tops, probe): the steering values of _deviation_bounds, from lifted sums.
 
     tops holds the top eigenvalues of n^2 M_n at n = h and n = n_max
     (_lifted_grams), the largest over the stacks, each solved as
     _top_bounds solves it. probe is (stack, block, v, h), v the top
     eigenvector of the block larger than 1 x 1 whose top wins at h (the
-    dense gram on a chain without blocks), or None when every block is
-    1 x 1.
+    dense gram's, from the same dsyevx call as its top), or None when
+    every block is 1 x 1.
     """
     tops = np.full(2, -np.inf)
     probe, best = None, -np.inf
-    for stack, grams in _lifted_grams(chain, h, n_max):
-        v = None
-        if grams.shape[-1] == 1:
-            stack_tops = grams[..., 0, 0].real
-        elif chain._blocks is None:
-            (top_h, v), (top_n, _) = _dense_top(grams[0, 0], True), _dense_top(grams[1, 0], False)
-            stack_tops = np.array([[top_h], [top_n]])
-        else:
-            stack_tops = np.linalg.eigvalsh(grams)[..., -1]
-        np.maximum(tops, stack_tops.max(axis=1), out=tops)
-        block = int(np.argmax(stack_tops[0]))
-        if grams.shape[-1] > 1 and stack_tops[0, block] > best:
-            best, gram = stack_tops[0, block], grams[0, block]
-            if v is None:
-                v = _dense_top(gram, True)[1] if gram.dtype.kind == "f" else np.linalg.eigh(gram)[1][:, -1]
+    for stack, grams in _lifted_grams(stacks, d, h, n_max):
+        (top_h, vectors), (top_n, _) = _solved(grams[:1], d, True), _solved(grams[1:], d)
+        np.maximum(tops, [top_h.max(), top_n.max()], out=tops)
+        block = int(np.argmax(top_h[0]))
+        if grams.shape[-1] > 1 and top_h[0, block] > best:
+            best, gram = top_h[0, block], grams[0, block]
+            if vectors is not None:
+                v = vectors[0]
+            elif gram.dtype.kind == "f":
+                v = _dense_top(gram, True)[1]
+            else:
+                v = np.linalg.eigh(gram)[1][:, -1]
             probe = (stack, block, v, h)
     return tops, probe
 
@@ -909,37 +895,36 @@ def _steering(chain: FiniteChain, h: int, n_max: int):
 def _deviation_bounds(chain: FiniteChain, n_max: int, tau: float):
     """(lo, hi): bounds on Delta_1 .. Delta_{n_max}, _deviation_values' bits where lo == hi.
 
-    A group walk whose stacks are all 1 x 1 or fit one chunk of powers
-    (_chunk_powers) is solved whole: a 1 x 1 gram is its own top, and one
-    batched eigvalsh call on a stack that small costs less than
-    certifying its grams one chunk at a time. Otherwise its stacks are
-    built once for the steering and the pass.
+    The chain's stacks (_stacks) are built once for the steering and the
+    pass. A group walk whose stacks are all 1 x 1 or fit one chunk of
+    powers (_chunk_powers) is solved whole: a 1 x 1 gram is its own top,
+    and one batched eigvalsh call on a stack that small costs less than
+    certifying its grams one chunk at a time. A dense stack is never
+    solved whole, as one dsyevx call a gram costs more than the bounds.
 
     The anchors n = 1, h = n_max // 2, n_max and every n <= tau/3 are
-    solved. Every other n aims at a target: the Delta_n that would leave
-    it no worse than the anchors on a check, sqrt(4 tau / n) - m_u with
-    m_u the least upper-check margin at n = 1, h and n_max, and for
-    h < n <= 2h at most Delta_h, so that the window at h reads Delta_h.
-    The steering values of Delta_h and Delta_{n_max}, and the probe v,
-    the top eigenvector at h, come from binary-lifted sums (_steering), in
-    O(log n_max) products; they agree with the pass's values to about
-    1e-12, well inside the shading of the target by 2^-30 that makes a
-    bound at it clear the check strictly. One pass over the powers
-    (_top_bounds) then solves each anchor and certifies every other n's
-    grams below its target or solves them, and bounds each n <= h below by
-    v's Rayleigh quotient. _tops_to_deltas is monotone, each of its steps
-    being (a division by n^2, a floor to 0, a correctly rounded sqrt, a
-    clamp at 1), so it maps bounds on the computed top to bounds on
-    Delta_n. Every reported value comes from the pass: the steering
-    values only choose the targets, and correctness rests on the
-    certified bounds.
+    solved (n = 1 by M_1 = I). Every other n aims at a target: the
+    Delta_n that would leave it no worse than the anchors on a check,
+    sqrt(4 tau / n) - m_u with m_u the least upper-check margin at n = 1,
+    h and n_max, and for h < n <= 2h at most Delta_h, so that the window
+    at h reads Delta_h. The steering values of Delta_h and Delta_{n_max},
+    and the probe v, the top eigenvector at h, come from binary-lifted
+    sums (_steering), in O(log n_max) products; they agree with the pass's
+    values to about 1e-12, well inside the shading of the target by 2^-30
+    that makes a bound at it clear the check strictly. One pass over the
+    powers (_top_bounds) then solves each anchor and certifies every other
+    n's grams below its target or solves them, and bounds each n <= h
+    below by v's Rayleigh quotient. _tops_to_deltas is monotone, each of
+    its steps being (a division by n^2, a floor to 0, a correctly rounded
+    sqrt, a clamp at 1), so it maps bounds on the computed top to bounds
+    on Delta_n. Every reported value comes from the pass: the steering
+    values only choose the targets, and correctness rests on the certified
+    bounds.
     """
-    if chain._blocks is not None:
-        stacks = list(chain._blocks())  # built once for the steering and the pass
-        chain = replace(chain, _blocks=lambda: iter(stacks))
-        if all(K.shape[-1] == 1 or _chunk_powers(K) >= n_max - 1 for K in stacks):
-            values = _deviation_values(chain, n_max)
-            return values, values
+    stacks, d = _stacks(chain)
+    if d is None and all(K.shape[-1] == 1 or _chunk_powers(K) >= n_max - 1 for K in stacks):
+        values = _curve_values(stacks, d, n_max)
+        return values, values
     ns = np.arange(1, n_max + 1)
     h = max(n_max // 2, 1)
     anchors = ns <= tau / 3.0
@@ -947,14 +932,14 @@ def _deviation_bounds(chain: FiniteChain, n_max: int, tau: float):
     targets = np.full(n_max, np.nan)
     probe = None
     if not anchors.all():
-        tops, probe = _steering(chain, h, n_max)
+        tops, probe = _steering(stacks, d, h, n_max)
         delta_h, delta_n = _tops_to_deltas(tops, [h, n_max])
         upper = np.sqrt(4.0 * tau / ns)
         aim = upper - min(upper[0] - 1.0, upper[h - 1] - delta_h, upper[-1] - delta_n)
         aim[h : 2 * h] = np.minimum(aim[h : 2 * h], delta_h)
         targets = np.square(ns * aim) * (1.0 - 2.0**-30)
         targets[anchors | (aim <= 0.0)] = np.nan
-    exact, bound, low = _top_bounds(chain, ns, targets, probe)
+    exact, bound, low = _top_bounds(stacks, d, ns, targets, probe)
     known = exact >= bound
     lo = _tops_to_deltas(np.where(known, exact, np.maximum(exact, low)), ns)
     hi = _tops_to_deltas(np.where(known, exact, bound), ns)

@@ -48,14 +48,15 @@ DENSE_LIMIT = 6000
 
 # The one block budget, read here by each blocked loop when it runs. No
 # Monte Carlo draw buffer holds more than this many entries (512 KiB of
-# float64), nor do the Philox rounds that fill a block's draws, or a stack
-# of deviation grams and its temporary, between them.
+# float64), nor do the Philox rounds that fill a block's draws, or a chunk
+# of deviation powers with its sums, grams and temporary, between them.
 # families._character_gap forms the rows of its frequency grid that its
 # row bound cannot rule out (a row wider than this alone), _doubling_weights
 # batches the orbit blocks that _doubling_blocks stacks densely (the gap
-# reads only their weights, p a block), and empirical._block_grams forms its
-# chunks of block powers, with their grams and one temporary (or the
-# audit's Cholesky probe and its factor), in blocks of this many entries;
+# reads only their weights, p a block), and empirical._grams forms every
+# stack's chunks of powers, one stack of one block on a dense chain, with
+# their running sums, grams and one temporary (or the audit's Cholesky probe
+# and its factor), in blocks of this many entries;
 # experiments._ensemble_taus draws as many walks as fill one such block;
 # bounds.cheeger_exact scores at most this many pairs of half-subsets per
 # GEMM (a block of H half-subsets of this many over 2^h, against the L

@@ -309,8 +309,8 @@ def test_stacked_grams_match_lone_grams_bitwise(name, monkeypatch):
         got_value, got_g = cg.delta_exact(chain, n)
         assert got_value == value, n
         assert np.array_equal(got_g, g), n
-    # three grams per stack, so the stacks split the requested n
-    monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", 3 * 2 * chain.size**2)
+    # three powers a chunk (empirical._chunk_powers), so the chunks split the requested n
+    monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", 3 * 5 * chain.size**2)
     for point, (value, g) in zip(cg.delta_curve(chain, ns).entries, lone):
         assert point.delta_exact == value, point.n
         assert np.array_equal(point.maximizer, g), point.n
@@ -428,6 +428,8 @@ def per_n_block_tops(blocks, ns):
     return best.tolist()
 
 
+N_SETS = [range(1, 101), [1], [2, 8, 32], [5, 6, 40, 41, 99]]
+
 REAL_BLOCK_CHAINS = {
     "cdg-201": lambda: cg.cdg_chain(201),
     "cdg-11": lambda: cg.cdg_chain(11),
@@ -442,8 +444,87 @@ def test_chunked_block_tops_match_per_n_loop_bitwise(name, entries, monkeypatch)
     blocks = REAL_BLOCK_CHAINS[name]()._blocks
     if entries is not None:
         monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
-    for ns in (range(1, 101), [1], [2, 8, 32], [5, 6, 40, 41, 99]):
-        assert empirical._block_tops(blocks, ns) == per_n_block_tops(blocks, ns)
+    for ns in N_SETS:
+        tops = empirical._curve_tops(list(blocks()), None, ns)[0]
+        assert tops.tolist() == per_n_block_tops(blocks, ns)
+
+
+def per_n_dense_deviations(chain, ns):
+    """The dense evaluator before dense and block chains shared one loop over
+    stacks, kept as the bitwise reference: one power, one running-sum update
+    and one gram per step, the grams of a stack of n deflated together and
+    solved one dsyevx call a gram. Returns (values, maximizers)."""
+    d = np.sqrt(chain.stationary)
+    b1 = d[:, None] * chain.transition / d[None, :]
+    bk = np.eye(len(d))
+    spare = np.empty_like(bk)
+    ssum = np.zeros_like(bk)
+    sum_of_sums = np.zeros_like(bk)
+    k = 0
+    per = max(1, cg.tolerances.BLOCK_ENTRIES // (2 * len(d) ** 2))
+    stack = np.empty((min(per, len(ns)), len(d), len(d)))
+    values, vectors = [], []
+    for first in range(0, len(ns), per):
+        chunk = np.array(ns[first : first + per])
+        grams = stack[: len(chunk)]
+        for gram, n in zip(grams, chunk):
+            while k < n - 1:
+                k += 1
+                np.matmul(bk, b1, out=spare)
+                bk, spare = spare, bk
+                ssum += bk
+                sum_of_sums += ssum
+            np.add(sum_of_sums, sum_of_sums.T, out=gram)
+        grams.reshape(len(chunk), -1)[:, :: len(d) + 1] += chunk[:, None]
+        shift = np.vecdot(d @ grams, d) + chunk * chunk
+        grams -= (shift[:, None] * d)[:, :, None] * d
+        tops, found = zip(*(empirical._dense_top(gram, True) for gram in grams))
+        values += empirical._tops_to_deltas(tops, chunk)
+        vectors += [u / d for u in found]
+    return values, vectors
+
+
+def assert_curve_is_the_per_n_dense_curve(chain, ns):
+    values, vectors = per_n_dense_deviations(chain, ns)
+    entries = cg.delta_curve(chain, ns).entries
+    assert [float(p.delta_exact).hex() for p in entries] == [float(v).hex() for v in values]
+    for point, want in zip(entries, vectors):
+        assert np.array_equal(point.maximizer, want), point.n
+
+
+ENTRIES = [1, 1 << 9, None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        stochastic_matrices(max_size=6),
+        periodic_matrices(),
+        st.builds(birth_death_matrix, st.integers(2, 12), st.sampled_from([0.1, 0.6, 0.9])),
+    ),
+    st.sampled_from(N_SETS),
+    st.sampled_from(ENTRIES),
+)
+def test_dense_curve_matches_per_n_loop_bitwise(matrix, ns, entries):
+    chain = cg.build_chain(matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        if entries is not None:
+            patch.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+        assert_curve_is_the_per_n_dense_curve(chain, ns)
+
+
+@pytest.mark.parametrize("entries", ENTRIES)
+def test_sparse_200_curve_matches_per_n_loop_bitwise(entries, monkeypatch):
+    x = np.arange(200)
+    P = np.zeros((200, 200))
+    np.add.at(P, (x, x), 0.2)
+    np.add.at(P, (x, (x + 1) % 200), 0.5)
+    np.add.at(P, (x, np.random.default_rng(1).integers(0, 200, size=200)), 0.3)
+    chain = cg.build_chain(P)
+    if entries is not None:
+        monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+    for ns in N_SETS:
+        assert_curve_is_the_per_n_dense_curve(chain, ns)
 
 
 def per_n_top_to_delta(top, n):
@@ -527,7 +608,8 @@ def test_audit_values_equal_curve_values_across_stacks(matrix, n_max, per_stack)
     chain = cg.build_chain(matrix)
     want = _curve_values(chain, n_max)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cg.tolerances, "BLOCK_ENTRIES", per_stack * 2 * chain.size**2)
+        # per_stack powers a chunk (empirical._chunk_powers)
+        patch.setattr(cg.tolerances, "BLOCK_ENTRIES", per_stack * 5 * chain.size**2)
         assert np.array_equal(_deviation_values(chain, n_max), want)
         assert np.array_equal(_curve_values(chain, n_max), want)
 
@@ -756,13 +838,14 @@ STEERING_SOLVES = {"cdg-family-201": 12, "cdg-101": 1, "birth-death-40-0.75": 1}
 @pytest.mark.parametrize(
     "name, n_max, dense, blocks",
     [
-        # six 33 x 33 blocks at the anchors n = 1, 50, 100, and the
-        # steering's top vector of the block that wins at 50 (a dsyevx call)
-        ("cdg-family-201", 100, 1, 18),
-        # the anchors n = 1, 50, 100 and the steering's vector at 50
-        ("cdg-101", 100, 4, 0),
-        # n = 1, 2 (at most tau/3), 150 and 300, and the vector at 150
-        ("birth-death-40-0.75", 300, 5, 0),
+        # six 33 x 33 blocks at the anchors n = 50, 100 (n = 1 is not
+        # solved), and the steering's top vector of the block that wins at
+        # 50 (a dsyevx call)
+        ("cdg-family-201", 100, 1, 12),
+        # the anchors n = 50, 100 and the steering's vector at 50
+        ("cdg-101", 100, 3, 0),
+        # n = 2 (at most tau/3), 150 and 300, and the vector at 150
+        ("birth-death-40-0.75", 300, 4, 0),
     ],
 )
 def test_audit_solves_only_the_anchors(name, n_max, dense, blocks, monkeypatch):
