@@ -24,7 +24,7 @@ from . import tolerances as tol
 from .audit import BoundAudit, BoundCheck, make_check, skipped_check
 from .chains import FiniteChain, period
 from .empirical import _philox_key
-from .errors import MixingCapExceeded, NotIrreducible, TooLargeForEnumeration
+from .errors import MixingCapExceeded, NotIrreducible, TooLargeForEnumeration, _whole
 from .spectral import _reversibilized_gaps, pseudo_spectral_gap, relaxation_time, spectral_gap
 
 __all__ = [
@@ -307,7 +307,7 @@ def _first_improvement(mu, q, inside, value):
 
 
 def _require_iters(iters: int) -> None:
-    if iters < 0:
+    if _whole(iters, "iters") < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
 
 

@@ -15,8 +15,7 @@ transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,25 +44,27 @@ class FiniteChain:
         unique_stationary: exactly one communicating class is closed, so
             the kernel of (P^T - I) is one-dimensional.
 
-    A group walk with uniform mu also carries ``_blocks``, a zero-argument
-    callable returning a generator of the blocks K of P in stacks of one
-    size: P is unitarily equivalent to the direct sum of the blocks, each
-    repeated, and of the constants' 1 x 1 block, which is left out. The
-    blocks are real, or complex 1 x 1 characters lambda_m on a circulant
-    or torus walk, one of each conjugate pair (lambda_{-m} is
-    conj(lambda_m)). empirical._stacks reads it: the deviation routes
-    form its stacks' grams in the one loop that takes a chain without
-    blocks as one stack of one block, the conjugated P. It is None on
-    every other chain, and is not compared.
+    A group walk with uniform mu also carries ``_blocks``: the blocks K of
+    P, built with the chain from its closed form's kernel, as a tuple of
+    read-only stacks of one block size each. P is unitarily equivalent to
+    the direct sum of the blocks, each repeated, and of the constants'
+    1 x 1 block, which is left out. The blocks are real, or complex 1 x 1
+    characters lambda_m on a circulant or torus walk, one of each
+    conjugate pair (lambda_{-m} is conj(lambda_m)). empirical._stacks
+    reads it: the deviation routes form its stacks' grams in the one loop
+    that takes a chain without blocks as one stack of one block, the
+    conjugated P. It is None on every other chain, and is not compared.
     """
 
     transition: np.ndarray
     stationary: np.ndarray
     irreducible: bool
     unique_stationary: bool
-    _blocks: Callable[[], Iterator[np.ndarray]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    _blocks: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        for stack in self._blocks or ():
+            stack.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -267,12 +268,8 @@ def lazy(chain: FiniteChain, hold: float) -> FiniteChain:
     P = hold * np.eye(chain.size) + (1.0 - hold) * chain.transition
     # Self-loops change neither the communicating classes nor mu, so the
     # flags carry over.
-    blocks = chain._blocks and partial(_lazy_blocks, chain._blocks, hold)
+    blocks = chain._blocks and tuple(
+        hold * np.eye(K.shape[-1]) + (1.0 - hold) * K for K in chain._blocks
+    )
     return replace(chain, transition=_freeze(P), _blocks=blocks)
-
-
-def _lazy_blocks(blocks: Callable[[], Iterator[np.ndarray]], hold: float):
-    """The stacks of ``blocks()``, each K mapped to hold I + (1 - hold) K."""
-    for stack in blocks():
-        yield hold * np.eye(stack.shape[-1]) + (1.0 - hold) * stack
 

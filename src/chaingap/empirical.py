@@ -62,7 +62,6 @@ is numpy's, bit for bit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,7 @@ from scipy.linalg.lapack import dsyevx
 from . import tolerances as tol
 from .audit import BoundAudit, make_check, skipped_check
 from .chains import FiniteChain
-from .errors import BadTestFunction
+from .errors import BadTestFunction, _whole
 from .spectral import _conjugated, _require_spectral, spectral_gap
 
 __all__ = [
@@ -123,7 +122,7 @@ def _deviations(chain: FiniteChain, ns, maximizer: bool):
 
     n^2 Delta_n^2 is the top eigenvalue of n^2 M_n = n I + A + A^T on the
     mean-zero functions, A = sum_{k<n} (n - k) P^k in the conjugated
-    coordinates. Every chain is a list of stacks of blocks K (_stacks),
+    coordinates. Every chain is a sequence of stacks of blocks K (_stacks),
     and n^2 Delta_n^2 is the largest top eigenvalue over the blocks of
     n I + A_K + A_K^H, A_K formed from K as A is from P, in one loop over
     the stacks (_grams). A dense chain is one stack of one block, the
@@ -168,9 +167,7 @@ def _stacks(chain: FiniteChain):
     A group walk's stacks with d = None, or the dense stack with
     d = sqrt(mu) (_dense_stack).
     """
-    if chain._blocks is None:
-        return _dense_stack(chain)
-    return list(chain._blocks()), None
+    return _dense_stack(chain) if chain._blocks is None else (chain._blocks, None)
 
 
 def _tops_to_deltas(tops, ns) -> list:
@@ -356,15 +353,6 @@ def _deviation_values(chain: FiniteChain, n_max: int) -> np.ndarray:
     return _curve_values(*_stacks(chain), n_max)
 
 
-def _whole(value, name: str) -> int:
-    """value as an int: a Python or numpy integer; anything else, a float
-    such as 4.0 included, is refused with ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def delta_exact(chain: FiniteChain, n: int) -> tuple[float, np.ndarray]:
     """Worst-case L2 deviation of the length-n empirical average.
 
@@ -445,10 +433,11 @@ def _philox_key(seed: int, stream: int = 0) -> np.ndarray:
     """The Philox key (seed mod 2^64, stream) of every randomized routine.
 
     Any integer seed runs, and a seed in [0, 2^64) keys the stream of
-    Philox(key=np.uint64(seed)). The key is a uint64 array because numpy
-    casts a tuple of Python ints through float64.
+    Philox(key=np.uint64(seed)); anything else is refused with ValueError
+    (_whole). The key is a uint64 array because numpy casts a tuple of
+    Python ints through float64.
     """
-    return np.array([seed % (1 << 64), stream], dtype=np.uint64)
+    return np.array([_whole(seed, "seed") % (1 << 64), stream], dtype=np.uint64)
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -895,7 +884,7 @@ def _steering(stacks, d, h: int, n_max: int):
 def _deviation_bounds(chain: FiniteChain, n_max: int, tau: float):
     """(lo, hi): bounds on Delta_1 .. Delta_{n_max}, _deviation_values' bits where lo == hi.
 
-    The chain's stacks (_stacks) are built once for the steering and the
+    One read of the chain's stacks (_stacks) serves the steering and the
     pass. A group walk whose stacks are all 1 x 1 or fit one chunk of
     powers (_chunk_powers) is solved whole: a 1 x 1 gram is its own top,
     and one batched eigvalsh call on a stack that small costs less than

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import operator
+
+
+def _whole(value, name: str) -> int:
+    """value as an int, a Python or numpy integer; anything else (4.0 too) is
+    refused with ValueError. The one rule for every seed, count and size."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ChainError(Exception):

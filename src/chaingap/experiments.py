@@ -23,7 +23,7 @@ from . import tolerances as tol
 from .audit import BoundAudit
 from .bounds import CheegerResult, PathBoundResult
 from .empirical import DeltaCurve, _lemire, _philox_key
-from .errors import InsufficientData, NotPrime
+from .errors import InsufficientData, NotPrime, _whole
 from .families import ChainSpec, _character_gap, _normalize_steps
 from .spectral import SingularSpectrum
 
@@ -70,9 +70,10 @@ def scan(template: ChainSpec, N_list) -> list[ExperimentRow]:
     closed form, ChainSpec.closed_form(), and no dense chain is built;
     with_size refuses an explicit template with ValueError. Values are
     deterministic; only the wall-clock column varies between runs.
-    Refuses an empty size list with ValueError.
+    Refuses an empty size list and a size that is not an integer with
+    ValueError.
     """
-    sizes = sorted(int(n) for n in N_list)
+    sizes = sorted(_whole(n, "N") for n in N_list)
     if not sizes:
         raise ValueError("the size list is empty")
     rows = []
@@ -149,9 +150,10 @@ def random_steps_ensemble(
     one closed form serves every trial of such a class, and each tau
     keeps the bits of its own trial's closed form (_ensemble_taus).
     Fractions are automatically non-increasing in L.
-    Refuses an empty grid and an L that is not a number >= 0 (inf is
-    one) with ValueError.
+    Refuses an N, k, trials or seed that is not an integer, an empty grid
+    and an L that is not a number >= 0 (inf is one) with ValueError.
     """
+    N, k, trials = _whole(N, "N"), _whole(k, "k"), _whole(trials, "trials")
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
     if not 1 <= k <= N:

@@ -22,11 +22,12 @@ closed_form() gets its gap from one block per irreducible
 representation, in Young's orthogonal form, up to 10 cards, and
 card_chain (up to 7) stays as the dense oracle. Only explicit chains
 have no closed form. One generator per group walk yields these blocks
-(_character_blocks, 1 x 1 complex, for circulant and torus walks;
+from its closed form's kernel (_character_blocks, 1 x 1 complex, for
+circulant and torus walks, from the grid rows of _row_lambdas;
 _doubling_blocks, dense stacks of the weights of _doubling_weights;
-_card_blocks), and the gap and Delta_n read the same values: every
-family chain carries its generator, and empirical takes its Delta_n
-curve from the blocks.
+_card_blocks, from the Young forms), and the gap and Delta_n read the
+same values: every family chain is built with its blocks, and empirical
+takes its Delta_n curve from them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -45,7 +45,7 @@ from scipy.linalg.lapack import dsbevx
 
 from . import tolerances as tol
 from .chains import FiniteChain, build_chain
-from .errors import InvalidSteps, TooLarge
+from .errors import InvalidSteps, TooLarge, _whole
 from .spectral import relaxation_time
 
 __all__ = [
@@ -86,8 +86,8 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
     ``axes[j]`` lists the (a, p) pairs of axis j; ``hold`` is the
     probability of staying put. States are in row-major order. The walk
     is doubly stochastic, so mu is uniform, and normal. The chain carries
-    its characters as 1 x 1 blocks (_character_blocks), built only when a
-    Delta_n curve asks.
+    its characters as 1 x 1 blocks (_character_blocks), built with it
+    from the closed form's kernel.
     """
     d = len(axes)
     states = N**d
@@ -103,7 +103,7 @@ def _abelian_chain(N: int, axes, hold: float = 0.0) -> FiniteChain:
             shifted[axis] = (shifted[axis] + a) % N
             P[idx, np.ravel_multi_index(tuple(shifted), (N,) * d)] += p
     chain = build_chain(P, stationary=np.full(states, 1.0 / states))
-    return replace(chain, _blocks=partial(_character_blocks, N, axes, hold))
+    return replace(chain, _blocks=tuple(_character_blocks(N, axes, hold)))
 
 
 def _roots_of_unity(N: int, axes) -> np.ndarray:
@@ -113,7 +113,7 @@ def _roots_of_unity(N: int, axes) -> np.ndarray:
     r > N//2 is the exact conjugate of N - r. So the table is symmetric
     bit for bit, table[N - r] = conj(table[r]) up to the sign of a zero:
     a character sum at -m has the bits of the conjugate of its sum at m,
-    with the same |1 - lambda|, as the half grid of _character_sums
+    with the same |1 - lambda|, as the half grid of _row_lambdas
     assumes.
 
     An axis has N frequencies and the other axes N^(d-1) together; past
@@ -154,35 +154,18 @@ def _tail_sums(table: np.ndarray, axes, batch: int) -> np.ndarray:
     return tail
 
 
-def _character_sums(N: int, axes, hold: float) -> tuple[np.ndarray, np.ndarray]:
-    """(first, tail): the characters of a batch of walks, lambda = first[b, m_1] + tail[b, rest].
-
-    ``axes[j]`` is a pair (a, p) of arrays of shape (B, k_j): the residues
-    and probabilities of axis j's steps in each of B walks that share N,
-    the axis count and ``hold``. Walk b has
-    lambda_m = hold + sum_j sum_r p[b, r] e^{2 pi i m_j a[b, r] / N}, each
-    term gathered from one table of the N-th roots of unity at the exact
-    residue (m_j a) mod N (_axis_sums). The table is conjugate-symmetric
-    bit for bit (_roots_of_unity), so the computed lambda_{-m} is the
-    conjugate of the computed lambda_m, and the first coordinate runs
-    over 0..N//2 only: ``first`` is hold plus the first axis's sums,
-    shape (B, N//2 + 1), and ``tail`` the other axes' sums (_tail_sums).
-    """
-    roots = _roots_of_unity(N, axes)
-    a, p = axes[0]
-    first = hold + _axis_sums(roots, a, p, np.arange(N // 2 + 1))
-    return first, _tail_sums(roots, axes, a.shape[0])
-
-
 def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]:
     """(gap, tau) of each walk in a batch of _abelian_chain walks, from their character sums.
 
-    The characters lambda_m are first + tail of _character_sums, and
-    gamma = min over nonzero m of |1 - lambda_m|. Needs no dense matrix,
-    so it runs far beyond the explicit-chain limit, and it forms only the
-    rows m_1 of the (N//2 + 1) x N^(d-1) frequency grid that can hold the
-    minimum; one axis forms lambda = first, each row a single entry, and
-    every walk of the batch goes through the same array operations.
+    ``axes[j]`` is a pair (a, p) of arrays of shape (B, k_j): the residues
+    and probabilities of axis j's steps in each of B walks that share N,
+    the axis count and ``hold``. The characters lambda_m are the grid rows
+    of _row_lambdas, and gamma = min over nonzero m of |1 - lambda_m|.
+    Needs no dense matrix, so it runs far beyond the explicit-chain limit,
+    and it forms only the rows m_1 of the (N//2 + 1) x N^(d-1) frequency
+    grid that can hold the minimum; one axis forms lambda = first, each
+    row a single entry, and every walk of the batch goes through the same
+    array operations.
 
     Each value in row (b, m_1) is fl|fl(1 - fl(first + tail))|, at least
     its real part: hypot(x, y) >= |x| under any faithful rounding, and
@@ -250,13 +233,20 @@ def _character_gap(N: int, axes, hold: float = 0.0) -> list[tuple[float, float]]
     return list(zip(gap, taus))
 
 
-def _row_values(grid, walks, rows):
-    """Yield (start, |1 - lambda|) for the grid rows (walks[k], rows[k]), k >= start.
+def _row_lambdas(grid, walks, rows):
+    """Yield (start, lambda) for the grid rows (walks[k], rows[k]), k >= start.
 
-    grid is (roots, a, p, hold, tail): the first axis's steps and the
-    other axes' sums (None for one axis, where lambda = first). Each
-    yield is a (count, width) block of at most tol.BLOCK_ENTRIES entries,
-    or a single row.
+    grid is (roots, a, p, hold, tail): the roots table, the first axis's
+    steps and the other axes' sums (_tail_sums, None for one axis). Walk b
+    has lambda_m = hold + sum_j sum_r p[b, r] e^{2 pi i m_j a[b, r] / N},
+    each term gathered from the table at the exact residue (m_j a) mod N
+    (_axis_sums); row (b, m_1) holds hold plus the first axis's sum at
+    m_1, added to each of the N^(d-1) tail sums, or alone for one axis.
+    The table is conjugate-symmetric bit for bit (_roots_of_unity), so
+    the computed lambda_{-m} is the conjugate of the computed lambda_m,
+    and the rows m_1 = 0..N//2 hold every value of |1 - lambda|. Each
+    yield is a fresh (count, width) block of at most tol.BLOCK_ENTRIES
+    entries, or a single row.
     """
     roots, a, p, hold, tail = grid
     per = max(1, tol.BLOCK_ENTRIES // (1 if tail is None else tail.shape[1]))
@@ -268,6 +258,12 @@ def _row_values(grid, walks, rows):
         else:
             lam = tail[b]
             lam += first
+        yield start, lam
+
+
+def _row_values(grid, walks, rows):
+    """Yield (start, |1 - lambda|) for the blocks of _row_lambdas."""
+    for start, lam in _row_lambdas(grid, walks, rows):
         yield start, np.abs(np.subtract(1.0, lam, out=lam))
 
 
@@ -286,19 +282,22 @@ def _character_blocks(N: int, axes, hold: float):
     The characters chi_m(x) = e^{2 pi i m.x / N} are an orthonormal
     eigenbasis of the walk, P chi_m = lambda_m chi_m, so P is unitarily
     similar to the diagonal of the lambda_m; chi_0, the constants, is
-    left out. The values are _character_sums' first + tail, the very bits
-    _character_gap reads. lambda_{-m} = conj(lambda_m), and the stack
-    holds one character of each pair {m, -m}: m itself when its
+    left out. The values are the half grid m_1 = 0..N//2 of _row_lambdas,
+    the very bits _character_gap reads. lambda_{-m} = conj(lambda_m), and
+    the stack holds one character of each pair {m, -m}: m itself when its
     row-major index is at most that of -m.
     """
-    first, tail = _character_sums(N, [_batch_of_one(steps) for steps in axes], hold)
-    lam = first[0, :, None] + tail[0, None, :]
+    axes = [_batch_of_one(steps) for steps in axes]
+    roots = _roots_of_unity(N, axes)
+    m = np.arange(N // 2 + 1)
+    grid = (roots, *axes[0], hold, _tail_sums(roots, axes, 1) if len(axes) > 1 else None)
+    lam = np.concatenate([v for _, v in _row_lambdas(grid, np.zeros_like(m), m)])
     rows, width = lam.shape
     negated = np.zeros(1, dtype=np.int64)  # the row-major index of -m over the other axes
     for _ in axes[1:]:
         negated = (negated[:, None] * N + (-np.arange(N)) % N).ravel()
     index = np.arange(rows * width).reshape(rows, width)
-    keep = index <= (-np.arange(rows) % N)[:, None] * width + negated
+    keep = index <= (-m % N)[:, None] * width + negated
     keep[0, 0] = False  # the trivial character
     yield lam[keep].reshape(-1, 1, 1)
 
@@ -309,12 +308,12 @@ def _batch_of_one(steps) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalize_steps(N: int, steps) -> list[tuple[int, float]]:
-    if N < 2:
+    if _whole(N, "N") < 2:
         raise InvalidSteps("modulus must be >= 2")
     out = []
     seen = set()
     for a, p in steps:
-        a = int(a) % N
+        a = _whole(a, "a step residue") % N
         p = float(p)
         if a in seen:
             raise InvalidSteps(f"step {a} repeated after reduction mod {N}")
@@ -379,7 +378,7 @@ def up_right_probs(alpha: float) -> TorusProbs:
 
 def _torus_axes(N: int, d: int, probs: TorusProbs) -> list[list[tuple[int, float]]]:
     """The (a, p) steps of each torus axis: +1 with p(+i), -1 with p(-i)."""
-    if N < 2 or d < 1:
+    if _whole(N, "N") < 2 or _whole(d, "d") < 1:
         raise ValueError("need N >= 2 and d >= 1")
     if probs.d != d:
         raise ValueError(f"probs describe {probs.d} axes, chain has {d}")
@@ -396,7 +395,7 @@ def torus_chain(N: int, d: int, probs: TorusProbs) -> FiniteChain:
 
 
 def _require_odd_modulus(N: int) -> None:
-    if N < 3 or N % 2 == 0:
+    if _whole(N, "N") < 3 or N % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {N}")
 
 
@@ -406,7 +405,8 @@ def cdg_chain(N: int) -> FiniteChain:
     Requires odd N >= 3 (so that doubling is a bijection and the chain
     is doubly stochastic). Irreducible for every odd N: n steps reach a
     full interval of width 2^{n+1} - 1 around 2^n x. The chain carries
-    its blocks (_doubling_blocks), built only when a Delta_n curve asks.
+    its blocks (_doubling_blocks), built with it from the weights of the
+    closed form.
     """
     _require_odd_modulus(N)
     P = _dense_zeros(N)
@@ -414,7 +414,7 @@ def cdg_chain(N: int) -> FiniteChain:
     for e in (-1, 0, 1):
         P[x, (2 * x + e) % N] += 1.0 / 3.0
     chain = build_chain(P, stationary=np.full(N, 1.0 / N))
-    return replace(chain, _blocks=partial(_doubling_blocks, N))
+    return replace(chain, _blocks=tuple(_doubling_blocks(N)))
 
 
 def _doubling_weights(N: int):
@@ -599,7 +599,7 @@ def _require_deck(N: int) -> int:
     ValueError, and more than DENSE_LIMIT**2 orderings through
     _require_entries; the product stops at the first k! past the cap, so a
     huge deck is refused at once."""
-    if N < 3:
+    if _whole(N, "N") < 3:
         raise ValueError(f"a deck needs at least 3 cards, got {N}")
     orderings = 1
     for k in range(2, N + 1):
@@ -617,7 +617,7 @@ def card_chain(N: int) -> FiniteChain:
     stochastic since every move permutes the deck. The dense oracle of
     _card_gap: past DENSE_LIMIT states (N > 7) it is refused before the
     decks are listed. The chain carries its blocks (_card_blocks), built
-    only when a Delta_n curve asks.
+    with it from the Young forms of the closed form.
     """
     size = _require_deck(N)
     P = _dense_zeros(size)
@@ -629,7 +629,7 @@ def card_chain(N: int) -> FiniteChain:
         P[i, rank[(deck[1], deck[0]) + deck[2:]]] += 1.0 / 3.0
         P[i, rank[(deck[-1],) + deck[:-1]]] += 1.0 / 3.0
     chain = build_chain(P, stationary=np.full(size, 1.0 / size))
-    return replace(chain, _blocks=partial(_card_blocks, N))
+    return replace(chain, _blocks=tuple(_card_blocks(N)))
 
 
 def _young_orthogonal_form(N: int):
@@ -885,7 +885,7 @@ class ChainSpec:
         """Template instantiation: same family/parameters at another N."""
         if self.family == "explicit":
             raise ValueError("explicit chains have no size parameter")
-        return replace(self, N=int(N))
+        return replace(self, N=_whole(N, "N"))
 
     def params_digest(self) -> str:
         """Stable digest of everything but N, for experiment row keys."""

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dsyevr, dsyevr_lwork
 
 from . import tolerances as tol
 from .chains import FiniteChain
-from .errors import MultipleInvariantMeasures, NotIrreducible
+from .errors import MultipleInvariantMeasures, NotIrreducible, _whole
 
 __all__ = [
     "SingularSpectrum",
@@ -188,7 +188,7 @@ def pseudo_spectral_gap(chain: FiniteChain, k_max: int = 10) -> PseudoGapBound:
     later k' too, and the loop keeps a new best only when val > best.
     """
     _require_spectral(chain)
-    if k_max < 1:
+    if _whole(k_max, "k_max") < 1:
         raise ValueError("k_max must be >= 1")
     B = _conjugated(chain.transition, chain.stationary)
     ceiling = 1.0 + 10.0 * chain.size * 2.0**-53  # k val_k is below it (docstring)

@@ -141,6 +141,13 @@ def test_drift_nine_tenths_underflow_is_refused():
         cg.build_chain(birth_death_matrix(400, 0.9))
 
 
+def test_drift_one_tenth_underflow_is_refused():
+    # the mirror image: mu(x) ~ 9^-x underflows at the top state, not at 0
+    with pytest.raises(ChainError, match="zero stationary mass") as refused:
+        cg.build_chain(birth_death_matrix(400, 0.1))
+    assert refused.type is ChainError
+
+
 def test_near_reducible_chain_is_irreducible():
     # two uniform 3-blocks coupled by 1e-15: one class, so mu is unique
     P = np.zeros((6, 6))

@@ -69,6 +69,19 @@ def test_gap_refuses_deck_size_without_factorial(tmp_path, capsys, N, message):
     assert captured.err == f"chaingap: {message}\n"
 
 
+def test_zero_stationary_mass_is_a_one_line_refusal(tmp_path, capsys):
+    # mu(x) ~ 9^-x leaves the double range before state 399: refused, not a NaN gap
+    spec = tmp_path / "drift.json"
+    matrix = birth_death_matrix(400, 0.1).tolist()
+    spec.write_text(json.dumps({"family": "explicit", "matrix": matrix}))
+    assert main(["gap", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "chaingap: ChainError: irreducible chain produced a zero stationary mass\n"
+    )
+
+
 @pytest.mark.parametrize("family, N", [("cdg", 131071), ("cardshuffle", 8)])
 def test_gap_past_the_dense_cap_reports_the_closed_form(tmp_path, capsys, family, N):
     spec = tmp_path / "spec.json"

@@ -10,7 +10,7 @@ from scipy.linalg import null_space
 from scipy.linalg.lapack import dsyevx
 
 import chaingap as cg
-from chaingap import empirical
+from chaingap import empirical, families
 from chaingap.empirical import (
     _alias_tables,
     _deviation_values,
@@ -401,7 +401,7 @@ def per_n_block_tops(blocks, ns):
     one gram per step, and the grams of one stack of n to one eigvalsh call."""
     ns = np.asarray(ns)
     best = np.full(len(ns), -np.inf)
-    for K in blocks():
+    for K in blocks:
         diag = np.arange(K.shape[-1])
         bk = np.zeros_like(K)
         bk[:, diag, diag] = 1.0
@@ -441,11 +441,11 @@ REAL_BLOCK_CHAINS = {
 @pytest.mark.parametrize("name", sorted(REAL_BLOCK_CHAINS))
 @pytest.mark.parametrize("entries", [1, 1 << 10, None])
 def test_chunked_block_tops_match_per_n_loop_bitwise(name, entries, monkeypatch):
-    blocks = REAL_BLOCK_CHAINS[name]()._blocks
     if entries is not None:
         monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", entries)
+    blocks = REAL_BLOCK_CHAINS[name]()._blocks  # stacked under the patched budget
     for ns in N_SETS:
-        tops = empirical._curve_tops(list(blocks()), None, ns)[0]
+        tops = empirical._curve_tops(blocks, None, ns)[0]
         assert tops.tolist() == per_n_block_tops(blocks, ns)
 
 
@@ -565,11 +565,36 @@ def test_block_chain_maximizers_are_the_dense_ones(name):
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
 def test_block_values_do_not_depend_on_the_stacks(name, monkeypatch):
-    chain = BLOCK_CHAINS[name]()
-    want = _deviation_values(chain, 30)
-    # one block per stack and one n per eigvalsh call
+    want = _deviation_values(BLOCK_CHAINS[name](), 30)
+    # one block per stack, stacked as the chain is built, and one n per eigvalsh call
     monkeypatch.setattr(cg.tolerances, "BLOCK_ENTRIES", 1)
-    assert np.array_equal(_deviation_values(chain, 30), want)
+    assert np.array_equal(_deviation_values(BLOCK_CHAINS[name](), 30), want)
+
+
+def test_card_blocks_are_built_once_per_chain(monkeypatch):
+    calls = []
+    young = families._young_orthogonal_form
+
+    def counted(N):
+        calls.append(N)
+        yield from young(N)
+
+    monkeypatch.setattr(families, "_young_orthogonal_form", counted)
+    chain = cg.card_chain(5)
+    cg.delta_curve(chain, range(1, 31))
+    cg.delta_exact(chain, 7)
+    want = render_report(cg.delta_bounds_audit(chain, 60), "json")
+    # the audit's fallback to the whole curve, as when its bounds leave a check undecided
+    checks, seen = empirical._deviation_checks, []
+
+    def undecided_once(lo, hi, tau):
+        seen.append(tau)
+        return None if len(seen) == 1 else checks(lo, hi, tau)
+
+    monkeypatch.setattr(empirical, "_deviation_checks", undecided_once)
+    assert render_report(cg.delta_bounds_audit(chain, 60), "json") == want
+    assert len(seen) == 2
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
@@ -850,7 +875,7 @@ STEERING_SOLVES = {"cdg-family-201": 12, "cdg-101": 1, "birth-death-40-0.75": 1}
 )
 def test_audit_solves_only_the_anchors(name, n_max, dense, blocks, monkeypatch):
     chain = (KERNEL_CHAINS | BLOCK_CHAINS)[name]()
-    stacks = 1 if chain._blocks is None else len(list(chain._blocks()))
+    stacks = 1 if chain._blocks is None else len(chain._blocks)
     want = render_report(full_curve_audit(chain, n_max), "json")
     solved = count_solves(monkeypatch)
     assert render_report(cg.delta_bounds_audit(chain, n_max), "json") == want
@@ -882,7 +907,7 @@ def test_lifted_sums_agree_with_the_sequential_sums(name):
     if chain._blocks is None:
         stacks = [empirical._conjugated(chain.transition, chain.stationary)]
     else:
-        stacks = list(chain._blocks())
+        stacks = chain._blocks
     for K in stacks:
         for k in (0, 1, 2, 3, 7, 49, 64, 99, 150):
             got_k, _, _, lifted = empirical._lifted_sums(K, k)
@@ -894,7 +919,7 @@ def test_lifted_sums_agree_with_the_sequential_sums(name):
 def test_lifted_sums_cover_real_and_complex_stacks():
     # the block chains above hold real (card) and complex (character) stacks
     kinds = {K.dtype.kind for name in ("card-family-5", "circulant-family-24")
-             for K in BLOCK_CHAINS[name]()._blocks()}
+             for K in BLOCK_CHAINS[name]()._blocks}
     assert kinds == {"f", "c"}
 
 

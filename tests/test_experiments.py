@@ -471,3 +471,43 @@ def test_audit_csv_rows_have_the_header_width(battery):
         assert [row[0] for row in rows] == [c.name for c in audit.checks]
         quoted += text.count('"')
     assert quoted > 0
+
+
+TWO_STATES = cg.build_chain([[0.5, 0.5], [0.25, 0.75]])
+ONE_AXIS = cg.TorusProbs(0.5, (0.5,), (0.0,))
+INTEGER_ARGUMENTS = {
+    "mc-seed": lambda x: cg.delta_monte_carlo(
+        TWO_STATES, np.array([math.sqrt(2.0), -1.0 / math.sqrt(2.0)]), 2, 10, seed=x),
+    "ensemble-seed": lambda x: cg.random_steps_ensemble(101, 2, [0.5, 0.5], 5, [1.0], seed=x),
+    "cheeger-seed": lambda x: cg.cheeger_search(TWO_STATES, iters=2, seed=x),
+    "cheeger-iters": lambda x: cg.cheeger_search(TWO_STATES, iters=x, seed=0),
+    "pseudo-gap-k-max": lambda x: cg.pseudo_spectral_gap(TWO_STATES, k_max=x),
+    "audit-k-max": lambda x: cg.inequality_audit(TWO_STATES, k_max=x),
+    "ensemble-N": lambda x: cg.random_steps_ensemble(x, 2, [0.5, 0.5], 5, [1.0], seed=0),
+    "ensemble-k": lambda x: cg.random_steps_ensemble(101, x, [0.5, 0.5], 5, [1.0], seed=0),
+    "ensemble-trials": lambda x: cg.random_steps_ensemble(101, 2, [0.5, 0.5], x, [1.0], seed=0),
+    "scan-size": lambda x: cg.scan(lazy_right_template(), [4, x]),
+    "with-size": lambda x: lazy_right_template().with_size(x),
+    "circulant": lambda x: cg.circulant_chain(x, [(1, 1.0)]),
+    "circulant-residue": lambda x: cg.circulant_chain(8, [(x, 1.0)]),
+    "torus-N": lambda x: cg.torus_chain(x, 1, ONE_AXIS),
+    "torus-d": lambda x: cg.torus_chain(4, x, ONE_AXIS),
+    "cdg": lambda x: cg.cdg_chain(x),
+    "cdg-closed-form": lambda x: cg.ChainSpec("cdg", x).closed_form(),
+    "card": lambda x: cg.card_chain(x),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_seeds_counts_and_sizes_must_be_integers(name, value):
+    # a float is neither truncated nor left to fail deep inside numpy
+    with pytest.raises(ValueError, match="must be an integer"):
+        INTEGER_ARGUMENTS[name](value)
+
+
+def test_json_sizes_stay_integral_floats():
+    # JSON has one number type, so a spec's "N": 5.0 is the integer 5
+    spec = cg.ChainSpec.from_json({"family": "circulant", "N": 5.0, "steps": [[1.0, 1.0]]})
+    assert spec == cg.ChainSpec("circulant", 5, steps=((1, 1.0),))
+    assert spec.build().size == 5

@@ -374,10 +374,20 @@ def test_torus_closed_form_reduces_in_small_blocks():
     assert 0 < gap and tau == 1.0 / gap
 
 
+def character_sums(N, axes, hold):
+    """(first, tail): every character of a batch of walks, lambda = first[b, m_1] + tail[b, rest],
+    the first axis's frequencies 0..N//2, from the closed form's roots table and axis sums;
+    the full-grid reference for the rows that _row_lambdas forms."""
+    roots = families._roots_of_unity(N, axes)
+    a, p = axes[0]
+    first = hold + families._axis_sums(roots, a, p, np.arange(N // 2 + 1))
+    return first, families._tail_sums(roots, axes, a.shape[0])
+
+
 def full_grid_character_gap(N, axes, hold=0.0):
     """(gap, tau) of each walk from every value of its frequency grid, as
     _character_gap computed them before it bounded the rows."""
-    first, tail = families._character_sums(N, axes, hold)
+    first, tail = character_sums(N, axes, hold)
     batch, rows = first.shape
     width = tail.shape[1]
     per_row = max(1, min(rows, cg.tolerances.BLOCK_ENTRIES // width))
@@ -398,6 +408,41 @@ def full_grid_character_gap(N, axes, hold=0.0):
                 vals_b[:, 0, 0] = np.inf  # the trivial character m = 0
             np.minimum(gap[walks], vals_b.min(axis=(1, 2)), out=gap[walks])
     return [(g, cg.relaxation_time(g, s)) for g, s in zip(gap.tolist(), sigma_max.tolist())]
+
+
+def former_character_blocks(N, axes, hold):
+    """The character stack as _character_blocks formed it from the whole grid of character_sums:
+    one character of each pair {m, -m}, m when its row-major index is at most that of -m, and
+    the trivial one left out."""
+    first, tail = character_sums(N, [families._batch_of_one(steps) for steps in axes], hold)
+    lam = first[0, :, None] + tail[0, None, :]
+    rows, width = lam.shape
+    negated = np.zeros(1, dtype=np.int64)
+    for _ in axes[1:]:
+        negated = (negated[:, None] * N + (-np.arange(N)) % N).ravel()
+    index = np.arange(rows * width).reshape(rows, width)
+    keep = index <= (-np.arange(rows) % N)[:, None] * width + negated
+    keep[0, 0] = False
+    return lam[keep].reshape(-1, 1, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(abelian_specs(), st.integers(1, 3))
+@example(cg.ChainSpec("torus", 5, 1, probs=cg.TorusProbs(0.25, (0.5,), (0.25,))), 1)
+@example(cg.ChainSpec("torus", 4, 3, probs=cg.TorusProbs(0.3, (0.2, 0.1, 0.1), (0.1, 0.2, 0.0))), 2)
+def test_character_blocks_equal_the_full_grid_sums_bitwise(spec, rows):
+    # held and single-axis walks among them; the grid rows are read rows at a time too
+    if spec.family == "circulant":
+        axes, hold = [families._normalize_steps(spec.N, spec.steps)], 0.0
+    else:
+        axes, hold = families._torus_axes(spec.N, spec.d, spec.probs), spec.probs.hold
+    want = former_character_blocks(spec.N, axes, hold)
+    (got,) = spec.build()._blocks
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg.tolerances, "BLOCK_ENTRIES", rows * spec.N ** (len(axes) - 1))
+        (got,) = families._character_blocks(spec.N, axes, hold)
+    assert got.tobytes() == want.tobytes()
 
 
 def character_args(spec):
@@ -489,7 +534,7 @@ def test_pruned_character_gap_keeps_rows_tied_up_to_rounding():
     # every row that can still hold the computed minimum
     N, steps = 31, np.array([[1, 2, 4, 8, 15, 16, 23, 27, 29, 30]])
     axes = [(steps, np.full((1, 10), 0.025)), (steps, np.full((1, 10), 0.075))]
-    first, _ = families._character_sums(N, axes, 0.0)
+    first, _ = character_sums(N, axes, 0.0)
     assert len(set(first[0, [1, 2, 4, 8, 15]].real.tolist())) > 1
     assert_pruned_gap_is_full_grid_gap(N, axes, 0.0, 1)
 
