@@ -8,10 +8,16 @@ one chain and returns a structured pass/fail record. The reversibilized
 and pseudo-spectral gaps come from spectral's conjugated matrix
 B = D^{1/2} P D^{-1/2}, in which the mu-adjoint is B^T, so the audit
 builds no second chain and validates none.
+
+Past the enumeration limit, cheeger_search descends all its starts in
+lockstep: each round screens the moves of every live start as arrays,
+and one batched exact scorer (_scores) rescores the few that could
+improve, so every start takes the steps it would take alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -225,13 +231,30 @@ def cheeger_exact(chain: FiniteChain) -> CheegerResult:
     return CheegerResult(xi=xi, argmin_set=tuple(j for j in range(n) if best >> j & 1), exact=True)
 
 
-def _subset_value(mu: np.ndarray, q: np.ndarray, idx) -> float:
-    """Q(A, A^c) / mu(A) for the sorted states idx; inf unless 0 < mu(A) <= 1/2."""
-    mu_a = float(mu[idx].sum())
-    if mu_a <= 0 or mu_a > 0.5 + tol.ROW_SUM:
-        return np.inf
-    inside = float(q[np.ix_(idx, idx)].sum())
-    return 1.0 - inside / mu_a
+def _scores(mu: np.ndarray, q: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Q(A, A^c) / mu(A) for each 0/1 row A of sets; inf unless 0 < mu(A) <= 1/2.
+
+    The sets of each size k are gathered as (B, k) rows of mu and
+    (B, k * k) rows of Q, and each row is summed along its contiguous
+    axis: numpy adds such a row pairwise, as it adds mu[idx] and
+    Q[idx, idx] of one sorted index array, so every score is bit for bit
+    1 - float(Q[idx, idx].sum()) / float(mu[idx].sum()). A block of Q rows
+    holds at most tol.BLOCK_ENTRIES entries (one set, if k * k is more).
+    """
+    size = sets.sum(axis=1)
+    out = np.full(len(sets), np.inf)
+    for k in np.unique(size).tolist():
+        rows = np.flatnonzero(size == k)
+        idx = np.nonzero(sets[rows])[1].reshape(-1, k)
+        mass = mu[idx].sum(axis=1)
+        ok = (mass > 0) & (mass <= 0.5 + tol.ROW_SUM)
+        rows, idx, mass = rows[ok], idx[ok], mass[ok]
+        step = max(1, tol.BLOCK_ENTRIES // (k * k))
+        for i in range(0, len(rows), step):
+            block = idx[i:i + step]
+            inside = q[block[:, :, None], block[:, None, :]].reshape(len(block), -1).sum(axis=1)
+            out[rows[i:i + step]] = 1.0 - inside / mass[i:i + step]  # Q(A, A^c) = mu(A) - Q(A, A)
+    return out
 
 
 def _may_pass(q_new, q_terms, m_new, m_terms, threshold, ulps):
@@ -239,76 +262,156 @@ def _may_pass(q_new, q_terms, m_new, m_terms, threshold, ulps):
 
     q_new and m_new are Q(A', A') and mu(A') updated from A; q_terms and
     m_terms are the summed magnitudes of their terms. Every sum involved,
-    in the update or in _subset_value, adds nonnegative terms, so
-    ``ulps`` times those magnitudes bounds how far the two can differ.
+    in the update or in _scores, adds nonnegative terms, so ``ulps``
+    times those magnitudes bounds how far the two can differ. The four
+    arrays are overwritten.
     """
-    q_hi = q_new + ulps * q_terms
-    m_lo = m_new - ulps * m_terms
+    q_terms *= ulps
+    q_hi = np.add(q_new, q_terms, out=q_new)
+    m_terms *= ulps
+    m_lo = np.subtract(m_new, m_terms, out=m_new)
+    del q_terms, m_terms
+    may_fit = m_lo <= 0.5 + tol.ROW_SUM
     unsure = m_lo <= 0.0  # the mass may have cancelled: no bound on the ratio
-    ratio = q_hi / np.where(unsure, 1.0, m_lo)
-    low = 1.0 - ratio - ulps * (1.0 + ratio)
-    return (m_lo <= 0.5 + tol.ROW_SUM) & (unsure | (low < threshold))
+    m_lo[unsure] = 1.0
+    ratio = np.divide(q_hi, m_lo, out=q_hi)
+    slack = ratio + 1.0
+    slack *= ulps
+    low = np.subtract(1.0, ratio, out=ratio)
+    low -= slack  # 1 - ratio - ulps (1 + ratio)
+    return may_fit & (unsure | (low < threshold))
 
 
-def _first_improvement(mu, q, inside, value):
-    """The first move of the search order that scores below value - 1e-15.
+def _first_below(mu, q, sets, threshold, rows, flips):
+    """Each set's first candidate move that scores exactly below its threshold.
+
+    Candidate c toggles the states flips[c] of set rows[c]; rows is
+    nondecreasing, and a set's candidates come in its search order. They
+    are rescored in waves, 1, 2, 4, ... candidates per set at a time,
+    until each set has a hit or none left, so a set rescores less than
+    twice the candidates up to its first hit. Returns, per set, the
+    index of that candidate (-1 for none) and its score.
+    """
+    first = np.full(len(sets), -1)
+    score = np.full(len(sets), np.inf)
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    step = max(1, tol.BLOCK_ENTRIES // sets.shape[1])
+    lo, width = 0, 1
+    while True:
+        pick = np.flatnonzero((rank >= lo) & (rank < lo + width))
+        pick = pick[first[rows[pick]] < 0]
+        if not pick.size:
+            return first, score
+        value = np.empty(len(pick))
+        for i in range(0, len(pick), step):
+            part = pick[i:i + step]
+            trials = sets[rows[part]]
+            trials[np.arange(len(part))[:, None], flips[part]] ^= True
+            value[i:i + step] = _scores(mu, q, trials)
+        hit = pick[value < threshold[rows[pick]]]
+        hit_rows, at = np.unique(rows[hit], return_index=True)  # the first hit of each set
+        first[hit_rows] = hit[at]
+        score[hit_rows] = value[np.searchsorted(pick, hit[at])]
+        lo, width = lo + width, 2 * width
+
+
+def _first_improvements(mu, q, cross, sets, value):
+    """The first move of the search order that scores below value - 1e-15, for each set.
 
     The order is: toggle each member, then each non-member, in ascending
     state order (never emptying the set), then swap each member for each
-    non-member, member-major. Every move is scored at once from mu(A),
-    Q(A, A) and r + c = Q a + Q^T a: a toggle changes Q(A, A) by
-    +-(r + c)[x] + Q[x, x], and a swap also subtracts Q[x, y] + Q[y, x].
+    non-member, member-major. Every toggle of every set is screened at
+    once from mu(A), Q(A, A) and r + c = (Q + Q^T) a, with cross = Q + Q^T:
+    a toggle changes Q(A, A) by +-(r + c)[x] + Q[x, x], and a swap also
+    subtracts cross[x, y]. The swaps are screened only for the sets that no
+    toggle improves, against each set's non-members, in blocks of
+    tol.BLOCK_ENTRIES // size (set, member) pairs; the sets with the most
+    members go first, so a block's sets have about as many non-members.
     Only the moves that could pass within the rounding margin are
-    rescored exactly, in order, so the result is the one a plain walk
-    through the order finds. Returns (trial states, score) or None.
+    rescored exactly, by _first_below, so each result is the one a plain
+    walk through the order finds. Returns (found, sets, scores): which
+    sets moved, and their moved sets and scores.
     """
     n = len(mu)
-    member = np.zeros(n, dtype=bool)
-    member[inside] = True
-    outside = np.flatnonzero(~member)
-    a = member.astype(float)
-    rc = q @ a + a @ q
+    a = sets.astype(float)
+    aq = a @ q
+    rc = a @ cross
     diag = q.diagonal()
-    mass = float(mu[inside].sum())
-    q_in = float(a @ q @ a)
+    mass = a @ mu
+    q_in = (aq * a).sum(axis=1)
+    del a, aq
     threshold = value - 1e-15
     # n-term sums in any order (BLAS) and numpy's pairwise sums of up to
     # n^2 terms, plus the few roundings of the update itself
     ulps = (2 * n + 64) * np.finfo(float).eps
 
-    order = np.concatenate([inside, outside])
-    sign = np.where(member[order], -1.0, 1.0)
+    sign = np.where(sets, -1.0, 1.0)
     toggles = _may_pass(
-        q_in + sign * rc[order] + diag[order], q_in + rc[order] + diag[order],
-        mass + sign * mu[order], mass + mu[order], threshold, ulps,
+        q_in[:, None] + sign * rc + diag, q_in[:, None] + rc + diag,
+        mass[:, None] + sign * mu, mass[:, None] + mu, threshold[:, None], ulps,
     )
-    if len(inside) == 1:
-        toggles[0] = False  # the empty set is not a move
-    for x in order[toggles]:
-        trial = inside[inside != x] if member[x] else np.sort(np.append(inside, x))
-        v = _subset_value(mu, q, trial)
-        if v < threshold:
-            return trial, v
+    toggles &= ~(sets & (sets.sum(axis=1) == 1)[:, None])  # the empty set is not a move
+    order = np.argsort(~sets, axis=1, kind="stable")  # members, then non-members
+    rows, at = np.nonzero(np.take_along_axis(toggles, order, axis=1))
+    flips = order[rows, at][:, None]
+    del sign, toggles, order
+    first, score = _first_below(mu, q, sets, threshold, rows, flips)
+    found = first >= 0
+    moved = sets.copy()
+    moved[found, flips[first[found], 0]] ^= True
 
     own = rc + diag
-    cross = q[np.ix_(inside, outside)] + q[np.ix_(outside, inside)].T
-    swaps = _may_pass(
-        q_in + (diag - rc)[inside, None] + own[None, outside] - cross,
-        q_in + own[inside, None] + own[None, outside] + cross,
-        mass - mu[inside, None] + mu[None, outside],
-        mass + mu[inside, None] + mu[None, outside], threshold, ulps,
-    )
-    for i, j in zip(*np.nonzero(swaps)):
-        trial = np.sort(np.append(inside[inside != inside[i]], outside[j]))
-        v = _subset_value(mu, q, trial)
-        if v < threshold:
-            return trial, v
-    return None
+    size = sets.sum(axis=1)
+    waiting = np.flatnonzero(~found)
+    waiting = waiting[np.argsort(-size[waiting], kind="stable")]  # fewest non-members first
+    held, limit = sets[waiting], threshold[waiting]
+    outside = np.argsort(held, axis=1, kind="stable")  # non-members first
+    pair_set, pair_x = np.nonzero(held)
+    step = max(1, tol.BLOCK_ENTRIES // n)
+    for i in range(0, len(pair_set), step):
+        s, x = pair_set[i:i + step], pair_x[i:i + step]
+        keep = ~found[waiting[s]]  # a set with a hit in an earlier block is done
+        if not keep.any():
+            continue
+        s, x = s[keep], x[keep]
+        r = waiting[s]
+        width = n - int(size[r].min())
+        y = outside[s, :width]  # each pair's non-members, then padding
+        own_y, cross_xy, mu_y = own[r[:, None], y], cross[x[:, None], y], mu[y]
+        q_new = own_y + (q_in[r] + (diag[x] - rc[r, x]))[:, None]
+        q_new -= cross_xy
+        own_y += (q_in[r] + own[r, x])[:, None]
+        own_y += cross_xy
+        del cross_xy
+        swaps = _may_pass(
+            q_new, own_y, (mass[r] - mu[x])[:, None] + mu_y, mu_y + (mass[r] + mu[x])[:, None],
+            threshold[r, None], ulps,
+        )
+        del q_new, own_y, mu_y
+        swaps &= np.arange(width) < (n - size[r])[:, None]
+        pair, at = np.nonzero(swaps)
+        swap_flips = np.stack([x[pair], y[pair, at]], axis=1)
+        part, part_score = _first_below(mu, q, held, limit, s[pair], swap_flips)
+        hit = np.flatnonzero(part >= 0)
+        moved[waiting[hit, None], swap_flips[part[hit]]] ^= True
+        found[waiting[hit]], score[waiting[hit]] = True, part_score[hit]
+    return found, moved[found], score[found]
 
 
 def _require_iters(iters: int) -> None:
     if _whole(iters, "iters") < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
+
+
+def _starts(n: int, iters: int, rng: np.random.Generator):
+    """Every singleton, then ``iters`` random sets, as 0/1 rows."""
+    for x in range(n):
+        yield np.arange(n) == x
+    for _ in range(iters):
+        mask = rng.random(n) < rng.uniform(0.15, 0.6)
+        if not mask.any():
+            mask[int(rng.integers(n))] = True
+        yield mask
 
 
 def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> CheegerResult:
@@ -317,30 +420,33 @@ def cheeger_search(chain: FiniteChain, iters: int = 50, seed: int = 0) -> Cheege
     Starts from every singleton plus ``iters`` random restarts; each
     start descends by single-state moves (toggle one state in or out, or
     swap a member for a non-member), taking the first improving move,
-    until no move improves. Any subset certifies an upper bound, so the
-    result is always >= the exact constant. The seed keys Philox by
-    empirical._philox_key. Refuses one-state chains and a negative
-    ``iters``.
+    until no move improves. The starts descend in lockstep, a block of
+    tol.BLOCK_ENTRIES // size of them at a time, one round of
+    _first_improvements per step, and each takes the steps it would take
+    alone. Any subset certifies an upper bound, so the result is always
+    >= the exact constant. The seed keys Philox by empirical._philox_key.
+    Refuses one-state chains and a negative ``iters``.
     """
     _require_cut(chain)
     _require_iters(iters)
     n = chain.size
     mu, q = chain.stationary, chain.edge_measure()
+    cross = q + q.T
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
-    starts = [[x] for x in range(n)]
-    for _ in range(iters):
-        mask = rng.random(n) < rng.uniform(0.15, 0.6)
-        starts.append(np.flatnonzero(mask).tolist() or [int(rng.integers(n))])
-
+    starts = _starts(n, iters, rng)
+    block = max(1, tol.BLOCK_ENTRIES // n)
     best = (np.inf, (0,))
-    for start in starts:
-        subset = np.array(start)
-        value = _subset_value(mu, q, subset)
-        while (move := _first_improvement(mu, q, subset, value)) is not None:
-            subset, value = move
-        key = (value, tuple(subset.tolist()))
-        if key < best:
-            best = key
+    while (sets := np.array(list(itertools.islice(starts, block)), dtype=bool)).size:
+        value = _scores(mu, q, sets)
+        live = np.arange(len(sets))
+        while live.size:
+            found, moved, scores = _first_improvements(mu, q, cross, sets[live], value[live])
+            live = live[found]
+            sets[live], value[live] = moved, scores
+        for row, v in zip(sets, value.tolist()):
+            key = (v, tuple(np.flatnonzero(row).tolist()))
+            if key < best:
+                best = key
     return CheegerResult(xi=best[0], argmin_set=best[1], exact=False)
 
 

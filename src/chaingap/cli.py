@@ -19,6 +19,7 @@ not apply to), with one line "chaingap: <Type>: <message>" on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NoReturn
@@ -168,6 +169,7 @@ def _usage(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+@functools.cache  # one parser a process: main runs many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaingap",

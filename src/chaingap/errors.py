@@ -4,12 +4,14 @@ import operator
 
 
 def _whole(value, name: str) -> int:
-    """value as an int, a Python or numpy integer; anything else (4.0 too) is
-    refused with ValueError. The one rule for every seed, count and size."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """value as an int, a Python or numpy integer; anything else (4.0 or True
+    too) is refused with ValueError. The one rule for every seed, count and size."""
+    if not isinstance(value, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class ChainError(Exception):

@@ -828,7 +828,9 @@ class ChainSpec:
         explicit:    {"matrix": [[...], ...]}
 
     Probabilities may be numbers or exact strings (see parse_prob). Other
-    keys are ignored; a malformed field is refused with a ValueError.
+    keys are ignored; a malformed field is refused with a ValueError. N
+    and d are checked by errors._whole when a spec is made, from JSON or
+    not, and held as Python ints.
     """
 
     family: str
@@ -839,6 +841,12 @@ class ChainSpec:
     matrix: tuple | None = None
 
     FAMILIES = ("explicit", "circulant", "torus", "cdg", "cardshuffle")
+
+    def __post_init__(self):
+        for name in ("N", "d"):  # sizes are Python ints from the start
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _whole(value, name))
 
     @staticmethod
     def from_json(payload: dict) -> "ChainSpec":
@@ -885,7 +893,7 @@ class ChainSpec:
         """Template instantiation: same family/parameters at another N."""
         if self.family == "explicit":
             raise ValueError("explicit chains have no size parameter")
-        return replace(self, N=_whole(N, "N"))
+        return replace(self, N=N)
 
     def params_digest(self) -> str:
         """Stable digest of everything but N, for experiment row keys."""

@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
@@ -14,7 +15,7 @@ from chaingap import tolerances as tol
 from chaingap.audit import BoundAudit, make_check
 from chaingap.bounds import (
     _bfs_congestion,
-    _first_improvement,
+    _first_improvements,
     _members,
     _near_minimal,
     _subset_values,
@@ -405,6 +406,61 @@ def test_search_takes_the_steps_of_the_plain_loop_on_the_battery(battery):
         assert (found.xi, found.argmin_set) == first_improvement_search(item.chain, 4, 3)
 
 
+def _search_chain(n, density, skew, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) < density)
+    P *= np.exp(skew * rng.standard_normal(n))  # heavy columns skew mu
+    P[np.arange(n), (np.arange(n) + 1) % n] += 0.05  # a cycle keeps it irreducible
+    return cg.build_chain(P / P.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def search_chains(draw):
+    """21-60 states, sparse to dense, mu from nearly flat to skewed.
+
+    The denser the chain, the fewer its states, since the plain loop
+    rescores every trial set from scratch.
+    """
+    density, most = draw(st.sampled_from([(0.06, 60), (0.25, 40), (1.0, 30)]))
+    return _search_chain(
+        draw(st.integers(21, most)), density,
+        draw(st.sampled_from([0.0, 1.5, 3.0])), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(chain=search_chains(), iters=st.integers(0, 2), seed=st.integers(0, 2**16),
+       blocked=st.booleans())
+# at 4 N entries a block: 62 starts, (set, member) pairs and trial sets 4 at a time
+@example(chain=_search_chain(60, 0.06, 3.0, 0), iters=2, seed=5, blocked=True)
+def test_lockstep_search_takes_the_steps_of_the_plain_loop(chain, iters, seed, blocked):
+    with pytest.MonkeyPatch.context() as patch:
+        if blocked:
+            patch.setattr(tol, "BLOCK_ENTRIES", 4 * chain.size)
+        found = cg.cheeger_search(chain, iters=iters, seed=seed)
+    assert (found.xi, found.argmin_set) == first_improvement_search(chain, iters, seed)
+
+
+def test_search_temporaries_stay_within_a_few_blocks():
+    n = 200  # hold, a step around the cycle, a jump along a random map
+    x = np.arange(n)
+    P = np.zeros((n, n))
+    np.add.at(P, (x, x), 0.2)
+    np.add.at(P, (x, (x + 1) % n), 0.5)
+    np.add.at(P, (x, np.random.default_rng(1).integers(0, n, size=n)), 0.3)
+    chain = cg.build_chain(P)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cg.cheeger_search(chain, iters=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the screens of a block of starts, or of (set, member) pairs, and a
+    # few of their temporaries; Q and Q + Q^T are 0.6 blocks each
+    assert peak <= 12 * 8 * tol.BLOCK_ENTRIES
+
+
 def _light_state_chain(light, drop):
     """Reversible three-state chain: mu = (0.4, light, 0.6 - light).
 
@@ -432,7 +488,7 @@ def test_search_screen_keeps_moves_that_rounding_hides():
     # the incremental score of {1} is off by up to ~1e-3 here, far more
     # than the drop: only the rounding margin keeps the move for the
     # exact recheck
-    start = np.array([0, 1])
+    start = np.array([[True, True, False]])
     for light in (1e-9, 1e-11, 1e-13, 1e-17):  # at 1e-17 the update cancels to 0
         for drop in (1e-8, 1e-10, 1e-12, 2e-15):
             chain = _light_state_chain(light, drop)
@@ -440,8 +496,9 @@ def test_search_screen_keeps_moves_that_rounding_hides():
             value = _plain_subset_value(chain, {0, 1})
             want = plain_first_improvement(chain, {0, 1}, value)
             assert want[0] == (1,)
-            got = _first_improvement(mu, q, start, value)
-            assert (tuple(got[0].tolist()), got[1]) == want, (light, drop)
+            found, moved, score = _first_improvements(mu, q, q + q.T, start, np.array([value]))
+            assert found.tolist() == [True]
+            assert (tuple(np.flatnonzero(moved[0]).tolist()), score[0]) == want, (light, drop)
 
 
 def deque_bfs_paths(chain):

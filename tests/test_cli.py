@@ -646,6 +646,10 @@ def test_cheeger_search_defaults_to_fifty_restarts(tmp_path, capsys, monkeypatch
     assert seen == [50, 0]
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
 def test_cli_surface():
     # every option of every subcommand: an added or removed option is a diff here
     parser = build_parser()

@@ -498,10 +498,11 @@ INTEGER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
 @pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
 def test_seeds_counts_and_sizes_must_be_integers(name, value):
-    # a float is neither truncated nor left to fail deep inside numpy
+    # a float is neither truncated nor left to fail deep inside numpy, and
+    # a bool is not read as 0 or 1
     with pytest.raises(ValueError, match="must be an integer"):
         INTEGER_ARGUMENTS[name](value)
 
@@ -511,3 +512,13 @@ def test_json_sizes_stay_integral_floats():
     spec = cg.ChainSpec.from_json({"family": "circulant", "N": 5.0, "steps": [[1.0, 1.0]]})
     assert spec == cg.ChainSpec("circulant", 5, steps=((1, 1.0),))
     assert spec.build().size == 5
+
+
+def test_spec_sizes_are_checked_when_made():
+    with pytest.raises(ValueError, match="N must be an integer, got 5.0"):
+        cg.ChainSpec("cdg", 5.0)
+    with pytest.raises(ValueError, match="d must be an integer, got True"):
+        cg.ChainSpec("torus", 4, d=True, probs=ONE_AXIS)
+    spec = cg.ChainSpec("cdg", np.int64(5))
+    assert type(spec.N) is int
+    assert spec.to_json() == {"family": "cdg", "N": 5}
